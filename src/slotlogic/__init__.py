@@ -25,6 +25,7 @@ from .engine import (
     compile_model,
     finite_difference_grad,
     grad,
+    ground_clause,
     infer,
     init_valuation,
     loss,
@@ -52,7 +53,6 @@ from .logic import (
     build_ground_index,
     format_atom,
     format_clause,
-    ground_clause,
     parse_atom,
     parse_clause,
 )

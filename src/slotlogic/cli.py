@@ -11,7 +11,7 @@ import sys
 
 from . import pipeline
 from .dialog import load_corpus, load_samples, save_corpus, save_samples
-from .engine import TrainedModel, TrainingDiverged
+from .engine import TrainedModel, TrainingDiverged, ValuationInvariantError
 from .extract import extract_program, load_program, save_program
 from .gradcheck import run_gradcheck
 from .multiwoz import convert_multiwoz_records
@@ -208,14 +208,16 @@ def run_pipeline(argv=None) -> int:
     try:
         return args.func(args)
     except TrainingDiverged as exc:
-        print(json.dumps({"error": "divergence", "message": str(exc)}), file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail("divergence", exc, EXIT_NUMERIC)
+    except ValuationInvariantError as exc:
+        return _fail("valuation_invariant", exc, EXIT_NUMERIC)
     except (ValueError, KeyError, OSError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
+        return _fail(type(exc).__name__, exc, EXIT_VALIDATION)
+
+
+def _fail(error: str, exc: Exception, code: int) -> int:
+    print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -6,25 +6,50 @@ clause, a ground head's contribution is the max over that clause's
 groundings of the product of its two body values; a slot mixes its
 clauses by softmax weight; a predicate with two slots combines them by
 probabilistic sum; the step result is folded into the valuation with an
-element-wise max (or, for the ablation variant, a probabilistic sum).
-Background clauses run every step with weight one and carry no
-parameters.
+element-wise max (or, for the ablation variant, a probabilistic sum),
+capped at one. Background clauses run every step with weight one and
+carry no parameters; a background head takes the max over the
+groundings of all its clauses.
+
+Compilation builds one grounding table per constant list. Rows come
+from index arithmetic (``ground_clause``). Each row belongs to a
+segment, the rows one max runs over: a (clause, head atom) cell of a
+slot, or a head atom of a background predicate. Segments are bucketed
+by row count into dense (segments, rows) blocks, so a forward step is a
+gather-multiply per block, a max and argmax along its rows, and one
+weighted ``bincount`` into the head atoms. The backward step gathers the
+winning rows' body values again and scatters into the valuation's
+gradient with ``bincount``; a step's trace keeps only its input, the
+winners of multi-row segments and the head values.
+
+Background clauses whose bodies read only extensional atoms and the
+heads of other such clauses see no weight. They are chained once per
+batch (``_static_schedule``) with the same step count, amalgamation and
+cap, so their values are bit-identical to chaining them inside every
+step; each step reads its row of that schedule, and the backward pass
+never visits them. Background clauses that read a slot head, directly
+or through another background head, stay in the table.
 
 Gradients are exact reverse-mode derivatives of that computation. Max
 picks its first argument on ties: the old valuation over the fresh
-derivation, and the lowest-numbered grounding row within a clause.
+derivation, and the lowest-numbered grounding row within a segment
+(rows keep their enumeration order, a background head's rows follow its
+clauses in order, and argmax returns the first maximum). Clause
+gradients are summed over a dense (clause, head atom) layout, so clauses
+that agree on the data stay exactly tied.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .logic import (
+    MAX_CLAUSE_VARS,
     Atom,
     Clause,
     GroundIndex,
@@ -33,7 +58,6 @@ from .logic import (
     build_ground_index,
     format_atom,
     format_clause,
-    ground_clause,
     parse_atom,
     parse_clause,
 )
@@ -218,139 +242,169 @@ def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Compilation: grounding tables.
+# Compilation: one grounding table per constant list.
+
+def ground_clause(clause: Clause, index: GroundIndex) -> np.ndarray:
+    """All groundings of ``clause`` as rows (head index, body index, body index).
+
+    One row per substitution of the clause variables by constants from the
+    index, enumerated like ``itertools.product`` with the first variable
+    slowest. An atom's index is its predicate's start plus the mixed-radix
+    number its argument constants spell in base ``len(constants)``, so the
+    rows are built by array arithmetic. Every variable occurs in some atom
+    and that map is injective, so rows are distinct. A clause naming a
+    constant outside the index has no grounding; one naming a predicate
+    outside it raises ``ValueError``.
+    """
+    variables = clause.variables()
+    if len(variables) > MAX_CLAUSE_VARS:
+        raise ValueError("too many clause variables")
+    atoms = (clause.head, *clause.body)
+    for a in atoms:
+        if a.predicate not in index.ranges:
+            raise ValueError(
+                f"clause {format_clause(clause)} uses {a.predicate}, "
+                "which is not in the ground index"
+            )
+    n = len(index.constants)
+    combos = np.arange(n ** len(variables), dtype=np.int64)
+    digit = {
+        v: combos // n ** (len(variables) - 1 - i) % n for i, v in enumerate(variables)
+    }
+    position = {c: i for i, c in enumerate(index.constants)}
+    rows = np.empty((combos.size, 3), dtype=np.int64)
+    for col, a in enumerate(atoms):
+        offset = np.zeros(combos.size, dtype=np.int64)
+        for t in a.args:
+            if not t.is_variable and t.label not in position:
+                return rows[:0]
+            offset = offset * n + (digit[t] if t.is_variable else position[t.label])
+        rows[:, col] = index.ranges[a.predicate][0] + offset
+    return rows
+
 
 @dataclass(frozen=True)
-class _GroupRuntime:
-    """Grounding rows for one list of clauses sharing a head predicate.
-
-    Rows are sorted by group id (clause-local id * head range size +
-    head offset) so per-group maxima reduce over contiguous segments.
-    """
+class _Slot:
+    """The candidate clauses of one (predicate, slot)."""
 
     predicate: Predicate
     clauses: tuple[Clause, ...]
-    head_start: int
-    head_size: int
-    row_b1: np.ndarray
-    row_b2: np.ndarray
-    seg_starts: np.ndarray  # reduceat boundaries into the sorted rows
-    seg_group: np.ndarray   # group id per segment
-    row_seg: np.ndarray     # segment id per row
-    n_rows: int
 
 
-def _build_group(
-    predicate: Predicate, clauses: Sequence[Clause], index: GroundIndex
-) -> _GroupRuntime:
-    start, end = index.ranges[predicate]
-    size = end - start
-    groups: list[int] = []
-    b1s: list[int] = []
-    b2s: list[int] = []
-    for k, clause in enumerate(clauses):
-        if clause.head.predicate != predicate:
-            raise ValueError("clause head predicate mismatch")
-        for head_idx, (i1, i2) in ground_clause(clause, index):
-            groups.append(k * size + (head_idx - start))
-            b1s.append(i1)
-            b2s.append(i2)
-    g = np.asarray(groups, dtype=np.int64)
-    order = np.argsort(g, kind="stable")
-    g = g[order]
-    b1 = np.asarray(b1s, dtype=np.int64)[order]
-    b2 = np.asarray(b2s, dtype=np.int64)[order]
-    if g.size:
-        first = np.ones(g.size, dtype=bool)
-        first[1:] = g[1:] != g[:-1]
-        seg_starts = np.nonzero(first)[0]
-        seg_group = g[seg_starts]
-        row_seg = np.cumsum(first) - 1
-    else:
-        seg_starts = np.zeros(0, dtype=np.int64)
-        seg_group = np.zeros(0, dtype=np.int64)
-        row_seg = np.zeros(0, dtype=np.int64)
-    return _GroupRuntime(
-        predicate,
-        tuple(clauses),
-        start,
-        size,
-        b1,
-        b2,
-        seg_starts.astype(np.int64),
-        seg_group,
-        row_seg.astype(np.int64),
-        int(g.size),
-    )
+@dataclass(frozen=True)
+class _Table:
+    """Grounding rows grouped into max-segments and bucketed by row count.
 
-
-def _group_values(group: _GroupRuntime, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-clause-per-head max of body products; returns (V, products).
-
-    ``a`` is a batch of valuations (S, g); V has shape (S, K, m).
+    A segment's value is the max over its rows of ``a[b1] * a[b2]``, where
+    ``b1``/``b2`` are a row's body atom indices. One-row segments come
+    first, as flat (segments,) arrays ``b1`` and ``b2``; then one block per
+    larger row count L, as a pair of (segments, L) arrays. ``key`` names
+    every segment in that order.
     """
-    S = a.shape[0]
-    K = len(group.clauses)
-    V = np.zeros((S, K * group.head_size))
-    if group.n_rows:
-        prod = a[:, group.row_b1] * a[:, group.row_b2]
-        seg = np.maximum.reduceat(prod, group.seg_starts, axis=1)
-        V[:, group.seg_group] = seg
-    else:
-        prod = np.zeros((S, 0))
-    return V.reshape(S, K, group.head_size), prod
+
+    b1: np.ndarray
+    b2: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    key: np.ndarray
+
+    @staticmethod
+    def build(key: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> "_Table":
+        """One segment per distinct key; rows keep their order within it."""
+        order = np.argsort(key, kind="stable")
+        key, b1, b2 = key[order], b1[order], b2[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        starts = np.flatnonzero(first)
+        sizes = np.diff(np.append(starts, key.size))
+        row_size = np.repeat(sizes, sizes)
+        one = row_size == 1
+        blocks, keys = [], [key[starts[sizes == 1]]]
+        for size in np.unique(sizes[sizes > 1]):
+            rows = row_size == size
+            blocks.append((b1[rows].reshape(-1, size), b2[rows].reshape(-1, size)))
+            keys.append(key[starts[sizes == size]])
+        return _Table(b1[one], b2[one], tuple(blocks), np.concatenate(keys))
+
+    def values(self, a: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Segment values (S, segments) of the valuations ``a`` and, per
+        block, the flat row (into its arrays) attaining each segment's max:
+        the first one on ties."""
+        parts = [np.take(a, self.b1, axis=1)]
+        parts[0] *= np.take(a, self.b2, axis=1)
+        winners = []
+        for b1, b2 in self.blocks:
+            prod = np.take(a, b1, axis=1)
+            prod *= np.take(a, b2, axis=1)
+            winners.append(prod.argmax(axis=2) + np.arange(0, b1.size, b1.shape[1]))
+            parts.append(prod.max(axis=2))
+        return np.concatenate(parts, axis=1), winners
 
 
-def _group_backward(
-    group: _GroupRuntime,
-    a: np.ndarray,
-    prod: np.ndarray,
-    V: np.ndarray,
-    dV: np.ndarray,
-    da: np.ndarray,
-) -> None:
-    """Route dV through the segment max and products into ``da`` (in place)."""
-    if not group.n_rows:
-        return
-    S = a.shape[0]
-    R = group.n_rows
-    V_flat = V.reshape(S, -1)
-    dV_flat = dV.reshape(S, -1)
-    # Expand segment maxima back over rows via the segment id of each row,
-    # then pick the first row attaining the max (deterministic tie-break).
-    seg_max = V_flat[:, group.seg_group]
-    is_winner = prod == seg_max[:, group.row_seg]
-    row_ids = np.arange(R)
-    masked = np.where(is_winner, row_ids[None, :], R)
-    first_win = np.minimum.reduceat(masked, group.seg_starts, axis=1)  # (S, nseg)
-    s_ids = np.arange(S)[:, None]
-    valid = first_win < R
-    flat_idx = (s_ids * R + np.where(valid, first_win, 0)).ravel()
-    contrib = (dV_flat[:, group.seg_group] * valid).ravel()
-    dprod = np.bincount(flat_idx, weights=contrib, minlength=S * R).reshape(S, R)
-    g = da.shape[1]
-    col1 = (s_ids * g + group.row_b1[None, :]).ravel()
-    col2 = (s_ids * g + group.row_b2[None, :]).ravel()
-    da += np.bincount(
-        col1, weights=(dprod * a[:, group.row_b2]).ravel(), minlength=S * g
-    ).reshape(S, g)
-    da += np.bincount(
-        col2, weights=(dprod * a[:, group.row_b1]).ravel(), minlength=S * g
-    ).reshape(S, g)
+@dataclass(frozen=True)
+class _FlatIndex:
+    """Cells of flattened (S, ·) arrays for a batch of S valuations."""
+
+    out: np.ndarray  # (S * segments,) output cell of each segment value
+    b1: np.ndarray  # (S, one-row segments) valuation cells of the body
+    b2: np.ndarray  # atoms of each one-row segment
+    offset: np.ndarray  # (S, 1) first valuation cell of each sample
 
 
 @dataclass(frozen=True)
 class CompiledModel:
-    """Grounded clause tables for one constant list; immutable."""
+    """Grounded clause tables for one constant list; immutable.
+
+    ``table`` holds every weight-dependent grounding row. Segment ``i`` adds
+    its value, times its clause's probability (one for a background
+    segment, see ``seg_weight``), into output ``seg_out[i]``. The outputs
+    are the head atoms ``single_cols``, then the head atoms ``pair_cols``
+    once per slot of a two-slot predicate, merged by probabilistic sum.
+    ``static`` holds the background rows no weight reaches, one segment per
+    head atom. Clause gradients are summed over a dense (clause, head atom)
+    layout of ``n_dense`` cells: ``seg_dense`` places each slot segment
+    (background ones go past the end) and ``clause_starts`` opens each
+    clause's range.
+    """
 
     index: GroundIndex
     constants: tuple[str, ...]
-    slot_keys: tuple[tuple[Predicate, int], ...]
-    slot_groups: tuple[_GroupRuntime, ...]
-    predicate_slots: tuple[tuple[Predicate, tuple[int, ...]], ...]
-    background_groups: tuple[_GroupRuntime, ...]
+    slot_groups: tuple[_Slot, ...]
     forward_steps: int
     amalgamation: str
+    table: _Table
+    seg_out: np.ndarray
+    seg_weight: np.ndarray
+    seg_dense: np.ndarray
+    n_dense: int
+    clause_starts: np.ndarray
+    single_cols: np.ndarray
+    pair_cols: np.ndarray
+    static: _Table
+    _flat: dict[int, _FlatIndex] = field(default_factory=dict, repr=False, compare=False)
+
+    def flat_index(self, S: int) -> _FlatIndex:
+        """Flat cells for batches of S valuations, built once per S."""
+        if S not in self._flat:
+            n_out = self.single_cols.size + 2 * self.pair_cols.size
+            offset = len(self.index) * np.arange(S, dtype=np.int64)[:, None]
+            self._flat[S] = _FlatIndex(
+                (self.seg_out + n_out * np.arange(S)[:, None]).ravel(),
+                self.table.b1 + offset,
+                self.table.b2 + offset,
+                offset,
+            )
+        return self._flat[S]
+
+    def winning_cells(
+        self, winners: Sequence[np.ndarray], S: int
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per bucket of the table, the flat valuation cells (S, segments)
+        of the two body atoms of each segment's winning row."""
+        fi = self.flat_index(S)
+        cells = [(fi.b1, fi.b2)]
+        for (b1, b2), won in zip(self.table.blocks, winners):
+            cells.append((np.take(b1, won) + fi.offset, np.take(b2, won) + fi.offset))
+        return cells
 
     def for_sample(self, sample: Sample) -> "CompiledModel":
         if tuple(sample.constants) != self.constants:
@@ -402,7 +456,6 @@ class ModelCompiler:
                 )
             if c.head.predicate not in bg_heads:
                 bg_heads.append(c.head.predicate)
-        self._bg_heads = tuple(bg_heads)
 
         preds: list[Predicate] = list(frame.extensional)
         for p in (*bg_heads, *frame.targets, *template.auxiliary):
@@ -419,6 +472,22 @@ class ModelCompiler:
         for p in self.background_pool:
             if p not in known:
                 raise ValueError(f"background pool predicate {p} undeclared")
+
+        # A background head depends on the weights when one of its clauses
+        # reads a slot head or another such background head. The others are
+        # chained once per batch (_static_schedule) and leave the gradient.
+        weighted = learnable | {pred for (pred, _), _ in self.pools}
+        grew = True
+        while grew:
+            grew = False
+            for c in self.background:
+                if c.head.predicate not in weighted and any(
+                    a.predicate in weighted for a in c.body
+                ):
+                    weighted.add(c.head.predicate)
+                    grew = True
+        self._weighted_bg = tuple(p for p in bg_heads if p in weighted)
+        self._static_bg = tuple(p for p in bg_heads if p not in weighted)
         self._cache: dict[tuple[str, ...], CompiledModel] = {}
 
     def slot_sizes(self) -> list[tuple[tuple[Predicate, int], int]]:
@@ -430,33 +499,82 @@ class ModelCompiler:
         vecs = [rng.standard_normal(len(cs)) * scale for _, cs in self.pools]
         return ClauseWeights(keys, vecs)
 
+    def _background_rows(self, heads: Sequence[Predicate], index: GroundIndex) -> np.ndarray:
+        """Grounding rows of every background clause with one of these heads."""
+        return np.concatenate(
+            [np.zeros((0, 3), dtype=np.int64)]
+            + [ground_clause(c, index) for c in self.background if c.head.predicate in heads]
+        )
+
     def compile(self, constants: Sequence[str]) -> CompiledModel:
         key = tuple(constants)
         if key in self._cache:
             return self._cache[key]
         index = build_ground_index(self.predicates, key)
-        slot_keys = []
-        slot_groups = []
-        by_pred: dict[Predicate, list[int]] = {}
-        for (pred, k), clauses in self.pools:
-            by_pred.setdefault(pred, []).append(len(slot_groups))
-            slot_keys.append((pred, k))
-            slot_groups.append(_build_group(pred, clauses, index))
-        bg_groups = []
-        for head in self._bg_heads:
-            cs = [c for c in self.background if c.head.predicate == head]
-            bg_groups.append(_build_group(head, cs, index))
+
+        def span(p: Predicate) -> np.ndarray:
+            return np.arange(*index.ranges[p], dtype=np.int64)
+
+        # Outputs: the head atoms of one-slot predicates and of weighted
+        # background heads, then those of two-slot predicates once per slot.
+        slots_of: dict[Predicate, list[int]] = {}
+        for j, ((pred, _), _) in enumerate(self.pools):
+            slots_of.setdefault(pred, []).append(j)
+        singles = [p for p, js in slots_of.items() if len(js) == 1]
+        singles += self._weighted_bg
+        pairs = [p for p, js in slots_of.items() if len(js) == 2]
+        out_start: dict[tuple[Predicate, int], int] = {}
+        n_out = 0
+        for p, which in [(p, 0) for p in singles] + [
+            (p, which) for which in (0, 1) for p in pairs
+        ]:
+            out_start[p, which] = n_out
+            n_out += span(p).size
+
+        # Segment keys: a slot row's key is its (clause, head atom) cell in
+        # the dense layout; a weighted background row's key is n_dense plus
+        # its output, so each such head atom is one segment over all of its
+        # clauses. pos_out/pos_weight map a key to its output and weight.
+        keys, rows = [], []
+        pos_out, pos_weight, clause_starts = [], [], []
+        n_dense = n_clauses = 0
+        for j, ((pred, _), clauses) in enumerate(self.pools):
+            heads = span(pred)
+            base = out_start[pred, slots_of[pred].index(j)]
+            for clause in clauses:
+                r = ground_clause(clause, index)
+                keys.append(n_dense + r[:, 0] - heads[0])
+                rows.append(r)
+                clause_starts.append(n_dense)
+                pos_out.append(np.arange(base, base + heads.size))
+                pos_weight.append(np.full(heads.size, n_clauses))
+                n_dense += heads.size
+                n_clauses += 1
+        head_out = np.zeros(len(index), dtype=np.int64)
+        for p in self._weighted_bg:
+            head_out[span(p)] = out_start[p, 0] + np.arange(span(p).size)
+        rows.append(self._background_rows(self._weighted_bg, index))
+        keys.append(n_dense + head_out[rows[-1][:, 0]])
+        pos_out.append(np.arange(n_out))
+        pos_weight.append(np.full(n_out, n_clauses))
+        rows = np.concatenate(rows)
+        table = _Table.build(np.concatenate(keys), rows[:, 1], rows[:, 2])
+        static = self._background_rows(self._static_bg, index)
         model = CompiledModel(
             index=index,
             constants=key,
-            slot_keys=tuple(slot_keys),
-            slot_groups=tuple(slot_groups),
-            predicate_slots=tuple(
-                (pred, tuple(slots)) for pred, slots in by_pred.items()
-            ),
-            background_groups=tuple(bg_groups),
+            slot_groups=tuple(_Slot(pred, tuple(cs)) for (pred, _), cs in self.pools),
             forward_steps=self.template.forward_steps,
             amalgamation=self.amalgamation,
+            table=table,
+            seg_out=np.concatenate(pos_out)[table.key],
+            seg_weight=np.concatenate(pos_weight)[table.key],
+            seg_dense=np.minimum(table.key, n_dense),
+            n_dense=n_dense,
+            clause_starts=np.asarray(clause_starts, dtype=np.int64),
+            single_cols=np.concatenate([span(p) for p in singles] + [head_out[:0]]),
+            pair_cols=np.concatenate([span(p) for p in pairs] + [head_out[:0]]),
+            static=_Table.build(static[:, 0], static[:, 1], static[:, 2]),
         )
         self._cache[key] = model
         return model
@@ -493,11 +611,8 @@ def init_valuation(sample: Sample, model: CompiledModel) -> Valuation:
 @dataclass
 class _StepTrace:
     a_in: np.ndarray
-    slot_prods: list[np.ndarray]
-    slot_V: list[np.ndarray]
-    slot_vals: list[np.ndarray]
-    bg_prods: list[np.ndarray]
-    bg_V: list[np.ndarray]
+    winners: list[np.ndarray]
+    out: np.ndarray
     b: np.ndarray
     over_one: np.ndarray
 
@@ -521,60 +636,64 @@ def _check_range(a_new: np.ndarray, a_old: np.ndarray) -> None:
         raise ValuationInvariantError("valuation decreased between steps")
 
 
+def _amalgamate(kind: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fold a step's derivations ``b`` into ``a``, capped at one; also
+    returns where the cap bit."""
+    a_new = np.maximum(a, b) if kind == "max" else a + b - a * b
+    return np.minimum(a_new, 1.0), a_new > 1.0
+
+
+def _static_schedule(model: CompiledModel, a0: np.ndarray, steps: int) -> np.ndarray:
+    """Derivations (steps, S, static heads) of the weight-free background
+    clauses, chained from ``a0`` exactly as the full step chains them."""
+    a = a0.copy()
+    cols = model.static.key
+    out = np.zeros((steps, a.shape[0], cols.size))
+    for t in range(steps):
+        out[t] = model.static.values(a)[0]
+        a[:, cols] = _amalgamate(model.amalgamation, a[:, cols], out[t])[0]
+    return out
+
+
+def _segment_weights(model: CompiledModel, probs: Sequence[np.ndarray]) -> np.ndarray:
+    """Each table segment's clause probability, or one for background."""
+    return np.concatenate([*probs, [1.0]])[model.seg_weight]
+
+
 def _step_batch(
-    model: CompiledModel, probs: Sequence[np.ndarray], a: np.ndarray
+    model: CompiledModel, seg_w: np.ndarray, a: np.ndarray, b_static: np.ndarray
 ) -> tuple[np.ndarray, _StepTrace]:
     S, g = a.shape
+    V, winners = model.table.values(a)
+    n1, n2 = model.single_cols.size, model.pair_cols.size
+    n_out = n1 + 2 * n2
+    V *= seg_w
+    out = np.bincount(
+        model.flat_index(S).out, weights=V.ravel(), minlength=S * n_out
+    ).reshape(S, n_out)
     b = np.zeros((S, g))
-    slot_prods: list[np.ndarray] = []
-    slot_V: list[np.ndarray] = []
-    slot_vals: list[np.ndarray] = []
-    for group, p in zip(model.slot_groups, probs):
-        V, prod = _group_values(group, a)
-        sv = np.einsum("k,skm->sm", p, V)
-        slot_prods.append(prod)
-        slot_V.append(V)
-        slot_vals.append(sv)
-    for pred, slots in model.predicate_slots:
-        group = model.slot_groups[slots[0]]
-        lo, hi = group.head_start, group.head_start + group.head_size
-        if len(slots) == 1:
-            y = slot_vals[slots[0]]
-        else:
-            s0, s1 = slot_vals[slots[0]], slot_vals[slots[1]]
-            y = s0 + s1 - s0 * s1
-        b[:, lo:hi] = y
-    bg_prods: list[np.ndarray] = []
-    bg_V: list[np.ndarray] = []
-    for group in model.background_groups:
-        V, prod = _group_values(group, a)
-        y = V.max(axis=1) if V.shape[1] else np.zeros((S, group.head_size))
-        lo, hi = group.head_start, group.head_start + group.head_size
-        b[:, lo:hi] = np.maximum(b[:, lo:hi], y)
-        bg_prods.append(prod)
-        bg_V.append(V)
-    if model.amalgamation == "max":
-        a_new = np.maximum(a, b)
-    else:
-        a_new = a + b - a * b
+    b[:, model.single_cols] = out[:, :n1]
+    if n2:
+        s0, s1 = out[:, n1 : n1 + n2], out[:, n1 + n2 :]
+        b[:, model.pair_cols] = s0 + s1 - s0 * s1
+    b[:, model.static.key] = b_static
+    a_new, over_one = _amalgamate(model.amalgamation, a, b)
     a_new[:, 0] = 0.0
-    over_one = a_new > 1.0
-    if over_one.any():
-        a_new = np.minimum(a_new, 1.0)
     _check_range(a_new, a)
-    trace = _StepTrace(a, slot_prods, slot_V, slot_vals, bg_prods, bg_V, b, over_one)
-    return a_new, trace
+    return a_new, _StepTrace(a, winners, out, b, over_one)
 
 
 def _backward_step(
     model: CompiledModel,
-    probs: Sequence[np.ndarray],
+    seg_w: np.ndarray,
     trace: _StepTrace,
     da_new: np.ndarray,
-    dprobs: list[np.ndarray],
+    dseg: np.ndarray,
 ) -> np.ndarray:
-    a = trace.a_in
-    b = trace.b
+    """Gradient w.r.t. the step's input valuation; adds each segment's
+    d(loss)/d(segment weight) into ``dseg``."""
+    a, b = trace.a_in, trace.b
+    S, g = a.shape
     da_new = np.where(trace.over_one, 0.0, da_new)
     da_new[:, 0] = 0.0
     if model.amalgamation == "max":
@@ -584,56 +703,56 @@ def _backward_step(
     else:
         db = da_new * (1.0 - a)
         da = da_new * (1.0 - b)
-    da = da.copy()
-    for gi, group in enumerate(model.background_groups):
-        lo, hi = group.head_start, group.head_start + group.head_size
-        dy = db[:, lo:hi]
-        V = trace.bg_V[gi]
-        if not V.shape[1]:
-            continue
-        # The amalgamation above already maxed background against any
-        # learnable contribution on the same range; route db to whichever
-        # side won. Heads never overlap in practice (compile forbids
-        # learnable background heads), so b on this range came from V.
-        winners = np.argmax(V, axis=1)  # first max clause per head
-        dV = np.zeros_like(V)
-        s_ids = np.arange(V.shape[0])[:, None]
-        cols = np.arange(group.head_size)[None, :]
-        dV[s_ids, winners, cols] = dy
-        _group_backward(group, a, trace.bg_prods[gi], V, dV, da)
-    for pred, slots in model.predicate_slots:
-        group = model.slot_groups[slots[0]]
-        lo, hi = group.head_start, group.head_start + group.head_size
-        dy = db[:, lo:hi]
-        if len(slots) == 1:
-            d_slot = [dy]
-        else:
-            s0, s1 = trace.slot_vals[slots[0]], trace.slot_vals[slots[1]]
-            d_slot = [dy * (1.0 - s1), dy * (1.0 - s0)]
-        for si, dsv in zip(slots, d_slot):
-            grp = model.slot_groups[si]
-            p = probs[si]
-            V = trace.slot_V[si]
-            dprobs[si] += np.einsum("sm,skm->k", dsv, V)
-            dV = p[None, :, None] * dsv[:, None, :]
-            _group_backward(grp, a, trace.slot_prods[si], V, dV, da)
-    return da
+    n1, n2 = model.single_cols.size, model.pair_cols.size
+    dout = np.empty((S, n1 + 2 * n2))
+    dout[:, :n1] = db[:, model.single_cols]
+    if n2:
+        dy = db[:, model.pair_cols]
+        dout[:, n1 : n1 + n2] = dy * (1.0 - trace.out[:, n1 + n2 :])
+        dout[:, n1 + n2 :] = dy * (1.0 - trace.out[:, n1 : n1 + n2])
+    dV = np.take(dout, model.seg_out, axis=1)
+    da = da.ravel()
+    lo = 0
+    for w1, w2 in model.winning_cells(trace.winners, S):
+        hi = lo + w1.shape[1]
+        x1, x2 = np.take(a, w1), np.take(a, w2)
+        dv = dV[:, lo:hi]
+        # (x1 * x2) * dv: the product comes first, so clauses whose rows
+        # read the same values in either order get bit-equal sums.
+        dseg[lo:hi] += np.einsum("sn,sn,sn->n", x1, x2, dv)
+        dv *= seg_w[lo:hi]
+        x1 *= dv
+        x2 *= dv
+        da += np.bincount(w1.ravel(), weights=x2.ravel(), minlength=S * g)
+        da += np.bincount(w2.ravel(), weights=x1.ravel(), minlength=S * g)
+        lo = hi
+    return da.reshape(S, g)
+
+
+def _clause_grads(model: CompiledModel, dseg: np.ndarray) -> np.ndarray:
+    """Sum segment gradients per clause over the dense (clause, head)
+    layout, so clauses equal on the data get bit-equal gradients."""
+    dense = np.bincount(model.seg_dense, weights=dseg, minlength=model.n_dense + 1)
+    if not model.clause_starts.size:
+        return np.zeros(0)
+    return np.add.reduceat(dense[: model.n_dense], model.clause_starts)
 
 
 def step(model: CompiledModel, weights: ClauseWeights, valuation: Valuation) -> Valuation:
     """One deduction step over a single valuation."""
-    probs = weights.probabilities()
-    a_new, _ = _step_batch(model, probs, valuation.values[None, :])
+    a = valuation.values[None, :]
+    seg_w = _segment_weights(model, weights.probabilities())
+    a_new, _ = _step_batch(model, seg_w, a, _static_schedule(model, a, 1)[0])
     return Valuation(model.index, a_new[0])
 
 
 def infer(model: CompiledModel, weights: ClauseWeights, sample: Sample) -> Valuation:
     """Run ``forward_steps`` chained deduction steps from the background."""
     model = model.for_sample(sample)
-    probs = weights.probabilities()
+    seg_w = _segment_weights(model, weights.probabilities())
     a = init_valuation(sample, model).values[None, :]
-    for _ in range(model.forward_steps):
-        a, _ = _step_batch(model, probs, a)
+    for b_static in _static_schedule(model, a, model.forward_steps):
+        a, _ = _step_batch(model, seg_w, a, b_static)
     return Valuation(model.index, a[0])
 
 
@@ -644,6 +763,7 @@ def infer(model: CompiledModel, weights: ClauseWeights, sample: Sample) -> Valua
 class _Batch:
     model: CompiledModel
     a0: np.ndarray
+    static_b: np.ndarray  # (forward_steps, S, static heads)
     p_rows: np.ndarray
     p_cols: np.ndarray
     n_rows: np.ndarray
@@ -682,6 +802,7 @@ def _prepare_batches(model_source, samples: Sequence[Sample]) -> list[_Batch]:
             _Batch(
                 model,
                 a0,
+                _static_schedule(model, a0, model.forward_steps),
                 np.asarray(p_rows, dtype=np.int64),
                 np.asarray(p_cols, dtype=np.int64),
                 np.asarray(n_rows, dtype=np.int64),
@@ -748,9 +869,10 @@ def loss(
     probs = weights.probabilities()
     total = 0.0
     for batch in batches or _prepare_batches(model_source, samples):
+        seg_w = _segment_weights(batch.model, probs)
         a = batch.a0
-        for _ in range(batch.model.forward_steps):
-            a, _ = _step_batch(batch.model, probs, a)
+        for b_static in batch.static_b:
+            a, _ = _step_batch(batch.model, seg_w, a, b_static)
         total += _data_loss(batch, a)
     return total + _reg_value(weights, hp)
 
@@ -763,18 +885,23 @@ def loss_and_grad(
     batches: Sequence[_Batch] | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     probs = weights.probabilities()
-    dprobs = [np.zeros_like(p) for p in probs]
+    dclause = np.zeros(sum(p.size for p in probs))
     total = 0.0
     for batch in batches or _prepare_batches(model_source, samples):
+        model = batch.model
+        seg_w = _segment_weights(model, probs)
         a = batch.a0
         traces = []
-        for _ in range(batch.model.forward_steps):
-            a, tr = _step_batch(batch.model, probs, a)
+        for b_static in batch.static_b:
+            a, tr = _step_batch(model, seg_w, a, b_static)
             traces.append(tr)
         total += _data_loss(batch, a)
         da = _data_loss_backward(batch, a)
+        dseg = np.zeros(model.seg_out.size)
         for tr in reversed(traces):
-            da = _backward_step(batch.model, probs, tr, da, dprobs)
+            da = _backward_step(model, seg_w, tr, da, dseg)
+        dclause += _clause_grads(model, dseg)
+    dprobs = np.split(dclause, np.cumsum([p.size for p in probs])[:-1])
     grads = [
         _softmax_backward(p, dp) for p, dp in zip(probs, dprobs)
     ]

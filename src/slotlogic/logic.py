@@ -373,33 +373,3 @@ def build_ground_index(
         ranges[p] = (start, len(atoms))
     lookup = {a: i for i, a in enumerate(atoms) if i > 0}
     return GroundIndex(consts, tuple(predicates), tuple(atoms), lookup, ranges)
-
-
-def ground_clause(
-    clause: Clause, index: GroundIndex
-) -> list[tuple[int, tuple[int, int]]]:
-    """All groundings of ``clause`` as (head index, body index pair) rows.
-
-    One row per substitution of the clause variables by constants from the
-    index, in a fixed enumeration order, duplicates removed.
-    """
-    variables = clause.variables()
-    if len(variables) > MAX_CLAUSE_VARS:
-        raise ValueError("too many clause variables")
-    rows: list[tuple[int, tuple[int, int]]] = []
-    seen: set[tuple[int, tuple[int, int]]] = set()
-    const_terms = [Term.const(c) for c in index.constants]
-    for combo in itertools.product(const_terms, repeat=len(variables)):
-        binding = dict(zip(variables, combo))
-        head = clause.head.substitute(binding)
-        b1 = clause.body[0].substitute(binding)
-        b2 = clause.body[1].substitute(binding)
-        try:
-            row = (index.index_of(head), (index.index_of(b1), index.index_of(b2)))
-        except KeyError:
-            # Clause mentions a predicate outside this index: no grounding.
-            return []
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
-    return rows

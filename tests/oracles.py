@@ -10,7 +10,30 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from slotlogic import Atom, Clause, Term
+from slotlogic import Atom, Clause, GroundIndex, Term
+
+
+def ground_clause_rows(
+    clause: Clause, index: GroundIndex
+) -> list[tuple[int, int, int]]:
+    """Substitution by substitution: (head, body, body) index rows in
+    ``itertools.product`` order, duplicates removed; none at all when an
+    atom falls outside the index."""
+    variables = clause.variables()
+    rows: list[tuple[int, int, int]] = []
+    seen: set[tuple[int, int, int]] = set()
+    const_terms = [Term.const(c) for c in index.constants]
+    for combo in itertools.product(const_terms, repeat=len(variables)):
+        binding = dict(zip(variables, combo))
+        atoms = (clause.head, *clause.body)
+        try:
+            row = tuple(index.index_of(a.substitute(binding)) for a in atoms)
+        except KeyError:
+            return []
+        if row not in seen:
+            seen.add(row)
+            rows.append(row)
+    return rows
 
 
 def boolean_fixpoint(

@@ -255,15 +255,15 @@ def test_criterion_7_crisp_agreement_exhaustive():
 
 
 def test_criterion_8_monotonicity_and_range(one_shot):
-    from slotlogic.engine import _step_batch, init_valuation
+    from slotlogic.engine import _prepare_batches, _segment_weights, _step_batch
 
     compiler = one_shot.trained.compiler()
     sample = [r.sample for r in one_shot.records if r.meta["supervised"]][0]
-    model = compiler.for_sample(sample)
-    probs = one_shot.trained.weights.probabilities()
-    a = init_valuation(sample, model).values[None, :]
-    for _ in range(model.forward_steps):
-        nxt, _ = _step_batch(model, probs, a)
+    (batch,) = _prepare_batches(compiler, [sample])
+    seg_w = _segment_weights(batch.model, one_shot.trained.weights.probabilities())
+    a = batch.a0
+    for b_static in batch.static_b:
+        nxt, _ = _step_batch(batch.model, seg_w, a, b_static)
         assert np.all(nxt >= a - 1e-12)
         assert nxt.min() >= 0.0 and nxt.max() <= 1.0
         a = nxt

@@ -474,6 +474,37 @@ class TestBackgroundClauses:
             assert v.of(atom("all", x)) == expected, x
 
 
+    def test_background_reading_the_target_matches_oracle(self):
+        # u reads the learnable t, and t reads u back: u must be chained
+        # with the weights, not ahead of them. One clause per slot keeps
+        # the fuzzy values crisp.
+        t, e, f = Predicate("t", 1), Predicate("e", 2), Predicate("f", 1)
+        frame = LanguageFrame(targets=(t,), extensional=(e, f))
+        background = [
+            parse_clause("u(V0) <- e(V1, V0), t(V1)"),
+            parse_clause("w(V0) <- f(V0), e(V0, V1)"),
+        ]
+        rules = [parse_clause("t(V0) <- f(V0), w(V0)"), parse_clause("t(V0) <- u(V0)")]
+        pools = [((t, k), [c]) for k, c in enumerate(rules)]
+        pt = ProgramTemplate(
+            slots=((t, (RuleTemplate(0, True), RuleTemplate(0, True))),), forward_steps=6
+        )
+        comp = ModelCompiler(frame, pt, background=background, pools=pools)
+        w = ClauseWeights([key for key, _ in pools], [np.zeros(1), np.zeros(1)])
+        consts = ("a", "b", "c", "d")
+        rng = np.random.default_rng(2)
+        ext = [atom("e", x, y) for x in consts for y in consts] + [atom("f", x) for x in consts]
+        for _ in range(10):
+            bg = [a for a in ext if rng.random() < 0.3]
+            s = Sample.make(bg, [atom("t", "a")], [], consts)
+            model = comp.compile(consts)
+            v = infer(model, w, s)
+            oracle = boolean_rounds(rules + background, set(bg), consts, rounds=6)
+            for i in range(1, len(model.index)):
+                assert (v.values[i] == 1.0) == (model.index.atoms[i] in oracle)
+                assert v.values[i] in (0.0, 1.0)
+
+
 def test_list_problem_pool_contains_solution():
     from slotlogic.pipeline import list_all_problem
     from slotlogic.templates import slot_clause_pools
@@ -535,3 +566,64 @@ class TestAblationAmalgamation:
         v_sum = infer(m_sum, w, s).of(atom("p", "a"))
         assert v_max == pytest.approx(1.0)  # one clause body is fully true
         assert v_sum > v_max - 1e-12  # probabilistic sum accumulates
+
+
+class TestTieRules:
+    """Hand-computed gradients where a max has two exact winners.
+
+    Every pool starts at zero weight, so a two-clause slot mixes at 1/2.
+    The target's single clause ``t() <- h(X), s(X)`` takes the max over the
+    rows X = c0, c1, and ``-log t`` has gradient -2 at t = 1/2. Which side
+    of a tie takes that gradient decides whether it reaches the weight of
+    h's first or second clause: the softmax turns dp = (-2, 0) into raw
+    gradients (-1/2, +1/2) and dp = (0, -2) into (+1/2, -1/2).
+    """
+
+    T, H, K = Predicate("t", 0), Predicate("h", 1), Predicate("k", 1)
+    CONSTS = ("c0", "c1")
+
+    def grads(self, pools, background, steps):
+        frame = LanguageFrame(
+            targets=(self.T,),
+            extensional=(Q, R, Predicate("s", 1), Predicate("m", 1)),
+        )
+        slots = tuple((pred, (RuleTemplate(0, True),)) for (pred, _), _ in pools)
+        aux = tuple(pred for (pred, _), _ in pools if pred != self.T)
+        pt = ProgramTemplate(slots=slots, auxiliary=aux, forward_steps=steps)
+        comp = ModelCompiler(frame, pt, pools=pools)
+        w = ClauseWeights([key for key, _ in pools], [np.zeros(len(cs)) for _, cs in pools])
+        s = Sample.make(background, [atom("t")], [], self.CONSTS)
+        value, g = loss_and_grad(comp, w, [s], Hyperparams())
+        assert value == pytest.approx(math.log(2.0), abs=1e-12)
+        return {pred: v for ((pred, _), _), v in zip(pools, g)}
+
+    def target_pool(self):
+        return ((self.T, 0), [parse_clause("t() <- h(V0), s(V0)")])
+
+    def test_lowest_row_takes_a_row_tie(self):
+        # After step one h(c0) = 1/2 through q and h(c1) = 1/2 through r;
+        # step two ties the rows of t, and row c0 comes first.
+        pools = [
+            self.target_pool(),
+            ((self.H, 0), [parse_clause("h(V0) <- q(V0)"), parse_clause("h(V0) <- r(V0)")]),
+        ]
+        bg = [atom("q", "c0"), atom("r", "c1"), atom("s", "c0"), atom("s", "c1")]
+        g = self.grads(pools, bg, steps=2)
+        assert np.allclose(g[self.H], [-0.5, 0.5], rtol=0, atol=1e-12)
+        assert np.allclose(g[self.T], [0.0], rtol=0, atol=1e-12)
+
+    def test_old_value_takes_a_tie_with_a_fresh_derivation(self):
+        # h(c1) = 1/2 after step one (through q); h(c0) = 1/2 after step two
+        # (through k, itself derived in step one). Step two derives t = 1/2
+        # from row c1; step three derives t = 1/2 again, now from row c0.
+        # The old value wins, so the gradient follows h(c1) back to q.
+        pools = [
+            self.target_pool(),
+            ((self.H, 0), [parse_clause("h(V0) <- q(V0)"), parse_clause("h(V0) <- k(V0)")]),
+            ((self.K, 0), [parse_clause("k(V0) <- m(V0)")]),
+        ]
+        bg = [atom("q", "c1"), atom("m", "c0"), atom("s", "c0"), atom("s", "c1")]
+        g = self.grads(pools, bg, steps=3)
+        assert np.allclose(g[self.H], [-0.5, 0.5], rtol=0, atol=1e-12)
+        assert np.allclose(g[self.T], [0.0], rtol=0, atol=1e-12)
+        assert np.allclose(g[self.K], [0.0], rtol=0, atol=1e-12)

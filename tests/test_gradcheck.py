@@ -1,4 +1,25 @@
-from slotlogic.gradcheck import run_gradcheck
+import itertools
+
+import numpy as np
+import pytest
+
+from slotlogic import (
+    Atom,
+    ClauseWeights,
+    Hyperparams,
+    LanguageFrame,
+    ModelCompiler,
+    Predicate,
+    ProgramTemplate,
+    RuleTemplate,
+    Sample,
+    Term,
+    finite_difference_grad,
+    generate_clauses,
+    parse_clause,
+)
+from slotlogic.engine import loss_and_grad
+from slotlogic.gradcheck import REL_FLOOR, run_gradcheck
 
 
 def test_thirty_instances_quick():
@@ -12,3 +33,66 @@ def test_deterministic():
     b = run_gradcheck(seed=5, instances=10)
     assert a.max_rel_error == b.max_rel_error
     assert a.worst_instance == b.worst_instance
+
+
+E, F = Predicate("e", 2), Predicate("f", 1)
+T = Predicate("t", 1)
+# A static clause (extensional body), a recursive static pair, and a
+# recursive pair whose body reads the learnable target.
+BACKGROUND = tuple(
+    parse_clause(c)
+    for c in (
+        "s(V0) <- e(V0, V1), f(V1)",
+        "reach(V0, V1) <- e(V0, V1)",
+        "reach(V0, V1) <- e(V0, V2), reach(V2, V1)",
+        "u(V0) <- e(V1, V0), t(V1)",
+        "u(V0) <- e(V1, V0), u(V1)",
+    )
+)
+BODY_POOL = (Predicate("s", 1), Predicate("reach", 2), Predicate("u", 1))
+
+
+def _background_instance(rng, amalgamation):
+    constants = tuple(f"c{i}" for i in range(int(rng.integers(2, 5))))
+    frame = LanguageFrame(targets=(T,), extensional=(E, F))
+    full = generate_clauses(T, RuleTemplate(int(rng.integers(0, 2)), True), [E, F, *BODY_POOL], [T])
+    pools = []
+    n_slots = int(rng.integers(1, 3))
+    for k in range(n_slots):
+        picked = sorted(rng.choice(len(full), size=int(rng.integers(2, 5)), replace=False))
+        pools.append(((T, k), [full[i] for i in picked]))
+    template = ProgramTemplate(
+        slots=((T, tuple(RuleTemplate(0, True) for _ in range(n_slots))),),
+        forward_steps=int(rng.integers(2, 6)),
+    )
+    compiler = ModelCompiler(
+        frame, template, BACKGROUND, BODY_POOL, amalgamation=amalgamation, pools=pools
+    )
+    atoms_of = lambda p: [
+        Atom(p, tuple(Term.const(c) for c in combo))
+        for combo in itertools.product(constants, repeat=p.arity)
+    ]
+    background = [a for a in atoms_of(E) + atoms_of(F) if rng.random() < 0.4]
+    flags = rng.integers(0, 3, size=len(constants))
+    labeled = atoms_of(T)
+    positive = [a for a, f in zip(labeled, flags) if f == 1] or [labeled[0]]
+    negative = [a for a, f in zip(labeled, flags) if f == 2 and a not in positive]
+    sample = Sample.make(background, positive, negative, constants)
+    weights = ClauseWeights(
+        [key for key, _ in pools], [rng.standard_normal(len(cs)) for _, cs in pools]
+    )
+    return compiler, weights, [sample], Hyperparams(amalgamation=amalgamation)
+
+
+@pytest.mark.parametrize("amalgamation", ["max", "sum"])
+def test_background_clauses_match_finite_differences(amalgamation):
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(20):
+        compiler, weights, samples, hp = _background_instance(rng, amalgamation)
+        _, analytic = loss_and_grad(compiler, weights, samples, hp)
+        numeric = finite_difference_grad(compiler, weights, samples, hp)
+        for g, fd in zip(analytic, numeric):
+            denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), REL_FLOOR)
+            worst = max(worst, float(np.max(np.abs(g - fd) / denom)))
+    assert worst <= 1e-4, f"max rel error {worst}"

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +19,8 @@ from slotlogic import (
     parse_clause,
 )
 from slotlogic.logic import ArityConflictError
+
+from .oracles import ground_clause_rows
 
 
 class TestParseAtom:
@@ -186,7 +189,7 @@ class TestGroundClause:
         head_idx = idx.index_of(atom("confirm", "contact"))
         ur = idx.index_of(atom("user_request", "contact", "calling"))
         nc = idx.index_of(atom("not_confident", "contact"))
-        bodies = {frozenset(pair) for h, pair in rows if h == head_idx}
+        bodies = {frozenset((b1, b2)) for h, b1, b2 in rows.tolist() if h == head_idx}
         assert frozenset((ur, nc)) in bodies
 
     def test_variable_free(self):
@@ -213,7 +216,33 @@ class TestGroundClause:
         c2 = ["z", "x", "y"]  # bijection a->z, b->x, c->y by position
         idx1 = build_ground_index(preds, c1)
         idx2 = build_ground_index(preds, c2)
-        assert ground_clause(clause, idx1) == ground_clause(clause, idx2)
+        assert np.array_equal(ground_clause(clause, idx1), ground_clause(clause, idx2))
+
+
+    def test_predicate_outside_index_named(self):
+        idx = build_ground_index([Predicate("p", 1), Predicate("q", 1)], ["a"])
+        with pytest.raises(ValueError, match="mystery/2"):
+            ground_clause(parse_clause("p(X) <- q(X), mystery(X, Y)"), idx)
+
+    def test_constant_outside_index_has_no_grounding(self):
+        idx = build_ground_index([Predicate("p", 1), Predicate("q", 2)], ["a", "b"])
+        rows = ground_clause(parse_clause("p(X) <- q(X, zz)"), idx)
+        assert rows.shape == (0, 3)
+        assert ground_clause_rows(parse_clause("p(X) <- q(X, zz)"), idx) == []
+
+    def test_simdial_clauses_match_substitution_oracle(self):
+        from slotlogic import ModelCompiler, build_ground_index
+        from slotlogic.pipeline import simdial_background, simdial_frame, simdial_template
+
+        background, pool = simdial_background()
+        compiler = ModelCompiler(simdial_frame(), simdial_template(), background, pool)
+        idx = build_ground_index(compiler.predicates, ("c0", "c1", "c2", "c3", "c4"))
+        clauses = [c for _, cs in compiler.pools for c in cs] + list(background)
+        assert len(clauses) > 400
+        for clause in clauses:
+            assert ground_clause(clause, idx).tolist() == [
+                list(r) for r in ground_clause_rows(clause, idx)
+            ], format_clause(clause)
 
 
 @given(

@@ -103,6 +103,25 @@ class TestFullCli:
                              "--out", str(tmp_path / "out.jsonl")])
         assert code == 2
 
+    def test_valuation_invariant_exit_code(self, tmp_path, monkeypatch, capsys):
+        from slotlogic import engine
+
+        corpus, samples = tmp_path / "train.jsonl", tmp_path / "samples.jsonl"
+        self.run(["generate", "--domain", "restaurant", "--representative",
+                  "--out", str(corpus)])
+        self.run(["convert", "--format", "simdial", "--in", str(corpus),
+                  "--training-only", "--out", str(samples)])
+        capsys.readouterr()
+        # A negative tolerance makes the first range check fail.
+        monkeypatch.setattr(engine, "RANGE_TOL", -1.0)
+        code = run_pipeline(["train", "--samples", str(samples), "--steps", "1",
+                             "--restarts", "1", "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        lines = err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in err
+        assert json.loads(lines[0])["error"] == "valuation_invariant"
+
     def test_gradcheck_command(self):
         assert run_pipeline(["gradcheck", "--seed", "1", "--instances", "5"]) == 0
 

@@ -9,7 +9,7 @@ from .dialog import (
     SampleRecord,
     Turn,
     build_sample,
-    decode_actions,
+    decode_acts,
     encode_acts,
     encode_state,
 )
@@ -22,13 +22,12 @@ from .engine import (
     TrainedModel,
     TrainingDiverged,
     Valuation,
-    compile_model,
     finite_difference_grad,
-    grad,
     ground_clause,
     infer,
     init_valuation,
     loss,
+    loss_and_grad,
     step,
     train,
 )
@@ -57,7 +56,7 @@ from .logic import (
     parse_clause,
 )
 from .metrics import F1Score, MetricsReport, action_f1, entity_f1, intent_f1
-from .multiwoz import convert_multiwoz, encode_multiwoz_state
+from .multiwoz import convert_multiwoz_records, encode_multiwoz_state
 from .simulator import (
     DOMAINS,
     GeneratorConfig,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .engine import Sample
-from .logic import Atom, Predicate, Term, atom, format_atom
+from .logic import Atom, Predicate, Term, atom
 
 log = logging.getLogger(__name__)
 
@@ -24,7 +24,6 @@ USR_HEAD = "usr_slot"
 STRUCTURAL = (TERM, USR_HEAD)
 
 USER_INTENTS = ("inform", "request")
-SYSTEM_INTENTS = ("inform", "request", "query", "nooffer", "offerbooked")
 
 SYSTEM_PREDICATES = {
     "inform": "sys_inform",
@@ -176,6 +175,35 @@ def encode_acts(acts: Sequence[DialogAct], side: str) -> frozenset[Atom]:
     return frozenset(out)
 
 
+_INTENT_OF = {pred: intent for intent, pred in SYSTEM_PREDICATES.items()}
+_INTENT_OF.update(nooffer="nooffer", offerbooked="offerbooked")
+
+
+def decode_acts(
+    derived: Iterable[Atom], slots: Sequence[str] | None
+) -> tuple[list[tuple[str, str | None]], list[Atom]]:
+    """Inverse of the system-side act encoding; never raises.
+
+    Returns the distinct (intent, slot) acts sorted by (intent, slot), and
+    in text order the atoms that do not decode: those that are not system
+    acts, and those naming a structural constant or, unless ``slots`` is
+    None, a constant outside it.
+    """
+    acts: set[tuple[str, str | None]] = set()
+    rejected: list[Atom] = []
+    for a in sorted(derived, key=str):
+        intent = _INTENT_OF.get(a.predicate.name)
+        slot = a.args[0].label if a.args else None
+        if intent is None or (
+            slot is not None
+            and (slot in STRUCTURAL or (slots is not None and slot not in slots))
+        ):
+            rejected.append(a)
+        else:
+            acts.add((intent, slot))
+    return sorted(acts, key=lambda x: (x[0], x[1] or "")), rejected
+
+
 def closed_world_negatives(
     positives: Iterable[Atom],
     constants: Sequence[str],
@@ -213,53 +241,6 @@ def build_sample(
     background = encode_state(turn.state, spec) | encode_acts(turn.user_acts, "user")
     negatives = closed_world_negatives(positives, constants, targets)
     return Sample.make(background, positives, negatives, constants)
-
-
-# ---------------------------------------------------------------------------
-# Decoding.
-
-_DECODE = {
-    "sys_request": "request",
-    "sys_inform": "inform",
-    "sys_query": "query",
-    "nooffer": "nooffer",
-    "offerbooked": "offerbooked",
-}
-
-
-def decode_actions(derived: Iterable[Atom], spec: DomainSpec) -> list[DialogAct]:
-    """Inverse of the system-side act encoding, sorted by (intent, slot)."""
-    acts = []
-    for a in sorted(derived, key=format_atom):
-        intent = _DECODE.get(a.predicate.name)
-        if intent is None:
-            raise ValueError(f"{format_atom(a)} is not a system-act atom")
-        if a.predicate.arity == 0:
-            acts.append(DialogAct(intent))
-            continue
-        slot = a.args[0].label
-        if slot not in spec.slots:
-            raise ValueError(
-                f"{format_atom(a)} names {slot!r}, which is not a slot of "
-                f"domain {spec.name}"
-            )
-        acts.append(DialogAct(intent, slot))
-    return sorted(acts, key=lambda x: (x.intent, x.slot or ""))
-
-
-def decodable_atoms(
-    derived: Iterable[Atom], spec: DomainSpec
-) -> tuple[list[Atom], list[Atom]]:
-    """Split derived atoms into decodable system acts and rejects."""
-    good, bad = [], []
-    for a in sorted(derived, key=format_atom):
-        if a.predicate.name not in _DECODE:
-            bad.append(a)
-        elif a.predicate.arity == 1 and a.args[0].label not in spec.slots:
-            bad.append(a)
-        else:
-            good.append(a)
-    return good, bad
 
 
 # ---------------------------------------------------------------------------

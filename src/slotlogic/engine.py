@@ -406,14 +406,6 @@ class CompiledModel:
             cells.append((np.take(b1, won) + fi.offset, np.take(b2, won) + fi.offset))
         return cells
 
-    def for_sample(self, sample: Sample) -> "CompiledModel":
-        if tuple(sample.constants) != self.constants:
-            raise ValueError(
-                "sample constants do not match this compiled model; "
-                "compile per sample or use a ModelCompiler"
-            )
-        return self
-
 
 class ModelCompiler:
     """Builds clause pools once and grounds them per constant list.
@@ -489,9 +481,6 @@ class ModelCompiler:
         self._weighted_bg = tuple(p for p in bg_heads if p in weighted)
         self._static_bg = tuple(p for p in bg_heads if p not in weighted)
         self._cache: dict[tuple[str, ...], CompiledModel] = {}
-
-    def slot_sizes(self) -> list[tuple[tuple[Predicate, int], int]]:
-        return [(key, len(cs)) for key, cs in self.pools]
 
     def init_weights(self, seed: int = 0, scale: float = 0.1) -> ClauseWeights:
         rng = np.random.default_rng(seed)
@@ -578,23 +567,6 @@ class ModelCompiler:
         )
         self._cache[key] = model
         return model
-
-    def for_sample(self, sample: Sample) -> CompiledModel:
-        return self.compile(sample.constants)
-
-
-def compile_model(
-    template: ProgramTemplate,
-    frame: LanguageFrame,
-    constants: Sequence[str],
-    background: Sequence[Clause] = (),
-    background_pool: Sequence[Predicate] = (),
-    amalgamation: str = "max",
-) -> CompiledModel:
-    """Ground a program template's clause pools over one constant list."""
-    return ModelCompiler(
-        frame, template, background, background_pool, amalgamation
-    ).compile(constants)
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +720,11 @@ def step(model: CompiledModel, weights: ClauseWeights, valuation: Valuation) -> 
 
 def infer(model: CompiledModel, weights: ClauseWeights, sample: Sample) -> Valuation:
     """Run ``forward_steps`` chained deduction steps from the background."""
-    model = model.for_sample(sample)
+    if tuple(sample.constants) != model.constants:
+        raise ValueError(
+            "sample constants do not match this compiled model; "
+            "compile it with ModelCompiler.compile(sample.constants)"
+        )
     seg_w = _segment_weights(model, weights.probabilities())
     a = init_valuation(sample, model).values[None, :]
     for b_static in _static_schedule(model, a, model.forward_steps):
@@ -772,7 +748,7 @@ class _Batch:
     n_scale: np.ndarray
 
 
-def _prepare_batches(model_source, samples: Sequence[Sample]) -> list[_Batch]:
+def _prepare_batches(compiler: ModelCompiler, samples: Sequence[Sample]) -> list[_Batch]:
     groups: dict[tuple[str, ...], list[Sample]] = {}
     for s in samples:
         if not s.positive and not s.negative:
@@ -781,7 +757,7 @@ def _prepare_batches(model_source, samples: Sequence[Sample]) -> list[_Batch]:
     batches = []
     n_total = len(samples)
     for consts, group in groups.items():
-        model = model_source.for_sample(group[0])
+        model = compiler.compile(consts)
         g = len(model.index)
         a0 = np.zeros((len(group), g))
         p_rows, p_cols, p_scale = [], [], []
@@ -859,7 +835,7 @@ def _reg_grad(weights: ClauseWeights, hp: Hyperparams) -> list[np.ndarray]:
 
 
 def loss(
-    model_source,
+    compiler: ModelCompiler,
     weights: ClauseWeights,
     samples: Sequence[Sample],
     hp: Hyperparams,
@@ -868,7 +844,7 @@ def loss(
     """Mean per-sample normalized cross-entropy plus the weight penalty."""
     probs = weights.probabilities()
     total = 0.0
-    for batch in batches or _prepare_batches(model_source, samples):
+    for batch in batches or _prepare_batches(compiler, samples):
         seg_w = _segment_weights(batch.model, probs)
         a = batch.a0
         for b_static in batch.static_b:
@@ -878,16 +854,17 @@ def loss(
 
 
 def loss_and_grad(
-    model_source,
+    compiler: ModelCompiler,
     weights: ClauseWeights,
     samples: Sequence[Sample],
     hp: Hyperparams,
     batches: Sequence[_Batch] | None = None,
 ) -> tuple[float, list[np.ndarray]]:
+    """:func:`loss` and its exact reverse-mode gradient w.r.t. raw weights."""
     probs = weights.probabilities()
     dclause = np.zeros(sum(p.size for p in probs))
     total = 0.0
-    for batch in batches or _prepare_batches(model_source, samples):
+    for batch in batches or _prepare_batches(compiler, samples):
         model = batch.model
         seg_w = _segment_weights(model, probs)
         a = batch.a0
@@ -910,18 +887,8 @@ def loss_and_grad(
     return total + _reg_value(weights, hp), grads
 
 
-def grad(
-    model_source,
-    weights: ClauseWeights,
-    samples: Sequence[Sample],
-    hp: Hyperparams,
-) -> list[np.ndarray]:
-    """Exact reverse-mode gradient of :func:`loss` w.r.t. raw weights."""
-    return loss_and_grad(model_source, weights, samples, hp)[1]
-
-
 def finite_difference_grad(
-    model_source,
+    compiler: ModelCompiler,
     weights: ClauseWeights,
     samples: Sequence[Sample],
     hp: Hyperparams,
@@ -936,8 +903,8 @@ def finite_difference_grad(
         down = flat.copy()
         down[i] -= h
         out[i] = (
-            loss(model_source, weights.with_flat(up), samples, hp)
-            - loss(model_source, weights.with_flat(down), samples, hp)
+            loss(compiler, weights.with_flat(up), samples, hp)
+            - loss(compiler, weights.with_flat(down), samples, hp)
         ) / (2.0 * h)
     grads = weights.with_flat(out)
     return grads.vectors
@@ -982,7 +949,6 @@ class TrainedModel:
             "frame": {
                 "targets": [[p.name, p.arity] for p in self.frame.targets],
                 "extensional": [[p.name, p.arity] for p in self.frame.extensional],
-                "constants": list(self.frame.constants),
             },
             "template": template_to_dict(self.template),
             "background": [format_clause(c) for c in self.background],
@@ -1006,7 +972,6 @@ class TrainedModel:
         frame = LanguageFrame(
             targets=tuple(Predicate(n, a) for n, a in d["frame"]["targets"]),
             extensional=tuple(Predicate(n, a) for n, a in d["frame"]["extensional"]),
-            constants=tuple(d["frame"].get("constants", ())),
         )
         template = template_from_dict(d["template"])
         pools = []

@@ -34,9 +34,6 @@ class PolicyProgram:
     targets: tuple[Predicate, ...]
     forward_steps: int
 
-    def rule_for(self, predicate: Predicate) -> tuple[Clause, ...]:
-        return tuple(c for c, _ in self.rules if c.head.predicate == predicate)
-
 
 def extract_program(trained: TrainedModel, threshold: float = 0.9) -> PolicyProgram:
     """Per slot, keep the argmax clause plus any clause at or above
@@ -135,7 +132,7 @@ def agreement(
     matches = 0
     total = 0
     for sample in samples:
-        model = compiler.for_sample(sample)
+        model = compiler.compile(sample.constants)
         valuation = infer(model, trained.weights, sample)
         derived = crisp_infer(program, sample.background, sample.constants)
         for pred in trained.frame.targets:
@@ -173,8 +170,7 @@ def program_to_text(program: PolicyProgram) -> str:
 
 
 def program_from_text(text: str) -> PolicyProgram:
-    forward_steps = 10
-    targets: list[Predicate] = []
+    headers: dict[str, str] = {}
     section = None
     rules: list[tuple[Clause, float]] = []
     alternates: list[tuple[Clause, float]] = []
@@ -183,12 +179,9 @@ def program_from_text(text: str) -> PolicyProgram:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("forward_steps:"):
-            forward_steps = int(line.split(":", 1)[1])
-        elif line.startswith("targets:"):
-            for tok in line.split(":", 1)[1].split():
-                name, _, arity = tok.partition("/")
-                targets.append(Predicate(name, int(arity)))
+        if line.startswith(("forward_steps:", "targets:")):
+            name, _, value = line.partition(":")
+            headers[name] = value.strip()
         elif line.startswith("["):
             section = line.strip("[]")
         else:
@@ -203,12 +196,19 @@ def program_from_text(text: str) -> PolicyProgram:
                 background.append(clause)
             else:
                 raise ValueError(f"clause outside a section: {line!r}")
+    for name in ("forward_steps", "targets"):
+        if not headers.get(name):
+            raise ValueError(f"program has a missing or empty '{name}:' header")
+    targets = []
+    for tok in headers["targets"].split():
+        name, _, arity = tok.partition("/")
+        targets.append(Predicate(name, int(arity)))
     return PolicyProgram(
         rules=tuple(rules),
         alternates=tuple(alternates),
         background=tuple(background),
         targets=tuple(targets),
-        forward_steps=forward_steps,
+        forward_steps=int(headers["forward_steps"]),
     )
 
 

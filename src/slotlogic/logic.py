@@ -306,7 +306,6 @@ class LanguageFrame:
 
     targets: tuple[Predicate, ...]
     extensional: tuple[Predicate, ...]
-    constants: tuple[str, ...] = ()
 
     def __post_init__(self):
         overlap = set(self.targets) & set(self.extensional)

@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .dialog import SampleRecord
+from .dialog import SampleRecord, closed_world_negatives
 from .engine import Sample
-from .logic import Atom, Predicate, Term, atom
+from .logic import Atom, Predicate, atom
 
 GENERAL_DOMAIN = "general"
 
@@ -24,9 +24,9 @@ SLOT_RENAMES = {"pricerange": "price"}
 
 _EMPTY_VALUES = ("", "not mentioned", "none", "not_mentioned")
 
-_USER_INTENTS = {"inform": "inform", "request": "request"}
+_USER_PREDICATES = {"inform": "inform", "request": "request"}
 
-_SYSTEM_INTENTS = {
+_SYSTEM_PREDICATES = {
     "inform": "sys_inform",
     "select": "sys_inform",
     "recommend": "sys_inform",
@@ -107,7 +107,7 @@ def encode_act_triples(
     triples: Sequence[Sequence[str]], side: str, turn: int | None = None
 ) -> dict[str, set[Atom]]:
     """[intent, domain, slot] triples to atoms, grouped by domain."""
-    table = _USER_INTENTS if side == "user" else _SYSTEM_INTENTS
+    table = _USER_PREDICATES if side == "user" else _SYSTEM_PREDICATES
     out: dict[str, set[Atom]] = {}
     for triple in triples:
         if len(triple) != 3:
@@ -177,33 +177,18 @@ def convert_multiwoz_turn(
         constants = constants + tuple(extra)
         if not constants:
             continue
-        negatives: set[Atom] = set()
-        for p in MULTIWOZ_TARGETS:
-            for combo in itertools.product(constants, repeat=p.arity):
-                a = Atom(p, tuple(Term.const(c) for c in combo))
-                if a not in positives:
-                    negatives.add(a)
+        negatives = closed_world_negatives(positives, constants, MULTIWOZ_TARGETS)
         out.append(
             (domain, Sample.make(background, positives, negatives, constants))
         )
     return out
 
 
-def convert_multiwoz(dialog_record: dict) -> list[tuple[str, Sample]]:
-    """Whole annotated dialog to (domain, sample) pairs, in turn order."""
-    turns = dialog_record.get("turns")
-    if not isinstance(turns, list):
-        raise SchemaError("dialog record needs a 'turns' list")
-    out: list[tuple[str, Sample]] = []
-    for i, t in enumerate(turns):
-        out.extend(convert_multiwoz_turn(t, i))
-    return out
-
-
 def convert_multiwoz_records(
     dialog_record: dict, dialog_id: str = "0"
 ) -> list[SampleRecord]:
-    """Like :func:`convert_multiwoz` but with meta for recombination."""
+    """Whole annotated dialog to samples in turn order, with the meta
+    (dialog, turn, domain) that recombines predictions across domains."""
     turns = dialog_record.get("turns")
     if not isinstance(turns, list):
         raise SchemaError("dialog record needs a 'turns' list")

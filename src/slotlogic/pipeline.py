@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .background import background_library, rename_predicate
 from .dialog import (
-    STRUCTURAL,
     SIMDIAL_TARGETS,
     Dialog,
     SampleRecord,
     build_sample,
+    decode_acts,
 )
 from .engine import Hyperparams, Sample, TrainedModel, train
 from .extract import PolicyProgram, crisp_infer, extract_program
@@ -127,31 +127,22 @@ def training_samples(records: Sequence[SampleRecord]):
     kept = [r.sample for r in records if r.meta.get("supervised", True)]
     skipped = len(records) - len(kept)
     if skipped:
-        log.warning("skipping %d unsupervised turns for training", skipped)
+        log.info("skipping %d unsupervised turns for training", skipped)
     return kept
 
 
 # ---------------------------------------------------------------------------
 # Training with deterministic restarts.
 
-def train_policy(
-    samples,
-    hp: Hyperparams | None = None,
-    template: ProgramTemplate | None = None,
-    restarts: int = 1,
-    target_loss: float = RESTART_TARGET,
+def train_with_restarts(
+    fit: Callable[[int], TrainedModel], seed: int, restarts: int, target_loss: float
 ) -> TrainedModel:
-    """Train the slot-filling model; restart with stepped seeds until one
-    run reaches ``target_loss`` and keep the lowest-loss run (all seeds
-    derive from hp.seed, so reruns match bit for bit)."""
-    hp = hp or simdial_hyperparams()
-    template = template or simdial_template()
-    frame = simdial_frame()
-    background, pool = simdial_background()
+    """Run ``fit(seed + 1009*k)`` for restart k until one run's final loss
+    is under ``target_loss``; keep the lowest-loss run (the first on ties),
+    so reruns match bit for bit."""
     best: TrainedModel | None = None
     for k in range(max(1, restarts)):
-        hp_k = replace(hp, seed=hp.seed + 1009 * k)
-        model = train(frame, samples, template, hp_k, background, pool)
+        model = fit(seed + 1009 * k)
         log.info("restart %d: final loss %.6f", k, model.final_loss)
         if best is None or model.final_loss < best.final_loss:
             best = model
@@ -161,43 +152,38 @@ def train_policy(
     return best
 
 
+def train_policy(
+    samples,
+    hp: Hyperparams | None = None,
+    template: ProgramTemplate | None = None,
+    restarts: int = 1,
+    target_loss: float = RESTART_TARGET,
+) -> TrainedModel:
+    """Train the slot-filling model with :func:`train_with_restarts`."""
+    hp = hp or simdial_hyperparams()
+    template = template or simdial_template()
+    frame = simdial_frame()
+    background, pool = simdial_background()
+
+    def fit(seed: int) -> TrainedModel:
+        return train(frame, samples, template, replace(hp, seed=seed), background, pool)
+
+    return train_with_restarts(fit, hp.seed, restarts, target_loss)
+
+
 # ---------------------------------------------------------------------------
 # Prediction and evaluation.
-
-_ACT_OF = {
-    "sys_request": "request",
-    "sys_inform": "inform",
-    "sys_query": "query",
-    "nooffer": "nooffer",
-    "offerbooked": "offerbooked",
-}
-
 
 def predict_record(program: PolicyProgram, record: SampleRecord) -> dict:
     """Crisp-derive system acts for one sample; structural or non-slot
     constants never decode, they are reported in ``rejected``."""
     derived = crisp_infer(program, record.sample.background, record.sample.constants)
-    slots = record.meta.get("slots")
-    acts: list[tuple[str, str | None]] = []
-    rejected: list[str] = []
-    for a in sorted(derived, key=str):
-        intent = _ACT_OF.get(a.predicate.name)
-        if intent is None:
-            rejected.append(str(a))
-            continue
-        slot = a.args[0].label if a.args else None
-        if slot is not None and (
-            slot in STRUCTURAL or (slots is not None and slot not in slots)
-        ):
-            rejected.append(str(a))
-            continue
-        acts.append((intent, slot))
-    acts = sorted(set(acts), key=lambda x: (x[0], x[1] or ""))
+    acts, rejected = decode_acts(derived, record.meta.get("slots"))
     return {
         "meta": record.meta,
         "atoms": [str(a) for a in sorted(derived, key=str)],
         "acts": [[i, s] for i, s in acts],
-        "rejected": rejected,
+        "rejected": [str(a) for a in rejected],
     }
 
 
@@ -302,17 +288,12 @@ def all_task_hyperparams(**overrides) -> Hyperparams:
 def train_list_all(restarts: int = 12, seed: int = 0) -> TrainedModel:
     """Fit the list-"all" problem; random restarts until the loss target."""
     frame, sample, template = list_all_problem()
-    best: TrainedModel | None = None
-    for k in range(max(1, restarts)):
-        hp = all_task_hyperparams(seed=seed + 1009 * k)
-        model = train(frame, [sample], template, hp)
-        log.info("all-task restart %d: loss %.5f", k, model.final_loss)
-        if best is None or model.final_loss < best.final_loss:
-            best = model
-        if best.final_loss < 5e-3:
-            break
-    assert best is not None
-    return best
+    return train_with_restarts(
+        lambda s: train(frame, [sample], template, all_task_hyperparams(seed=s)),
+        seed,
+        restarts,
+        5e-3,
+    )
 
 
 # ---------------------------------------------------------------------------

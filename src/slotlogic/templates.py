@@ -199,9 +199,13 @@ def template_to_dict(pt: ProgramTemplate) -> dict:
 
 
 def template_from_dict(d: dict) -> ProgramTemplate:
+    if not isinstance(d["slots"], list):
+        raise ValueError(
+            'template "slots" must be a list of ["name/arity", [{"v": int, '
+            '"i": bool}, ...]] pairs in slot order'
+        )
     slots = []
-    entries = d["slots"].items() if isinstance(d["slots"], dict) else d["slots"]
-    for key, slot_list in entries:
+    for key, slot_list in d["slots"]:
         name, _, arity = key.partition("/")
         pred = Predicate(name, int(arity))
         slots.append(

@@ -7,7 +7,7 @@ from slotlogic import (
     Turn,
     atom,
     build_sample,
-    decode_actions,
+    decode_acts,
     encode_acts,
     encode_state,
 )
@@ -237,26 +237,38 @@ class TestDecodeActions:
             DialogAct("inform", "price"),
             DialogAct("query", "default"),
             DialogAct("request", "food_pref"),
+            DialogAct("nooffer"),
+            DialogAct("offerbooked", "price"),
         ]
         derived = encode_acts(acts, "system")
-        assert decode_actions(derived, RESTAURANT) == sorted(
-            acts, key=lambda a: (a.intent, a.slot or "")
+        assert decode_acts(derived, RESTAURANT.slots) == (
+            sorted(((a.intent, a.slot) for a in acts), key=lambda x: (x[0], x[1] or "")),
+            [],
         )
 
     def test_sorted_output(self):
         derived = encode_acts(
             [DialogAct("query", "default"), DialogAct("inform", "price")], "system"
         )
-        got = decode_actions(derived, RESTAURANT)
-        assert got == [DialogAct("inform", "price"), DialogAct("query", "default")]
+        got, _ = decode_acts(derived, RESTAURANT.slots)
+        assert got == [("inform", "price"), ("query", "default")]
 
     def test_structural_constant_rejected(self):
-        with pytest.raises(ValueError):
-            decode_actions({atom("sys_request", "term")}, RESTAURANT)
+        bad = atom("sys_request", "term")
+        assert decode_acts({bad}, RESTAURANT.slots) == ([], [bad])
+        assert decode_acts({bad}, None) == ([], [bad])
 
     def test_non_act_atom_rejected(self):
-        with pytest.raises(ValueError):
-            decode_actions({atom("known", "loc")}, RESTAURANT)
+        derived = {atom("known", "loc"), atom("sys_inform", "price")}
+        assert decode_acts(derived, RESTAURANT.slots) == (
+            [("inform", "price")],
+            [atom("known", "loc")],
+        )
+
+    def test_foreign_slot_rejected_only_against_slots(self):
+        foreign = atom("sys_inform", "genre")
+        assert decode_acts({foreign}, RESTAURANT.slots) == ([], [foreign])
+        assert decode_acts({foreign}, None) == ([("inform", "genre")], [])
 
 
 def test_sample_records_roundtrip(tmp_path):

@@ -16,7 +16,6 @@ from slotlogic import (
     TrainedModel,
     TrainingDiverged,
     atom,
-    compile_model,
     finite_difference_grad,
     infer,
     init_valuation,
@@ -69,7 +68,7 @@ class TestSample:
 
 class TestCompile:
     def test_footnote_model_shape(self):
-        model = compile_model(TOY_TEMPLATE, TOY_FRAME, ("a", "b", "c"))
+        model = toy_compiler().compile(("a", "b", "c"))
         assert len(model.slot_groups) == 1
         assert len(model.slot_groups[0].clauses) == 3
         assert len(model.index) == 1 + 3 * 3
@@ -89,10 +88,10 @@ class TestCompile:
         assert comp.compile(("a", "b")) is not comp.compile(("b", "a"))
 
     def test_mismatched_constants_rejected(self):
-        model = compile_model(TOY_TEMPLATE, TOY_FRAME, ("a",))
+        comp = toy_compiler()
         s = Sample.make([], [atom("p", "b")], [], ("b",))
-        with pytest.raises(ValueError):
-            model.for_sample(s)
+        with pytest.raises(ValueError, match="constants do not match"):
+            infer(comp.compile(("a",)), comp.init_weights(), s)
 
     def test_clause_budget(self):
         from slotlogic.engine import ClauseBudgetError
@@ -433,6 +432,16 @@ class TestTrain:
         for a, b in zip(loaded.weights.vectors, m.weights.vectors):
             assert np.array_equal(a, b)
         loaded.compiler()  # pools must match regeneration
+
+    def test_model_file_with_frame_constants_loads(self):
+        s = Sample.make([atom("q", "a")], [atom("p", "a")], [], ("a",))
+        m = train(TOY_FRAME, [s], TOY_TEMPLATE, Hyperparams(training_steps=2))
+        d = m.to_dict()
+        assert "constants" not in d["frame"]
+        d["frame"]["constants"] = ["a"]  # written by older versions, never read
+        loaded = TrainedModel.from_dict(d)
+        assert loaded.frame == TOY_FRAME
+        assert loaded.pools == m.pools
 
 
 class TestBackgroundClauses:

@@ -166,7 +166,7 @@ class TestAgreement:
         from slotlogic import infer
 
         compiler = trained.compiler()
-        model = compiler.for_sample(s)
+        model = compiler.compile(s.constants)
         v = infer(model, trained.weights, s)
         derived = boolean_fixpoint(
             [program.rules[0][0]], set(s.background), s.constants
@@ -206,3 +206,16 @@ class TestProgramFile:
             prob, _, clause = line.partition(" ")
             float(prob)
             assert "<-" in clause
+
+    @pytest.mark.parametrize("header", ["forward_steps", "targets"])
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_missing_or_empty_header_rejected(self, header, value):
+        trained, _ = trained_toy()
+        lines = program_to_text(extract_program(trained)).splitlines()
+        lines = [
+            l if not l.startswith(header + ":") else f"{header}: {value}"
+            for l in lines
+            if value is not None or not l.startswith(header + ":")
+        ]
+        with pytest.raises(ValueError, match=f"'{header}:' header"):
+            program_from_text("\n".join(lines) + "\n")

@@ -1,9 +1,8 @@
 import pytest
 
-from slotlogic import atom, convert_multiwoz, encode_multiwoz_state
+from slotlogic import atom, convert_multiwoz_records, encode_multiwoz_state
 from slotlogic.multiwoz import (
     SchemaError,
-    convert_multiwoz_records,
     convert_multiwoz_turn,
     encode_act_triples,
     normalize_slot,
@@ -147,7 +146,7 @@ class TestConvertDialog:
                 }
             ]
         }
-        assert convert_multiwoz(record) == []
+        assert convert_multiwoz_records(record) == []
 
     def test_turn_order_preserved(self):
         record = {
@@ -164,15 +163,15 @@ class TestConvertDialog:
                 },
             ]
         }
-        out = convert_multiwoz(record)
-        assert len(out) == 2
-        assert atom("sys_request", "area") in out[0][1].positive
-        assert atom("nooffer") in out[1][1].positive
+        out = convert_multiwoz_records(record)
+        assert [r.meta["turn"] for r in out] == [0, 1]
+        assert atom("sys_request", "area") in out[0].sample.positive
+        assert atom("nooffer") in out[1].sample.positive
 
     def test_schema_violation_carries_turn(self):
         record = {"turns": [{"state": [], "user_acts": [], "system_acts": []}]}
         with pytest.raises(SchemaError) as exc:
-            convert_multiwoz(record)
+            convert_multiwoz_records(record)
         assert "turn 0" in str(exc.value)
 
     def test_records_meta(self):

@@ -1,8 +1,24 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from slotlogic import generate_corpus
+from slotlogic import (
+    Hyperparams,
+    LanguageFrame,
+    ProgramTemplate,
+    RuleTemplate,
+    Sample,
+    atom,
+    generate_corpus,
+    pipeline,
+    representative_dialog,
+    train,
+)
 from slotlogic.cli import run_pipeline
 from slotlogic.dialog import load_samples
 from slotlogic.pipeline import (
@@ -10,6 +26,7 @@ from slotlogic.pipeline import (
     evaluate_predictions,
     predict_records,
     simdial_background,
+    train_with_restarts,
 )
 from slotlogic.extract import PolicyProgram, load_program, save_program
 from slotlogic.logic import parse_clause, Predicate
@@ -125,9 +142,87 @@ class TestFullCli:
     def test_gradcheck_command(self):
         assert run_pipeline(["gradcheck", "--seed", "1", "--instances", "5"]) == 0
 
+    def test_failing_train_prints_one_json_line(self, tmp_path):
+        # A subprocess, because pytest's own log handlers would swallow a
+        # stray log line on stderr in-process.
+        corpus, samples = tmp_path / "train.jsonl", tmp_path / "samples.jsonl"
+        self.run(["generate", "--domain", "restaurant", "--representative",
+                  "--out", str(corpus)])
+        self.run(["convert", "--format", "simdial", "--in", str(corpus),
+                  "--out", str(samples)])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "slotlogic.cli", "train", "--samples", str(samples),
+             "--steps", "1", "--lr", "-1", "--out", str(tmp_path / "m.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "ValueError"
+
+
+class TestRestartLoop:
+    """``train_with_restarts``, the loop behind ``train_policy`` and
+    ``train_list_all``, on a one-clause toy problem whose final loss
+    depends on the seed."""
+
+    P, Q, R = Predicate("p", 1), Predicate("q", 1), Predicate("r", 1)
+    FRAME = LanguageFrame(targets=(P,), extensional=(Q, R))
+    TEMPLATE = ProgramTemplate(slots=((P, (RuleTemplate(0, True),)),), forward_steps=2)
+    SAMPLE = Sample.make(
+        [atom("q", "a"), atom("r", "b")], [atom("p", "a")], [atom("p", "b")], ("a", "b")
+    )
+
+    def run(self, restarts, target_loss):
+        runs = []
+
+        def fit(seed):
+            hp = Hyperparams(learning_rate=0.1, training_steps=3, seed=seed, init_scale=1.0)
+            runs.append(train(self.FRAME, [self.SAMPLE], self.TEMPLATE, hp))
+            return runs[-1]
+
+        return train_with_restarts(fit, 7, restarts, target_loss), runs
+
+    def test_all_restarts_without_target_keep_lowest(self):
+        best, runs = self.run(5, -math.inf)
+        assert [m.hyperparams.seed for m in runs] == [7, 1016, 2025, 3034, 4043]
+        losses = [m.final_loss for m in runs]
+        assert len(set(losses)) == 5
+        assert best is runs[losses.index(min(losses))]
+
+    def test_stops_after_first_run_under_target(self):
+        _, runs = self.run(5, -math.inf)
+        losses = sorted(m.final_loss for m in runs)
+        first = [m.final_loss for m in runs].index(losses[0])
+        assert 0 < first < 4  # a stop that skips runs and is not the first run
+        best, runs = self.run(5, (losses[0] + losses[1]) / 2)
+        assert len(runs) == first + 1
+        assert best is runs[-1]
+        assert best.hyperparams.seed == 7 + 1009 * first
+
+    def test_policy_restarts_use_the_loop(self, monkeypatch):
+        calls = []
+        real_loop = pipeline.train_with_restarts
+
+        def recording_loop(fit, seed, restarts, target_loss):
+            calls.append((seed, restarts, target_loss))
+            return real_loop(fit, seed, restarts, target_loss)
+
+        monkeypatch.setattr(pipeline, "train_with_restarts", recording_loop)
+        records = convert_corpus([representative_dialog("restaurant")])
+        hp = pipeline.simdial_hyperparams(training_steps=2, seed=3)
+        model = pipeline.train_policy(
+            pipeline.training_samples(records), hp=hp, restarts=2, target_loss=-1.0
+        )
+        assert calls == [(3, 2, -1.0)]
+        assert model.hyperparams.seed in (3, 1012)
+
 
 class TestMultiwozCli:
-    def test_convert_multiwoz(self, tmp_path):
+    def test_convert_format_multiwoz(self, tmp_path):
         record = {
             "turns": [
                 {

@@ -2,6 +2,7 @@ import pytest
 
 from slotlogic import (
     LanguageFrame,
+    ModelCompiler,
     Predicate,
     ProgramTemplate,
     RuleTemplate,
@@ -12,7 +13,9 @@ from slotlogic import (
 )
 from slotlogic.templates import (
     slot_clause_pools,
+    template_from_dict,
     template_from_json,
+    template_to_dict,
     template_to_json,
 )
 
@@ -139,6 +142,12 @@ class TestProgramTemplate:
         )
         assert template_from_json(template_to_json(pt)) == pt
 
+    def test_dict_slots_rejected(self):
+        d = template_to_dict(ProgramTemplate(slots=((P, (RuleTemplate(0, True),)),)))
+        d["slots"] = dict(d["slots"])
+        with pytest.raises(ValueError, match="must be a list"):
+            template_from_dict(d)
+
     def test_pools_cover_all_slots(self):
         pt = ProgramTemplate(
             slots=((P, (RuleTemplate(0, True), RuleTemplate(1, True))),)
@@ -148,7 +157,10 @@ class TestProgramTemplate:
 
     def test_clause_count_constant_free(self):
         # clause pools never mention constants, so counts cannot depend on them
-        f1 = LanguageFrame(targets=(P,), extensional=(Q, R), constants=("a",))
-        f2 = LanguageFrame(targets=(P,), extensional=(Q, R), constants=("x", "y", "z"))
         pt = ProgramTemplate(slots=((P, (RuleTemplate(1, True),)),))
-        assert template_complexity(pt, f1) == template_complexity(pt, f2)
+        comp = ModelCompiler(FRAME, pt)
+        for constants in (("a",), ("x", "y", "z")):
+            model = comp.compile(constants)
+            assert sum(len(g.clauses) for g in model.slot_groups) == (
+                template_complexity(pt, FRAME)
+            )

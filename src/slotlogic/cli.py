@@ -10,7 +10,7 @@ import logging
 import sys
 
 from . import pipeline
-from .dialog import load_corpus, load_samples, save_corpus, save_samples
+from .dialog import load_corpus, load_samples, read_json_lines, save_corpus, save_samples
 from .engine import TrainedModel, TrainingDiverged, ValuationInvariantError
 from .extract import extract_program, load_program, save_program
 from .gradcheck import run_gradcheck
@@ -107,17 +107,24 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_eval(args) -> int:
     gold = load_samples(args.gold)
-    predictions = []
-    with open(args.pred) as f:
-        for line in f:
-            if line.strip():
-                predictions.append(json.loads(line))
+    predictions = read_json_lines(args.pred, _prediction)
     report = pipeline.evaluate_predictions(predictions, gold)
     with open(args.report, "w") as f:
         json.dump(report.to_dict(), f, indent=1, sort_keys=True)
         f.write("\n")
     print(report.summary())
     return EXIT_OK
+
+
+def _prediction(p):
+    """A prediction line, checked for what eval reads."""
+    acts = p.get("acts", []) if isinstance(p, dict) else None
+    if not (isinstance(acts, list) and isinstance(p.get("meta", {}), dict)
+            and all(isinstance(a, list) and len(a) == 2 for a in acts)
+            and all(x is None or isinstance(x, str) for a in acts for x in a)):
+        raise ValueError("a prediction must be an object with a 'meta' object and "
+                         "an 'acts' list of [intent, slot] pairs")
+    return p
 
 
 def _cmd_gradcheck(args) -> int:

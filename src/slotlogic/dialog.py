@@ -8,14 +8,15 @@ atoms whose predicate is the act and whose argument is the slot.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .engine import Sample
-from .logic import Atom, Predicate, Term, atom
+from .logic import Atom, Predicate, Term, atom, parse_atom
 
 log = logging.getLogger(__name__)
 
@@ -305,13 +306,21 @@ def save_corpus(dialogs: Sequence[Dialog], path) -> None:
             f.write(json.dumps(dialog_to_dict(d), sort_keys=True) + "\n")
 
 
-def load_corpus(path) -> list[Dialog]:
+def read_json_lines(path, parse: Callable) -> list:
+    """``parse`` of each non-blank JSON line; a ``ValueError`` names the line."""
     out = []
     with open(path) as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             if line.strip():
-                out.append(dialog_from_dict(json.loads(line)))
+                try:
+                    out.append(parse(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {n}: {exc}") from exc
     return out
+
+
+def load_corpus(path) -> list[Dialog]:
+    return read_json_lines(path, dialog_from_dict)
 
 
 @dataclass
@@ -325,9 +334,12 @@ class SampleRecord:
         return d
 
     @staticmethod
-    def from_dict(d: dict) -> "SampleRecord":
+    def from_dict(d: dict, parse=parse_atom) -> "SampleRecord":
+        sample = Sample.from_dict(d, parse)
         meta = d.get("meta", {})
-        return SampleRecord(Sample.from_dict(d), meta)
+        if not isinstance(meta, dict):
+            raise ValueError("sample field 'meta' must be an object")
+        return SampleRecord(sample, meta)
 
 
 def save_samples(records: Sequence[SampleRecord], path) -> None:
@@ -337,9 +349,6 @@ def save_samples(records: Sequence[SampleRecord], path) -> None:
 
 
 def load_samples(path) -> list[SampleRecord]:
-    out = []
-    with open(path) as f:
-        for line in f:
-            if line.strip():
-                out.append(SampleRecord.from_dict(json.loads(line)))
-    return out
+    """Each distinct atom text is parsed once per file."""
+    parse = functools.lru_cache(maxsize=None)(parse_atom)
+    return read_json_lines(path, lambda d: SampleRecord.from_dict(d, parse))

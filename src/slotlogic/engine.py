@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -136,11 +136,13 @@ class Sample:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "Sample":
+    def from_dict(d: dict, parse: Callable[[str], Atom] = parse_atom) -> "Sample":
+        for key in ("background", "positive", "negative", "constants"):
+            if not (isinstance(d, dict) and isinstance(d.get(key), list)
+                    and all(isinstance(x, str) for x in d[key])):
+                raise ValueError(f"a sample must be a JSON object, {key!r} a list of strings")
         return Sample.make(
-            [parse_atom(t) for t in d["background"]],
-            [parse_atom(t) for t in d["positive"]],
-            [parse_atom(t) for t in d["negative"]],
+            map(parse, d["background"]), map(parse, d["positive"]), map(parse, d["negative"]),
             d["constants"],
         )
 

@@ -8,8 +8,10 @@ matter of re-grounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from itertools import product
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,6 +35,15 @@ class PolicyProgram:
     background: tuple[Clause, ...]
     targets: tuple[Predicate, ...]
     forward_steps: int
+    # What crisp_infer runs: per predicate, the joins a new fact of it drives.
+    plan: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        plan: dict[Predicate, list[Callable]] = {}
+        for c in [c for c, _ in self.rules] + list(self.background):
+            for outer, inner in dict.fromkeys((c.body, c.body[::-1])):  # once if equal
+                plan.setdefault(outer.predicate, []).append(_join(c.head, outer, inner))
+        object.__setattr__(self, "plan", plan)
 
 
 def extract_program(trained: TrainedModel, threshold: float = 0.9) -> PolicyProgram:
@@ -64,36 +75,33 @@ def extract_program(trained: TrainedModel, threshold: float = 0.9) -> PolicyProg
 # ---------------------------------------------------------------------------
 # Boolean forward chaining.
 
-def _match(pattern: Atom, fact: Atom, binding: dict[Term, Term]) -> dict[Term, Term] | None:
-    out = dict(binding)
-    for p, f in zip(pattern.args, fact.args):
-        if p.is_variable:
-            bound = out.get(p)
-            if bound is None:
-                out[p] = f
-            elif bound != f:
-                return None
-        elif p != f:
-            return None
-    return out
+def _getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    if len(positions) == 1:  # a one-item slice, so the result is still a tuple
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
 
 
-def _chain_round(
-    clauses: Sequence[Clause], facts_by_pred: Mapping[Predicate, Sequence[Atom]]
-) -> set[Atom]:
-    derived: set[Atom] = set()
-    for clause in clauses:
-        b1, b2 = clause.body
-        for f1 in facts_by_pred.get(b1.predicate, ()):
-            bind1 = _match(b1, f1, {})
-            if bind1 is None:
-                continue
-            for f2 in facts_by_pred.get(b2.predicate, ()):
-                bind2 = _match(b2, f2, bind1)
-                if bind2 is None:
-                    continue
-                derived.add(clause.head.substitute(bind2))
-    return derived
+def _join(head: Atom, outer: Atom, inner: Atom) -> Callable:
+    """A clause as a join of new ``outer`` facts with all ``inner`` facts: over
+    ``u = outer + inner + constants``, a pair whose repeated variables and
+    constants agree (``same(u) == to(u)``) derives the head ``pick(u)``."""
+    terms = (*outer.args, *inner.args, *head.args)
+    n_body = len(outer.args) + len(inner.args)
+    consts = tuple(t.label for t in terms if not t.is_variable)
+    const_at, first = iter(range(n_body, n_body + len(consts))), {}
+    at = [first.setdefault(t, i) if t.is_variable else next(const_at) for i, t in enumerate(terms)]
+    checks = [(i, j) for i, j in enumerate(at[:n_body]) if i != j]
+    same, to = _getter([i for i, _ in checks]), _getter([j for _, j in checks])
+    pick = _getter(at[n_body:])
+
+    def run(new: set, facts: dict[Predicate, set], derived: dict[Predicate, set]) -> None:
+        out = derived.setdefault(head.predicate, set())
+        for t1, t2 in product(new, facts.get(inner.predicate, ())):
+            u = t1 + t2 + consts
+            if same(u) == to(u):
+                out.add(pick(u))
+
+    return run
 
 
 def crisp_infer(
@@ -102,23 +110,27 @@ def crisp_infer(
     constants: Sequence[str] = (),
 ) -> frozenset[Atom]:
     """Boolean forward chaining of argmax rules plus background clauses,
-    to fixpoint or ``forward_steps`` rounds; returns target-predicate atoms."""
-    clauses = [c for c, _ in program.rules] + list(program.background)
-    facts: set[Atom] = set(background)
-    by_pred: dict[Predicate, list[Atom]] = {}
-    for a in facts:
-        by_pred.setdefault(a.predicate, []).append(a)
-    for p in by_pred:
-        by_pred[p].sort()
+    to fixpoint or ``forward_steps`` rounds; returns target-predicate atoms.
+    Semi-naive: a round joins only body pairs that use a fact new in the
+    last round (at first, the background), so it derives what a naive
+    round derives."""
+    facts: dict[Predicate, set[tuple[str, ...]]] = {}
+    for a in background:
+        facts.setdefault(a.predicate, set()).add(tuple(t.label for t in a.args))
+    delta = facts
     for _ in range(program.forward_steps):
-        new = _chain_round(clauses, by_pred) - facts
-        if not new:
+        derived: dict[Predicate, set[tuple[str, ...]]] = {}
+        for p, new in delta.items():
+            for join in program.plan.get(p, ()):
+                join(new, facts, derived)
+        delta = {p: new for p, ts in derived.items() if (new := ts.difference(facts.get(p, ())))}
+        if not delta:
             break
-        for a in sorted(new):
-            facts.add(a)
-            by_pred.setdefault(a.predicate, []).append(a)
-    targets = set(program.targets)
-    return frozenset(a for a in facts if a.predicate in targets)
+        for p, new in delta.items():
+            facts.setdefault(p, set()).update(new)
+    return frozenset(
+        Atom(p, tuple(map(Term.const, t))) for p in program.targets for t in facts.get(p, ())
+    )
 
 
 def agreement(

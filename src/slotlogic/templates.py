@@ -199,18 +199,18 @@ def template_to_dict(pt: ProgramTemplate) -> dict:
 
 
 def template_from_dict(d: dict) -> ProgramTemplate:
-    if not isinstance(d["slots"], list):
-        raise ValueError(
-            'template "slots" must be a list of ["name/arity", [{"v": int, '
-            '"i": bool}, ...]] pairs in slot order'
-        )
+    form = '["name/arity", [{"v": int, "i": bool}, ...]] pairs in slot order'
+    if not isinstance(d, dict) or not isinstance(d.get("slots"), list):
+        raise ValueError(f'a template is an object whose "slots" must be a list of {form}')
     slots = []
     for key, slot_list in d["slots"]:
         name, _, arity = key.partition("/")
         pred = Predicate(name, int(arity))
-        slots.append(
-            (pred, tuple(RuleTemplate(int(s["v"]), bool(s["i"])) for s in slot_list))
-        )
+        try:
+            rules = tuple(RuleTemplate(int(s["v"]), bool(s["i"])) for s in slot_list)
+        except KeyError as exc:
+            raise ValueError(f"template slot {key}: entry lacks key {exc}; want {form}") from exc
+        slots.append((pred, rules))
     return ProgramTemplate(
         slots=tuple(slots),
         auxiliary=tuple(Predicate(n, a) for n, a in d.get("auxiliary", [])),

@@ -1,12 +1,18 @@
+import itertools
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from slotlogic import (
+    Atom,
+    Clause,
     Hyperparams,
     LanguageFrame,
     Predicate,
     ProgramTemplate,
     RuleTemplate,
     Sample,
+    Term,
     agreement,
     atom,
     crisp_infer,
@@ -20,7 +26,7 @@ from slotlogic.extract import (
     program_to_text,
 )
 
-from .oracles import boolean_fixpoint
+from .oracles import boolean_fixpoint, boolean_rounds
 
 P, Q, R = Predicate("p", 1), Predicate("q", 1), Predicate("r", 1)
 FRAME = LanguageFrame(targets=(P,), extensional=(Q, R))
@@ -219,3 +225,87 @@ class TestProgramFile:
         ]
         with pytest.raises(ValueError, match=f"'{header}:' header"):
             program_from_text("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# crisp_infer against the independent naive oracle on random programs.
+
+_E, _Q, _S, _P, _Z, _H = (
+    Predicate(n, k) for n, k in [("e", 0), ("q", 1), ("s", 2), ("p", 1), ("z", 0), ("h", 2)]
+)
+_TARGETS = (_P, _Z)  # h/2 is derived but no target
+_CONSTS = ("a", "b", "c")
+_VARS = [Term.var(f"V{i}") for i in range(3)]
+
+
+@st.composite
+def _clauses(draw):
+    """A safe clause: one or two body atoms over at most three variables
+    and a body constant, a head from the body's variables and constants."""
+    term = st.sampled_from(_VARS[:2] * 2 + [_VARS[2], Term.const("a")])
+    body = [
+        Atom(pred, tuple(draw(st.lists(term, min_size=pred.arity, max_size=pred.arity))))
+        for pred in draw(st.lists(st.sampled_from([_E, _Q, _S, _P, _Z, _H]), min_size=1, max_size=2))
+    ]
+    head_term = st.sampled_from(sorted({t for a in body for t in a.variables()})
+                                + [Term.const("a"), Term.const("c")])
+    head = draw(st.sampled_from([_P, _Z, _H]))
+    args = draw(st.lists(head_term, min_size=head.arity, max_size=head.arity))
+    return Clause.make(Atom(head, tuple(args)), body)
+
+
+# Extensional facts over two of the three constants; the third enters
+# through clause heads.
+_GROUND = [
+    Atom(p, tuple(Term.const(c) for c in combo))
+    for p in (_E, _Q, _S)
+    for combo in itertools.product(_CONSTS[:2], repeat=p.arity)
+]
+
+
+def _program(clauses, steps):
+    return PolicyProgram(
+        rules=tuple((c, 1.0) for c in clauses[:1]),
+        alternates=(),
+        background=tuple(clauses[1:]),
+        targets=_TARGETS,
+        forward_steps=steps,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    clauses=st.lists(_clauses(), min_size=2, max_size=6),
+    background=st.sets(st.sampled_from(_GROUND), min_size=3),
+    steps=st.integers(0, 6),
+)
+# recursive, stopped below (1 round) and above (6 rounds) the depth of 3
+@example(
+    clauses=[parse_clause("p(V0) <- q(V0)"), parse_clause("p(V0) <- p(V1), s(V1, V0)")],
+    background={atom("q", "a"), atom("s", "a", "b"), atom("s", "b", "c")},
+    steps=1,
+)
+@example(
+    clauses=[parse_clause("p(V0) <- q(V0)"), parse_clause("p(V0) <- p(V1), s(V1, V0)")],
+    background={atom("q", "a"), atom("s", "a", "b"), atom("s", "b", "c")},
+    steps=6,
+)
+# constants in bodies, repeated variables, zero-arity heads, one-atom
+# bodies, a new fact in the second body atom only
+@example(
+    clauses=[
+        parse_clause("p(V0) <- s(V0, V0)"),
+        parse_clause("h(V0, V1) <- s(V0, V0), q(V1)"),
+        parse_clause("p(V0) <- q(V0), z()"),
+        parse_clause("z() <- s(a, V0), q(V0)"),
+        parse_clause("h(V0, c) <- w(V0, b, V0)"),
+        parse_clause("p(V0) <- h(V0, V1), z()"),
+    ],
+    background={atom("s", "b", "b"), atom("s", "a", "c"), atom("q", "c"),
+                atom("w", "a", "b", "a"), atom("w", "a", "b", "c")},
+    steps=3,
+)
+def test_crisp_infer_matches_naive_rounds(clauses, background, steps):
+    got = crisp_infer(_program(clauses, steps), background, _CONSTS)
+    want = boolean_rounds(clauses, set(background), _CONSTS, steps)
+    assert got == {a for a in want if a.predicate in _TARGETS}

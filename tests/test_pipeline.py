@@ -164,6 +164,74 @@ class TestFullCli:
         assert json.loads(lines[0])["error"] == "ValueError"
 
 
+class TestMalformedLines:
+    """A malformed line in a samples or predictions file ends the command
+    with exit 2 and one JSON stderr line that names the line."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        corpus, samples = tmp_path / "train.jsonl", tmp_path / "samples.jsonl"
+        assert run_pipeline(["generate", "--domain", "restaurant", "--representative",
+                             "--out", str(corpus)]) == 0
+        assert run_pipeline(["convert", "--format", "simdial", "--in", str(corpus),
+                             "--out", str(samples)]) == 0
+        save_program(GOLDEN_PROGRAM, tmp_path / "program.txt")
+        return tmp_path, samples
+
+    @staticmethod
+    def with_line_2(path, text):
+        lines = path.read_text().splitlines()
+        lines[1] = text
+        bad = path.with_name("bad-" + path.name)
+        bad.write_text("\n".join(lines) + "\n")
+        return bad
+
+    @staticmethod
+    def fail(argv, capsys):
+        capsys.readouterr()
+        code = run_pipeline(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        [line] = err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "ValueError" and " line 2: " in error["message"]
+        return error["message"]
+
+    def constants_5(self, samples):
+        record = json.loads(samples.read_text().splitlines()[1])
+        return self.with_line_2(samples, json.dumps({**record, "constants": 5}))
+
+    def test_train_rejects_non_list_constants(self, files, capsys):
+        tmp_path, samples = files
+        message = self.fail(["train", "--samples", str(self.constants_5(samples)),
+                             "--out", str(tmp_path / "m.json")], capsys)
+        assert "'constants' a list of strings" in message
+
+    def test_transfer_rejects_non_list_constants(self, files, capsys):
+        tmp_path, samples = files
+        message = self.fail(["transfer", "--program", str(tmp_path / "program.txt"),
+                             "--samples", str(self.constants_5(samples)),
+                             "--out", str(tmp_path / "p.jsonl")], capsys)
+        assert "'constants' a list of strings" in message
+
+    def test_transfer_rejects_list_line(self, files, capsys):
+        tmp_path, samples = files
+        message = self.fail(["transfer", "--program", str(tmp_path / "program.txt"),
+                             "--samples", str(self.with_line_2(samples, "[1, 2]")),
+                             "--out", str(tmp_path / "p.jsonl")], capsys)
+        assert "must be a JSON object" in message
+
+    def test_eval_rejects_list_prediction_line(self, files, capsys):
+        tmp_path, samples = files
+        preds = tmp_path / "preds.jsonl"
+        assert run_pipeline(["transfer", "--program", str(tmp_path / "program.txt"),
+                             "--samples", str(samples), "--out", str(preds)]) == 0
+        message = self.fail(["eval", "--pred", str(self.with_line_2(preds, "[1, 2]")),
+                             "--gold", str(samples), "--report", str(tmp_path / "r.json")],
+                            capsys)
+        assert "a prediction must be an object" in message
+
+
 class TestRestartLoop:
     """``train_with_restarts``, the loop behind ``train_policy`` and
     ``train_list_all``, on a one-clause toy problem whose final loss

@@ -148,6 +148,16 @@ class TestProgramTemplate:
         with pytest.raises(ValueError, match="must be a list"):
             template_from_dict(d)
 
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match='a template is an object whose "slots"'):
+            template_from_dict([])
+
+    def test_entry_without_key_rejected(self):
+        d = template_to_dict(ProgramTemplate(slots=((P, (RuleTemplate(0, True),)),)))
+        del d["slots"][0][1][0]["i"]
+        with pytest.raises(ValueError, match="p/1: entry lacks key 'i'"):
+            template_from_dict(d)
+
     def test_pools_cover_all_slots(self):
         pt = ProgramTemplate(
             slots=((P, (RuleTemplate(0, True), RuleTemplate(1, True))),)

@@ -5,13 +5,15 @@ failure."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import sys
+from dataclasses import fields
 
 from . import pipeline
 from .dialog import load_corpus, load_samples, read_json_lines, save_corpus, save_samples
-from .engine import TrainedModel, TrainingDiverged, ValuationInvariantError
+from .engine import Hyperparams, TrainedModel, TrainingDiverged, ValuationInvariantError
 from .extract import extract_program, load_program, save_program
 from .gradcheck import run_gradcheck
 from .multiwoz import convert_multiwoz_records
@@ -46,13 +48,11 @@ def _cmd_convert(args) -> int:
         dialogs = load_corpus(getattr(args, "in"))
         records = pipeline.convert_corpus(dialogs)
     else:
-        records = []
-        with open(getattr(args, "in")) as f:
-            for i, line in enumerate(f):
-                if line.strip():
-                    records.extend(
-                        convert_multiwoz_records(json.loads(line), dialog_id=str(i))
-                    )
+        ids = itertools.count()
+        per_line = read_json_lines(
+            getattr(args, "in"), lambda d: convert_multiwoz_records(d, str(next(ids)))
+        )
+        records = [r for rs in per_line for r in rs]
     if args.training_only:
         records = [r for r in records if r.meta.get("supervised", True)]
     save_samples(records, args.out)
@@ -63,17 +63,10 @@ def _cmd_convert(args) -> int:
 def _cmd_train(args) -> int:
     records = load_samples(args.samples)
     samples = pipeline.training_samples(records)
-    hp = pipeline.simdial_hyperparams(
-        learning_rate=args.lr,
-        training_steps=args.steps,
-        reg_kind=args.reg,
-        reg_lambda=args.reg_lambda,
-        seed=args.seed,
-        init_scale=args.init_scale,
-        amalgamation=args.amalgamation,
-        stop_loss=args.stop_loss,
-        accumulator_decay=args.acc_decay,
-    )
+    hp = pipeline.simdial_hyperparams(**{
+        f.name: getattr(args, f.name) for f in fields(Hyperparams)
+        if getattr(args, f.name) is not None
+    })
     template = None
     if args.template:
         with open(args.template) as f:
@@ -118,10 +111,8 @@ def _cmd_eval(args) -> int:
 
 def _prediction(p):
     """A prediction line, checked for what eval reads."""
-    acts = p.get("acts", []) if isinstance(p, dict) else None
-    if not (isinstance(acts, list) and isinstance(p.get("meta", {}), dict)
-            and all(isinstance(a, list) and len(a) == 2 for a in acts)
-            and all(x is None or isinstance(x, str) for a in acts for x in a)):
+    if not (isinstance(p, dict) and isinstance(p.get("meta", {}), dict)
+            and pipeline.is_act_pairs(p.get("acts", []))):
         raise ValueError("a prediction must be an object with a 'meta' object and "
                          "an 'acts' list of [intent, slot] pairs")
     return p
@@ -167,15 +158,17 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--samples", required=True)
     t.add_argument("--template", help="program template JSON (default: slot-filling)")
     t.add_argument("--out", required=True)
-    t.add_argument("--lr", type=float, default=0.5)
-    t.add_argument("--steps", type=int, default=1200)
-    t.add_argument("--reg", choices=("none", "l1", "l2"), default="l2")
-    t.add_argument("--reg-lambda", type=float, default=1e-5)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--init-scale", type=float, default=0.0)
-    t.add_argument("--amalgamation", choices=("max", "sum"), default="max")
-    t.add_argument("--stop-loss", type=float, default=None)
-    t.add_argument("--acc-decay", type=float, default=None,
+    # Each flag names a Hyperparams field; unset ones keep the value of
+    # pipeline.simdial_hyperparams.
+    t.add_argument("--lr", dest="learning_rate", type=float)
+    t.add_argument("--steps", dest="training_steps", type=int)
+    t.add_argument("--reg", dest="reg_kind", choices=("none", "l1", "l2"))
+    t.add_argument("--reg-lambda", type=float)
+    t.add_argument("--seed", type=int)
+    t.add_argument("--init-scale", type=float)
+    t.add_argument("--amalgamation", choices=("max", "sum"))
+    t.add_argument("--stop-loss", type=float)
+    t.add_argument("--acc-decay", dest="accumulator_decay", type=float,
                    help="decay for the squared-gradient accumulator")
     t.add_argument("--restarts", type=int, default=3)
     t.set_defaults(func=_cmd_train)

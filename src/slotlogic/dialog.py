@@ -11,14 +11,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .engine import Sample
 from .logic import Atom, Predicate, Term, atom, parse_atom
-
-log = logging.getLogger(__name__)
 
 TERM = "term"
 USR_HEAD = "usr_slot"
@@ -221,26 +218,17 @@ def closed_world_negatives(
     return frozenset(out)
 
 
-def build_sample(
-    turn: Turn,
-    spec: DomainSpec,
-    targets: Sequence[Predicate] = SIMDIAL_TARGETS,
-    allow_empty_positive: bool = False,
-) -> Sample | None:
+def build_sample(turn: Turn, spec: DomainSpec) -> Sample:
     """Turn -> (background, positives, negatives, constants).
 
     Background is the encoded state plus the user acts; positives are the
-    system acts; negatives are every other system-act grounding. Turns
-    without system acts are unsupervised: None is returned (the skip
-    signal) unless ``allow_empty_positive``.
+    system acts; negatives are every other system-act grounding. A turn
+    without system acts has no positives.
     """
     positives = encode_acts(turn.system_acts, "system")
-    if not positives and not allow_empty_positive:
-        log.warning("skipping turn with no system acts (domain %s)", turn.domain)
-        return None
     constants = spec.constants()
     background = encode_state(turn.state, spec) | encode_acts(turn.user_acts, "user")
-    negatives = closed_world_negatives(positives, constants, targets)
+    negatives = closed_world_negatives(positives, constants)
     return Sample.make(background, positives, negatives, constants)
 
 
@@ -278,6 +266,8 @@ def dialog_to_dict(d: Dialog) -> dict:
 
 
 def dialog_from_dict(d: dict) -> Dialog:
+    if not (isinstance(d, dict) and isinstance(d.get("turns"), list)):
+        raise ValueError("a dialog must be a JSON object with a 'turns' list")
     turns = []
     for t in d["turns"]:
         state = BeliefState(

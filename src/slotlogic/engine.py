@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -187,17 +187,7 @@ class Hyperparams:
             raise ValueError("accumulator_decay must be in (0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "training_steps": self.training_steps,
-            "reg_kind": self.reg_kind,
-            "reg_lambda": self.reg_lambda,
-            "seed": self.seed,
-            "init_scale": self.init_scale,
-            "amalgamation": self.amalgamation,
-            "stop_loss": self.stop_loss,
-            "accumulator_decay": self.accumulator_decay,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "Hyperparams":
@@ -210,9 +200,6 @@ class ClauseWeights:
     def __init__(self, keys: Sequence[tuple[Predicate, int]], vectors: Sequence[np.ndarray]):
         self.keys = tuple(keys)
         self.vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
-
-    def copy(self) -> "ClauseWeights":
-        return ClauseWeights(self.keys, [v.copy() for v in self.vectors])
 
     def probabilities(self) -> list[np.ndarray]:
         return [_softmax(v) for v in self.vectors]
@@ -574,12 +561,18 @@ class ModelCompiler:
 # ---------------------------------------------------------------------------
 # Forward pass.
 
+def _start_values(model: CompiledModel, samples: Sequence[Sample]) -> np.ndarray:
+    """Start valuations (S, atoms): background atoms 1, everything else 0."""
+    a0 = np.zeros((len(samples), len(model.index)))
+    for si, s in enumerate(samples):
+        for a in s.background:
+            a0[si, model.index.index_of(a)] = 1.0
+    return a0
+
+
 def init_valuation(sample: Sample, model: CompiledModel) -> Valuation:
     """Background atoms get value 1, everything else 0."""
-    values = np.zeros(len(model.index))
-    for a in sample.background:
-        values[model.index.index_of(a)] = 1.0
-    return Valuation(model.index, values)
+    return Valuation(model.index, _start_values(model, [sample])[0])
 
 
 @dataclass
@@ -657,6 +650,22 @@ def _step_batch(
     return a_new, _StepTrace(a, winners, out, b, over_one)
 
 
+def _chain(
+    model: CompiledModel,
+    seg_w: np.ndarray,
+    a: np.ndarray,
+    schedule: np.ndarray,
+    traces: list[_StepTrace] | None = None,
+) -> np.ndarray:
+    """Chain one ``_step_batch`` per row of the static schedule from the
+    valuations ``a``; appends each step's trace to ``traces`` if given."""
+    for b_static in schedule:
+        a, trace = _step_batch(model, seg_w, a, b_static)
+        if traces is not None:
+            traces.append(trace)
+    return a
+
+
 def _backward_step(
     model: CompiledModel,
     seg_w: np.ndarray,
@@ -716,8 +725,7 @@ def step(model: CompiledModel, weights: ClauseWeights, valuation: Valuation) -> 
     """One deduction step over a single valuation."""
     a = valuation.values[None, :]
     seg_w = _segment_weights(model, weights.probabilities())
-    a_new, _ = _step_batch(model, seg_w, a, _static_schedule(model, a, 1)[0])
-    return Valuation(model.index, a_new[0])
+    return Valuation(model.index, _chain(model, seg_w, a, _static_schedule(model, a, 1))[0])
 
 
 def infer(model: CompiledModel, weights: ClauseWeights, sample: Sample) -> Valuation:
@@ -728,9 +736,8 @@ def infer(model: CompiledModel, weights: ClauseWeights, sample: Sample) -> Valua
             "compile it with ModelCompiler.compile(sample.constants)"
         )
     seg_w = _segment_weights(model, weights.probabilities())
-    a = init_valuation(sample, model).values[None, :]
-    for b_static in _static_schedule(model, a, model.forward_steps):
-        a, _ = _step_batch(model, seg_w, a, b_static)
+    a = _start_values(model, [sample])
+    a = _chain(model, seg_w, a, _static_schedule(model, a, model.forward_steps))
     return Valuation(model.index, a[0])
 
 
@@ -742,12 +749,10 @@ class _Batch:
     model: CompiledModel
     a0: np.ndarray
     static_b: np.ndarray  # (forward_steps, S, static heads)
-    p_rows: np.ndarray
-    p_cols: np.ndarray
-    n_rows: np.ndarray
-    n_cols: np.ndarray
-    p_scale: np.ndarray
-    n_scale: np.ndarray
+    rows: np.ndarray  # per labeled atom: its sample,
+    cols: np.ndarray  # its valuation cell,
+    positive: np.ndarray  # whether it is positive,
+    scale: np.ndarray  # and its loss weight
 
 
 def _prepare_batches(compiler: ModelCompiler, samples: Sequence[Sample]) -> list[_Batch]:
@@ -757,64 +762,41 @@ def _prepare_batches(compiler: ModelCompiler, samples: Sequence[Sample]) -> list
             raise ValueError("sample has no positive or negative atoms")
         groups.setdefault(tuple(s.constants), []).append(s)
     batches = []
-    n_total = len(samples)
     for consts, group in groups.items():
         model = compiler.compile(consts)
-        g = len(model.index)
-        a0 = np.zeros((len(group), g))
-        p_rows, p_cols, p_scale = [], [], []
-        n_rows, n_cols, n_scale = [], [], []
-        for si, s in enumerate(group):
-            for a in s.background:
-                a0[si, model.index.index_of(a)] = 1.0
-            w = 1.0 / ((len(s.positive) + len(s.negative)) * n_total)
-            for a in s.positive:
-                p_rows.append(si)
-                p_cols.append(model.index.index_of(a))
-                p_scale.append(w)
-            for a in s.negative:
-                n_rows.append(si)
-                n_cols.append(model.index.index_of(a))
-                n_scale.append(w)
+        a0 = _start_values(model, group)
+        labels = [
+            (si, model.index.index_of(a), positive,
+             1.0 / ((len(s.positive) + len(s.negative)) * len(samples)))
+            for si, s in enumerate(group)
+            for positive, atoms in ((True, s.positive), (False, s.negative))
+            for a in atoms
+        ]
+        rows, cols, positive, scale = map(np.asarray, zip(*labels))
         batches.append(
-            _Batch(
-                model,
-                a0,
-                _static_schedule(model, a0, model.forward_steps),
-                np.asarray(p_rows, dtype=np.int64),
-                np.asarray(p_cols, dtype=np.int64),
-                np.asarray(n_rows, dtype=np.int64),
-                np.asarray(n_cols, dtype=np.int64),
-                np.asarray(p_scale),
-                np.asarray(n_scale),
-            )
+            _Batch(model, a0, _static_schedule(model, a0, model.forward_steps),
+                   rows, cols, positive, scale)
         )
     return batches
 
 
 def _data_loss(batch: _Batch, aT: np.ndarray) -> float:
-    pv = np.clip(aT[batch.p_rows, batch.p_cols], LOG_EPS, 1.0 - LOG_EPS)
-    nv = np.clip(aT[batch.n_rows, batch.n_cols], LOG_EPS, 1.0 - LOG_EPS)
-    return float(
-        -(batch.p_scale * np.log(pv)).sum() - (batch.n_scale * np.log1p(-nv)).sum()
-    )
+    x = np.clip(aT[batch.rows, batch.cols], LOG_EPS, 1.0 - LOG_EPS)
+    return float(-(batch.scale * np.where(batch.positive, np.log(x), np.log1p(-x))).sum())
 
 
 def _data_loss_backward(batch: _Batch, aT: np.ndarray) -> np.ndarray:
+    x = aT[batch.rows, batch.cols]
+    inside = (x > LOG_EPS) & (x < 1.0 - LOG_EPS)
+    # -s/x on a positive, s/(1-x) on a negative; (-s)/x has the bits of
+    # -(s/x). Sample.make keeps a sample's labeled atoms distinct and its
+    # positives and negatives disjoint, so no cell is assigned twice.
     dA = np.zeros_like(aT)
-    pv = aT[batch.p_rows, batch.p_cols]
-    inside = (pv > LOG_EPS) & (pv < 1.0 - LOG_EPS)
-    np.add.at(
-        dA,
-        (batch.p_rows, batch.p_cols),
-        np.where(inside, -batch.p_scale / np.clip(pv, LOG_EPS, None), 0.0),
-    )
-    nv = aT[batch.n_rows, batch.n_cols]
-    inside = (nv > LOG_EPS) & (nv < 1.0 - LOG_EPS)
-    np.add.at(
-        dA,
-        (batch.n_rows, batch.n_cols),
-        np.where(inside, batch.n_scale / np.clip(1.0 - nv, LOG_EPS, None), 0.0),
+    dA[batch.rows, batch.cols] = np.where(
+        inside,
+        np.where(batch.positive, -batch.scale, batch.scale)
+        / np.clip(np.where(batch.positive, x, 1.0 - x), LOG_EPS, None),
+        0.0,
     )
     return dA
 
@@ -848,10 +830,7 @@ def loss(
     total = 0.0
     for batch in batches or _prepare_batches(compiler, samples):
         seg_w = _segment_weights(batch.model, probs)
-        a = batch.a0
-        for b_static in batch.static_b:
-            a, _ = _step_batch(batch.model, seg_w, a, b_static)
-        total += _data_loss(batch, a)
+        total += _data_loss(batch, _chain(batch.model, seg_w, batch.a0, batch.static_b))
     return total + _reg_value(weights, hp)
 
 
@@ -869,11 +848,8 @@ def loss_and_grad(
     for batch in batches or _prepare_batches(compiler, samples):
         model = batch.model
         seg_w = _segment_weights(model, probs)
-        a = batch.a0
-        traces = []
-        for b_static in batch.static_b:
-            a, tr = _step_batch(model, seg_w, a, b_static)
-            traces.append(tr)
+        traces: list[_StepTrace] = []
+        a = _chain(model, seg_w, batch.a0, batch.static_b, traces)
         total += _data_loss(batch, a)
         da = _data_loss_backward(batch, a)
         dseg = np.zeros(model.seg_out.size)

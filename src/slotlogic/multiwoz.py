@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .dialog import SampleRecord, closed_world_negatives
+from .dialog import SampleRecord, closed_world_negatives, decode_acts
 from .engine import Sample
 from .logic import Atom, Predicate, atom
 
@@ -141,9 +141,9 @@ def convert_multiwoz_turn(
     split by domain and each involved domain gets its own sample over its
     own slot constants.
     """
-    state = turn_record.get("state", {})
+    state = turn_record.get("state", {}) if isinstance(turn_record, dict) else None
     if not isinstance(state, dict):
-        raise SchemaError("state must be a mapping of domains", turn_index)
+        raise SchemaError("a turn must be an object whose 'state' maps domains", turn_index)
     user_atoms = encode_act_triples(
         turn_record.get("user_acts", []), "user", turn_index
     )
@@ -188,10 +188,11 @@ def convert_multiwoz_records(
     dialog_record: dict, dialog_id: str = "0"
 ) -> list[SampleRecord]:
     """Whole annotated dialog to samples in turn order, with the meta
-    (dialog, turn, domain) that recombines predictions across domains."""
-    turns = dialog_record.get("turns")
+    (dialog, turn, domain) that recombines predictions across domains and
+    the gold acts, decoded from the positives, that eval scores against."""
+    turns = dialog_record.get("turns") if isinstance(dialog_record, dict) else None
     if not isinstance(turns, list):
-        raise SchemaError("dialog record needs a 'turns' list")
+        raise SchemaError("a dialog record must be a JSON object with a 'turns' list")
     records = []
     for i, t in enumerate(turns):
         for domain, sample in convert_multiwoz_turn(t, i):
@@ -203,6 +204,7 @@ def convert_multiwoz_records(
                         "turn": i,
                         "domain": domain,
                         "supervised": bool(sample.positive),
+                        "gold_acts": [list(a) for a in decode_acts(sample.positive, None)[0]],
                         "format": "multiwoz",
                     },
                 )

@@ -86,10 +86,7 @@ def simdial_hyperparams(**overrides) -> Hyperparams:
         training_steps=1200,
         reg_kind="l2",
         reg_lambda=1e-5,
-        seed=0,
         init_scale=0.0,
-        amalgamation="max",
-        stop_loss=None,
     )
     base.update(overrides)
     return Hyperparams(**base)
@@ -104,7 +101,7 @@ def convert_corpus(dialogs: Sequence[Dialog]) -> list[SampleRecord]:
     for di, d in enumerate(dialogs):
         spec = DOMAINS[d.domain]
         for ti, turn in enumerate(d.turns):
-            sample = build_sample(turn, spec, allow_empty_positive=True)
+            sample = build_sample(turn, spec)
             records.append(
                 SampleRecord(
                     sample,
@@ -191,6 +188,27 @@ def predict_records(program: PolicyProgram, records: Sequence[SampleRecord]) -> 
     return [predict_record(program, r) for r in records]
 
 
+def is_act_pairs(acts) -> bool:
+    """Whether ``acts`` is a list of [intent, slot] pairs of strings or nulls."""
+    return isinstance(acts, list) and all(
+        isinstance(a, list) and len(a) == 2 and all(x is None or isinstance(x, str) for x in a)
+        for a in acts
+    )
+
+
+def _eval_meta(meta: dict, where: str, dialog=None) -> tuple[tuple, str, list]:
+    """The (dialog, turn) key, domain and gold acts that eval reads from a
+    record's or prediction's meta; a ``ValueError`` if eval cannot group,
+    label or count by them."""
+    key = (meta.get("dialog", dialog), meta.get("turn", 0))
+    domain, gold = meta.get("domain", "unknown"), meta.get("gold_acts", [])
+    if not (all(not isinstance(x, (list, dict)) for x in key)
+            and isinstance(domain, str) and is_act_pairs(gold)):
+        raise ValueError(f"{where}: meta 'dialog' and 'turn' must be JSON scalars, "
+                         "'domain' a string and 'gold_acts' a list of [intent, slot] pairs")
+    return key, domain, gold
+
+
 def evaluate_predictions(
     predictions: Sequence[dict], gold_records: Sequence[SampleRecord]
 ) -> MetricsReport:
@@ -198,24 +216,21 @@ def evaluate_predictions(
     golds: dict[tuple, set] = {}
     domains: dict[tuple, set] = {}
     order: list[tuple] = []
-    for r in gold_records:
-        key = (r.meta.get("dialog", id(r)), r.meta.get("turn", 0))
+    for n, r in enumerate(gold_records, 1):
+        key, domain, gold = _eval_meta(r.meta, f"gold record {n}", id(r))
         if key not in golds:
             golds[key] = set()
             domains[key] = set()
             order.append(key)
-        golds[key].update(
-            (i, s) for i, s in r.meta.get("gold_acts", [])
-        )
-        domains[key].add(r.meta.get("domain", "unknown"))
+        golds[key].update((i, s) for i, s in gold)
+        domains[key].add(domain)
     preds: dict[tuple, set] = {k: set() for k in golds}
-    for p in predictions:
-        meta = p.get("meta", {})
-        key = (meta.get("dialog"), meta.get("turn", 0))
+    for n, p in enumerate(predictions, 1):
+        key, domain, _ = _eval_meta(p.get("meta", {}), f"prediction {n}")
         if key not in preds:
             preds[key] = set()
             golds.setdefault(key, set())
-            domains.setdefault(key, {meta.get("domain", "unknown")})
+            domains.setdefault(key, {domain})
             order.append(key)
         preds[key].update((i, s) for i, s in p.get("acts", []))
     turns = []
@@ -276,7 +291,6 @@ def all_task_hyperparams(**overrides) -> Hyperparams:
         training_steps=600,
         reg_kind="l2",
         reg_lambda=1e-5,
-        seed=0,
         init_scale=0.5,
         accumulator_decay=0.9,
         stop_loss=5e-3,

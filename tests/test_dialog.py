@@ -187,13 +187,14 @@ class TestBuildSample:
     def test_goodbye_turn_skipped(self):
         t = self.make_turn()
         t.system_acts = []
-        assert build_sample(t, RESTAURANT) is None
+        assert not build_sample(t, RESTAURANT).positive
 
     def test_goodbye_turn_kept_for_eval(self):
         t = self.make_turn()
         t.system_acts = []
-        sample = build_sample(t, RESTAURANT, allow_empty_positive=True)
-        assert sample is not None and not sample.positive
+        sample = build_sample(t, RESTAURANT)
+        total = sum(len(sample.constants) ** p.arity for p in SIMDIAL_TARGETS)
+        assert not sample.positive and len(sample.negative) == total
 
     def test_renaming_equivariance(self):
         # renaming every slot consistently renames the sample

@@ -23,7 +23,9 @@ from slotlogic import (
     step,
     train,
 )
+from slotlogic import pipeline, representative_dialog
 from slotlogic.engine import loss, loss_and_grad
+from slotlogic.gradcheck import _random_instance
 
 from .oracles import boolean_rounds
 
@@ -636,3 +638,34 @@ class TestTieRules:
         assert np.allclose(g[self.H], [-0.5, 0.5], rtol=0, atol=1e-12)
         assert np.allclose(g[self.T], [0.0], rtol=0, atol=1e-12)
         assert np.allclose(g[self.K], [0.0], rtol=0, atol=1e-12)
+
+
+class TestOneChain:
+    """``step``, ``infer``, ``loss`` and ``loss_and_grad`` chain alike."""
+
+    @staticmethod
+    def cases():
+        compiler = ModelCompiler(
+            pipeline.simdial_frame(), pipeline.simdial_template(), *pipeline.simdial_background()
+        )
+        records = pipeline.convert_corpus([representative_dialog("restaurant")])
+        yield (compiler, compiler.init_weights(seed=0, scale=1.0),
+               [r.sample for r in records], pipeline.simdial_hyperparams())
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            yield _random_instance(rng)
+
+    def test_infer_equals_chained_steps(self):
+        for compiler, weights, samples, _ in self.cases():
+            for s in samples:
+                model = compiler.compile(s.constants)
+                v = init_valuation(s, model)
+                for _ in range(model.forward_steps):
+                    v = step(model, weights, v)
+                assert np.array_equal(infer(model, weights, s).values, v.values)
+
+    def test_loss_is_the_value_of_loss_and_grad(self):
+        for compiler, weights, samples, hp in self.cases():
+            assert loss(compiler, weights, samples, hp) == loss_and_grad(
+                compiler, weights, samples, hp
+            )[0]

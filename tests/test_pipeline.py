@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from slotlogic.pipeline import (
     evaluate_predictions,
     predict_records,
     simdial_background,
+    simdial_hyperparams,
     train_with_restarts,
 )
 from slotlogic.extract import PolicyProgram, load_program, save_program
@@ -163,6 +165,23 @@ class TestFullCli:
         assert len(lines) == 1, proc.stderr
         assert json.loads(lines[0])["error"] == "ValueError"
 
+    def test_train_flags_override_simdial_hyperparams(self, tmp_path, monkeypatch):
+        corpus, samples = tmp_path / "train.jsonl", tmp_path / "samples.jsonl"
+        self.run(["generate", "--domain", "restaurant", "--representative",
+                  "--out", str(corpus)])
+        self.run(["convert", "--format", "simdial", "--in", str(corpus),
+                  "--out", str(samples)])
+        # One real step per fit; the model keeps the hyperparameters it was given.
+        real = pipeline.train
+        monkeypatch.setattr(pipeline, "train", lambda frame, s, template, hp, *bg: replace(
+            real(frame, s, template, replace(hp, training_steps=1), *bg), hyperparams=hp))
+        model = tmp_path / "m.json"
+        for flags, want in (([], simdial_hyperparams()),
+                            (["--lr", "0.25"], simdial_hyperparams(learning_rate=0.25))):
+            self.run(["train", "--samples", str(samples), "--restarts", "1",
+                      "--out", str(model), *flags])
+            assert json.loads(model.read_text())["hyperparams"] == want.to_dict()
+
 
 class TestMalformedLines:
     """A malformed line in a samples or predictions file ends the command
@@ -187,14 +206,14 @@ class TestMalformedLines:
         return bad
 
     @staticmethod
-    def fail(argv, capsys):
+    def fail(argv, capsys, where=" line 2: "):
         capsys.readouterr()
         code = run_pipeline(argv)
         err = capsys.readouterr().err
         assert code == 2 and "Traceback" not in err
         [line] = err.splitlines()
         error = json.loads(line)
-        assert error["error"] == "ValueError" and " line 2: " in error["message"]
+        assert error["error"] == "ValueError" and where in error["message"]
         return error["message"]
 
     def constants_5(self, samples):
@@ -230,6 +249,36 @@ class TestMalformedLines:
                              "--gold", str(samples), "--report", str(tmp_path / "r.json")],
                             capsys)
         assert "a prediction must be an object" in message
+
+    @pytest.mark.parametrize("side", ["pred", "gold"])
+    def test_eval_rejects_list_dialog(self, files, capsys, side):
+        tmp_path, samples = files
+        paths = {"pred": tmp_path / "preds.jsonl", "gold": samples}
+        assert run_pipeline(["transfer", "--program", str(tmp_path / "program.txt"),
+                             "--samples", str(samples), "--out", str(paths["pred"])]) == 0
+        record = json.loads(paths[side].read_text().splitlines()[1])
+        record["meta"]["dialog"] = [1]
+        paths[side] = self.with_line_2(paths[side], json.dumps(record))
+        message = self.fail(["eval", "--pred", str(paths["pred"]), "--gold", str(paths["gold"]),
+                             "--report", str(tmp_path / "r.json")], capsys,
+                            where={"pred": "prediction 2: ", "gold": "gold record 2: "}[side])
+        assert "meta 'dialog'" in message
+
+    def test_convert_simdial_rejects_list_line(self, files, capsys):
+        tmp_path, _ = files
+        corpus = tmp_path / "bad-train.jsonl"
+        corpus.write_text((tmp_path / "train.jsonl").read_text() + "[1, 2]\n")
+        message = self.fail(["convert", "--format", "simdial", "--in", str(corpus),
+                             "--out", str(tmp_path / "s.jsonl")], capsys)
+        assert "a dialog must be a JSON object" in message
+
+    @pytest.mark.parametrize("line", ['[1, 2]', '{"turns": 5}', '{"turns": [1]}'])
+    def test_convert_multiwoz_rejects_malformed_line(self, tmp_path, capsys, line):
+        corpus = tmp_path / "mwoz.jsonl"
+        corpus.write_text('{"turns": []}\n' + line + "\n")
+        message = self.fail(["convert", "--format", "multiwoz", "--in", str(corpus),
+                             "--out", str(tmp_path / "s.jsonl")], capsys)
+        assert "must be a" in message
 
 
 class TestRestartLoop:
@@ -322,6 +371,27 @@ class TestMultiwozCli:
         [rec] = load_samples(out)
         assert rec.meta["domain"] == "restaurant"
         assert "nooffer()" in [str(a) for a in rec.sample.positive]
+        assert rec.meta["gold_acts"] == [["nooffer", None]]
+
+    def test_converted_turn_is_scored_against_its_system_acts(self, tmp_path):
+        record = {"turns": [{
+            "state": {"restaurant": {"semi": {"food": "eritrean", "area": "not mentioned"}}},
+            "user_acts": [["inform", "restaurant", "food"]],
+            "system_acts": [["inform", "restaurant", "food"], ["request", "restaurant", "area"]],
+        }]}
+        src, samples = tmp_path / "mwoz.jsonl", tmp_path / "samples.jsonl"
+        src.write_text(json.dumps(record) + "\n")
+        save_program(GOLDEN_PROGRAM, tmp_path / "program.txt")
+        for argv in (
+            ["convert", "--format", "multiwoz", "--in", str(src), "--out", str(samples)],
+            ["transfer", "--program", str(tmp_path / "program.txt"),
+             "--samples", str(samples), "--out", str(tmp_path / "preds.jsonl")],
+            ["eval", "--pred", str(tmp_path / "preds.jsonl"), "--gold", str(samples),
+             "--report", str(tmp_path / "report.json")],
+        ):
+            assert run_pipeline(argv) == 0
+        action = json.loads((tmp_path / "report.json").read_text())["action_f1"]
+        assert (action["tp"], action["fp"], action["fn"]) == (0, 0, 2)
 
 
 def test_program_file_roundtrip_through_disk(tmp_path):

@@ -207,10 +207,5 @@ def test_reference_act_sequence_reachable():
 def test_turns_convert_to_samples():
     d = generate_dialog(GeneratorConfig(DOMAINS["restaurant"], seed=8))
     spec = DOMAINS["restaurant"]
-    supervised = 0
-    for turn in d.turns:
-        sample = build_sample(turn, spec)
-        if sample is not None:
-            supervised += 1
-            assert sample.positive
-    assert supervised == len(d.turns) - 1  # only the closing turn skips
+    supervised = [bool(build_sample(turn, spec).positive) for turn in d.turns]
+    assert supervised == [True] * (len(d.turns) - 1) + [False]  # only the closing turn has none

@@ -1,6 +1,6 @@
 """Differentiable rule induction for slot-filling dialog policies."""
 
-from .background import background_library, library_exports, rename_predicate
+from .background import background_library, rename_predicate
 from .dialog import (
     BeliefState,
     Dialog,
@@ -64,12 +64,6 @@ from .simulator import (
     generate_dialog,
     representative_dialog,
 )
-from .templates import (
-    ProgramTemplate,
-    RuleTemplate,
-    enumerate_templates,
-    generate_clauses,
-    template_complexity,
-)
+from .templates import ProgramTemplate, RuleTemplate, generate_clauses
 
 __version__ = "0.1.0"

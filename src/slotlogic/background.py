@@ -35,11 +35,6 @@ _MEMBER = tuple(
 
 _LIBRARY = {"all": _ALL, "member": _MEMBER}
 
-EXPORTS = {
-    "all": (Predicate("all", 1),),
-    "member": (Predicate("member", 2), Predicate("member_usr", 1)),
-}
-
 
 def background_library(name: str) -> tuple[Clause, ...]:
     """Frozen clause set by name; raises on unknown names."""
@@ -50,13 +45,6 @@ def background_library(name: str) -> tuple[Clause, ...]:
             f"unknown background library {name!r}; available: "
             + ", ".join(sorted(_LIBRARY))
         ) from None
-
-
-def library_exports(name: str) -> tuple[Predicate, ...]:
-    """Predicates a library defines that rule bodies may use."""
-    if name not in EXPORTS:
-        raise ValueError(f"unknown background library {name!r}")
-    return EXPORTS[name]
 
 
 def rename_predicate(

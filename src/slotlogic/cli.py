@@ -12,7 +12,8 @@ import sys
 from dataclasses import fields
 
 from . import pipeline
-from .dialog import load_corpus, load_samples, read_json_lines, save_corpus, save_samples
+from .dialog import (is_act_pairs, load_corpus, load_samples, read_json_lines, save_corpus,
+                     save_samples, write_json_lines)
 from .engine import Hyperparams, TrainedModel, TrainingDiverged, ValuationInvariantError
 from .extract import extract_program, load_program, save_program
 from .gradcheck import run_gradcheck
@@ -91,9 +92,7 @@ def _cmd_transfer(args) -> int:
     program = load_program(args.program)
     records = load_samples(args.samples)
     predictions = pipeline.predict_records(program, records)
-    with open(args.out, "w") as f:
-        for p in predictions:
-            f.write(json.dumps(p, sort_keys=True) + "\n")
+    write_json_lines(args.out, predictions)
     log.info("wrote %d predictions to %s", len(predictions), args.out)
     return EXIT_OK
 
@@ -112,7 +111,7 @@ def _cmd_eval(args) -> int:
 def _prediction(p):
     """A prediction line, checked for what eval reads."""
     if not (isinstance(p, dict) and isinstance(p.get("meta", {}), dict)
-            and pipeline.is_act_pairs(p.get("acts", []))):
+            and is_act_pairs(p.get("acts", []))):
         raise ValueError("a prediction must be an object with a 'meta' object and "
                          "an 'acts' list of [intent, slot] pairs")
     return p

@@ -173,6 +173,11 @@ def encode_acts(acts: Sequence[DialogAct], side: str) -> frozenset[Atom]:
     return frozenset(out)
 
 
+def act_order(act: tuple[str, str | None]) -> tuple[str, str]:
+    """Sort key of an (intent, slot) act; a missing slot sorts first."""
+    return act[0], act[1] or ""
+
+
 _INTENT_OF = {pred: intent for intent, pred in SYSTEM_PREDICATES.items()}
 _INTENT_OF.update(nooffer="nooffer", offerbooked="offerbooked")
 
@@ -199,7 +204,7 @@ def decode_acts(
             rejected.append(a)
         else:
             acts.add((intent, slot))
-    return sorted(acts, key=lambda x: (x[0], x[1] or "")), rejected
+    return sorted(acts, key=act_order), rejected
 
 
 def closed_world_negatives(
@@ -235,14 +240,6 @@ def build_sample(turn: Turn, spec: DomainSpec) -> Sample:
 # ---------------------------------------------------------------------------
 # Corpus and sample files (JSON lines).
 
-def act_to_pair(a: DialogAct) -> list:
-    return [a.intent, a.slot]
-
-
-def act_from_pair(pair: Sequence) -> DialogAct:
-    return DialogAct(pair[0], pair[1])
-
-
 def dialog_to_dict(d: Dialog) -> dict:
     return {
         "domain": d.domain,
@@ -256,8 +253,8 @@ def dialog_to_dict(d: Dialog) -> dict:
                     "no_match": t.state.no_match,
                     "book_fail": t.state.book_fail,
                 },
-                "user_acts": [act_to_pair(a) for a in t.user_acts],
-                "system_acts": [act_to_pair(a) for a in t.system_acts],
+                "user_acts": [[a.intent, a.slot] for a in t.user_acts],
+                "system_acts": [[a.intent, a.slot] for a in t.system_acts],
                 "correction": t.correction,
             }
             for t in d.turns
@@ -265,11 +262,40 @@ def dialog_to_dict(d: Dialog) -> dict:
     }
 
 
+def _is_pairs(x, second: Callable = lambda v: True) -> bool:
+    """Whether ``x`` is a list of [string, value] pairs whose values pass ``second``."""
+    return isinstance(x, list) and all(
+        isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and second(p[1]) for p in x)
+
+
+def is_act_pairs(acts) -> bool:
+    """Whether ``acts`` is a list of [intent, slot] pairs: an intent string
+    and a slot string or null."""
+    return _is_pairs(acts, lambda s: s is None or isinstance(s, str))
+
+
+def _is_turn(t) -> bool:
+    """Whether ``t`` has the shape :func:`dialog_from_dict` reads."""
+    state = t.get("state") if isinstance(t, dict) else None
+    return (
+        isinstance(state, dict)
+        and all(_is_pairs(state.get(k)) for k in ("user_slots", "sys_slots"))
+        and all(isinstance(state.get(k, []), list) for k in ("kb_return", "outstanding"))
+        and all(is_act_pairs(t.get(k)) for k in ("user_acts", "system_acts"))
+    )
+
+
 def dialog_from_dict(d: dict) -> Dialog:
-    if not (isinstance(d, dict) and isinstance(d.get("turns"), list)):
-        raise ValueError("a dialog must be a JSON object with a 'turns' list")
+    if not (isinstance(d, dict) and isinstance(d.get("domain"), str)
+            and isinstance(d.get("turns"), list)):
+        raise ValueError("a dialog must be a JSON object with a 'domain' string and a 'turns' list")
     turns = []
-    for t in d["turns"]:
+    for n, t in enumerate(d["turns"]):
+        if not _is_turn(t):
+            raise ValueError(f"turn {n}: a turn must be an object with a 'state' object (its "
+                             "'user_slots' and 'sys_slots' lists of [slot, flag] pairs, any "
+                             "'kb_return' and 'outstanding' lists) and 'user_acts' and "
+                             "'system_acts' lists of [intent, slot] pairs")
         state = BeliefState(
             user_known={s: bool(v) for s, v in t["state"]["user_slots"]},
             sys_known={s: bool(v) for s, v in t["state"]["sys_slots"]},
@@ -281,8 +307,8 @@ def dialog_from_dict(d: dict) -> Dialog:
         turns.append(
             Turn(
                 state=state,
-                user_acts=[act_from_pair(p) for p in t["user_acts"]],
-                system_acts=[act_from_pair(p) for p in t["system_acts"]],
+                user_acts=[DialogAct(*p) for p in t["user_acts"]],
+                system_acts=[DialogAct(*p) for p in t["system_acts"]],
                 domain=d["domain"],
                 correction=bool(t.get("correction", False)),
             )
@@ -291,9 +317,14 @@ def dialog_from_dict(d: dict) -> Dialog:
 
 
 def save_corpus(dialogs: Sequence[Dialog], path) -> None:
+    write_json_lines(path, map(dialog_to_dict, dialogs))
+
+
+def write_json_lines(path, items: Iterable) -> None:
+    """One JSON object per line, keys sorted, in ``items`` order."""
     with open(path, "w") as f:
-        for d in dialogs:
-            f.write(json.dumps(dialog_to_dict(d), sort_keys=True) + "\n")
+        for x in items:
+            f.write(json.dumps(x, sort_keys=True) + "\n")
 
 
 def read_json_lines(path, parse: Callable) -> list:
@@ -333,9 +364,7 @@ class SampleRecord:
 
 
 def save_samples(records: Sequence[SampleRecord], path) -> None:
-    with open(path, "w") as f:
-        for r in records:
-            f.write(json.dumps(r.to_dict(), sort_keys=True) + "\n")
+    write_json_lines(path, (r.to_dict() for r in records))
 
 
 def load_samples(path) -> list[SampleRecord]:

@@ -73,6 +73,9 @@ RANGE_TOL = 1e-9
 
 AMALGAMATIONS = ("max", "sum")
 
+# Most candidate clauses a compiler accepts, whatever the template.
+CLAUSE_BUDGET = 50_000
+
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, step: int, value: float):
@@ -410,7 +413,6 @@ class ModelCompiler:
         background: Sequence[Clause] = (),
         background_pool: Sequence[Predicate] = (),
         amalgamation: str = "max",
-        max_clauses: int = 50_000,
         pools: Sequence[tuple[tuple[Predicate, int], Sequence[Clause]]] | None = None,
     ):
         if amalgamation not in AMALGAMATIONS:
@@ -425,8 +427,8 @@ class ModelCompiler:
         else:
             self.pools = [(key, list(cs)) for key, cs in pools]
         total = sum(len(cs) for _, cs in self.pools)
-        if total > max_clauses:
-            raise ClauseBudgetError(total, max_clauses)
+        if total > CLAUSE_BUDGET:
+            raise ClauseBudgetError(total, CLAUSE_BUDGET)
 
         learnable = set(template.learnable())
         bg_heads: list[Predicate] = []

@@ -16,14 +16,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .engine import Sample, TrainedModel, infer
-from .logic import (
-    Atom,
-    Clause,
-    Predicate,
-    Term,
-    format_clause,
-    parse_clause,
-)
+from .logic import Atom, Clause, Predicate, Term, format_clause, parse_clause
 
 
 @dataclass(frozen=True)
@@ -104,11 +97,7 @@ def _join(head: Atom, outer: Atom, inner: Atom) -> Callable:
     return run
 
 
-def crisp_infer(
-    program: PolicyProgram,
-    background: Iterable[Atom],
-    constants: Sequence[str] = (),
-) -> frozenset[Atom]:
+def crisp_infer(program: PolicyProgram, background: Iterable[Atom]) -> frozenset[Atom]:
     """Boolean forward chaining of argmax rules plus background clauses,
     to fixpoint or ``forward_steps`` rounds; returns target-predicate atoms.
     Semi-naive: a round joins only body pairs that use a fact new in the
@@ -146,7 +135,7 @@ def agreement(
     for sample in samples:
         model = compiler.compile(sample.constants)
         valuation = infer(model, trained.weights, sample)
-        derived = crisp_infer(program, sample.background, sample.constants)
+        derived = crisp_infer(program, sample.background)
         for pred in trained.frame.targets:
             lo, hi = model.index.ranges[pred]
             for i in range(lo, hi):
@@ -166,27 +155,20 @@ def program_to_text(program: PolicyProgram) -> str:
         "# policy program",
         f"forward_steps: {program.forward_steps}",
         "targets: " + " ".join(f"{p.name}/{p.arity}" for p in program.targets),
-        "[rules]",
     ]
-    for clause, prob in program.rules:
-        lines.append(f"{prob:.6f} {format_clause(clause)}")
-    if program.alternates:
-        lines.append("[alternates]")
-        for clause, prob in program.alternates:
-            lines.append(f"{prob:.6f} {format_clause(clause)}")
-    if program.background:
-        lines.append("[background]")
-        for clause in program.background:
-            lines.append(f"1.000000 {format_clause(clause)}")
+    sections = (("rules", program.rules), ("alternates", program.alternates),
+                ("background", [(c, 1.0) for c in program.background]))
+    for name, entries in sections:
+        if entries or name == "rules":  # only [rules] is written when empty
+            lines.append(f"[{name}]")
+            lines.extend(f"{prob:.6f} {format_clause(c)}" for c, prob in entries)
     return "\n".join(lines) + "\n"
 
 
 def program_from_text(text: str) -> PolicyProgram:
     headers: dict[str, str] = {}
     section = None
-    rules: list[tuple[Clause, float]] = []
-    alternates: list[tuple[Clause, float]] = []
-    background: list[Clause] = []
+    sections: dict[str, list] = {"rules": [], "alternates": [], "background": []}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -200,14 +182,9 @@ def program_from_text(text: str) -> PolicyProgram:
             prob_text, _, clause_text = line.partition(" ")
             clause = parse_clause(clause_text)
             prob = float(prob_text)
-            if section == "rules":
-                rules.append((clause, prob))
-            elif section == "alternates":
-                alternates.append((clause, prob))
-            elif section == "background":
-                background.append(clause)
-            else:
+            if section not in sections:
                 raise ValueError(f"clause outside a section: {line!r}")
+            sections[section].append((clause, prob))
     for name in ("forward_steps", "targets"):
         if not headers.get(name):
             raise ValueError(f"program has a missing or empty '{name}:' header")
@@ -216,9 +193,9 @@ def program_from_text(text: str) -> PolicyProgram:
         name, _, arity = tok.partition("/")
         targets.append(Predicate(name, int(arity)))
     return PolicyProgram(
-        rules=tuple(rules),
-        alternates=tuple(alternates),
-        background=tuple(background),
+        rules=tuple(sections["rules"]),
+        alternates=tuple(sections["alternates"]),
+        background=tuple(c for c, _ in sections["background"]),
         targets=tuple(targets),
         forward_steps=int(headers["forward_steps"]),
     )

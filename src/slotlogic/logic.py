@@ -32,10 +32,6 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class ArityConflictError(ParseError):
-    pass
-
-
 class UnsafeClauseError(ValueError):
     """A head variable does not occur in the clause body."""
 
@@ -246,8 +242,7 @@ class _Scanner:
         return self.pos >= len(self.text)
 
 
-def _parse_atom(sc: _Scanner, declared: Mapping[str, int] | None) -> Atom:
-    start = sc.pos
+def _parse_atom(sc: _Scanner) -> Atom:
     name = sc.name()
     sc.expect("(")
     args: list[Term] = []
@@ -257,39 +252,34 @@ def _parse_atom(sc: _Scanner, declared: Mapping[str, int] | None) -> Atom:
             sc.expect(",")
             args.append(sc.term())
     sc.expect(")")
-    if declared is not None and name in declared and declared[name] != len(args):
-        raise ArityConflictError(
-            f"{name} declared with arity {declared[name]}, used with {len(args)}",
-            start,
-        )
     return Atom(Predicate(name, len(args)), tuple(args))
 
 
-def parse_atom(text: str, declared: Mapping[str, int] | None = None) -> Atom:
+def parse_atom(text: str) -> Atom:
     """Parse ``pred(t1, ..., tn)``; round-trips with :func:`format_atom`."""
     if not text.strip():
         raise ParseError("empty atom", 0)
     sc = _Scanner(text)
-    a = _parse_atom(sc, declared)
+    a = _parse_atom(sc)
     if not sc.at_end():
         raise ParseError("trailing input", sc.pos)
     return a
 
 
-def parse_clause(text: str, declared: Mapping[str, int] | None = None) -> Clause:
+def parse_clause(text: str) -> Clause:
     """Parse ``head <- body1[, body2]`` into a canonical :class:`Clause`."""
     if "<-" not in text:
         raise ParseError("missing '<-' separator", len(text))
     head_text, _, body_text = text.partition("<-")
     sc = _Scanner(head_text)
-    head = _parse_atom(sc, declared)
+    head = _parse_atom(sc)
     if not sc.at_end():
         raise ParseError("trailing input after head", sc.pos)
     sc = _Scanner(body_text)
-    body = [_parse_atom(sc, declared)]
+    body = [_parse_atom(sc)]
     while sc.peek() == ",":
         sc.expect(",")
-        body.append(_parse_atom(sc, declared))
+        body.append(_parse_atom(sc))
     if not sc.at_end():
         raise ParseError("trailing input", len(head_text) + 2 + sc.pos)
     if len(body) > BODY_WIDTH:
@@ -314,10 +304,6 @@ class LanguageFrame:
         names = [str(p) for p in (*self.targets, *self.extensional)]
         if len(names) != len(set(names)):
             raise ValueError("duplicate predicate declaration")
-
-    @property
-    def predicates(self) -> tuple[Predicate, ...]:
-        return (*self.extensional, *self.targets)
 
 
 @dataclass(frozen=True)
@@ -346,14 +332,10 @@ class GroundIndex:
 
 
 def build_ground_index(
-    frame_or_predicates: LanguageFrame | Sequence[Predicate],
-    constants: Sequence[str],
+    predicates: Sequence[Predicate], constants: Sequence[str]
 ) -> GroundIndex:
     """Enumerate all ground atoms of the given predicates over ``constants``."""
-    if isinstance(frame_or_predicates, LanguageFrame):
-        predicates = frame_or_predicates.predicates
-    else:
-        predicates = tuple(frame_or_predicates)
+    predicates = tuple(predicates)
     if not constants:
         raise ValueError("constant list is empty")
     if len(set(constants)) != len(constants):
@@ -371,4 +353,4 @@ def build_ground_index(
             atoms.append(Atom(p, tuple(Term.const(c) for c in combo)))
         ranges[p] = (start, len(atoms))
     lookup = {a: i for i, a in enumerate(atoms) if i > 0}
-    return GroundIndex(consts, tuple(predicates), tuple(atoms), lookup, ranges)
+    return GroundIndex(consts, predicates, tuple(atoms), lookup, ranges)

@@ -108,10 +108,11 @@ def encode_act_triples(
 ) -> dict[str, set[Atom]]:
     """[intent, domain, slot] triples to atoms, grouped by domain."""
     table = _USER_PREDICATES if side == "user" else _SYSTEM_PREDICATES
+    if not (isinstance(triples, (list, tuple))
+            and all(isinstance(t, (list, tuple)) and len(t) == 3 for t in triples)):
+        raise SchemaError(f"{side} acts must be a list of [intent, domain, slot] triples", turn)
     out: dict[str, set[Atom]] = {}
     for triple in triples:
-        if len(triple) != 3:
-            raise SchemaError(f"malformed act triple {triple!r}", turn)
         intent, domain, slot_raw = (str(x).strip().lower() for x in triple)
         if domain == GENERAL_DOMAIN:
             continue
@@ -142,8 +143,11 @@ def convert_multiwoz_turn(
     own slot constants.
     """
     state = turn_record.get("state", {}) if isinstance(turn_record, dict) else None
-    if not isinstance(state, dict):
-        raise SchemaError("a turn must be an object whose 'state' maps domains", turn_index)
+    if not (isinstance(state, dict) and all(
+            isinstance(s, dict) and all(isinstance(s.get(k, {}), dict) for k in ("semi", "book"))
+            for s in state.values())):
+        raise SchemaError("a turn must be an object whose 'state' maps domains to objects "
+                          "with 'semi' and 'book' objects", turn_index)
     user_atoms = encode_act_triples(
         turn_record.get("user_acts", []), "user", turn_index
     )
@@ -160,6 +164,8 @@ def convert_multiwoz_turn(
         background = set(encode_multiwoz_state(domain_state))
         background |= user_atoms.get(domain, set())
         pointer = db.get(domain, {}) if isinstance(db, dict) else {}
+        if not isinstance(pointer, dict):
+            raise SchemaError(f"db pointer for {domain!r} must be an object", turn_index)
         if pointer.get("no_match"):
             background.add(atom("no_match"))
         if pointer.get("book_fail"):

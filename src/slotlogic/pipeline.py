@@ -18,14 +18,16 @@ from .dialog import (
     SIMDIAL_TARGETS,
     Dialog,
     SampleRecord,
+    act_order,
     build_sample,
     decode_acts,
+    is_act_pairs,
 )
 from .engine import Hyperparams, Sample, TrainedModel, train
 from .extract import PolicyProgram, crisp_infer, extract_program
 from .logic import Clause, LanguageFrame, Predicate, atom
 from .metrics import MetricsReport, evaluate_turns
-from .simulator import DOMAINS
+from .simulator import DOMAINS, representative_dialog
 from .templates import ProgramTemplate, RuleTemplate
 
 log = logging.getLogger(__name__)
@@ -58,7 +60,7 @@ def simdial_background() -> tuple[tuple[Clause, ...], tuple[Predicate, ...]]:
     return all_rules + member_rules, pool
 
 
-def simdial_template(forward_steps: int = 14) -> ProgramTemplate:
+def simdial_template() -> ProgramTemplate:
     # The all-known check walks the slot chain at two rounds per node
     # (helper then head), so depth 2k+5 must fit for k user slots; 14
     # covers four-slot domains with margin.
@@ -71,7 +73,7 @@ def simdial_template(forward_steps: int = 14) -> ProgramTemplate:
             (AUX_OPEN_GOAL, (RuleTemplate(0, True),)),
         ),
         auxiliary=(AUX_ALL_KNOWN, AUX_OPEN_GOAL),
-        forward_steps=forward_steps,
+        forward_steps=14,
     )
 
 
@@ -174,7 +176,7 @@ def train_policy(
 def predict_record(program: PolicyProgram, record: SampleRecord) -> dict:
     """Crisp-derive system acts for one sample; structural or non-slot
     constants never decode, they are reported in ``rejected``."""
-    derived = crisp_infer(program, record.sample.background, record.sample.constants)
+    derived = crisp_infer(program, record.sample.background)
     acts, rejected = decode_acts(derived, record.meta.get("slots"))
     return {
         "meta": record.meta,
@@ -186,14 +188,6 @@ def predict_record(program: PolicyProgram, record: SampleRecord) -> dict:
 
 def predict_records(program: PolicyProgram, records: Sequence[SampleRecord]) -> list[dict]:
     return [predict_record(program, r) for r in records]
-
-
-def is_act_pairs(acts) -> bool:
-    """Whether ``acts`` is a list of [intent, slot] pairs of strings or nulls."""
-    return isinstance(acts, list) and all(
-        isinstance(a, list) and len(a) == 2 and all(x is None or isinstance(x, str) for x in a)
-        for a in acts
-    )
 
 
 def _eval_meta(meta: dict, where: str, dialog=None) -> tuple[tuple, str, list]:
@@ -236,7 +230,7 @@ def evaluate_predictions(
     turns = []
     labels = []
     for key in order:
-        turns.append((sorted(preds[key]), sorted(golds[key])))
+        turns.append((sorted(preds[key], key=act_order), sorted(golds[key], key=act_order)))
         labels.append("+".join(sorted(domains[key])))
     return evaluate_turns(turns, labels)
 
@@ -327,8 +321,6 @@ def simdial_one_shot(
     extra_dialogs: Sequence[Dialog] = (),
     threshold: float = 0.9,
 ) -> OneShotResult:
-    from .simulator import representative_dialog
-
     dialogs = [representative_dialog(domain), *extra_dialogs]
     records = convert_corpus(dialogs)
     trained = train_policy(training_samples(records), hp=hp, restarts=restarts)

@@ -182,12 +182,12 @@ def _has_split_state(dialog: Dialog, spec: DomainSpec) -> bool:
     return False
 
 
-def representative_dialog(domain: str | DomainSpec, search_seeds: int = 64) -> Dialog:
-    """Smallest seeded dialog that covers every act intent, requests a
-    follow-up goal, and reaches a split informed state; deterministic."""
+def representative_dialog(domain: str | DomainSpec) -> Dialog:
+    """Smallest of 64 seeded dialogs that covers every act intent, requests
+    a follow-up goal, and reaches a split informed state; deterministic."""
     spec = DOMAINS[domain] if isinstance(domain, str) else domain
     best: Dialog | None = None
-    for i in range(search_seeds):
+    for i in range(64):
         cfg = GeneratorConfig(
             spec,
             seed=910_000 + i,

@@ -10,18 +10,10 @@ learnable predicate and fixes the forward-chaining depth.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .logic import (
-    Atom,
-    Clause,
-    LanguageFrame,
-    Predicate,
-    Term,
-    UnsafeClauseError,
-)
+from .logic import Atom, Clause, LanguageFrame, Predicate, Term, UnsafeClauseError
 
 V_MAX = 2
 
@@ -54,9 +46,6 @@ class ProgramTemplate:
         for aux in self.auxiliary:
             if aux not in slot_preds:
                 raise ValueError(f"auxiliary {aux} has no slot")
-
-    def slot_map(self) -> dict[Predicate, tuple[RuleTemplate, ...]]:
-        return dict(self.slots)
 
     def learnable(self) -> tuple[Predicate, ...]:
         return tuple(pred for pred, _ in self.slots)
@@ -101,18 +90,6 @@ def generate_clauses(
     return sorted(out, key=str)
 
 
-def template_complexity(
-    pt: ProgramTemplate,
-    frame: LanguageFrame,
-    background_pool: Sequence[Predicate] = (),
-) -> int:
-    """Total candidate-clause count across all slots of the template."""
-    total = 0
-    for _, clauses in slot_clause_pools(pt, frame, background_pool):
-        total += len(clauses)
-    return total
-
-
 def slot_clause_pools(
     pt: ProgramTemplate,
     frame: LanguageFrame,
@@ -130,54 +107,6 @@ def slot_clause_pools(
                 ((pred, k), generate_clauses(pred, rt, extensional, intensional))
             )
     return pools
-
-
-def enumerate_templates(
-    frame: LanguageFrame,
-    v_max: int = 1,
-    slot_counts: Sequence[int] = (1,),
-    aux_options: Sequence[Sequence[Predicate]] = ((),),
-    forward_steps: int = 10,
-    background_pool: Sequence[Predicate] = (),
-) -> Iterator[ProgramTemplate]:
-    """Yield program templates over a finite grid, least complex first.
-
-    The grid covers every combination of slot templates (v in 0..v_max,
-    intensional flag) and slot counts for each learnable predicate, for
-    each auxiliary-predicate option. Ties in complexity break on the
-    template's serialized form, so the stream is fully deterministic.
-    """
-    rule_options = [
-        RuleTemplate(v, i)
-        for v in range(v_max + 1)
-        for i in (False, True)
-    ]
-    scored: list[tuple[int, str, ProgramTemplate]] = []
-    for aux in aux_options:
-        learnable = tuple(frame.targets) + tuple(aux)
-        per_pred_choices = []
-        for _ in learnable:
-            choices: list[tuple[RuleTemplate, ...]] = []
-            for n in slot_counts:
-                for combo in itertools.combinations_with_replacement(rule_options, n):
-                    choices.append(tuple(combo))
-            per_pred_choices.append(choices)
-        for assignment in itertools.product(*per_pred_choices):
-            pt = ProgramTemplate(
-                slots=tuple(zip(learnable, assignment)),
-                auxiliary=tuple(aux),
-                forward_steps=forward_steps,
-            )
-            scored.append(
-                (
-                    template_complexity(pt, frame, background_pool),
-                    template_to_json(pt),
-                    pt,
-                )
-            )
-    scored.sort(key=lambda t: (t[0], t[1]))
-    for _, _, pt in scored:
-        yield pt
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +145,3 @@ def template_from_dict(d: dict) -> ProgramTemplate:
         auxiliary=tuple(Predicate(n, a) for n, a in d.get("auxiliary", [])),
         forward_steps=int(d.get("forward_steps", 10)),
     )
-
-
-def template_to_json(pt: ProgramTemplate) -> str:
-    return json.dumps(template_to_dict(pt), sort_keys=True)
-
-
-def template_from_json(text: str) -> ProgramTemplate:
-    return template_from_dict(json.loads(text))

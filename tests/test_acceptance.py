@@ -84,7 +84,7 @@ def test_criterion_1_list_all_golden_task():
     program = extract_program(trained, threshold=1.0)
     frame, sample, _ = list_all_problem()
 
-    derived = crisp_infer(program, sample.background, sample.constants)
+    derived = crisp_infer(program, sample.background)
     got_positive = {a for a in derived if a.predicate.name == "all"}
     assert got_positive == set(sample.positive), (
         f"training atoms misclassified: {got_positive}"
@@ -97,12 +97,11 @@ def test_criterion_1_list_all_golden_task():
         length = int(rng.integers(1, 7))
         nodes = [f"n{i}" for i in range(length)]
         truths = {n for n in nodes if rng.random() < 0.6}
-        constants = tuple(nodes) + ("t",)
         background = [atom("terminal", "t")]
         background += [atom("succ", a, b) for a, b in zip(nodes, nodes[1:])]
         background.append(atom("succ", nodes[-1], "t"))
         background += [atom("true", n) for n in sorted(truths)]
-        derived = crisp_infer(program, background, constants)
+        derived = crisp_infer(program, background)
         holds = {a.args[0].label for a in derived if a.predicate.name == "all"}
         for n in nodes:
             judged += 1

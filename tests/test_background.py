@@ -1,10 +1,8 @@
 import pytest
 
 from slotlogic import (
-    Predicate,
     atom,
     background_library,
-    library_exports,
     parse_clause,
     rename_predicate,
 )
@@ -23,10 +21,6 @@ class TestLibraryContents:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             background_library("frobnicate")
-
-    def test_exports(self):
-        assert Predicate("all", 1) in library_exports("all")
-        assert Predicate("member_usr", 1) in library_exports("member")
 
 
 def chain_atoms(nodes, head="usr_slot", term="term"):

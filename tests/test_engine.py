@@ -95,11 +95,12 @@ class TestCompile:
         with pytest.raises(ValueError, match="constants do not match"):
             infer(comp.compile(("a",)), comp.init_weights(), s)
 
-    def test_clause_budget(self):
-        from slotlogic.engine import ClauseBudgetError
+    def test_clause_budget(self, monkeypatch):
+        from slotlogic import engine
 
-        with pytest.raises(ClauseBudgetError):
-            ModelCompiler(TOY_FRAME, TOY_TEMPLATE, max_clauses=1)
+        monkeypatch.setattr(engine, "CLAUSE_BUDGET", 1)
+        with pytest.raises(engine.ClauseBudgetError):
+            ModelCompiler(TOY_FRAME, TOY_TEMPLATE)
 
     def test_learnable_background_head_rejected(self):
         with pytest.raises(ValueError):

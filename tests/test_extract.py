@@ -80,7 +80,7 @@ class TestCrispInfer:
             targets=(P,),
             forward_steps=5,
         )
-        assert crisp_infer(program, [], ("a",)) == frozenset()
+        assert crisp_infer(program, []) == frozenset()
 
     def test_matches_naive_fixpoint(self):
         clauses = [
@@ -96,7 +96,7 @@ class TestCrispInfer:
         )
         consts = ("a", "b", "c", "d")
         background = [atom("q", "a"), atom("s", "a", "b"), atom("s", "b", "c")]
-        got = crisp_infer(program, background, consts)
+        got = crisp_infer(program, background)
         oracle = boolean_fixpoint(clauses, set(background), consts)
         assert got == {a for a in oracle if a.predicate == P}
 
@@ -110,11 +110,10 @@ class TestCrispInfer:
             targets=(P,),
             forward_steps=2,
         )
-        consts = ("a", "b", "c", "d")
         background = [atom("q", "a")] + [
             atom("s", x, y) for x, y in [("a", "b"), ("b", "c"), ("c", "d")]
         ]
-        got = crisp_infer(program, background, consts)
+        got = crisp_infer(program, background)
         # two rounds reach b via q(a)->p(a)->p(b); d needs four
         assert atom("p", "b") in got
         assert atom("p", "d") not in got
@@ -127,9 +126,8 @@ class TestCrispInfer:
             targets=(P,),
             forward_steps=3,
         )
-        consts = ("a", "b")
-        small = crisp_infer(program, [atom("q", "a")], consts)
-        big = crisp_infer(program, [atom("q", "a"), atom("q", "b")], consts)
+        small = crisp_infer(program, [atom("q", "a")])
+        big = crisp_infer(program, [atom("q", "a"), atom("q", "b")])
         assert small <= big
 
     def test_constant_renaming_invariance(self):
@@ -140,12 +138,8 @@ class TestCrispInfer:
             targets=(P,),
             forward_steps=3,
         )
-        got1 = crisp_infer(
-            program, [atom("q", "a"), atom("s", "a", "b")], ("a", "b")
-        )
-        got2 = crisp_infer(
-            program, [atom("q", "z"), atom("s", "z", "w")], ("z", "w")
-        )
+        got1 = crisp_infer(program, [atom("q", "a"), atom("s", "a", "b")])
+        got2 = crisp_infer(program, [atom("q", "z"), atom("s", "z", "w")])
         rename = {"a": "z", "b": "w"}
         assert {
             atom(x.predicate.name, *[rename[t.label] for t in x.args]) for x in got1
@@ -306,6 +300,6 @@ def _program(clauses, steps):
     steps=3,
 )
 def test_crisp_infer_matches_naive_rounds(clauses, background, steps):
-    got = crisp_infer(_program(clauses, steps), background, _CONSTS)
+    got = crisp_infer(_program(clauses, steps), background)
     want = boolean_rounds(clauses, set(background), _CONSTS, steps)
     assert got == {a for a in want if a.predicate in _TARGETS}

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slotlogic import (
-    LanguageFrame,
     ParseError,
     Predicate,
     Term,
@@ -18,7 +17,6 @@ from slotlogic import (
     parse_atom,
     parse_clause,
 )
-from slotlogic.logic import ArityConflictError
 
 from .oracles import ground_clause_rows
 
@@ -60,13 +58,6 @@ class TestParseAtom:
     def test_trailing(self):
         with pytest.raises(ParseError):
             parse_atom("known(loc) extra")
-
-    def test_arity_conflict(self):
-        with pytest.raises(ArityConflictError):
-            parse_atom("known(a, b)", declared={"known": 1})
-
-    def test_declared_ok(self):
-        parse_atom("known(a)", declared={"known": 1})
 
 
 class TestParseClause:
@@ -125,10 +116,7 @@ class TestParseClause:
 
 class TestGroundIndex:
     def test_counts_small(self):
-        frame = LanguageFrame(
-            targets=(Predicate("q", 1),), extensional=(Predicate("r", 1),)
-        )
-        idx = build_ground_index(frame, ["a", "b"])
+        idx = build_ground_index([Predicate("r", 1), Predicate("q", 1)], ["a", "b"])
         assert len(idx) == 5  # sentinel + 2 + 2
 
     def test_zero_ary(self):

@@ -264,15 +264,34 @@ class TestMalformedLines:
                             where={"pred": "prediction 2: ", "gold": "gold record 2: "}[side])
         assert "meta 'dialog'" in message
 
-    def test_convert_simdial_rejects_list_line(self, files, capsys):
+    def convert_simdial_line_2(self, files, capsys, line):
         tmp_path, _ = files
         corpus = tmp_path / "bad-train.jsonl"
-        corpus.write_text((tmp_path / "train.jsonl").read_text() + "[1, 2]\n")
-        message = self.fail(["convert", "--format", "simdial", "--in", str(corpus),
-                             "--out", str(tmp_path / "s.jsonl")], capsys)
+        corpus.write_text((tmp_path / "train.jsonl").read_text() + line + "\n")
+        return self.fail(["convert", "--format", "simdial", "--in", str(corpus),
+                          "--out", str(tmp_path / "s.jsonl")], capsys)
+
+    def test_convert_simdial_rejects_list_line(self, files, capsys):
+        message = self.convert_simdial_line_2(files, capsys, "[1, 2]")
         assert "a dialog must be a JSON object" in message
 
-    @pytest.mark.parametrize("line", ['[1, 2]', '{"turns": 5}', '{"turns": [1]}'])
+    @pytest.mark.parametrize("line, want", [
+        ('{"turns": [1]}', "a dialog must be a JSON object"),
+        ('{"domain": "restaurant", "turns": [1]}', "turn 0: a turn must be an object"),
+        ('{"domain": "restaurant", "turns": [{"state": 5}]}', "turn 0: a turn must be an object"),
+        ('{"domain": "restaurant", "turns": [{"state": {"user_slots": [], "sys_slots": []}, '
+         '"user_acts": [5], "system_acts": []}]}', "turn 0: a turn must be an object"),
+    ], ids=["no-domain", "int-turn", "int-state", "int-act"])
+    def test_convert_simdial_rejects_malformed_turn(self, files, capsys, line, want):
+        assert want in self.convert_simdial_line_2(files, capsys, line)
+
+    @pytest.mark.parametrize("line", [
+        '[1, 2]', '{"turns": 5}', '{"turns": [1]}', '{"turns": [{"user_acts": [5]}]}',
+        '{"turns": [{"state": {}, "db": {"restaurant": 5}, '
+        '"system_acts": [["inform", "restaurant", "food"]]}]}',
+        '{"turns": [{"state": {"restaurant": 5}}]}',
+        '{"turns": [{"state": {"restaurant": {"semi": []}}}]}',
+    ])
     def test_convert_multiwoz_rejects_malformed_line(self, tmp_path, capsys, line):
         corpus = tmp_path / "mwoz.jsonl"
         corpus.write_text('{"turns": []}\n' + line + "\n")
@@ -392,6 +411,20 @@ class TestMultiwozCli:
             assert run_pipeline(argv) == 0
         action = json.loads((tmp_path / "report.json").read_text())["action_f1"]
         assert (action["tp"], action["fp"], action["fn"]) == (0, 0, 2)
+
+    def test_eval_sorts_slotless_and_slotted_act_of_one_intent(self, tmp_path):
+        record = {"turns": [{
+            "state": {"hotel": {"book": {"people": "2"}}},
+            "system_acts": [["offerbooked", "hotel", "none"], ["offerbooked", "hotel", "ref"]],
+        }]}
+        src, samples = tmp_path / "mwoz.jsonl", tmp_path / "samples.jsonl"
+        src.write_text(json.dumps(record) + "\n")
+        assert run_pipeline(["convert", "--format", "multiwoz", "--in", str(src),
+                             "--out", str(samples)]) == 0
+        [rec] = load_samples(samples)
+        assert rec.meta["gold_acts"] == [["offerbooked", None], ["offerbooked", "ref"]]
+        report = evaluate_predictions([{"meta": rec.meta, "acts": rec.meta["gold_acts"]}], [rec])
+        assert (report.action.tp, report.action.fp, report.action.fn) == (2, 0, 0)
 
 
 def test_program_file_roundtrip_through_disk(tmp_path):

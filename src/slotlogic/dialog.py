@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .engine import Sample
-from .logic import Atom, Predicate, Term, atom, parse_atom
+from .logic import Atom, Predicate, atom, ground_atoms, parse_atom
 
 TERM = "term"
 USR_HEAD = "usr_slot"
@@ -105,11 +105,21 @@ class Dialog:
 # ---------------------------------------------------------------------------
 # Encoding.
 
-def encode_state(state: BeliefState, spec: DomainSpec) -> frozenset[Atom]:
-    """Belief state as ground atoms: the user-slot chain plus flags."""
+def check_state(state: BeliefState, spec: DomainSpec) -> None:
+    """A ``ValueError`` unless every slot of ``state`` is one of ``spec``'s
+    and every ``kb_return`` and ``outstanding`` slot a system slot."""
     for s in itertools.chain(state.user_known, state.sys_known):
         if s not in spec.slots:
             raise ValueError(f"slot {s!r} not in domain {spec.name}")
+    for name, slots in (("kb_return", state.kb_return), ("outstanding", state.outstanding)):
+        for s in slots:
+            if s not in spec.system_slots:
+                raise ValueError(f"{name} slot {s!r} is not a system slot")
+
+
+def encode_state(state: BeliefState, spec: DomainSpec) -> frozenset[Atom]:
+    """Belief state as ground atoms: the user-slot chain plus flags."""
+    check_state(state, spec)
     out: set[Atom] = {atom("terminal", TERM), atom("usr_slots", USR_HEAD)}
     prev = USR_HEAD
     for s in spec.user_slots:
@@ -122,12 +132,8 @@ def encode_state(state: BeliefState, spec: DomainSpec) -> frozenset[Atom]:
     for s in spec.system_slots:
         out.add(atom("known" if state.sys_known.get(s, False) else "unknown", s))
     for s in state.kb_return:
-        if s not in spec.system_slots:
-            raise ValueError(f"kb_return slot {s!r} is not a system slot")
         out.add(atom("kb_return", s))
     for s in state.outstanding:
-        if s not in spec.system_slots:
-            raise ValueError(f"outstanding slot {s!r} is not a system slot")
         out.add(atom("requested", s))
     if state.no_match:
         out.add(atom("no_match"))
@@ -207,20 +213,18 @@ def decode_acts(
     return sorted(acts, key=act_order), rejected
 
 
+@functools.lru_cache(maxsize=64)
+def _target_grounding(constants: tuple[str, ...], targets: tuple[Predicate, ...]) -> frozenset[Atom]:
+    return frozenset(ground_atoms(targets, constants))
+
+
 def closed_world_negatives(
     positives: Iterable[Atom],
     constants: Sequence[str],
     targets: Sequence[Predicate] = SIMDIAL_TARGETS,
 ) -> frozenset[Atom]:
     """Every target grounding that is not a positive."""
-    pos = set(positives)
-    out: set[Atom] = set()
-    for p in targets:
-        for combo in itertools.product(constants, repeat=p.arity):
-            a = Atom(p, tuple(Term.const(c) for c in combo))
-            if a not in pos:
-                out.add(a)
-    return frozenset(out)
+    return _target_grounding(tuple(constants), tuple(targets)).difference(positives)
 
 
 def build_sample(turn: Turn, spec: DomainSpec) -> Sample:

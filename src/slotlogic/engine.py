@@ -112,18 +112,19 @@ class Sample:
         negative: Iterable[Atom],
         constants: Sequence[str],
     ) -> "Sample":
-        bg = tuple(sorted(set(background), key=format_atom))
-        pos = tuple(sorted(set(positive), key=format_atom))
-        neg = tuple(sorted(set(negative), key=format_atom))
-        both = set(pos) & set(neg)
+        pos_set, neg_set = set(positive), set(negative)
+        both = pos_set & neg_set
         if both:
             raise ValueError(f"atoms both positive and negative: {both}")
+        bg = tuple(sorted(set(background), key=format_atom))
+        pos = tuple(sorted(pos_set, key=format_atom))
+        neg = tuple(sorted(neg_set, key=format_atom))
         consts = set(constants)
         for a in bg + pos + neg:
-            if not a.is_ground:
-                raise ValueError(f"non-ground atom {format_atom(a)} in sample")
             for t in a.args:
-                if t.label not in consts:
+                if t.is_variable or t.label not in consts:
+                    if not a.is_ground:
+                        raise ValueError(f"non-ground atom {format_atom(a)} in sample")
                     raise ValueError(
                         f"{format_atom(a)} uses constant {t.label!r} "
                         "outside the sample's constant list"

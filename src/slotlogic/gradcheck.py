@@ -7,7 +7,6 @@ coordinate by coordinate, and reports the worst relative error.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .engine import (
     finite_difference_grad,
     loss_and_grad,
 )
-from .logic import Atom, LanguageFrame, Predicate, Term
+from .logic import LanguageFrame, Predicate, ground_atoms
 from .templates import ProgramTemplate, RuleTemplate, generate_clauses
 
 REL_FLOOR = 1e-3
@@ -84,13 +83,8 @@ def _random_instance(rng: np.random.Generator):
         pools=pools,
     )
 
-    atoms_of = lambda preds: [
-        Atom(p, tuple(Term.const(c) for c in combo))
-        for p in preds
-        for combo in itertools.product(constants, repeat=p.arity)
-    ]
-    background = [a for a in atoms_of(ext) if rng.random() < 0.5]
-    labeled = atoms_of([target])
+    background = [a for a in ground_atoms(ext, constants) if rng.random() < 0.5]
+    labeled = ground_atoms([target], constants)
     flags = rng.integers(0, 3, size=len(labeled))
     positive = [a for a, f in zip(labeled, flags) if f == 1]
     negative = [a for a, f in zip(labeled, flags) if f == 2]

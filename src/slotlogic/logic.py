@@ -8,9 +8,10 @@ the engine learns.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 MAX_ARITY = 3
@@ -36,31 +37,57 @@ class UnsafeClauseError(ValueError):
     """A head variable does not occur in the clause body."""
 
 
-@dataclass(frozen=True, order=True)
+# Predicates, terms and atoms are hash-consed: each computes its hash once,
+# the same ``hash`` of its field tuple a plain frozen dataclass would give,
+# and ``Term.const`` and ``atom`` hand out shared objects from bounded caches
+# (labels come from input files, so an unbounded cache would grow with them).
+# A pickle rebuilds each through its constructor, since string hashes differ
+# between processes.
+
+@dataclass(frozen=True, order=True, slots=True)
 class Predicate:
     name: str
     arity: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _NAME_RE.fullmatch(self.name):
             raise ValueError(f"bad predicate name {self.name!r}")
         if not 0 <= self.arity <= MAX_ARITY:
             raise ValueError(f"arity {self.arity} outside 0..{MAX_ARITY}")
+        object.__setattr__(self, "_hash", hash((self.name, self.arity)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Predicate, (self.name, self.arity)
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Term:
     label: str
     is_variable: bool
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.label, self.is_variable)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Term, (self.label, self.is_variable)
 
     @staticmethod
     def var(label: str) -> "Term":
         return Term(label, True)
 
     @staticmethod
+    @functools.lru_cache(maxsize=1024)
     def const(label: str) -> "Term":
         return Term(label, False)
 
@@ -68,16 +95,29 @@ class Term:
         return self.label
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Atom:
     predicate: Predicate
     args: tuple[Term, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+    # The atom's text, ``pred(a1, a2)``: what format_atom returns.
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.args) != self.predicate.arity:
             raise ValueError(
                 f"{self.predicate} applied to {len(self.args)} args"
             )
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+        object.__setattr__(
+            self, "text", f"{self.predicate.name}({', '.join(t.label for t in self.args)})"
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Atom, (self.predicate, self.args)
 
     @property
     def is_ground(self) -> bool:
@@ -97,9 +137,10 @@ class Atom:
         )
 
     def __str__(self) -> str:
-        return format_atom(self)
+        return self.text
 
 
+@functools.lru_cache(maxsize=4096)
 def atom(name: str, *args: str) -> Atom:
     """Build a ground/variable atom from bare labels (uppercase = variable)."""
     terms = tuple(
@@ -188,7 +229,7 @@ def _serialize(head: Atom, body: Sequence[Atom]) -> str:
 # Textual syntax: pred(c1, c2); clauses "head <- b1, b2"; uppercase = variable.
 
 def format_atom(a: Atom) -> str:
-    return f"{a.predicate.name}({', '.join(t.label for t in a.args)})"
+    return a.text
 
 
 def format_clause(c: Clause) -> str:
@@ -331,6 +372,13 @@ class GroundIndex:
             raise KeyError(f"atom {format_atom(a)} not in ground index") from None
 
 
+def ground_atoms(predicates: Sequence[Predicate], constants: Sequence[str]) -> list[Atom]:
+    """Every ground atom of ``predicates`` over ``constants``: predicate by
+    predicate, argument tuples in ``itertools.product`` order."""
+    terms = tuple(map(Term.const, constants))
+    return [Atom(p, args) for p in predicates for args in itertools.product(terms, repeat=p.arity)]
+
+
 def build_ground_index(
     predicates: Sequence[Predicate], constants: Sequence[str]
 ) -> GroundIndex:
@@ -349,8 +397,7 @@ def build_ground_index(
     ranges: dict[Predicate, tuple[int, int]] = {}
     for p in predicates:
         start = len(atoms)
-        for combo in itertools.product(consts, repeat=p.arity):
-            atoms.append(Atom(p, tuple(Term.const(c) for c in combo)))
+        atoms.extend(ground_atoms((p,), consts))
         ranges[p] = (start, len(atoms))
     lookup = {a: i for i, a in enumerate(atoms) if i > 0}
     return GroundIndex(consts, predicates, tuple(atoms), lookup, ranges)

@@ -2,7 +2,10 @@
 
 Everything here is written the dumb way on purpose: naive substitution
 enumeration, explicit list walks, brute-force pair counting. None of it
-shares code with the package's inference paths.
+shares code with the package's inference paths. ``join_fixpoint`` is the
+one concession to speed: still naive (every round re-derives from all
+facts), but it matches body atoms against facts instead of trying every
+substitution, for tests that chain over hundreds of turns.
 """
 
 from __future__ import annotations
@@ -55,6 +58,54 @@ def boolean_fixpoint(
                     head = clause.head.substitute(binding)
                     if head not in facts:
                         new.add(head)
+        if not new:
+            return facts
+        facts |= new
+        rounds += 1
+        if max_rounds is not None and rounds >= max_rounds:
+            return facts
+
+
+def _match(pattern: Atom, fact: Atom, binding: dict) -> dict | None:
+    """``binding`` extended so that ``pattern`` becomes ``fact``, or None."""
+    out = dict(binding)
+    for t, c in zip(pattern.args, fact.args):
+        if t.is_variable:
+            if out.setdefault(t, c) != c:
+                return None
+        elif t != c:
+            return None
+    return out
+
+
+def join_fixpoint(
+    clauses: list[Clause],
+    background: set[Atom],
+    max_rounds: int | None = None,
+) -> set[Atom]:
+    """Naive bottom-up closure by joining: facts indexed by predicate, body
+    atoms matched left to right. Equals :func:`boolean_fixpoint` when every
+    fact uses only the given constants."""
+    facts = set(background)
+    rounds = 0
+    while True:
+        by_predicate: dict = {}
+        for f in facts:
+            by_predicate.setdefault(f.predicate, []).append(f)
+        new: set[Atom] = set()
+        for clause in clauses:
+            bindings = [{}]
+            for b in clause.body:
+                bindings = [
+                    m
+                    for binding in bindings
+                    for f in by_predicate.get(b.predicate, ())
+                    if (m := _match(b, f, binding)) is not None
+                ]
+            for binding in bindings:
+                head = clause.head.substitute(binding)
+                if head not in facts:
+                    new.add(head)
         if not new:
             return facts
         facts |= new

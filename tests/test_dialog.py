@@ -1,9 +1,15 @@
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from slotlogic import (
+    Atom,
     BeliefState,
     DialogAct,
     DomainSpec,
+    Predicate,
+    Term,
     Turn,
     atom,
     build_sample,
@@ -11,6 +17,7 @@ from slotlogic import (
     encode_acts,
     encode_state,
 )
+from slotlogic import dialog
 from slotlogic.dialog import (
     SIMDIAL_TARGETS,
     SampleRecord,
@@ -294,3 +301,25 @@ def test_closed_world_negatives_disjoint():
     neg = closed_world_negatives(pos, ("a", "b"))
     assert pos.isdisjoint(neg)
     assert atom("sys_request", "b") in neg
+
+
+@given(
+    constants=st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=4, unique=True),
+    targets=st.lists(st.sampled_from([Predicate("p", 0), Predicate("p", 1), Predicate("q", 1),
+                                      Predicate("r", 2)]), unique=True),
+    picks=st.lists(st.integers(0, 40)),
+)
+def test_closed_world_negatives_brute_force(constants, targets, picks):
+    every = [
+        Atom(p, tuple(Term.const(c) for c in combo))
+        for p in targets
+        for combo in itertools.product(constants, repeat=p.arity)
+    ]
+    positives = {every[i] for i in picks if i < len(every)} | {atom("other", constants[0])}
+    want = {a for a in every if a not in positives}
+    assert closed_world_negatives(positives, constants, targets) == want
+    assert closed_world_negatives(positives, tuple(constants), tuple(targets)) == want
+
+
+def test_grounding_cache_is_bounded():
+    assert dialog._target_grounding.cache_info().maxsize is not None

@@ -52,16 +52,24 @@ def one_hot(compiler, clause_text):
 
 class TestSample:
     def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="both positive and negative"):
             Sample.make([], [atom("p", "a")], [atom("p", "a")], ("a",))
 
     def test_unknown_constant_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="constant 'z' outside"):
             Sample.make([atom("q", "z")], [atom("p", "a")], [], ("a",))
 
     def test_non_ground_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-ground atom"):
             Sample.make([atom("q", "X")], [atom("p", "a")], [], ("a",))
+
+    @pytest.mark.parametrize("bad, constants", [
+        (atom("q", "X"), ("a", "X")),  # a variable, though its label is a constant
+        (atom("r", "z", "X"), ("a",)),  # an unknown constant before the variable
+    ])
+    def test_non_ground_named_before_unknown_constant(self, bad, constants):
+        with pytest.raises(ValueError, match="non-ground atom"):
+            Sample.make([bad], [atom("p", "a")], [], constants)
 
     def test_roundtrip(self):
         s = Sample.make([atom("q", "a")], [atom("p", "a")], [atom("p", "b")], ("a", "b"))

@@ -26,7 +26,7 @@ from slotlogic.extract import (
     program_to_text,
 )
 
-from .oracles import boolean_fixpoint, boolean_rounds
+from .oracles import boolean_fixpoint, boolean_rounds, join_fixpoint
 
 P, Q, R = Predicate("p", 1), Predicate("q", 1), Predicate("r", 1)
 FRAME = LanguageFrame(targets=(P,), extensional=(Q, R))
@@ -303,3 +303,15 @@ def test_crisp_infer_matches_naive_rounds(clauses, background, steps):
     got = crisp_infer(_program(clauses, steps), background)
     want = boolean_rounds(clauses, set(background), _CONSTS, steps)
     assert got == {a for a in want if a.predicate in _TARGETS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    clauses=st.lists(_clauses(), min_size=1, max_size=6),
+    background=st.sets(st.sampled_from(_GROUND)),
+    max_rounds=st.none() | st.integers(1, 4),
+)
+def test_join_oracle_matches_substitution_oracle(clauses, background, max_rounds):
+    assert join_fixpoint(clauses, set(background), max_rounds) == boolean_fixpoint(
+        clauses, set(background), _CONSTS, max_rounds
+    )

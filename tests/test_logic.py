@@ -1,10 +1,12 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from slotlogic import (
+    Atom,
     ParseError,
     Predicate,
     Term,
@@ -244,3 +246,37 @@ class TestGroundClause:
 def test_atom_roundtrip_property(name, args):
     a = atom(name, *args)
     assert parse_atom(format_atom(a)) == a
+
+
+def _old_format_atom(a):
+    """The atom text as it was computed before atoms cached it."""
+    return f"{a.predicate.name}({', '.join(t.label for t in a.args)})"
+
+
+_labels = st.from_regex(r"[a-z][a-z0-9_]{0,6}|[A-Z][A-Za-z0-9_]{0,6}", fullmatch=True)
+
+
+@given(name=st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True),
+       args=st.lists(_labels, max_size=3))
+def test_interned_atom_text_and_hash(name, args):
+    a = atom(name, *args)
+    built = Atom(Predicate(name, len(args)), tuple(
+        Term(x, x[0].isupper()) for x in args))  # not through the caches
+    parsed = parse_atom(format_atom(a))
+    assert parsed == a == built
+    assert hash(parsed) == hash(a) == hash(built) == hash((a.predicate, a.args))
+    assert format_atom(a) == a.text == str(a) == _old_format_atom(built)
+    assert atom(name, *args) is a
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+@given(st.lists(st.tuples(st.sampled_from(["p", "p_q", "pq", "q"]),
+                          st.lists(st.sampled_from(["a", "a_b", "ab", "b"]), max_size=2))))
+def test_sort_by_format_atom_unchanged(specs):
+    atoms = [atom(name, *args) for name, args in specs]
+    assert sorted(atoms, key=format_atom) == sorted(atoms, key=_old_format_atom)
+
+
+def test_caches_are_bounded():
+    for cached in (Term.const, atom):
+        assert cached.cache_info().maxsize is not None

@@ -285,6 +285,25 @@ class TestMalformedLines:
     def test_convert_simdial_rejects_malformed_turn(self, files, capsys, line, want):
         assert want in self.convert_simdial_line_2(files, capsys, line)
 
+    @pytest.mark.parametrize("line, want", [
+        ('{"domain": "nosuch", "turns": []}', "unknown domain 'nosuch'"),
+        ('{"domain": "movie", "turns": [{"state": {"user_slots": [["nosuchslot", true]], '
+         '"sys_slots": []}, "user_acts": [], "system_acts": []}]}',
+         "turn 0: slot 'nosuchslot' not in domain movie"),
+        ('{"domain": "movie", "turns": [{"state": {"user_slots": [], "sys_slots": [], '
+         '"kb_return": ["genre"]}, "user_acts": [], "system_acts": []}]}',
+         "turn 0: kb_return slot 'genre' is not a system slot"),
+        ('{"domain": "movie", "turns": [{"state": {"user_slots": [], "sys_slots": [], '
+         '"outstanding": ["nosuchslot"]}, "user_acts": [], "system_acts": []}]}',
+         "turn 0: outstanding slot 'nosuchslot' is not a system slot"),
+    ], ids=["domain", "state-slot", "kb-return-slot", "outstanding-slot"])
+    def test_convert_simdial_rejects_unknown_domain_or_slot(self, tmp_path, capsys, line, want):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(line + "\n")
+        message = self.fail(["convert", "--format", "simdial", "--in", str(corpus),
+                             "--out", str(tmp_path / "s.jsonl")], capsys, where=" line 1: ")
+        assert want in message
+
     @pytest.mark.parametrize("line", [
         '[1, 2]', '{"turns": 5}', '{"turns": [1]}', '{"turns": [{"user_acts": [5]}]}',
         '{"turns": [{"state": {}, "db": {"restaurant": 5}, '

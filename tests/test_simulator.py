@@ -13,7 +13,7 @@ from slotlogic import (
 )
 from slotlogic.dialog import build_sample, encode_acts, encode_state
 
-from .oracles import boolean_fixpoint
+from .oracles import join_fixpoint
 
 # The rule set the generated dialogs are built to teach (plus the list
 # helpers as fixed background). Correction turns intentionally break it.
@@ -36,7 +36,7 @@ def golden_clauses():
 
 def golden_prediction(turn, spec):
     background = encode_state(turn.state, spec) | encode_acts(turn.user_acts, "user")
-    facts = boolean_fixpoint(golden_clauses(), set(background), spec.constants())
+    facts = join_fixpoint(golden_clauses(), set(background))
     targets = {"sys_request", "sys_inform", "sys_query"}
     return {a for a in facts if a.predicate.name in targets}
 

@@ -1,6 +1,5 @@
 """Differentiable rule induction for slot-filling dialog policies."""
 
-from .background import background_library, rename_predicate
 from .dialog import (
     BeliefState,
     Dialog,

@@ -12,8 +12,8 @@ import sys
 from dataclasses import fields
 
 from . import pipeline
-from .dialog import (Dialog, check_state, dialog_from_dict, is_act_pairs, load_samples,
-                     read_json_lines, save_corpus, save_samples, write_json_lines)
+from .dialog import (dialog_from_dict, is_act_pairs, load_samples, read_json_lines,
+                     save_corpus, save_samples, write_json_lines)
 from .engine import Hyperparams, TrainedModel, TrainingDiverged, ValuationInvariantError
 from .extract import extract_program, load_program, save_program
 from .gradcheck import run_gradcheck
@@ -44,31 +44,15 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _simdial_dialog(d) -> Dialog:
-    """A corpus line, its domain and state slots checked against the
-    simulator's domains."""
-    dialog = dialog_from_dict(d)
-    spec = DOMAINS.get(dialog.domain)
-    if spec is None:
-        raise ValueError(f"unknown domain {dialog.domain!r}; known: {', '.join(sorted(DOMAINS))}")
-    for n, turn in enumerate(dialog.turns):
-        try:
-            check_state(turn.state, spec)
-        except ValueError as exc:
-            raise ValueError(f"turn {n}: {exc}") from exc
-    return dialog
-
-
 def _cmd_convert(args) -> int:
-    if args.format == "simdial":
-        dialogs = read_json_lines(getattr(args, "in"), _simdial_dialog)
-        records = pipeline.convert_corpus(dialogs)
-    else:
-        ids = itertools.count()
-        per_line = read_json_lines(
-            getattr(args, "in"), lambda d: convert_multiwoz_records(d, str(next(ids)))
-        )
-        records = [r for rs in per_line for r in rs]
+    ids = itertools.count()
+
+    def convert(d):
+        if args.format == "simdial":
+            return pipeline.convert_dialog(dialog_from_dict(d), next(ids))
+        return convert_multiwoz_records(d, str(next(ids)))
+
+    records = [r for rs in read_json_lines(getattr(args, "in"), convert) for r in rs]
     if args.training_only:
         records = [r for r in records if r.meta.get("supervised", True)]
     save_samples(records, args.out)

@@ -105,9 +105,12 @@ class Dialog:
 # ---------------------------------------------------------------------------
 # Encoding.
 
-def check_state(state: BeliefState, spec: DomainSpec) -> None:
-    """A ``ValueError`` unless every slot of ``state`` is one of ``spec``'s
-    and every ``kb_return`` and ``outstanding`` slot a system slot."""
+def encode_state(state: BeliefState, spec: DomainSpec) -> frozenset[Atom]:
+    """Belief state as ground atoms: the user-slot chain plus flags.
+
+    A ``ValueError`` unless every slot of ``state`` is one of ``spec``'s
+    and every ``kb_return`` and ``outstanding`` slot a system slot.
+    """
     for s in itertools.chain(state.user_known, state.sys_known):
         if s not in spec.slots:
             raise ValueError(f"slot {s!r} not in domain {spec.name}")
@@ -115,11 +118,6 @@ def check_state(state: BeliefState, spec: DomainSpec) -> None:
         for s in slots:
             if s not in spec.system_slots:
                 raise ValueError(f"{name} slot {s!r} is not a system slot")
-
-
-def encode_state(state: BeliefState, spec: DomainSpec) -> frozenset[Atom]:
-    """Belief state as ground atoms: the user-slot chain plus flags."""
-    check_state(state, spec)
     out: set[Atom] = {atom("terminal", TERM), atom("usr_slots", USR_HEAD)}
     prev = USR_HEAD
     for s in spec.user_slots:
@@ -362,8 +360,8 @@ class SampleRecord:
     def from_dict(d: dict, parse=parse_atom) -> "SampleRecord":
         sample = Sample.from_dict(d, parse)
         meta = d.get("meta", {})
-        if not isinstance(meta, dict):
-            raise ValueError("sample field 'meta' must be an object")
+        if not (isinstance(meta, dict) and isinstance(meta.get("slots"), (list, type(None)))):
+            raise ValueError("sample field 'meta' must be an object, any 'slots' in it a list")
         return SampleRecord(sample, meta)
 
 

@@ -950,32 +950,42 @@ class TrainedModel:
 
     @staticmethod
     def from_dict(d: dict) -> "TrainedModel":
-        frame = LanguageFrame(
-            targets=tuple(Predicate(n, a) for n, a in d["frame"]["targets"]),
-            extensional=tuple(Predicate(n, a) for n, a in d["frame"]["extensional"]),
-        )
-        template = template_from_dict(d["template"])
-        pools = []
-        keys = []
-        vecs = []
-        for slot in d["slots"]:
-            pred = Predicate(*slot["predicate"])
-            key = (pred, int(slot["slot"]))
-            clauses = tuple(parse_clause(t) for t in slot["clauses"])
-            pools.append((key, clauses))
-            keys.append(key)
-            vecs.append(np.asarray(slot["raw_weights"], dtype=np.float64))
+        """A ``ValueError`` names the first missing or malformed field."""
+        if not isinstance(d, dict):
+            raise ValueError("a model must be a JSON object")
+
+        def read(name: str, parse: Callable, *default):
+            if name not in d and not default:
+                raise ValueError(f"model lacks field {name!r}")
+            try:
+                return parse(d.get(name, *default))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"model field {name!r}: {type(exc).__name__}: {exc}") from exc
+
+        def predicates(pairs) -> tuple[Predicate, ...]:
+            return tuple(Predicate(n, a) for n, a in pairs)
+
+        def slot(s: dict) -> tuple[tuple[Predicate, int], tuple[Clause, ...], np.ndarray]:
+            key = (Predicate(*s["predicate"]), int(s["slot"]))
+            clauses = tuple(parse_clause(t) for t in s["clauses"])
+            vec = np.asarray(s["raw_weights"], dtype=np.float64)
+            if vec.shape != (len(clauses),):
+                raise ValueError(f"{key[0]} slot {key[1]}: {len(clauses)} clauses "
+                                 f"but raw_weights of shape {vec.shape}")
+            return key, clauses, vec
+
+        frame = read("frame", lambda f: LanguageFrame(
+            targets=predicates(f["targets"]), extensional=predicates(f["extensional"])))
+        slots = read("slots", lambda ss: [slot(s) for s in ss])
         return TrainedModel(
             frame=frame,
-            template=template,
-            background=tuple(parse_clause(t) for t in d["background"]),
-            background_pool=tuple(
-                Predicate(n, a) for n, a in d.get("background_pool", [])
-            ),
-            pools=tuple(pools),
-            weights=ClauseWeights(keys, vecs),
-            loss_trace=[float(x) for x in d["loss_trace"]],
-            hyperparams=Hyperparams.from_dict(d["hyperparams"]),
+            template=read("template", template_from_dict),
+            background=read("background", lambda cs: tuple(parse_clause(t) for t in cs)),
+            background_pool=read("background_pool", predicates, []),
+            pools=tuple((key, clauses) for key, clauses, _ in slots),
+            weights=ClauseWeights([key for key, _, _ in slots], [vec for _, _, vec in slots]),
+            loss_trace=read("loss_trace", lambda xs: [float(x) for x in xs]),
+            hyperparams=read("hyperparams", Hyperparams.from_dict),
         )
 
     def save(self, path) -> None:

@@ -165,39 +165,47 @@ def program_to_text(program: PolicyProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _at_line(parse: Callable, what: str, n: int, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"line {n}: {what}: {exc}") from exc
+
+
+def _targets(text: str) -> tuple[Predicate, ...]:
+    return tuple(Predicate(name, int(arity))
+                 for name, _, arity in (tok.partition("/") for tok in text.split()))
+
+
 def program_from_text(text: str) -> PolicyProgram:
-    headers: dict[str, str] = {}
+    """The program a file's text holds; a ``ValueError`` names the line it fails on."""
+    headers: dict[str, tuple[int, str]] = {}
     section = None
     sections: dict[str, list] = {"rules": [], "alternates": [], "background": []}
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith(("forward_steps:", "targets:")):
             name, _, value = line.partition(":")
-            headers[name] = value.strip()
+            headers[name] = n, value.strip()
         elif line.startswith("["):
             section = line.strip("[]")
+        elif section not in sections:
+            raise ValueError(f"line {n}: clause outside a section: {line!r}")
         else:
             prob_text, _, clause_text = line.partition(" ")
-            clause = parse_clause(clause_text)
-            prob = float(prob_text)
-            if section not in sections:
-                raise ValueError(f"clause outside a section: {line!r}")
-            sections[section].append((clause, prob))
+            sections[section].append((_at_line(parse_clause, "clause", n, clause_text),
+                                      _at_line(float, "probability", n, prob_text)))
     for name in ("forward_steps", "targets"):
-        if not headers.get(name):
+        if not headers.get(name, (0, ""))[1]:
             raise ValueError(f"program has a missing or empty '{name}:' header")
-    targets = []
-    for tok in headers["targets"].split():
-        name, _, arity = tok.partition("/")
-        targets.append(Predicate(name, int(arity)))
     return PolicyProgram(
         rules=tuple(sections["rules"]),
         alternates=tuple(sections["alternates"]),
         background=tuple(c for c, _ in sections["background"]),
-        targets=tuple(targets),
-        forward_steps=int(headers["forward_steps"]),
+        targets=_at_line(_targets, "targets", *headers["targets"]),
+        forward_steps=_at_line(int, "forward_steps", *headers["forward_steps"]),
     )
 
 
@@ -208,4 +216,8 @@ def save_program(program: PolicyProgram, path) -> None:
 
 def load_program(path) -> PolicyProgram:
     with open(path) as f:
-        return program_from_text(f.read())
+        text = f.read()
+    try:
+        return program_from_text(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -1,10 +1,9 @@
 """End-to-end workflow pieces shared by the CLI and the test harness.
 
 The slot-filling setup wires the dialog adapter's predicate vocabulary
-to the engine: list-membership and all-known background clauses (the
-property predicate re-targeted at ``known``), one clause slot per
-learnable predicate, and two invented helper predicates through which
-the query rule can see "every user slot is filled".
+to the engine: list-membership and all-known background clauses, one
+clause slot per learnable predicate, and two invented helper predicates
+through which the query rule can see "every user slot is filled".
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .background import background_library, rename_predicate
 from .dialog import (
     SIMDIAL_TARGETS,
     Dialog,
@@ -25,7 +23,7 @@ from .dialog import (
 )
 from .engine import Hyperparams, Sample, TrainedModel, train
 from .extract import PolicyProgram, crisp_infer, extract_program
-from .logic import Clause, LanguageFrame, Predicate, atom
+from .logic import Clause, LanguageFrame, Predicate, atom, parse_clause
 from .metrics import MetricsReport, evaluate_turns
 from .simulator import DOMAINS, representative_dialog
 from .templates import ProgramTemplate, RuleTemplate
@@ -52,12 +50,28 @@ def simdial_frame() -> LanguageFrame:
     return LanguageFrame(targets=SIMDIAL_TARGETS, extensional=SIMDIAL_EXTENSIONAL)
 
 
+# Fixed background over the user-slot chain (``succ`` links from the head
+# node to the ``terminal`` marker): ``all`` holds at a node when ``known``
+# holds from it through to the terminal, via the helper ``pred1``;
+# ``member`` relates an element to the chain head it hangs off, and
+# requiring a successor on the element keeps the terminal marker out.
+# Row order feeds the tie rules, so it is part of the contract.
+SIMDIAL_BACKGROUND = tuple(
+    parse_clause(t)
+    for t in (
+        "pred1(V0, V1) <- succ(V0, V1), all(V1)",
+        "pred1(V0, V1) <- succ(V0, V1), terminal(V1)",
+        "all(V0) <- known(V0), pred1(V0, V1)",
+        "member(V0, V1) <- succ(V1, V0), succ(V0, V2)",
+        "member(V0, V1) <- succ(V1, V2), member(V0, V2)",
+        "member_usr(V0) <- usr_slots(V1), member(V0, V1)",
+    )
+)
+
+
 def simdial_background() -> tuple[tuple[Clause, ...], tuple[Predicate, ...]]:
     """Background clauses plus the derived predicates rule bodies may use."""
-    all_rules = rename_predicate(background_library("all"), "true", "known")
-    member_rules = background_library("member")
-    pool = (Predicate("all", 1), Predicate("member_usr", 1))
-    return all_rules + member_rules, pool
+    return SIMDIAL_BACKGROUND, (Predicate("all", 1), Predicate("member_usr", 1))
 
 
 def simdial_template() -> ProgramTemplate:
@@ -97,29 +111,41 @@ def simdial_hyperparams(**overrides) -> Hyperparams:
 # ---------------------------------------------------------------------------
 # Conversion.
 
-def convert_corpus(dialogs: Sequence[Dialog]) -> list[SampleRecord]:
-    """All turns of all dialogs, unsupervised ones flagged for eval only."""
+def convert_dialog(dialog: Dialog, dialog_id: int) -> list[SampleRecord]:
+    """A dialog's turns as samples, unsupervised ones flagged for eval only.
+
+    A ``ValueError`` names an unknown domain or the turn that fails.
+    """
+    spec = DOMAINS.get(dialog.domain)
+    if spec is None:
+        raise ValueError(f"unknown domain {dialog.domain!r}; known: {', '.join(sorted(DOMAINS))}")
     records = []
-    for di, d in enumerate(dialogs):
-        spec = DOMAINS[d.domain]
-        for ti, turn in enumerate(d.turns):
+    for ti, turn in enumerate(dialog.turns):
+        try:
             sample = build_sample(turn, spec)
-            records.append(
-                SampleRecord(
-                    sample,
-                    meta={
-                        "dialog": di,
-                        "turn": ti,
-                        "domain": d.domain,
-                        "supervised": bool(sample.positive),
-                        "correction": turn.correction,
-                        "gold_acts": [[a.intent, a.slot] for a in turn.system_acts],
-                        "slots": list(spec.slots),
-                        "format": "simdial",
-                    },
-                )
+        except ValueError as exc:
+            raise ValueError(f"turn {ti}: {exc}") from exc
+        records.append(
+            SampleRecord(
+                sample,
+                meta={
+                    "dialog": dialog_id,
+                    "turn": ti,
+                    "domain": dialog.domain,
+                    "supervised": bool(sample.positive),
+                    "correction": turn.correction,
+                    "gold_acts": [[a.intent, a.slot] for a in turn.system_acts],
+                    "slots": list(spec.slots),
+                    "format": "simdial",
+                },
             )
+        )
     return records
+
+
+def convert_corpus(dialogs: Sequence[Dialog]) -> list[SampleRecord]:
+    """All turns of all dialogs, numbered by position."""
+    return [r for di, d in enumerate(dialogs) for r in convert_dialog(d, di)]
 
 
 def training_samples(records: Sequence[SampleRecord]):

@@ -132,16 +132,20 @@ def template_from_dict(d: dict) -> ProgramTemplate:
     if not isinstance(d, dict) or not isinstance(d.get("slots"), list):
         raise ValueError(f'a template is an object whose "slots" must be a list of {form}')
     slots = []
-    for key, slot_list in d["slots"]:
-        name, _, arity = key.partition("/")
-        pred = Predicate(name, int(arity))
+    for entry in d["slots"]:
         try:
-            rules = tuple(RuleTemplate(int(s["v"]), bool(s["i"])) for s in slot_list)
+            key, slot_list = entry
+            name, _, arity = key.partition("/")
+            slots.append((Predicate(name, int(arity)),
+                          tuple(RuleTemplate(int(s["v"]), bool(s["i"])) for s in slot_list)))
         except KeyError as exc:
             raise ValueError(f"template slot {key}: entry lacks key {exc}; want {form}") from exc
-        slots.append((pred, rules))
-    return ProgramTemplate(
-        slots=tuple(slots),
-        auxiliary=tuple(Predicate(n, a) for n, a in d.get("auxiliary", [])),
-        forward_steps=int(d.get("forward_steps", 10)),
-    )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"template slot {entry!r}: {exc}; want {form}") from exc
+    try:
+        auxiliary = tuple(Predicate(n, a) for n, a in d.get("auxiliary", []))
+        forward_steps = int(d.get("forward_steps", 10))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f'a template\'s "auxiliary" must be a list of [name, arity] pairs '
+                         f'and its "forward_steps" an integer: {exc}') from exc
+    return ProgramTemplate(slots=tuple(slots), auxiliary=auxiliary, forward_steps=forward_steps)

@@ -1,26 +1,21 @@
-import pytest
-
-from slotlogic import (
-    atom,
-    background_library,
-    parse_clause,
-    rename_predicate,
-)
+from slotlogic import atom, parse_clause
+from slotlogic.pipeline import simdial_background
 
 from .oracles import boolean_fixpoint
+
+BACKGROUND = list(simdial_background()[0])
 
 
 class TestLibraryContents:
     def test_all_clauses(self):
-        clauses = set(background_library("all"))
-        assert parse_clause("pred1(V0, V1) <- succ(V0, V1), terminal(V1)") in clauses
-        assert parse_clause("pred1(V0, V1) <- succ(V0, V1), all(V1)") in clauses
-        assert parse_clause("all(V0) <- true(V0), pred1(V0, V1)") in clauses
-        assert len(clauses) == 3
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            background_library("frobnicate")
+        assert BACKGROUND == [parse_clause(t) for t in (
+            "pred1(V0, V1) <- all(V1), succ(V0, V1)",
+            "pred1(V0, V1) <- succ(V0, V1), terminal(V1)",
+            "all(V0) <- known(V0), pred1(V0, V1)",
+            "member(V0, V1) <- succ(V0, V2), succ(V1, V0)",
+            "member(V0, V1) <- member(V0, V2), succ(V1, V2)",
+            "member_usr(V0) <- member(V0, V1), usr_slots(V1)",
+        )]
 
 
 def chain_atoms(nodes, head="usr_slot", term="term"):
@@ -37,9 +32,7 @@ class TestMemberSemantics:
     def test_linked_list_membership(self):
         background = set(chain_atoms(["food_pref", "loc"]))
         constants = ("usr_slot", "food_pref", "loc", "term")
-        facts = boolean_fixpoint(
-            list(background_library("member")), background, constants
-        )
+        facts = boolean_fixpoint(BACKGROUND, background, constants)
         assert atom("member_usr", "food_pref") in facts
         assert atom("member_usr", "loc") in facts
         assert atom("member_usr", "term") not in facts
@@ -49,9 +42,7 @@ class TestMemberSemantics:
         nodes = ["s1", "s2", "s3", "s4"]
         background = set(chain_atoms(nodes))
         constants = ("usr_slot", *nodes, "term")
-        facts = boolean_fixpoint(
-            list(background_library("member")), background, constants
-        )
+        facts = boolean_fixpoint(BACKGROUND, background, constants)
         for n in nodes:
             assert atom("member_usr", n) in facts
         assert atom("member_usr", "term") not in facts
@@ -64,23 +55,8 @@ class TestAllSemantics:
                      ("f", "g"), ("g", "h"), ("h", "t")]:
             background.add(atom("succ", x, y))
         for x in "acdefg":
-            background.add(atom("true", x))
+            background.add(atom("known", x))
         constants = tuple("abcdefgh") + ("t",)
-        facts = boolean_fixpoint(
-            list(background_library("all")), background, constants
-        )
+        facts = boolean_fixpoint(BACKGROUND, background, constants)
         holds = {x for x in "abcdefgh" if atom("all", x) in facts}
         assert holds == {"c", "d", "e"}
-
-    def test_renamed_property(self):
-        clauses = rename_predicate(background_library("all"), "true", "known")
-        background = {
-            atom("terminal", "t"),
-            atom("succ", "x", "y"),
-            atom("succ", "y", "t"),
-            atom("known", "x"),
-            atom("known", "y"),
-        }
-        facts = boolean_fixpoint(list(clauses), background, ("x", "y", "t"))
-        assert atom("all", "x") in facts
-        assert not any(a.predicate.name == "true" for c in clauses for a in (c.head, *c.body))

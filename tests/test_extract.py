@@ -22,6 +22,7 @@ from slotlogic import (
 )
 from slotlogic.extract import (
     PolicyProgram,
+    load_program,
     program_from_text,
     program_to_text,
 )
@@ -219,6 +220,24 @@ class TestProgramFile:
         ]
         with pytest.raises(ValueError, match=f"'{header}:' header"):
             program_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("n, line, want", [
+        (2, "forward_steps: many", "line 2: forward_steps: invalid literal"),
+        (3, "targets: p", "line 3: targets: invalid literal"),
+        (5, "high p(X) <- q(X)", "line 5: probability: could not convert"),
+        (5, "1.0 p(X) <-", "line 5: clause: "),
+        (1, "1.0 p(X) <- q(X)", "line 1: clause outside a section"),
+    ], ids=["forward-steps", "targets", "probability", "clause", "no-section"])
+    def test_bad_line_named(self, tmp_path, n, line, want):
+        trained, _ = trained_toy()
+        lines = program_to_text(extract_program(trained)).splitlines()
+        lines[n - 1] = line
+        with pytest.raises(ValueError, match=f"^{want}"):
+            program_from_text("\n".join(lines) + "\n")
+        path = tmp_path / "program.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{path}: {want}"):
+            load_program(path)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from slotlogic import (
     train,
 )
 from slotlogic.cli import run_pipeline
-from slotlogic.dialog import load_samples
+from slotlogic.dialog import Dialog, load_corpus, load_samples, save_samples
 from slotlogic.pipeline import (
     convert_corpus,
     evaluate_predictions,
@@ -233,6 +233,15 @@ class TestMalformedLines:
                              "--out", str(tmp_path / "p.jsonl")], capsys)
         assert "'constants' a list of strings" in message
 
+    def test_transfer_rejects_non_list_slots(self, files, capsys):
+        tmp_path, samples = files
+        record = json.loads(samples.read_text().splitlines()[1])
+        record["meta"]["slots"] = 3
+        message = self.fail(["transfer", "--program", str(tmp_path / "program.txt"),
+                             "--samples", str(self.with_line_2(samples, json.dumps(record))),
+                             "--out", str(tmp_path / "p.jsonl")], capsys)
+        assert "any 'slots' in it a list" in message
+
     def test_transfer_rejects_list_line(self, files, capsys):
         tmp_path, samples = files
         message = self.fail(["transfer", "--program", str(tmp_path / "program.txt"),
@@ -296,12 +305,47 @@ class TestMalformedLines:
         ('{"domain": "movie", "turns": [{"state": {"user_slots": [], "sys_slots": [], '
          '"outstanding": ["nosuchslot"]}, "user_acts": [], "system_acts": []}]}',
          "turn 0: outstanding slot 'nosuchslot' is not a system slot"),
-    ], ids=["domain", "state-slot", "kb-return-slot", "outstanding-slot"])
+        ('{"domain": "movie", "turns": [{"state": {"user_slots": [], "sys_slots": []}, '
+         '"user_acts": [], "system_acts": [["request", "nosuch"]]}]}',
+         "line 1: turn 0: sys_request(nosuch) uses constant 'nosuch'"),
+        ('{"domain": "movie", "turns": [{"state": {"user_slots": [], "sys_slots": []}, '
+         '"user_acts": [["greet", null]], "system_acts": []}]}',
+         "line 1: turn 0: unknown user intent 'greet'"),
+        ('{"domain": "movie", "turns": [{"state": {"user_slots": [], "sys_slots": []}, '
+         '"user_acts": [["inform", null]], "system_acts": []}]}',
+         "line 1: turn 0: user inform needs a slot"),
+    ], ids=["domain", "state-slot", "kb-return-slot", "outstanding-slot", "act-slot",
+            "user-intent", "null-slot"])
     def test_convert_simdial_rejects_unknown_domain_or_slot(self, tmp_path, capsys, line, want):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(line + "\n")
         message = self.fail(["convert", "--format", "simdial", "--in", str(corpus),
                              "--out", str(tmp_path / "s.jsonl")], capsys, where=" line 1: ")
+        assert want in message
+
+    def test_convert_corpus_names_unknown_domain(self):
+        with pytest.raises(ValueError, match="unknown domain 'nosuch'; known: "):
+            convert_corpus([Dialog("nosuch", [])])
+
+    @pytest.mark.parametrize("edit, want", [
+        (lambda m: [], "a model must be a JSON object"),
+        (lambda m: {"frame": 5}, "model field 'frame': TypeError"),
+        (lambda m: {**m, "slots": None}, "model field 'slots': TypeError"),
+        (lambda m: {**m, "hyperparams": {**m["hyperparams"], "frobnicate": 1}},
+         "model field 'hyperparams': TypeError"),
+        (lambda m: {**m, "slots": [{**m["slots"][0], "raw_weights": []}]},
+         "model field 'slots': ValueError"),
+        (lambda m: {k: v for k, v in m.items() if k != "loss_trace"},
+         "model lacks field 'loss_trace'"),
+    ], ids=["list", "int-frame", "null-slots", "unknown-hyperparam", "short-weights",
+            "no-trace"])
+    def test_extract_rejects_malformed_model(self, tmp_path, capsys, edit, want):
+        frame, sample, template = pipeline.list_all_problem()
+        model = train(frame, [sample], template, pipeline.all_task_hyperparams(training_steps=1))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(edit(model.to_dict())))
+        message = self.fail(["extract", "--model", str(path), "--out", str(tmp_path / "p.txt")],
+                            capsys, where="")
         assert want in message
 
     @pytest.mark.parametrize("line", [
@@ -444,6 +488,16 @@ class TestMultiwozCli:
         assert rec.meta["gold_acts"] == [["offerbooked", None], ["offerbooked", "ref"]]
         report = evaluate_predictions([{"meta": rec.meta, "acts": rec.meta["gold_acts"]}], [rec])
         assert (report.action.tp, report.action.fp, report.action.fn) == (2, 0, 0)
+
+
+def test_cli_convert_matches_convert_corpus(tmp_path):
+    corpus, samples = tmp_path / "movie.jsonl", tmp_path / "samples.jsonl"
+    assert run_pipeline(["generate", "--domain", "movie", "--n", "20", "--seed", "3",
+                         "--out", str(corpus)]) == 0
+    assert run_pipeline(["convert", "--format", "simdial", "--in", str(corpus),
+                         "--out", str(samples)]) == 0
+    save_samples(convert_corpus(load_corpus(corpus)), tmp_path / "direct.jsonl")
+    assert samples.read_bytes() == (tmp_path / "direct.jsonl").read_bytes()
 
 
 def test_program_file_roundtrip_through_disk(tmp_path):

@@ -4,14 +4,13 @@ from slotlogic import (
     DOMAINS,
     GeneratorConfig,
     atom,
-    background_library,
     generate_corpus,
     generate_dialog,
     parse_clause,
-    rename_predicate,
     representative_dialog,
 )
 from slotlogic.dialog import build_sample, encode_acts, encode_state
+from slotlogic.pipeline import simdial_background
 
 from .oracles import join_fixpoint
 
@@ -27,11 +26,7 @@ GOLDEN_RULES = [
 
 
 def golden_clauses():
-    return (
-        GOLDEN_RULES
-        + list(rename_predicate(background_library("all"), "true", "known"))
-        + list(background_library("member"))
-    )
+    return GOLDEN_RULES + list(simdial_background()[0])
 
 
 def golden_prediction(turn, spec):

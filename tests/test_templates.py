@@ -131,6 +131,19 @@ class TestProgramTemplate:
         with pytest.raises(ValueError, match="p/1: entry lacks key 'i'"):
             template_from_dict(d)
 
+    def test_non_string_key_rejected(self):
+        d = template_to_dict(ProgramTemplate(slots=((P, (RuleTemplate(0, True),)),)))
+        d["slots"][0][0] = 5
+        with pytest.raises(ValueError, match=r"template slot \[5, "):
+            template_from_dict(d)
+
+    @pytest.mark.parametrize("field, value", [("auxiliary", 5), ("forward_steps", None)])
+    def test_malformed_auxiliary_or_steps_rejected(self, field, value):
+        d = template_to_dict(ProgramTemplate(slots=((P, (RuleTemplate(0, True),)),)))
+        d[field] = value
+        with pytest.raises(ValueError, match='"auxiliary" must be a list'):
+            template_from_dict(d)
+
     def test_pools_cover_all_slots(self):
         pt = ProgramTemplate(
             slots=((P, (RuleTemplate(0, True), RuleTemplate(1, True))),)

@@ -13,7 +13,6 @@ from .dialog import (
     encode_state,
 )
 from .engine import (
-    ClauseWeights,
     CompiledModel,
     Hyperparams,
     ModelCompiler,

@@ -92,7 +92,6 @@ class Turn:
     state: BeliefState
     user_acts: list[DialogAct]
     system_acts: list[DialogAct]
-    domain: str
     correction: bool = False
 
 
@@ -311,7 +310,6 @@ def dialog_from_dict(d: dict) -> Dialog:
                 state=state,
                 user_acts=[DialogAct(*p) for p in t["user_acts"]],
                 system_acts=[DialogAct(*p) for p in t["system_acts"]],
-                domain=d["domain"],
                 correction=bool(t.get("correction", False)),
             )
         )

@@ -198,34 +198,16 @@ class Hyperparams:
         return Hyperparams(**d)
 
 
-class ClauseWeights:
-    """Raw weight vectors, one per (predicate, slot); softmax gives probs."""
-
-    def __init__(self, keys: Sequence[tuple[Predicate, int]], vectors: Sequence[np.ndarray]):
-        self.keys = tuple(keys)
-        self.vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
-
-    def probabilities(self) -> list[np.ndarray]:
-        return [_softmax(v) for v in self.vectors]
-
-    def flatten(self) -> np.ndarray:
-        if not self.vectors:
-            return np.zeros(0)
-        return np.concatenate(self.vectors)
-
-    def with_flat(self, flat: np.ndarray) -> "ClauseWeights":
-        out, pos = [], 0
-        for v in self.vectors:
-            out.append(np.asarray(flat[pos : pos + v.size], dtype=np.float64).copy())
-            pos += v.size
-        return ClauseWeights(self.keys, out)
-
-
 def _softmax(w: np.ndarray) -> np.ndarray:
     if w.size == 0:
         return w.copy()
     z = np.exp(w - np.max(w))
     return z / z.sum()
+
+
+def probabilities(weights: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each slot's clause probabilities: the softmax of its raw weights."""
+    return [_softmax(np.asarray(v, dtype=np.float64)) for v in weights]
 
 
 def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -423,6 +405,10 @@ class ModelCompiler:
         self.background = tuple(background)
         self.background_pool = tuple(background_pool)
         self.amalgamation = amalgamation
+        for p in template.learnable():
+            if p in frame.extensional or p not in (*frame.targets, *template.auxiliary):
+                raise ValueError(f"template slot {p} must be a frame target or an "
+                                 "auxiliary predicate that is not extensional")
         if pools is None:
             self.pools = slot_clause_pools(template, frame, background_pool)
         else:
@@ -474,11 +460,10 @@ class ModelCompiler:
         self._static_bg = tuple(p for p in bg_heads if p not in weighted)
         self._cache: dict[tuple[str, ...], CompiledModel] = {}
 
-    def init_weights(self, seed: int = 0, scale: float = 0.1) -> ClauseWeights:
+    def init_weights(self, seed: int = 0, scale: float = 0.1) -> list[np.ndarray]:
+        """One raw weight vector per pool, in pool order."""
         rng = np.random.default_rng(seed)
-        keys = [key for key, _ in self.pools]
-        vecs = [rng.standard_normal(len(cs)) * scale for _, cs in self.pools]
-        return ClauseWeights(keys, vecs)
+        return [rng.standard_normal(len(cs)) * scale for _, cs in self.pools]
 
     def _background_rows(self, heads: Sequence[Predicate], index: GroundIndex) -> np.ndarray:
         """Grounding rows of every background clause with one of these heads."""
@@ -724,21 +709,21 @@ def _clause_grads(model: CompiledModel, dseg: np.ndarray) -> np.ndarray:
     return np.add.reduceat(dense[: model.n_dense], model.clause_starts)
 
 
-def step(model: CompiledModel, weights: ClauseWeights, valuation: Valuation) -> Valuation:
+def step(model: CompiledModel, weights: Sequence[np.ndarray], valuation: Valuation) -> Valuation:
     """One deduction step over a single valuation."""
     a = valuation.values[None, :]
-    seg_w = _segment_weights(model, weights.probabilities())
+    seg_w = _segment_weights(model, probabilities(weights))
     return Valuation(model.index, _chain(model, seg_w, a, _static_schedule(model, a, 1))[0])
 
 
-def infer(model: CompiledModel, weights: ClauseWeights, sample: Sample) -> Valuation:
+def infer(model: CompiledModel, weights: Sequence[np.ndarray], sample: Sample) -> Valuation:
     """Run ``forward_steps`` chained deduction steps from the background."""
     if tuple(sample.constants) != model.constants:
         raise ValueError(
             "sample constants do not match this compiled model; "
             "compile it with ModelCompiler.compile(sample.constants)"
         )
-    seg_w = _segment_weights(model, weights.probabilities())
+    seg_w = _segment_weights(model, probabilities(weights))
     a = _start_values(model, [sample])
     a = _chain(model, seg_w, a, _static_schedule(model, a, model.forward_steps))
     return Valuation(model.index, a[0])
@@ -804,32 +789,32 @@ def _data_loss_backward(batch: _Batch, aT: np.ndarray) -> np.ndarray:
     return dA
 
 
-def _reg_value(weights: ClauseWeights, hp: Hyperparams) -> float:
+def _reg_value(weights: Sequence[np.ndarray], hp: Hyperparams) -> float:
     if hp.reg_kind == "none" or hp.reg_lambda == 0.0:
         return 0.0
     total = 0.0
-    for v in weights.vectors:
+    for v in weights:
         total += float(np.abs(v).sum() if hp.reg_kind == "l1" else (v * v).sum())
     return hp.reg_lambda * total
 
 
-def _reg_grad(weights: ClauseWeights, hp: Hyperparams) -> list[np.ndarray]:
+def _reg_grad(weights: Sequence[np.ndarray], hp: Hyperparams) -> list[np.ndarray]:
     if hp.reg_kind == "none" or hp.reg_lambda == 0.0:
-        return [np.zeros_like(v) for v in weights.vectors]
+        return [np.zeros_like(v) for v in weights]
     if hp.reg_kind == "l1":
-        return [hp.reg_lambda * np.sign(v) for v in weights.vectors]
-    return [2.0 * hp.reg_lambda * v for v in weights.vectors]
+        return [hp.reg_lambda * np.sign(v) for v in weights]
+    return [2.0 * hp.reg_lambda * v for v in weights]
 
 
 def loss(
     compiler: ModelCompiler,
-    weights: ClauseWeights,
+    weights: Sequence[np.ndarray],
     samples: Sequence[Sample],
     hp: Hyperparams,
     batches: Sequence[_Batch] | None = None,
 ) -> float:
     """Mean per-sample normalized cross-entropy plus the weight penalty."""
-    probs = weights.probabilities()
+    probs = probabilities(weights)
     total = 0.0
     for batch in batches or _prepare_batches(compiler, samples):
         seg_w = _segment_weights(batch.model, probs)
@@ -839,13 +824,13 @@ def loss(
 
 def loss_and_grad(
     compiler: ModelCompiler,
-    weights: ClauseWeights,
+    weights: Sequence[np.ndarray],
     samples: Sequence[Sample],
     hp: Hyperparams,
     batches: Sequence[_Batch] | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """:func:`loss` and its exact reverse-mode gradient w.r.t. raw weights."""
-    probs = weights.probabilities()
+    probs = probabilities(weights)
     dclause = np.zeros(sum(p.size for p in probs))
     total = 0.0
     for batch in batches or _prepare_batches(compiler, samples):
@@ -870,25 +855,24 @@ def loss_and_grad(
 
 def finite_difference_grad(
     compiler: ModelCompiler,
-    weights: ClauseWeights,
+    weights: Sequence[np.ndarray],
     samples: Sequence[Sample],
     hp: Hyperparams,
     h: float = 1e-4,
 ) -> list[np.ndarray]:
     """Central finite differences of :func:`loss`; the gradient oracle."""
-    flat = weights.flatten()
-    out = np.zeros_like(flat)
-    for i in range(flat.size):
-        up = flat.copy()
-        up[i] += h
-        down = flat.copy()
-        down[i] -= h
-        out[i] = (
-            loss(compiler, weights.with_flat(up), samples, hp)
-            - loss(compiler, weights.with_flat(down), samples, hp)
-        ) / (2.0 * h)
-    grads = weights.with_flat(out)
-    return grads.vectors
+    weights = [np.array(v, dtype=np.float64) for v in weights]
+    grads = [np.zeros_like(v) for v in weights]
+    for v, g in zip(weights, grads):
+        for i in range(v.size):
+            x = v[i]
+            v[i] = x + h
+            up = loss(compiler, weights, samples, hp)
+            v[i] = x - h
+            down = loss(compiler, weights, samples, hp)
+            v[i] = x
+            g[i] = (up - down) / (2.0 * h)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -896,12 +880,10 @@ def finite_difference_grad(
 
 @dataclass
 class TrainedModel:
-    frame: LanguageFrame
-    template: ProgramTemplate
-    background: tuple[Clause, ...]
-    background_pool: tuple[Predicate, ...]
-    pools: tuple[tuple[tuple[Predicate, int], tuple[Clause, ...]], ...]
-    weights: ClauseWeights
+    """A compiler and one raw weight vector per pool of it, in pool order."""
+
+    compiler: ModelCompiler
+    weights: list[np.ndarray]
     loss_trace: list[float]
     hyperparams: Hyperparams
 
@@ -909,40 +891,29 @@ class TrainedModel:
     def final_loss(self) -> float:
         return self.loss_trace[-1] if self.loss_trace else math.inf
 
-    def compiler(self) -> ModelCompiler:
-        c = ModelCompiler(
-            self.frame,
-            self.template,
-            self.background,
-            self.background_pool,
-            amalgamation=self.hyperparams.amalgamation,
-        )
-        got = tuple((key, tuple(cs)) for key, cs in c.pools)
-        if got != self.pools:
-            raise ValueError("stored clause pools do not match regenerated pools")
-        return c
-
     def probabilities(self) -> list[np.ndarray]:
-        return self.weights.probabilities()
+        return probabilities(self.weights)
 
     def to_dict(self) -> dict:
+        c = self.compiler
         return {
             "frame": {
-                "targets": [[p.name, p.arity] for p in self.frame.targets],
-                "extensional": [[p.name, p.arity] for p in self.frame.extensional],
+                "targets": [[p.name, p.arity] for p in c.frame.targets],
+                "extensional": [[p.name, p.arity] for p in c.frame.extensional],
             },
-            "template": template_to_dict(self.template),
-            "background": [format_clause(c) for c in self.background],
-            "background_pool": [[p.name, p.arity] for p in self.background_pool],
+            "template": template_to_dict(c.template),
+            "background": [format_clause(x) for x in c.background],
+            "background_pool": [[p.name, p.arity] for p in c.background_pool],
             "slots": [
                 {
                     "predicate": [pred.name, pred.arity],
                     "slot": k,
-                    "clauses": [format_clause(c) for c in clauses],
+                    "clauses": [format_clause(x) for x in clauses],
                     "raw_weights": [float(w) for w in vec],
-                    "probabilities": [float(p) for p in _softmax(vec)],
+                    "probabilities": [float(p) for p in probs],
                 }
-                for ((pred, k), clauses), vec in zip(self.pools, self.weights.vectors)
+                for ((pred, k), clauses), vec, probs
+                in zip(c.pools, self.weights, self.probabilities())
             ],
             "loss_trace": [float(x) for x in self.loss_trace],
             "hyperparams": self.hyperparams.to_dict(),
@@ -950,7 +921,10 @@ class TrainedModel:
 
     @staticmethod
     def from_dict(d: dict) -> "TrainedModel":
-        """A ``ValueError`` names the first missing or malformed field."""
+        """The model a file's fields describe: its compiler is rebuilt from
+        the frame, template, background, background pool and amalgamation,
+        and the slot clause lists must equal that compiler's pools. A
+        ``ValueError`` names the first missing or malformed field."""
         if not isinstance(d, dict):
             raise ValueError("a model must be a JSON object")
 
@@ -977,15 +951,25 @@ class TrainedModel:
         frame = read("frame", lambda f: LanguageFrame(
             targets=predicates(f["targets"]), extensional=predicates(f["extensional"])))
         slots = read("slots", lambda ss: [slot(s) for s in ss])
+        template = read("template", template_from_dict)
+        background = read("background", lambda cs: tuple(parse_clause(t) for t in cs))
+        pool = read("background_pool", predicates, [])
+        loss_trace = read("loss_trace", lambda xs: [float(x) for x in xs])
+        hp = read("hyperparams", Hyperparams.from_dict)
+        try:
+            compiler = ModelCompiler(frame, template, background, pool, hp.amalgamation)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"model fields do not describe a model: {exc}") from exc
+        if [(key, clauses) for key, clauses, _ in slots] != [
+            (key, tuple(cs)) for key, cs in compiler.pools
+        ]:
+            raise ValueError("model field 'slots': the clause lists differ from the pools "
+                             "its template, frame and background pool generate")
         return TrainedModel(
-            frame=frame,
-            template=read("template", template_from_dict),
-            background=read("background", lambda cs: tuple(parse_clause(t) for t in cs)),
-            background_pool=read("background_pool", predicates, []),
-            pools=tuple((key, clauses) for key, clauses, _ in slots),
-            weights=ClauseWeights([key for key, _, _ in slots], [vec for _, _, vec in slots]),
-            loss_trace=read("loss_trace", lambda xs: [float(x) for x in xs]),
-            hyperparams=read("hyperparams", Hyperparams.from_dict),
+            compiler=compiler,
+            weights=[vec for _, _, vec in slots],
+            loss_trace=loss_trace,
+            hyperparams=hp,
         )
 
     def save(self, path) -> None:
@@ -1026,7 +1010,7 @@ def train(
         amalgamation=hp.amalgamation,
     )
     weights = compiler.init_weights(hp.seed, hp.init_scale)
-    acc = [np.zeros_like(v) for v in weights.vectors]
+    acc = [np.zeros_like(v) for v in weights]
     trace: list[float] = []
     batches = _prepare_batches(compiler, samples)
     for step_i in range(hp.training_steps):
@@ -1036,7 +1020,7 @@ def train(
         trace.append(value)
         if hp.stop_loss is not None and value < hp.stop_loss:
             break
-        for v, g, a in zip(weights.vectors, grads, acc):
+        for v, g, a in zip(weights, grads, acc):
             if hp.accumulator_decay is None:
                 a += g * g
             else:
@@ -1044,13 +1028,4 @@ def train(
                 a += (1.0 - hp.accumulator_decay) * g * g
             v -= hp.learning_rate * g / (np.sqrt(a) + 1e-8)
     trace.append(loss(compiler, weights, samples, hp, batches))
-    return TrainedModel(
-        frame=frame,
-        template=template,
-        background=tuple(background),
-        background_pool=tuple(background_pool),
-        pools=tuple((key, tuple(cs)) for key, cs in compiler.pools),
-        weights=weights,
-        loss_trace=trace,
-        hyperparams=hp,
-    )
+    return TrainedModel(compiler, weights, trace, hp)

@@ -44,11 +44,10 @@ def extract_program(trained: TrainedModel, threshold: float = 0.9) -> PolicyProg
     ``threshold`` probability (ties go to the first clause in pool order)."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
+    compiler = trained.compiler
     rules: list[tuple[Clause, float]] = []
     alternates: list[tuple[Clause, float]] = []
-    for ((pred, k), clauses), probs in zip(
-        trained.pools, trained.probabilities()
-    ):
+    for (_, clauses), probs in zip(compiler.pools, trained.probabilities()):
         if not clauses:
             continue
         best = int(np.argmax(probs))
@@ -59,9 +58,9 @@ def extract_program(trained: TrainedModel, threshold: float = 0.9) -> PolicyProg
     return PolicyProgram(
         rules=tuple(rules),
         alternates=tuple(alternates),
-        background=trained.background,
-        targets=trained.frame.targets,
-        forward_steps=trained.template.forward_steps,
+        background=compiler.background,
+        targets=compiler.frame.targets,
+        forward_steps=compiler.template.forward_steps,
     )
 
 
@@ -129,14 +128,14 @@ def agreement(
 ) -> float:
     """Fraction of target groundings where thresholded fuzzy inference
     (at 0.5) and crisp rule application agree; 1.0 on no atoms."""
-    compiler = trained.compiler()
+    compiler = trained.compiler
     matches = 0
     total = 0
     for sample in samples:
         model = compiler.compile(sample.constants)
         valuation = infer(model, trained.weights, sample)
         derived = crisp_infer(program, sample.background)
-        for pred in trained.frame.targets:
+        for pred in compiler.frame.targets:
             lo, hi = model.index.ranges[pred]
             for i in range(lo, hi):
                 atom = model.index.atoms[i]

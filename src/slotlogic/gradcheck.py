@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    ClauseWeights,
     Hyperparams,
     ModelCompiler,
     Sample,
@@ -92,9 +91,7 @@ def _random_instance(rng: np.random.Generator):
         positive = [labeled[0]]
     sample = Sample.make(background, positive, negative, constants)
 
-    keys = [key for key, _ in compiler.pools]
-    vectors = [rng.standard_normal(len(cs)) for _, cs in compiler.pools]
-    weights = ClauseWeights(keys, vectors)
+    weights = [rng.standard_normal(len(cs)) for _, cs in compiler.pools]
     reg = ("none", "l1", "l2")[int(rng.integers(0, 3))]
     hp = Hyperparams(
         reg_kind=reg,

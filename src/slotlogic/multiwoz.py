@@ -45,14 +45,6 @@ MULTIWOZ_TARGETS = (
 )
 
 
-class SchemaError(ValueError):
-    def __init__(self, message: str, turn: int | None = None):
-        if turn is not None:
-            message = f"turn {turn}: {message}"
-        super().__init__(message)
-        self.turn = turn
-
-
 def normalize_slot(slot: str) -> str | None:
     slot = slot.strip().lower().replace(" ", "_").replace("-", "_")
     if slot in ("none", "", "?"):
@@ -103,21 +95,19 @@ def domain_slots(domain_state: dict) -> tuple[str, ...]:
     return tuple(slots)
 
 
-def encode_act_triples(
-    triples: Sequence[Sequence[str]], side: str, turn: int | None = None
-) -> dict[str, set[Atom]]:
+def encode_act_triples(triples: Sequence[Sequence[str]], side: str) -> dict[str, set[Atom]]:
     """[intent, domain, slot] triples to atoms, grouped by domain."""
     table = _USER_PREDICATES if side == "user" else _SYSTEM_PREDICATES
     if not (isinstance(triples, (list, tuple))
             and all(isinstance(t, (list, tuple)) and len(t) == 3 for t in triples)):
-        raise SchemaError(f"{side} acts must be a list of [intent, domain, slot] triples", turn)
+        raise ValueError(f"{side} acts must be a list of [intent, domain, slot] triples")
     out: dict[str, set[Atom]] = {}
     for triple in triples:
         intent, domain, slot_raw = (str(x).strip().lower() for x in triple)
         if domain == GENERAL_DOMAIN:
             continue
         if intent not in table:
-            raise SchemaError(f"unknown {side} intent {intent!r}", turn)
+            raise ValueError(f"unknown {side} intent {intent!r}")
         pred = table[intent]
         slot = normalize_slot(slot_raw)
         atoms = out.setdefault(domain, set())
@@ -133,9 +123,7 @@ def encode_act_triples(
     return out
 
 
-def convert_multiwoz_turn(
-    turn_record: dict, turn_index: int = 0
-) -> list[tuple[str, Sample]]:
+def convert_multiwoz_turn(turn_record: dict) -> list[tuple[str, Sample]]:
     """One annotated turn to per-domain samples.
 
     Training supervision comes from the system acts; the belief state is
@@ -146,14 +134,10 @@ def convert_multiwoz_turn(
     if not (isinstance(state, dict) and all(
             isinstance(s, dict) and all(isinstance(s.get(k, {}), dict) for k in ("semi", "book"))
             for s in state.values())):
-        raise SchemaError("a turn must be an object whose 'state' maps domains to objects "
-                          "with 'semi' and 'book' objects", turn_index)
-    user_atoms = encode_act_triples(
-        turn_record.get("user_acts", []), "user", turn_index
-    )
-    system_atoms = encode_act_triples(
-        turn_record.get("system_acts", []), "system", turn_index
-    )
+        raise ValueError("a turn must be an object whose 'state' maps domains to objects "
+                         "with 'semi' and 'book' objects")
+    user_atoms = encode_act_triples(turn_record.get("user_acts", []), "user")
+    system_atoms = encode_act_triples(turn_record.get("system_acts", []), "system")
     db = turn_record.get("db", {})
     domains = sorted(set(state) | set(user_atoms) | set(system_atoms))
     out: list[tuple[str, Sample]] = []
@@ -165,7 +149,7 @@ def convert_multiwoz_turn(
         background |= user_atoms.get(domain, set())
         pointer = db.get(domain, {}) if isinstance(db, dict) else {}
         if not isinstance(pointer, dict):
-            raise SchemaError(f"db pointer for {domain!r} must be an object", turn_index)
+            raise ValueError(f"db pointer for {domain!r} must be an object")
         if pointer.get("no_match"):
             background.add(atom("no_match"))
         if pointer.get("book_fail"):
@@ -198,10 +182,14 @@ def convert_multiwoz_records(
     the gold acts, decoded from the positives, that eval scores against."""
     turns = dialog_record.get("turns") if isinstance(dialog_record, dict) else None
     if not isinstance(turns, list):
-        raise SchemaError("a dialog record must be a JSON object with a 'turns' list")
+        raise ValueError("a dialog record must be a JSON object with a 'turns' list")
     records = []
     for i, t in enumerate(turns):
-        for domain, sample in convert_multiwoz_turn(t, i):
+        try:
+            samples = convert_multiwoz_turn(t)
+        except ValueError as exc:
+            raise ValueError(f"turn {i}: {exc}") from exc
+        for domain, sample in samples:
             records.append(
                 SampleRecord(
                     sample,

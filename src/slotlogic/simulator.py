@@ -86,7 +86,7 @@ def generate_dialog(config: GeneratorConfig) -> Dialog:
         sys_acts += [DialogAct("inform", g) for g in kb]
         if not unknown_user():
             sys_acts += [DialogAct("query", g) for g in live_requests]
-        turns.append(Turn(snapshot(), list(user_acts), sys_acts, spec.name))
+        turns.append(Turn(snapshot(), list(user_acts), sys_acts))
         for act in sys_acts:
             if act.intent == "query":
                 live_requests.remove(act.slot)
@@ -137,7 +137,6 @@ def generate_dialog(config: GeneratorConfig) -> Dialog:
                         snapshot(),
                         [DialogAct("inform", slot)],
                         [DialogAct("query", DEFAULT_GOAL)],
-                        spec.name,
                         correction=True,
                     )
                 )
@@ -148,7 +147,7 @@ def generate_dialog(config: GeneratorConfig) -> Dialog:
             live_requests.append(g)
             policy_turn([DialogAct("request", g)])
 
-    turns.append(Turn(snapshot(), [], [], spec.name))
+    turns.append(Turn(snapshot(), [], []))
     return Dialog(spec.name, turns)
 
 

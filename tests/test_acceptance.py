@@ -13,7 +13,6 @@ import pytest
 
 import slotlogic.engine as engine_mod
 from slotlogic import (
-    ClauseWeights,
     LanguageFrame,
     ModelCompiler,
     Predicate,
@@ -145,7 +144,7 @@ def test_criterion_3_zero_shot_transfer(one_shot):
 def test_criterion_4_learned_rule_identity(one_shot):
     by_pred = {}
     for ((pred, slot), clauses), probs in zip(
-        one_shot.trained.pools, one_shot.trained.probabilities()
+        one_shot.trained.compiler.pools, one_shot.trained.probabilities()
     ):
         by_pred[(pred.name, slot)] = clauses[int(np.argmax(probs))]
     assert by_pred[("sys_request", 0)] == parse_clause(
@@ -227,9 +226,7 @@ def test_criterion_7_crisp_agreement_exhaustive():
             slots = ((p1, tuple(RuleTemplate(0, True) for _ in clauses)),)
             pt = ProgramTemplate(slots=slots, forward_steps=3 * n_const + 2)
             compiler = ModelCompiler(frame, pt, pools=pools)
-            weights = ClauseWeights(
-                [key for key, _ in pools], [np.zeros(1) for _ in pools]
-            )
+            weights = [np.zeros(1) for _ in pools]
             for _ in range(2):
                 mask = rng.random(len(ext_atoms)) < 0.4
                 background = [a for a, m in zip(ext_atoms, mask) if m]
@@ -256,10 +253,10 @@ def test_criterion_7_crisp_agreement_exhaustive():
 def test_criterion_8_monotonicity_and_range(one_shot):
     from slotlogic.engine import _prepare_batches, _segment_weights, _step_batch
 
-    compiler = one_shot.trained.compiler()
+    compiler = one_shot.trained.compiler
     sample = [r.sample for r in one_shot.records if r.meta["supervised"]][0]
     (batch,) = _prepare_batches(compiler, [sample])
-    seg_w = _segment_weights(batch.model, one_shot.trained.weights.probabilities())
+    seg_w = _segment_weights(batch.model, one_shot.trained.probabilities())
     a = batch.a0
     for b_static in batch.static_b:
         nxt, _ = _step_batch(batch.model, seg_w, a, b_static)

@@ -169,7 +169,6 @@ class TestBuildSample:
             state=restaurant_state(),
             user_acts=[DialogAct("inform", "loc")],
             system_acts=[DialogAct("request", "food_pref")],
-            domain="restaurant",
         )
 
     def test_positive_and_negative_split(self):
@@ -221,7 +220,6 @@ class TestBuildSample:
             ),
             user_acts=[DialogAct(a.intent, rename[a.slot]) for a in t1.user_acts],
             system_acts=[DialogAct(a.intent, rename[a.slot]) for a in t1.system_acts],
-            domain="copy",
         )
         s1 = build_sample(t1, RESTAURANT)
         s2 = build_sample(t2, other)
@@ -284,7 +282,6 @@ def test_sample_records_roundtrip(tmp_path):
         state=restaurant_state(),
         user_acts=[DialogAct("inform", "loc")],
         system_acts=[DialogAct("request", "food_pref")],
-        domain="restaurant",
     )
     sample = build_sample(t, RESTAURANT)
     rec = SampleRecord(sample, meta={"dialog": 0, "turn": 1, "domain": "restaurant"})

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from slotlogic import (
-    ClauseWeights,
     Hyperparams,
     LanguageFrame,
     ModelCompiler,
@@ -24,7 +23,7 @@ from slotlogic import (
     train,
 )
 from slotlogic import pipeline, representative_dialog
-from slotlogic.engine import loss, loss_and_grad
+from slotlogic.engine import loss, loss_and_grad, probabilities
 from slotlogic.gradcheck import _random_instance
 
 from .oracles import boolean_rounds
@@ -47,7 +46,7 @@ def one_hot(compiler, clause_text):
         if target in clauses:
             v[clauses.index(target)] = 60.0
         vectors.append(v)
-    return ClauseWeights([key for key, _ in compiler.pools], vectors)
+    return vectors
 
 
 class TestSample:
@@ -198,10 +197,7 @@ class TestInfer:
         pt = ProgramTemplate(slots=((P, (RuleTemplate(0, False),)),), forward_steps=1)
         comp = ModelCompiler(frame, pt)
         s = Sample.make([atom("q", "a")], [atom("p", "a")], [], ("a",))
-        w = ClauseWeights(
-            [key for key, _ in comp.pools],
-            [np.full(len(cs), -50.0) for _, cs in comp.pools],
-        )
+        w = [np.full(len(cs), -50.0) for _, cs in comp.pools]
         v = infer(comp.compile(s.constants), w, s)
         assert v.of(atom("q", "a")) == 1.0
 
@@ -233,7 +229,7 @@ class TestInfer:
         pools = [((member, 0), clauses)]
         pt = ProgramTemplate(slots=((member, (RuleTemplate(1, True),)),), forward_steps=4)
         comp = ModelCompiler(frame, pt, pools=pools)
-        w = ClauseWeights([(member, 0)], [np.array([60.0, 60.0])])
+        w = [np.array([60.0, 60.0])]
         # a slot mixes clauses by softmax, so a crisp two-clause program
         # needs them as background instead
         comp2 = ModelCompiler(
@@ -245,7 +241,7 @@ class TestInfer:
         oracle = boolean_rounds(clauses, set(background), consts, rounds=4)
         model = comp.compile(consts)
         # mixture weights mean fuzzy values sit below 1; compare support at T=4
-        v = infer(model, ClauseWeights([(member, 0)], [np.array([0.0, 0.0])]), s)
+        v = infer(model, [np.array([0.0, 0.0])], s)
         fuzzy_support = {
             model.index.atoms[i]
             for i in range(1, len(model.index))
@@ -278,7 +274,7 @@ class TestLoss:
         lam = 0.01
         l1 = loss(comp, w, [s], Hyperparams(reg_kind="l1", reg_lambda=lam))
         l2 = loss(comp, w, [s], Hyperparams(reg_kind="l2", reg_lambda=lam))
-        flat = w.flatten()
+        flat = np.concatenate(w)
         assert l1 - base == pytest.approx(lam * np.abs(flat).sum())
         assert l2 - base == pytest.approx(lam * (flat**2).sum())
 
@@ -375,9 +371,7 @@ class TestCrispAgreementProperty:
                     continue
                 pt = ProgramTemplate(slots=slots, forward_steps=len(consts) * 3 + 2)
                 comp = ModelCompiler(frame, pt, pools=pools)
-                weights = ClauseWeights(
-                    [key for key, _ in pools], [np.zeros(1) for _ in pools]
-                )
+                weights = [np.zeros(1) for _ in pools]
                 for trial in range(3):
                     mask = rng.random(len(ext_atoms)) < 0.4
                     background = [a for a, m in zip(ext_atoms, mask) if m]
@@ -405,7 +399,7 @@ class TestTrain:
         m = train(comp_frame, [s], TOY_TEMPLATE, hp)
         assert m.final_loss < 0.01
         probs = m.probabilities()[0]
-        best = m.pools[0][1][int(np.argmax(probs))]
+        best = m.compiler.pools[0][1][int(np.argmax(probs))]
         assert best == parse_clause("p(V0) <- q(V0)")
 
     def test_deterministic(self):
@@ -414,7 +408,7 @@ class TestTrain:
         m1 = train(TOY_FRAME, [s], TOY_TEMPLATE, hp)
         m2 = train(TOY_FRAME, [s], TOY_TEMPLATE, hp)
         assert m1.loss_trace == m2.loss_trace
-        for a, b in zip(m1.weights.vectors, m2.weights.vectors):
+        for a, b in zip(m1.weights, m2.weights):
             assert np.array_equal(a, b)
 
     def test_divergence_reported(self):
@@ -438,11 +432,11 @@ class TestTrain:
         path = tmp_path / "model.json"
         m.save(path)
         loaded = TrainedModel.load(path)
-        assert loaded.pools == m.pools
+        assert loaded.compiler.pools == m.compiler.pools
         assert loaded.loss_trace == m.loss_trace
-        for a, b in zip(loaded.weights.vectors, m.weights.vectors):
+        for a, b in zip(loaded.weights, m.weights):
             assert np.array_equal(a, b)
-        loaded.compiler()  # pools must match regeneration
+        loaded.compiler  # loading checked the pools against regeneration
 
     def test_model_file_with_frame_constants_loads(self):
         s = Sample.make([atom("q", "a")], [atom("p", "a")], [], ("a",))
@@ -451,8 +445,8 @@ class TestTrain:
         assert "constants" not in d["frame"]
         d["frame"]["constants"] = ["a"]  # written by older versions, never read
         loaded = TrainedModel.from_dict(d)
-        assert loaded.frame == TOY_FRAME
-        assert loaded.pools == m.pools
+        assert loaded.compiler.frame == TOY_FRAME
+        assert loaded.compiler.pools == m.compiler.pools
 
 
 class TestBackgroundClauses:
@@ -487,7 +481,7 @@ class TestBackgroundClauses:
         ]
         atoms_bg += [atom("true", x) for x in "acdefg"]
         s = Sample.make(atoms_bg, [atom("goal", "a")], [], consts)
-        w = ClauseWeights([(target, 0)], [np.zeros(0)])
+        w = [np.zeros(0)]
         v = infer(comp.compile(consts), w, s)
         for x in "abcdefgh":
             expected = 1.0 if x in "cde" else 0.0
@@ -510,7 +504,7 @@ class TestBackgroundClauses:
             slots=((t, (RuleTemplate(0, True), RuleTemplate(0, True))),), forward_steps=6
         )
         comp = ModelCompiler(frame, pt, background=background, pools=pools)
-        w = ClauseWeights([key for key, _ in pools], [np.zeros(1), np.zeros(1)])
+        w = [np.zeros(1), np.zeros(1)]
         consts = ("a", "b", "c", "d")
         rng = np.random.default_rng(2)
         ext = [atom("e", x, y) for x in consts for y in consts] + [atom("f", x) for x in consts]
@@ -542,11 +536,8 @@ def test_softmax_normalization_invariant():
     comp = toy_compiler()
     rng = np.random.default_rng(0)
     for _ in range(50):
-        w = ClauseWeights(
-            [key for key, _ in comp.pools],
-            [rng.standard_normal(len(cs)) * rng.uniform(0, 30) for _, cs in comp.pools],
-        )
-        for p in w.probabilities():
+        w = [rng.standard_normal(len(cs)) * rng.uniform(0, 30) for _, cs in comp.pools]
+        for p in probabilities(w):
             assert abs(p.sum() - 1.0) <= 1e-9
 
 
@@ -611,7 +602,7 @@ class TestTieRules:
         aux = tuple(pred for (pred, _), _ in pools if pred != self.T)
         pt = ProgramTemplate(slots=slots, auxiliary=aux, forward_steps=steps)
         comp = ModelCompiler(frame, pt, pools=pools)
-        w = ClauseWeights([key for key, _ in pools], [np.zeros(len(cs)) for _, cs in pools])
+        w = [np.zeros(len(cs)) for _, cs in pools]
         s = Sample.make(background, [atom("t")], [], self.CONSTS)
         value, g = loss_and_grad(comp, w, [s], Hyperparams())
         assert value == pytest.approx(math.log(2.0), abs=1e-12)

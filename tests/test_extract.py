@@ -53,7 +53,7 @@ class TestExtract:
         trained = train(FRAME, [s], TEMPLATE, hp)
         program = extract_program(trained, threshold=1.0)
         # exact tie: first clause in canonical pool order wins
-        assert program.rules[0][0] == trained.pools[0][1][0]
+        assert program.rules[0][0] == trained.compiler.pools[0][1][0]
 
     def test_threshold_includes_alternates(self):
         trained, _ = trained_toy(steps=5)
@@ -166,7 +166,7 @@ class TestAgreement:
         # independent check: fuzzy >= 0.5 per atom vs crisp derivation
         from slotlogic import infer
 
-        compiler = trained.compiler()
+        compiler = trained.compiler
         model = compiler.compile(s.constants)
         v = infer(model, trained.weights, s)
         derived = boolean_fixpoint(

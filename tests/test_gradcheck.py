@@ -5,7 +5,6 @@ import pytest
 
 from slotlogic import (
     Atom,
-    ClauseWeights,
     Hyperparams,
     LanguageFrame,
     ModelCompiler,
@@ -78,9 +77,7 @@ def _background_instance(rng, amalgamation):
     positive = [a for a, f in zip(labeled, flags) if f == 1] or [labeled[0]]
     negative = [a for a, f in zip(labeled, flags) if f == 2 and a not in positive]
     sample = Sample.make(background, positive, negative, constants)
-    weights = ClauseWeights(
-        [key for key, _ in pools], [rng.standard_normal(len(cs)) for _, cs in pools]
-    )
+    weights = [rng.standard_normal(len(cs)) for _, cs in pools]
     return compiler, weights, [sample], Hyperparams(amalgamation=amalgamation)
 
 

@@ -2,7 +2,6 @@ import pytest
 
 from slotlogic import atom, convert_multiwoz_records, encode_multiwoz_state
 from slotlogic.multiwoz import (
-    SchemaError,
     convert_multiwoz_turn,
     encode_act_triples,
     normalize_slot,
@@ -74,8 +73,8 @@ class TestActTriples:
         assert without == {"hotel": {atom("offerbooked")}}
 
     def test_unknown_intent_raises(self):
-        with pytest.raises(SchemaError):
-            encode_act_triples([["teleport", "restaurant", "food"]], "system", turn=4)
+        with pytest.raises(ValueError):
+            encode_act_triples([["teleport", "restaurant", "food"]], "system")
 
 
 class TestConvertTurn:
@@ -170,7 +169,7 @@ class TestConvertDialog:
 
     def test_schema_violation_carries_turn(self):
         record = {"turns": [{"state": [], "user_acts": [], "system_acts": []}]}
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(ValueError) as exc:
             convert_multiwoz_records(record)
         assert "turn 0" in str(exc.value)
 

@@ -32,6 +32,7 @@ from slotlogic.pipeline import (
 )
 from slotlogic.extract import PolicyProgram, load_program, save_program
 from slotlogic.logic import parse_clause, Predicate
+from slotlogic.templates import template_to_dict
 
 GOLDEN_PROGRAM = PolicyProgram(
     rules=tuple(
@@ -181,6 +182,13 @@ class TestFullCli:
             self.run(["train", "--samples", str(samples), "--restarts", "1",
                       "--out", str(model), *flags])
             assert json.loads(model.read_text())["hyperparams"] == want.to_dict()
+
+
+def swapped_first_clauses(slot: dict) -> dict:
+    """A model file's slot with its first two clauses swapped, weights and
+    probabilities with them: no longer in the pool order its template makes."""
+    return {**slot, **{k: [slot[k][1], slot[k][0], *slot[k][2:]]
+                       for k in ("clauses", "raw_weights", "probabilities")}}
 
 
 class TestMalformedLines:
@@ -337,8 +345,12 @@ class TestMalformedLines:
          "model field 'slots': ValueError"),
         (lambda m: {k: v for k, v in m.items() if k != "loss_trace"},
          "model lacks field 'loss_trace'"),
+        (lambda m: {**m, "frame": {**m["frame"], "extensional": [["true", 0.5]]}},
+         "model fields do not describe a model"),
+        (lambda m: {**m, "slots": [swapped_first_clauses(m["slots"][0]), *m["slots"][1:]]},
+         "model field 'slots': the clause lists differ"),
     ], ids=["list", "int-frame", "null-slots", "unknown-hyperparam", "short-weights",
-            "no-trace"])
+            "no-trace", "fractional-arity", "swapped-clauses"])
     def test_extract_rejects_malformed_model(self, tmp_path, capsys, edit, want):
         frame, sample, template = pipeline.list_all_problem()
         model = train(frame, [sample], template, pipeline.all_task_hyperparams(training_steps=1))
@@ -347,6 +359,18 @@ class TestMalformedLines:
         message = self.fail(["extract", "--model", str(path), "--out", str(tmp_path / "p.txt")],
                             capsys, where="")
         assert want in message
+
+    @pytest.mark.parametrize("slot", ["foo/1", "known/1"], ids=["undeclared", "extensional"])
+    def test_train_rejects_template_slot_outside_targets(self, files, capsys, slot):
+        tmp_path, samples = files
+        template = template_to_dict(pipeline.simdial_template())
+        template["slots"].append([slot, [{"v": 0, "i": False}]])
+        path = tmp_path / "template.json"
+        path.write_text(json.dumps(template))
+        message = self.fail(["train", "--samples", str(samples), "--template", str(path),
+                             "--steps", "1", "--restarts", "1", "--out", str(tmp_path / "m.json")],
+                            capsys, where="")
+        assert f"template slot {slot} must be a frame target" in message
 
     @pytest.mark.parametrize("line", [
         '[1, 2]', '{"turns": 5}', '{"turns": [1]}', '{"turns": [{"user_acts": [5]}]}',

@@ -7,28 +7,26 @@ groundings of the product of its two body values; a slot mixes its
 clauses by softmax weight; a predicate with two slots combines them by
 probabilistic sum; the step result is folded into the valuation with an
 element-wise max (or, for the ablation variant, a probabilistic sum),
-capped at one. Background clauses run every step with weight one and
-carry no parameters; a background head takes the max over the
-groundings of all its clauses.
+capped at one. Background clauses carry no parameters; a background
+head takes the max over the groundings of all its clauses.
 
 Compilation builds one grounding table per constant list. Rows come
 from index arithmetic (``ground_clause``). Each row belongs to a
 segment, the rows one max runs over: a (clause, head atom) cell of a
-slot, or a head atom of a background predicate. Segments are bucketed
-by row count into dense (segments, rows) blocks, so a forward step is a
-gather-multiply per block, a max and argmax along its rows, and one
-weighted ``bincount`` into the head atoms. The backward step gathers the
-winning rows' body values again and scatters into the valuation's
-gradient with ``bincount``; a step's trace keeps only its input, the
-winners of multi-row segments and the head values.
+slot. Segments are bucketed by row count into dense (segments, rows)
+blocks, so a forward step is a gather-multiply per block, a max and
+argmax along its rows, and one weighted ``bincount`` into the head
+atoms. The backward step gathers the winning rows' body values again
+and scatters into the valuation's gradient with ``bincount``; a step's
+trace keeps only its input, the winners of multi-row segments and the
+head values.
 
-Background clauses whose bodies read only extensional atoms and the
-heads of other such clauses see no weight. They are chained once per
-batch (``_static_schedule``) with the same step count, amalgamation and
-cap, so their values are bit-identical to chaining them inside every
-step; each step reads its row of that schedule, and the backward pass
-never visits them. Background clauses that read a slot head, directly
-or through another background head, stay in the table.
+Background is fixed knowledge: a background clause reads only
+extensional atoms and background heads (``ModelCompiler`` rejects any
+other body), so no weight reaches it. It is chained once per batch
+(``_static_schedule``) with the same step count, amalgamation and cap
+as the weighted steps; each step reads its row of that schedule, and
+the backward pass never visits it.
 
 Gradients are exact reverse-mode derivatives of that computation. Max
 picks its first argument on ties: the old valuation over the fresh
@@ -329,27 +327,25 @@ class _FlatIndex:
 class CompiledModel:
     """Grounded clause tables for one constant list; immutable.
 
-    ``table`` holds every weight-dependent grounding row. Segment ``i`` adds
-    its value, times its clause's probability (one for a background
-    segment, see ``seg_weight``), into output ``seg_out[i]``. The outputs
-    are the head atoms ``single_cols``, then the head atoms ``pair_cols``
-    once per slot of a two-slot predicate, merged by probabilistic sum.
-    ``static`` holds the background rows no weight reaches, one segment per
-    head atom. Clause gradients are summed over a dense (clause, head atom)
-    layout of ``n_dense`` cells: ``seg_dense`` places each slot segment
-    (background ones go past the end) and ``clause_starts`` opens each
-    clause's range.
+    ``table`` holds the grounding rows of the slot clauses. Segment ``i``
+    is the (clause, head atom) cell ``table.key[i]`` of a dense layout of
+    ``n_dense`` cells, in which ``clause_starts`` opens each clause's
+    range; it adds its value, times the probability of clause
+    ``seg_weight[i]``, into output ``seg_out[i]``. The outputs are the
+    head atoms ``single_cols``, then the head atoms ``pair_cols`` once per
+    slot of a two-slot predicate, merged by probabilistic sum. ``static``
+    holds every background row, one segment per head atom: background
+    reads only extensional atoms and background heads, so it is chained
+    once per batch.
     """
 
     index: GroundIndex
-    constants: tuple[str, ...]
     slot_groups: tuple[_Slot, ...]
     forward_steps: int
     amalgamation: str
     table: _Table
     seg_out: np.ndarray
     seg_weight: np.ndarray
-    seg_dense: np.ndarray
     n_dense: int
     clause_starts: np.ndarray
     single_cols: np.ndarray
@@ -432,45 +428,23 @@ class ModelCompiler:
             if p not in preds:
                 preds.append(p)
         self.predicates = tuple(preds)
-        known = set(preds)
+        # Background is fixed knowledge: chained once per batch ahead of
+        # the weights (_static_schedule), so it must not read a slot head.
+        fixed = {*frame.extensional, *bg_heads}
         for c in self.background:
             for a in c.body:
-                if a.predicate not in known:
-                    raise ValueError(
-                        f"background clause body uses undeclared {a.predicate}"
-                    )
+                if a.predicate not in fixed:
+                    raise ValueError(f"background clause {format_clause(c)} reads {a.predicate}, "
+                                     "which is neither extensional nor a background head")
         for p in self.background_pool:
-            if p not in known:
+            if p not in self.predicates:
                 raise ValueError(f"background pool predicate {p} undeclared")
-
-        # A background head depends on the weights when one of its clauses
-        # reads a slot head or another such background head. The others are
-        # chained once per batch (_static_schedule) and leave the gradient.
-        weighted = learnable | {pred for (pred, _), _ in self.pools}
-        grew = True
-        while grew:
-            grew = False
-            for c in self.background:
-                if c.head.predicate not in weighted and any(
-                    a.predicate in weighted for a in c.body
-                ):
-                    weighted.add(c.head.predicate)
-                    grew = True
-        self._weighted_bg = tuple(p for p in bg_heads if p in weighted)
-        self._static_bg = tuple(p for p in bg_heads if p not in weighted)
         self._cache: dict[tuple[str, ...], CompiledModel] = {}
 
     def init_weights(self, seed: int = 0, scale: float = 0.1) -> list[np.ndarray]:
         """One raw weight vector per pool, in pool order."""
         rng = np.random.default_rng(seed)
         return [rng.standard_normal(len(cs)) * scale for _, cs in self.pools]
-
-    def _background_rows(self, heads: Sequence[Predicate], index: GroundIndex) -> np.ndarray:
-        """Grounding rows of every background clause with one of these heads."""
-        return np.concatenate(
-            [np.zeros((0, 3), dtype=np.int64)]
-            + [ground_clause(c, index) for c in self.background if c.head.predicate in heads]
-        )
 
     def compile(self, constants: Sequence[str]) -> CompiledModel:
         key = tuple(constants)
@@ -481,13 +455,12 @@ class ModelCompiler:
         def span(p: Predicate) -> np.ndarray:
             return np.arange(*index.ranges[p], dtype=np.int64)
 
-        # Outputs: the head atoms of one-slot predicates and of weighted
-        # background heads, then those of two-slot predicates once per slot.
+        # Outputs: the head atoms of one-slot predicates, then those of
+        # two-slot predicates once per slot.
         slots_of: dict[Predicate, list[int]] = {}
         for j, ((pred, _), _) in enumerate(self.pools):
             slots_of.setdefault(pred, []).append(j)
         singles = [p for p, js in slots_of.items() if len(js) == 1]
-        singles += self._weighted_bg
         pairs = [p for p, js in slots_of.items() if len(js) == 2]
         out_start: dict[tuple[Predicate, int], int] = {}
         n_out = 0
@@ -497,13 +470,13 @@ class ModelCompiler:
             out_start[p, which] = n_out
             n_out += span(p).size
 
-        # Segment keys: a slot row's key is its (clause, head atom) cell in
-        # the dense layout; a weighted background row's key is n_dense plus
-        # its output, so each such head atom is one segment over all of its
-        # clauses. pos_out/pos_weight map a key to its output and weight.
-        keys, rows = [], []
-        pos_out, pos_weight, clause_starts = [], [], []
-        n_dense = n_clauses = 0
+        # A row's key is its (clause, head atom) cell in the dense layout;
+        # cell_out/cell_clause map a cell to its output and clause.
+        no_rows = np.zeros((0, 3), dtype=np.int64)
+        no_cells = no_rows[:, 0]
+        keys, rows = [no_cells], [no_rows]
+        cell_out, cell_clause, clause_starts = [no_cells], [no_cells], []
+        n_dense = 0
         for j, ((pred, _), clauses) in enumerate(self.pools):
             heads = span(pred)
             base = out_start[pred, slots_of[pred].index(j)]
@@ -511,35 +484,25 @@ class ModelCompiler:
                 r = ground_clause(clause, index)
                 keys.append(n_dense + r[:, 0] - heads[0])
                 rows.append(r)
+                cell_out.append(np.arange(base, base + heads.size))
+                cell_clause.append(np.full(heads.size, len(clause_starts)))
                 clause_starts.append(n_dense)
-                pos_out.append(np.arange(base, base + heads.size))
-                pos_weight.append(np.full(heads.size, n_clauses))
                 n_dense += heads.size
-                n_clauses += 1
-        head_out = np.zeros(len(index), dtype=np.int64)
-        for p in self._weighted_bg:
-            head_out[span(p)] = out_start[p, 0] + np.arange(span(p).size)
-        rows.append(self._background_rows(self._weighted_bg, index))
-        keys.append(n_dense + head_out[rows[-1][:, 0]])
-        pos_out.append(np.arange(n_out))
-        pos_weight.append(np.full(n_out, n_clauses))
         rows = np.concatenate(rows)
         table = _Table.build(np.concatenate(keys), rows[:, 1], rows[:, 2])
-        static = self._background_rows(self._static_bg, index)
+        static = np.concatenate([no_rows, *(ground_clause(c, index) for c in self.background)])
         model = CompiledModel(
             index=index,
-            constants=key,
             slot_groups=tuple(_Slot(pred, tuple(cs)) for (pred, _), cs in self.pools),
             forward_steps=self.template.forward_steps,
             amalgamation=self.amalgamation,
             table=table,
-            seg_out=np.concatenate(pos_out)[table.key],
-            seg_weight=np.concatenate(pos_weight)[table.key],
-            seg_dense=np.minimum(table.key, n_dense),
+            seg_out=np.concatenate(cell_out)[table.key],
+            seg_weight=np.concatenate(cell_clause)[table.key],
             n_dense=n_dense,
             clause_starts=np.asarray(clause_starts, dtype=np.int64),
-            single_cols=np.concatenate([span(p) for p in singles] + [head_out[:0]]),
-            pair_cols=np.concatenate([span(p) for p in pairs] + [head_out[:0]]),
+            single_cols=np.concatenate([no_cells, *map(span, singles)]),
+            pair_cols=np.concatenate([no_cells, *map(span, pairs)]),
             static=_Table.build(static[:, 0], static[:, 1], static[:, 2]),
         )
         self._cache[key] = model
@@ -599,8 +562,8 @@ def _amalgamate(kind: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _static_schedule(model: CompiledModel, a0: np.ndarray, steps: int) -> np.ndarray:
-    """Derivations (steps, S, static heads) of the weight-free background
-    clauses, chained from ``a0`` exactly as the full step chains them."""
+    """Derivations (steps, S, background heads) of the background clauses,
+    chained from ``a0`` with the step's amalgamation and cap."""
     a = a0.copy()
     cols = model.static.key
     out = np.zeros((steps, a.shape[0], cols.size))
@@ -611,8 +574,8 @@ def _static_schedule(model: CompiledModel, a0: np.ndarray, steps: int) -> np.nda
 
 
 def _segment_weights(model: CompiledModel, probs: Sequence[np.ndarray]) -> np.ndarray:
-    """Each table segment's clause probability, or one for background."""
-    return np.concatenate([*probs, [1.0]])[model.seg_weight]
+    """Each table segment's clause probability."""
+    return np.concatenate([np.zeros(0), *probs])[model.seg_weight]
 
 
 def _step_batch(
@@ -703,10 +666,10 @@ def _backward_step(
 def _clause_grads(model: CompiledModel, dseg: np.ndarray) -> np.ndarray:
     """Sum segment gradients per clause over the dense (clause, head)
     layout, so clauses equal on the data get bit-equal gradients."""
-    dense = np.bincount(model.seg_dense, weights=dseg, minlength=model.n_dense + 1)
+    dense = np.bincount(model.table.key, weights=dseg, minlength=model.n_dense)
     if not model.clause_starts.size:
         return np.zeros(0)
-    return np.add.reduceat(dense[: model.n_dense], model.clause_starts)
+    return np.add.reduceat(dense, model.clause_starts)
 
 
 def step(model: CompiledModel, weights: Sequence[np.ndarray], valuation: Valuation) -> Valuation:
@@ -718,7 +681,7 @@ def step(model: CompiledModel, weights: Sequence[np.ndarray], valuation: Valuati
 
 def infer(model: CompiledModel, weights: Sequence[np.ndarray], sample: Sample) -> Valuation:
     """Run ``forward_steps`` chained deduction steps from the background."""
-    if tuple(sample.constants) != model.constants:
+    if tuple(sample.constants) != model.index.constants:
         raise ValueError(
             "sample constants do not match this compiled model; "
             "compile it with ModelCompiler.compile(sample.constants)"

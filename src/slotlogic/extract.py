@@ -176,6 +176,13 @@ def _targets(text: str) -> tuple[Predicate, ...]:
                  for name, _, arity in (tok.partition("/") for tok in text.split()))
 
 
+def _forward_steps(text: str) -> int:
+    steps = int(text)
+    if steps < 1:
+        raise ValueError(f"{steps} is below 1")
+    return steps
+
+
 def program_from_text(text: str) -> PolicyProgram:
     """The program a file's text holds; a ``ValueError`` names the line it fails on."""
     headers: dict[str, tuple[int, str]] = {}
@@ -204,7 +211,7 @@ def program_from_text(text: str) -> PolicyProgram:
         alternates=tuple(sections["alternates"]),
         background=tuple(c for c, _ in sections["background"]),
         targets=_at_line(_targets, "targets", *headers["targets"]),
-        forward_steps=_at_line(int, "forward_steps", *headers["forward_steps"]),
+        forward_steps=_at_line(_forward_steps, "forward_steps", *headers["forward_steps"]),
     )
 
 

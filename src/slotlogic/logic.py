@@ -53,8 +53,8 @@ class Predicate:
     def __post_init__(self):
         if not _NAME_RE.fullmatch(self.name):
             raise ValueError(f"bad predicate name {self.name!r}")
-        if not 0 <= self.arity <= MAX_ARITY:
-            raise ValueError(f"arity {self.arity} outside 0..{MAX_ARITY}")
+        if type(self.arity) is not int or not 0 <= self.arity <= MAX_ARITY:
+            raise ValueError(f"arity {self.arity!r} is not an integer in 0..{MAX_ARITY}")
         object.__setattr__(self, "_hash", hash((self.name, self.arity)))
 
     def __hash__(self) -> int:

@@ -136,15 +136,19 @@ def template_from_dict(d: dict) -> ProgramTemplate:
         try:
             key, slot_list = entry
             name, _, arity = key.partition("/")
-            slots.append((Predicate(name, int(arity)),
-                          tuple(RuleTemplate(int(s["v"]), bool(s["i"])) for s in slot_list)))
+            rules = [(s["v"], s["i"]) for s in slot_list]
+            if any(type(v) is not int or type(i) is not bool for v, i in rules):
+                raise ValueError('"v" must be a JSON integer and "i" a JSON boolean')
+            slots.append((Predicate(name, int(arity)), tuple(RuleTemplate(*r) for r in rules)))
         except KeyError as exc:
             raise ValueError(f"template slot {key}: entry lacks key {exc}; want {form}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"template slot {entry!r}: {exc}; want {form}") from exc
     try:
         auxiliary = tuple(Predicate(n, a) for n, a in d.get("auxiliary", []))
-        forward_steps = int(d.get("forward_steps", 10))
+        forward_steps = d.get("forward_steps", 10)
+        if type(forward_steps) is not int:
+            raise ValueError(f"forward_steps is {forward_steps!r}")
     except (TypeError, ValueError) as exc:
         raise ValueError(f'a template\'s "auxiliary" must be a list of [name, arity] pairs '
                          f'and its "forward_steps" an integer: {exc}') from exc

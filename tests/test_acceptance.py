@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from slotlogic import (
     infer,
     parse_clause,
 )
-from slotlogic.extract import crisp_infer, extract_program
+from slotlogic.extract import crisp_infer, extract_program, program_to_text
 from slotlogic.gradcheck import run_gradcheck
 from slotlogic.metrics import action_f1
 from slotlogic.multiwoz import encode_act_triples, encode_multiwoz_state
@@ -157,6 +158,14 @@ def test_criterion_4_learned_rule_identity(one_shot):
         "criterion 4: argmax rules match, sys_request <- member_usr & unknown; "
         "sys_inform <- kb_return"
     )
+
+
+def test_shipped_program_is_the_one_shot_program(one_shot):
+    # The transfer benchmark applies this file; it must be what training
+    # extracts, byte for byte.
+    shipped = Path(__file__).parents[1] / "perfbench" / "data" / "restaurant_program.txt"
+    assert program_to_text(one_shot.program).encode() == shipped.read_bytes()
+    report("shipped program: perfbench/data/restaurant_program.txt equals the one-shot program")
 
 
 def test_criterion_5_failure_case_and_retraining(one_shot, correction_dialog):

@@ -117,6 +117,20 @@ class TestCompile:
         with pytest.raises(ValueError):
             toy_compiler(background=(parse_clause("extra(V0) <- mystery(V0)"),))
 
+    @pytest.mark.parametrize("body", ["p", "h"], ids=["target", "auxiliary"])
+    def test_background_reading_a_slot_rejected(self, body):
+        # Background is chained ahead of the weights, so it may not read a
+        # slot head.
+        h = Predicate("h", 1)
+        pt = ProgramTemplate(
+            slots=((P, (RuleTemplate(0, True),)), (h, (RuleTemplate(0, True),))),
+            auxiliary=(h,),
+            forward_steps=1,
+        )
+        background = (parse_clause(f"u(V0) <- q(V0), {body}(V0)"),)
+        with pytest.raises(ValueError, match=f"reads {body}/1, which is neither extensional"):
+            ModelCompiler(TOY_FRAME, pt, background=background)
+
 
 class TestInitValuation:
     def test_background_ones(self):
@@ -487,36 +501,6 @@ class TestBackgroundClauses:
             expected = 1.0 if x in "cde" else 0.0
             assert v.of(atom("all", x)) == expected, x
 
-
-    def test_background_reading_the_target_matches_oracle(self):
-        # u reads the learnable t, and t reads u back: u must be chained
-        # with the weights, not ahead of them. One clause per slot keeps
-        # the fuzzy values crisp.
-        t, e, f = Predicate("t", 1), Predicate("e", 2), Predicate("f", 1)
-        frame = LanguageFrame(targets=(t,), extensional=(e, f))
-        background = [
-            parse_clause("u(V0) <- e(V1, V0), t(V1)"),
-            parse_clause("w(V0) <- f(V0), e(V0, V1)"),
-        ]
-        rules = [parse_clause("t(V0) <- f(V0), w(V0)"), parse_clause("t(V0) <- u(V0)")]
-        pools = [((t, k), [c]) for k, c in enumerate(rules)]
-        pt = ProgramTemplate(
-            slots=((t, (RuleTemplate(0, True), RuleTemplate(0, True))),), forward_steps=6
-        )
-        comp = ModelCompiler(frame, pt, background=background, pools=pools)
-        w = [np.zeros(1), np.zeros(1)]
-        consts = ("a", "b", "c", "d")
-        rng = np.random.default_rng(2)
-        ext = [atom("e", x, y) for x in consts for y in consts] + [atom("f", x) for x in consts]
-        for _ in range(10):
-            bg = [a for a in ext if rng.random() < 0.3]
-            s = Sample.make(bg, [atom("t", "a")], [], consts)
-            model = comp.compile(consts)
-            v = infer(model, w, s)
-            oracle = boolean_rounds(rules + background, set(bg), consts, rounds=6)
-            for i in range(1, len(model.index)):
-                assert (v.values[i] == 1.0) == (model.index.atoms[i] in oracle)
-                assert v.values[i] in (0.0, 1.0)
 
 
 def test_list_problem_pool_contains_solution():

@@ -36,19 +36,16 @@ def test_deterministic():
 
 E, F = Predicate("e", 2), Predicate("f", 1)
 T = Predicate("t", 1)
-# A static clause (extensional body), a recursive static pair, and a
-# recursive pair whose body reads the learnable target.
+# A static clause (extensional body) and a recursive static pair.
 BACKGROUND = tuple(
     parse_clause(c)
     for c in (
         "s(V0) <- e(V0, V1), f(V1)",
         "reach(V0, V1) <- e(V0, V1)",
         "reach(V0, V1) <- e(V0, V2), reach(V2, V1)",
-        "u(V0) <- e(V1, V0), t(V1)",
-        "u(V0) <- e(V1, V0), u(V1)",
     )
 )
-BODY_POOL = (Predicate("s", 1), Predicate("reach", 2), Predicate("u", 1))
+BODY_POOL = (Predicate("s", 1), Predicate("reach", 2))
 
 
 def _background_instance(rng, amalgamation):

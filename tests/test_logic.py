@@ -62,6 +62,12 @@ class TestParseAtom:
             parse_atom("known(loc) extra")
 
 
+@pytest.mark.parametrize("arity", [0.5, 1.0, True, "1", -1, 99])
+def test_predicate_rejects_bad_arity(arity):
+    with pytest.raises(ValueError, match="is not an integer in 0.."):
+        Predicate("true", arity)
+
+
 class TestParseClause:
     def test_two_atom_body(self):
         c = parse_clause("all(V0) <- true(V0), pred1(V0, V1)")

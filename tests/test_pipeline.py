@@ -346,11 +346,14 @@ class TestMalformedLines:
         (lambda m: {k: v for k, v in m.items() if k != "loss_trace"},
          "model lacks field 'loss_trace'"),
         (lambda m: {**m, "frame": {**m["frame"], "extensional": [["true", 0.5]]}},
-         "model fields do not describe a model"),
+         "model field 'frame': ValueError"),
         (lambda m: {**m, "slots": [swapped_first_clauses(m["slots"][0]), *m["slots"][1:]]},
          "model field 'slots': the clause lists differ"),
+        (lambda m: {**m, "background": ["u(V0) <- succ(V0, V1), all(V1)"]},
+         "model fields do not describe a model: background clause u(V0) <- all(V1), "
+         "succ(V0, V1) reads all/1, which is neither extensional nor a background head"),
     ], ids=["list", "int-frame", "null-slots", "unknown-hyperparam", "short-weights",
-            "no-trace", "fractional-arity", "swapped-clauses"])
+            "no-trace", "fractional-arity", "swapped-clauses", "background-reads-target"])
     def test_extract_rejects_malformed_model(self, tmp_path, capsys, edit, want):
         frame, sample, template = pipeline.list_all_problem()
         model = train(frame, [sample], template, pipeline.all_task_hyperparams(training_steps=1))

@@ -137,7 +137,20 @@ class TestProgramTemplate:
         with pytest.raises(ValueError, match=r"template slot \[5, "):
             template_from_dict(d)
 
-    @pytest.mark.parametrize("field, value", [("auxiliary", 5), ("forward_steps", None)])
+    @pytest.mark.parametrize("rule", [
+        {"v": 0.9, "i": "false"}, {"v": 0.9, "i": True}, {"v": "1", "i": True},
+        {"v": True, "i": True}, {"v": 0, "i": "false"}, {"v": 0, "i": 1},
+    ])
+    def test_malformed_rule_template_rejected(self, rule):
+        d = template_to_dict(ProgramTemplate(slots=((P, (RuleTemplate(0, True),)),)))
+        d["slots"][0][1][0] = rule
+        with pytest.raises(ValueError, match=r"template slot \['p/1', .*\"v\" must be a JSON integer"):
+            template_from_dict(d)
+
+    @pytest.mark.parametrize("field, value", [
+        ("auxiliary", 5), ("forward_steps", None), ("forward_steps", "14"),
+        ("forward_steps", True), ("forward_steps", 14.0), ("auxiliary", [["p", 0.5]]),
+    ])
     def test_malformed_auxiliary_or_steps_rejected(self, field, value):
         d = template_to_dict(ProgramTemplate(slots=((P, (RuleTemplate(0, True),)),)))
         d[field] = value

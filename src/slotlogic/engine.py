@@ -28,6 +28,17 @@ other body), so no weight reaches it. It is chained once per batch
 as the weighted steps; each step reads its row of that schedule, and
 the backward pass never visits it.
 
+Training batches drop dead segments (``_prepare_batches``). A boolean
+copy of the chaining with every clause enabled marks the atoms that
+can become non-zero in a sample; any other atom is exactly 0 under
+every weight, since each step is monotone and a product with 0 stays
+0. A batch's model keeps the segments live in some sample of it (a
+multi-row segment goes only when all its rows are dead, so ties still
+pick the same row). A dropped segment would add +0.0 to every sum and
+±0 to every gradient, so loss and gradients equal those of the full
+table bit for bit. ``ModelCompiler.compile``, ``infer`` and extraction
+keep the full table.
+
 Gradients are exact reverse-mode derivatives of that computation. Max
 picks its first argument on ties: the old valuation over the fresh
 derivation, and the lowest-numbered grounding row within a segment
@@ -41,7 +52,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -706,6 +717,65 @@ class _Batch:
     scale: np.ndarray  # and its loss weight
 
 
+def _live_segments(model: CompiledModel, a0: np.ndarray, static_b: np.ndarray) -> np.ndarray:
+    """Which table segments some weight can make non-zero in some sample.
+
+    A boolean copy of the chaining with every clause enabled: an atom is
+    reachable if it starts above zero, if a segment into it has a row
+    whose two body atoms are reachable (two slots combine by OR), or, for
+    a background head, if the static schedule derives it. The segments
+    live under the valuation that enters the last step are returned; the
+    pass stops early once neither reachability nor the remaining static
+    pattern changes.
+    """
+    S, steps = a0.shape[0], len(static_b)
+    n1, n2 = model.single_cols.size, model.pair_cols.size
+    flat_out = model.flat_index(S).out
+    fired = static_b > 0
+
+    def live_in(reach: np.ndarray) -> np.ndarray:
+        table = model.table
+        parts = [np.take(reach, table.b1, axis=1) & np.take(reach, table.b2, axis=1)]
+        for b1, b2 in table.blocks:
+            parts.append((np.take(reach, b1, axis=1) & np.take(reach, b2, axis=1)).any(axis=2))
+        return np.concatenate(parts, axis=1)
+
+    reach = a0 > 0
+    live = live_in(reach)
+    for t in range(steps - 1):
+        hit = np.zeros(S * (n1 + 2 * n2), dtype=bool)
+        hit[flat_out[live.ravel()]] = True
+        hit = hit.reshape(S, -1)
+        b = np.zeros_like(reach)
+        b[:, model.single_cols] = hit[:, :n1]
+        b[:, model.pair_cols] = hit[:, n1 : n1 + n2] | hit[:, n1 + n2 :]
+        b[:, model.static.key] = fired[t]
+        b |= reach
+        b[:, 0] = False
+        if np.array_equal(b, reach) and (fired[t : steps - 1] == fired[t]).all():
+            break
+        reach = b
+        live = live_in(reach)
+    return live.any(axis=0)
+
+
+def _pruned(model: CompiledModel, keep: np.ndarray) -> CompiledModel:
+    """``model`` with only the table segments ``keep`` selects. A block
+    loses a segment only as a whole, so every kept segment keeps its rows
+    in order and its first-row tie rule."""
+    full = model.table
+    n1 = full.b1.size
+    blocks, lo = [], n1
+    for b1, b2 in full.blocks:
+        sel = keep[lo : lo + b1.shape[0]]
+        lo += b1.shape[0]
+        if sel.any():
+            blocks.append((b1[sel], b2[sel]))
+    table = _Table(full.b1[keep[:n1]], full.b2[keep[:n1]], tuple(blocks), full.key[keep])
+    return replace(model, table=table, seg_out=model.seg_out[keep],
+                   seg_weight=model.seg_weight[keep], _flat={})
+
+
 def _prepare_batches(compiler: ModelCompiler, samples: Sequence[Sample]) -> list[_Batch]:
     groups: dict[tuple[str, ...], list[Sample]] = {}
     for s in samples:
@@ -724,10 +794,9 @@ def _prepare_batches(compiler: ModelCompiler, samples: Sequence[Sample]) -> list
             for a in atoms
         ]
         rows, cols, positive, scale = map(np.asarray, zip(*labels))
-        batches.append(
-            _Batch(model, a0, _static_schedule(model, a0, model.forward_steps),
-                   rows, cols, positive, scale)
-        )
+        static_b = _static_schedule(model, a0, model.forward_steps)
+        model = _pruned(model, _live_segments(model, a0, static_b))
+        batches.append(_Batch(model, a0, static_b, rows, cols, positive, scale))
     return batches
 
 

@@ -16,7 +16,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .engine import Sample, TrainedModel, infer
-from .logic import Atom, Clause, Predicate, Term, format_clause, parse_clause
+from .logic import (
+    Atom, Clause, Predicate, Term, format_clause, parse_clause, parse_digits, parse_predicate,
+)
 
 
 @dataclass(frozen=True)
@@ -172,12 +174,11 @@ def _at_line(parse: Callable, what: str, n: int, text: str):
 
 
 def _targets(text: str) -> tuple[Predicate, ...]:
-    return tuple(Predicate(name, int(arity))
-                 for name, _, arity in (tok.partition("/") for tok in text.split()))
+    return tuple(map(parse_predicate, text.split()))
 
 
 def _forward_steps(text: str) -> int:
-    steps = int(text)
+    steps = parse_digits(text)
     if steps < 1:
         raise ValueError(f"{steps} is below 1")
     return steps

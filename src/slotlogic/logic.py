@@ -140,6 +140,19 @@ class Atom:
         return self.text
 
 
+def parse_digits(text: str) -> int:
+    """A count written in ASCII digits only: no sign, space or underscore."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"invalid literal {text!r}: a count is written in ASCII digits only")
+    return int(text)
+
+
+def parse_predicate(text: str) -> Predicate:
+    """A predicate written ``name/arity``, its arity in ASCII digits."""
+    name, _, arity = text.partition("/")
+    return Predicate(name, parse_digits(arity))
+
+
 @functools.lru_cache(maxsize=4096)
 def atom(name: str, *args: str) -> Atom:
     """Build a ground/variable atom from bare labels (uppercase = variable)."""

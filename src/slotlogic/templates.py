@@ -13,7 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .logic import Atom, Clause, LanguageFrame, Predicate, Term, UnsafeClauseError
+from .logic import (
+    Atom, Clause, LanguageFrame, Predicate, Term, UnsafeClauseError, parse_predicate,
+)
 
 V_MAX = 2
 
@@ -135,11 +137,11 @@ def template_from_dict(d: dict) -> ProgramTemplate:
     for entry in d["slots"]:
         try:
             key, slot_list = entry
-            name, _, arity = key.partition("/")
+            pred = parse_predicate(key)
             rules = [(s["v"], s["i"]) for s in slot_list]
             if any(type(v) is not int or type(i) is not bool for v, i in rules):
                 raise ValueError('"v" must be a JSON integer and "i" a JSON boolean')
-            slots.append((Predicate(name, int(arity)), tuple(RuleTemplate(*r) for r in rules)))
+            slots.append((pred, tuple(RuleTemplate(*r) for r in rules)))
         except KeyError as exc:
             raise ValueError(f"template slot {key}: entry lacks key {exc}; want {form}") from exc
         except (AttributeError, TypeError, ValueError) as exc:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,16 @@ from slotlogic import (
     train,
 )
 from slotlogic import pipeline, representative_dialog
-from slotlogic.engine import loss, loss_and_grad, probabilities
+from slotlogic.engine import (
+    _chain,
+    _prepare_batches,
+    _segment_weights,
+    loss,
+    loss_and_grad,
+    probabilities,
+)
 from slotlogic.gradcheck import _random_instance
+from slotlogic.simulator import DOMAINS, GeneratorConfig, generate_dialog
 
 from .oracles import boolean_rounds
 
@@ -653,3 +662,69 @@ class TestOneChain:
             assert loss(compiler, weights, samples, hp) == loss_and_grad(
                 compiler, weights, samples, hp
             )[0]
+
+
+class TestLivePrune:
+    """Training batches keep only the table segments that some weight can
+    make non-zero; loss and gradient equal those of the full table."""
+
+    @staticmethod
+    def simdial_case(extra_dialogs=()):
+        compiler = ModelCompiler(
+            pipeline.simdial_frame(), pipeline.simdial_template(), *pipeline.simdial_background()
+        )
+        records = pipeline.convert_corpus([representative_dialog("restaurant"), *extra_dialogs])
+        samples = pipeline.training_samples(records)
+        return compiler, compiler.init_weights(seed=0, scale=1.0), samples, pipeline.simdial_hyperparams()
+
+    @staticmethod
+    def correction_dialog():
+        for seed in range(50):
+            d = generate_dialog(GeneratorConfig(DOMAINS["restaurant"], seed=seed,
+                                                correction_probability=1.0))
+            if any(t.correction for t in d.turns):
+                return d
+        raise RuntimeError("no correction dialog found")
+
+    @staticmethod
+    def dropped_and_check(compiler, weights, samples, hp) -> int:
+        """Asserts the pruned batches agree bit for bit with the full table
+        and that every dropped segment is 0 at every step; returns how many
+        segments were dropped."""
+        pruned = _prepare_batches(compiler, samples)
+        full = [replace(b, model=compiler.compile(b.model.index.constants)) for b in pruned]
+        assert np.array_equal(loss(compiler, weights, samples, hp, pruned),
+                              loss(compiler, weights, samples, hp, full))
+        value, grads = loss_and_grad(compiler, weights, samples, hp, pruned)
+        full_value, full_grads = loss_and_grad(compiler, weights, samples, hp, full)
+        assert np.array_equal(value, full_value)
+        assert all(np.array_equal(g, fg) for g, fg in zip(grads, full_grads))
+        n_dropped = 0
+        for b, f in zip(pruned, full):
+            dropped = ~np.isin(f.model.table.key, b.model.table.key)
+            assert dropped.sum() == f.model.seg_out.size - b.model.seg_out.size
+            traces = []
+            seg_w = _segment_weights(f.model, probabilities(weights))
+            _chain(f.model, seg_w, f.a0, f.static_b, traces)
+            for tr in traces:
+                assert not f.model.table.values(tr.a_in)[0][:, dropped].any()
+            n_dropped += int(dropped.sum())
+        return n_dropped
+
+    def test_restaurant_batch(self):
+        assert self.dropped_and_check(*self.simdial_case()) > 0
+
+    def test_restaurant_with_correction_batch(self):
+        compiler, weights, samples, hp = self.simdial_case([self.correction_dialog()])
+        assert len(samples) == 20
+        assert self.dropped_and_check(compiler, weights, samples, hp) > 0
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(0)
+        dropped = {"max": 0, "sum": 0}
+        pairs = 0
+        for _ in range(60):
+            compiler, weights, samples, hp = _random_instance(rng)
+            dropped[hp.amalgamation] += self.dropped_and_check(compiler, weights, samples, hp)
+            pairs += compiler.compile(samples[0].constants).pair_cols.size > 0
+        assert dropped["max"] > 0 and dropped["sum"] > 0 and pairs > 0

@@ -224,13 +224,15 @@ class TestProgramFile:
     @pytest.mark.parametrize("n, line, want", [
         (2, "forward_steps: many", "line 2: forward_steps: invalid literal"),
         (2, "forward_steps: 0", "line 2: forward_steps: 0 is below 1"),
-        (2, "forward_steps: -2", "line 2: forward_steps: -2 is below 1"),
+        (2, "forward_steps: -2", "line 2: forward_steps: invalid literal '-2'"),
+        (2, "forward_steps: +0_3", r"line 2: forward_steps: invalid literal '\+0_3'"),
         (3, "targets: p", "line 3: targets: invalid literal"),
+        (3, "targets: p/+1", r"line 3: targets: invalid literal '\+1'"),
         (5, "high p(X) <- q(X)", "line 5: probability: could not convert"),
         (5, "1.0 p(X) <-", "line 5: clause: "),
         (1, "1.0 p(X) <- q(X)", "line 1: clause outside a section"),
-    ], ids=["forward-steps", "zero-steps", "negative-steps", "targets", "probability", "clause",
-            "no-section"])
+    ], ids=["forward-steps", "zero-steps", "negative-steps", "signed-steps", "targets",
+            "signed-arity", "probability", "clause", "no-section"])
     def test_bad_line_named(self, tmp_path, n, line, want):
         trained, _ = trained_toy()
         lines = program_to_text(extract_program(trained)).splitlines()

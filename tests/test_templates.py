@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -135,6 +136,13 @@ class TestProgramTemplate:
         d = template_to_dict(ProgramTemplate(slots=((P, (RuleTemplate(0, True),)),)))
         d["slots"][0][0] = 5
         with pytest.raises(ValueError, match=r"template slot \[5, "):
+            template_from_dict(d)
+
+    @pytest.mark.parametrize("key", ["p/+1", "p/1 ", "p/0_1", "p/"])
+    def test_arity_not_in_ascii_digits_rejected(self, key):
+        d = template_to_dict(ProgramTemplate(slots=((P, (RuleTemplate(0, True),)),)))
+        d["slots"][0][0] = key
+        with pytest.raises(ValueError, match=rf"template slot \[{re.escape(repr(key))}, .*invalid literal"):
             template_from_dict(d)
 
     @pytest.mark.parametrize("rule", [

@@ -19,19 +19,15 @@ from .engine import (
     Sample,
     TrainedModel,
     TrainingDiverged,
-    Valuation,
     finite_difference_grad,
     ground_clause,
     infer,
-    init_valuation,
     loss,
     loss_and_grad,
-    step,
     train,
 )
 from .extract import (
     PolicyProgram,
-    agreement,
     crisp_infer,
     extract_program,
     load_program,

@@ -53,8 +53,6 @@ def _cmd_convert(args) -> int:
         return convert_multiwoz_records(d, str(next(ids)))
 
     records = [r for rs in read_json_lines(getattr(args, "in"), convert) for r in rs]
-    if args.training_only:
-        records = [r for r in records if r.meta.get("supervised", True)]
     save_samples(records, args.out)
     log.info("wrote %d samples to %s", len(records), args.out)
     return EXIT_OK
@@ -148,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("convert", help="corpus -> logical samples")
     c.add_argument("--format", choices=("simdial", "multiwoz"), required=True)
     c.add_argument("--in", dest="in", required=True)
-    c.add_argument("--training-only", action="store_true")
     c.add_argument("--out", required=True)
     c.set_defaults(func=_cmd_convert)
 

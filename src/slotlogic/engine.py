@@ -28,16 +28,17 @@ other body), so no weight reaches it. It is chained once per batch
 as the weighted steps; each step reads its row of that schedule, and
 the backward pass never visits it.
 
-Training batches drop dead segments (``_prepare_batches``). A boolean
-copy of the chaining with every clause enabled marks the atoms that
-can become non-zero in a sample; any other atom is exactly 0 under
-every weight, since each step is monotone and a product with 0 stays
-0. A batch's model keeps the segments live in some sample of it (a
+Training batches drop dead segments (``_prepare_batches``). The chaining
+with every clause enabled, run through the same table on boolean
+valuations (where its product is an AND and its max an OR), marks the
+atoms that can become non-zero in a sample; any other atom is exactly 0
+under every weight, since each step is monotone and a product with 0
+stays 0. A batch's model keeps the segments live in some sample of it (a
 multi-row segment goes only when all its rows are dead, so ties still
-pick the same row). A dropped segment would add +0.0 to every sum and
-±0 to every gradient, so loss and gradients equal those of the full
-table bit for bit. ``ModelCompiler.compile``, ``infer`` and extraction
-keep the full table.
+pick the same row). A dropped segment would add +0.0 to every sum and ±0
+to every gradient, so loss and gradients equal those of the full table
+bit for bit. ``ModelCompiler.compile``, ``infer`` and extraction keep
+the full table.
 
 Gradients are exact reverse-mode derivatives of that computation. Max
 picks its first argument on ties: the old valuation over the fresh
@@ -158,17 +159,6 @@ class Sample:
             map(parse, d["background"]), map(parse, d["positive"]), map(parse, d["negative"]),
             d["constants"],
         )
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """Truth-probability vector over a ground index (entry 0 stays 0)."""
-
-    index: GroundIndex
-    values: np.ndarray
-
-    def of(self, a: Atom) -> float:
-        return float(self.values[self.index.index_of(a)])
 
 
 @dataclass(frozen=True)
@@ -532,11 +522,6 @@ def _start_values(model: CompiledModel, samples: Sequence[Sample]) -> np.ndarray
     return a0
 
 
-def init_valuation(sample: Sample, model: CompiledModel) -> Valuation:
-    """Background atoms get value 1, everything else 0."""
-    return Valuation(model.index, _start_values(model, [sample])[0])
-
-
 @dataclass
 class _StepTrace:
     a_in: np.ndarray
@@ -683,15 +668,9 @@ def _clause_grads(model: CompiledModel, dseg: np.ndarray) -> np.ndarray:
     return np.add.reduceat(dense, model.clause_starts)
 
 
-def step(model: CompiledModel, weights: Sequence[np.ndarray], valuation: Valuation) -> Valuation:
-    """One deduction step over a single valuation."""
-    a = valuation.values[None, :]
-    seg_w = _segment_weights(model, probabilities(weights))
-    return Valuation(model.index, _chain(model, seg_w, a, _static_schedule(model, a, 1))[0])
-
-
-def infer(model: CompiledModel, weights: Sequence[np.ndarray], sample: Sample) -> Valuation:
-    """Run ``forward_steps`` chained deduction steps from the background."""
+def infer(model: CompiledModel, weights: Sequence[np.ndarray], sample: Sample) -> np.ndarray:
+    """The valuation over ``model.index`` after ``forward_steps`` chained
+    deduction steps from the background (entry 0 stays 0)."""
     if tuple(sample.constants) != model.index.constants:
         raise ValueError(
             "sample constants do not match this compiled model; "
@@ -699,8 +678,7 @@ def infer(model: CompiledModel, weights: Sequence[np.ndarray], sample: Sample) -
         )
     seg_w = _segment_weights(model, probabilities(weights))
     a = _start_values(model, [sample])
-    a = _chain(model, seg_w, a, _static_schedule(model, a, model.forward_steps))
-    return Valuation(model.index, a[0])
+    return _chain(model, seg_w, a, _static_schedule(model, a, model.forward_steps))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -720,28 +698,20 @@ class _Batch:
 def _live_segments(model: CompiledModel, a0: np.ndarray, static_b: np.ndarray) -> np.ndarray:
     """Which table segments some weight can make non-zero in some sample.
 
-    A boolean copy of the chaining with every clause enabled: an atom is
-    reachable if it starts above zero, if a segment into it has a row
-    whose two body atoms are reachable (two slots combine by OR), or, for
-    a background head, if the static schedule derives it. The segments
-    live under the valuation that enters the last step are returned; the
-    pass stops early once neither reachability nor the remaining static
-    pattern changes.
+    The chaining with every clause enabled, on boolean valuations: an atom
+    is reachable if it starts above zero, if a segment into it has a row
+    whose two body atoms are reachable (``_Table.values`` on booleans;
+    two slots combine by OR), or, for a background head, if the static
+    schedule derives it. The segments live under the valuation that
+    enters the last step are returned; the pass stops early once neither
+    reachability nor the remaining static pattern changes.
     """
     S, steps = a0.shape[0], len(static_b)
     n1, n2 = model.single_cols.size, model.pair_cols.size
     flat_out = model.flat_index(S).out
     fired = static_b > 0
-
-    def live_in(reach: np.ndarray) -> np.ndarray:
-        table = model.table
-        parts = [np.take(reach, table.b1, axis=1) & np.take(reach, table.b2, axis=1)]
-        for b1, b2 in table.blocks:
-            parts.append((np.take(reach, b1, axis=1) & np.take(reach, b2, axis=1)).any(axis=2))
-        return np.concatenate(parts, axis=1)
-
     reach = a0 > 0
-    live = live_in(reach)
+    live = model.table.values(reach)[0]
     for t in range(steps - 1):
         hit = np.zeros(S * (n1 + 2 * n2), dtype=bool)
         hit[flat_out[live.ravel()]] = True
@@ -755,7 +725,7 @@ def _live_segments(model: CompiledModel, a0: np.ndarray, static_b: np.ndarray) -
         if np.array_equal(b, reach) and (fired[t : steps - 1] == fired[t]).all():
             break
         reach = b
-        live = live_in(reach)
+        live = model.table.values(reach)[0]
     return live.any(axis=0)
 
 
@@ -895,13 +865,14 @@ def finite_difference_grad(
     """Central finite differences of :func:`loss`; the gradient oracle."""
     weights = [np.array(v, dtype=np.float64) for v in weights]
     grads = [np.zeros_like(v) for v in weights]
+    batches = _prepare_batches(compiler, samples)
     for v, g in zip(weights, grads):
         for i in range(v.size):
             x = v[i]
             v[i] = x + h
-            up = loss(compiler, weights, samples, hp)
+            up = loss(compiler, weights, samples, hp, batches)
             v[i] = x - h
-            down = loss(compiler, weights, samples, hp)
+            down = loss(compiler, weights, samples, hp, batches)
             v[i] = x
             g[i] = (up - down) / (2.0 * h)
     return grads
@@ -972,7 +943,9 @@ class TrainedModel:
             return tuple(Predicate(n, a) for n, a in pairs)
 
         def slot(s: dict) -> tuple[tuple[Predicate, int], tuple[Clause, ...], np.ndarray]:
-            key = (Predicate(*s["predicate"]), int(s["slot"]))
+            if type(s["slot"]) is not int:
+                raise ValueError(f"'slot' must be a JSON integer, not {s['slot']!r}")
+            key = (Predicate(*s["predicate"]), s["slot"])
             clauses = tuple(parse_clause(t) for t in s["clauses"])
             vec = np.asarray(s["raw_weights"], dtype=np.float64)
             if vec.shape != (len(clauses),):

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .engine import Sample, TrainedModel, infer
+from .engine import TrainedModel
 from .logic import (
     Atom, Clause, Predicate, Term, format_clause, parse_clause, parse_digits, parse_predicate,
 )
@@ -121,31 +121,6 @@ def crisp_infer(program: PolicyProgram, background: Iterable[Atom]) -> frozenset
     return frozenset(
         Atom(p, tuple(map(Term.const, t))) for p in program.targets for t in facts.get(p, ())
     )
-
-
-def agreement(
-    trained: TrainedModel,
-    program: PolicyProgram,
-    samples: Sequence[Sample],
-) -> float:
-    """Fraction of target groundings where thresholded fuzzy inference
-    (at 0.5) and crisp rule application agree; 1.0 on no atoms."""
-    compiler = trained.compiler
-    matches = 0
-    total = 0
-    for sample in samples:
-        model = compiler.compile(sample.constants)
-        valuation = infer(model, trained.weights, sample)
-        derived = crisp_infer(program, sample.background)
-        for pred in compiler.frame.targets:
-            lo, hi = model.index.ranges[pred]
-            for i in range(lo, hi):
-                atom = model.index.atoms[i]
-                fuzzy_true = valuation.values[i] >= 0.5
-                crisp_true = atom in derived
-                matches += int(fuzzy_true == crisp_true)
-                total += 1
-    return matches / total if total else 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,31 @@ shares code with the package's inference paths. ``join_fixpoint`` is the
 one concession to speed: still naive (every round re-derives from all
 facts), but it matches body atoms against facts instead of trying every
 substitution, for tests that chain over hundreds of turns.
+
+The last section is not independent: ``start_valuation`` and
+``chain_step`` drive the engine's own chaining one step at a time, for
+tests that inspect single steps, and ``agreement`` compares the
+package's fuzzy and crisp inference.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from typing import Sequence
 
-from slotlogic import Atom, Clause, GroundIndex, Term
+import numpy as np
+
+from slotlogic import Atom, Clause, GroundIndex, Sample, Term, TrainedModel, crisp_infer, infer
+from slotlogic.engine import (
+    CompiledModel,
+    _chain,
+    _segment_weights,
+    _start_values,
+    _static_schedule,
+    probabilities,
+)
+from slotlogic.extract import PolicyProgram
 
 
 def ground_clause_rows(
@@ -161,3 +178,37 @@ def multiset_counts_via_counter(pred: list, gold: list) -> tuple[int, int, int]:
     pc, gc = Counter(pred), Counter(gold)
     tp = sum(min(pc[k], gc[k]) for k in pc)
     return tp, len(pred) - tp, len(gold) - tp
+
+
+# ---------------------------------------------------------------------------
+# Single steps of the engine's chaining, and fuzzy-crisp agreement.
+
+def start_valuation(model: CompiledModel, sample: Sample) -> np.ndarray:
+    """The valuation ``infer`` starts from: background atoms 1, others 0."""
+    return _start_values(model, [sample])[0]
+
+
+def chain_step(model: CompiledModel, weights: Sequence[np.ndarray], values: np.ndarray) -> np.ndarray:
+    """One deduction step of the engine from the valuation ``values``, the
+    background clauses' step derived from ``values`` itself."""
+    a = values[None, :]
+    seg_w = _segment_weights(model, probabilities(weights))
+    return _chain(model, seg_w, a, _static_schedule(model, a, 1))[0]
+
+
+def agreement(trained: TrainedModel, program: PolicyProgram, samples: list[Sample]) -> float:
+    """Fraction of target groundings where thresholded fuzzy inference
+    (at 0.5) and crisp rule application agree; 1.0 on no atoms."""
+    compiler = trained.compiler
+    matches = 0
+    total = 0
+    for sample in samples:
+        model = compiler.compile(sample.constants)
+        values = infer(model, trained.weights, sample)
+        derived = crisp_infer(program, sample.background)
+        for pred in compiler.frame.targets:
+            lo, hi = model.index.ranges[pred]
+            for i in range(lo, hi):
+                matches += int((values[i] >= 0.5) == (model.index.atoms[i] in derived))
+                total += 1
+    return matches / total if total else 1.0

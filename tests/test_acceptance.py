@@ -249,8 +249,8 @@ def test_criterion_7_crisp_agreement_exhaustive():
                 )
                 for i in range(1, len(model.index)):
                     a = model.index.atoms[i]
-                    assert valuation.values[i] in (0.0, 1.0)
-                    assert (valuation.values[i] == 1.0) == (a in oracle)
+                    assert valuation[i] in (0.0, 1.0)
+                    assert (valuation[i] == 1.0) == (a in oracle)
                     atoms_checked += 1
                 instances += 1
     report(

@@ -18,9 +18,7 @@ from slotlogic import (
     atom,
     finite_difference_grad,
     infer,
-    init_valuation,
     parse_clause,
-    step,
     train,
 )
 from slotlogic import pipeline, representative_dialog
@@ -35,7 +33,7 @@ from slotlogic.engine import (
 from slotlogic.gradcheck import _random_instance
 from slotlogic.simulator import DOMAINS, GeneratorConfig, generate_dialog
 
-from .oracles import boolean_rounds
+from .oracles import boolean_rounds, chain_step, start_valuation
 
 P, Q, R = Predicate("p", 1), Predicate("q", 1), Predicate("r", 1)
 TOY_FRAME = LanguageFrame(targets=(P,), extensional=(Q, R))
@@ -98,7 +96,7 @@ class TestCompile:
         s = Sample.make([], [atom("p", "a")], [], ("a",))
         w = comp.init_weights()
         v = infer(comp.compile(("a",)), w, s)
-        assert v.values.sum() == 0.0
+        assert v.sum() == 0.0
 
     def test_cache(self):
         comp = toy_compiler()
@@ -146,23 +144,23 @@ class TestInitValuation:
         comp = toy_compiler()
         model = comp.compile(("a", "b"))
         s = Sample.make([atom("q", "a")], [atom("p", "a")], [], ("a", "b"))
-        v = init_valuation(s, model)
-        assert v.of(atom("q", "a")) == 1.0
-        assert v.values.sum() == 1.0
-        assert v.values[0] == 0.0
+        v = start_valuation(model, s)
+        assert v[model.index.index_of(atom("q", "a"))] == 1.0
+        assert v.sum() == 1.0
+        assert v[0] == 0.0
 
     def test_empty_background(self):
         comp = toy_compiler()
         model = comp.compile(("a",))
         s = Sample.make([], [atom("p", "a")], [], ("a",))
-        assert init_valuation(s, model).values.sum() == 0.0
+        assert start_valuation(model, s).sum() == 0.0
 
     def test_atom_outside_index(self):
         comp = toy_compiler()
         model = comp.compile(("a",))
         s = Sample.make([atom("zz", "a")], [atom("p", "a")], [], ("a",))
         with pytest.raises(KeyError):
-            init_valuation(s, model)
+            infer(model, comp.init_weights(), s)
 
 
 class TestStep:
@@ -182,16 +180,16 @@ class TestStep:
             ("contact", "calling"),
         )
         model = comp.compile(s.constants)
-        v = step(model, w, init_valuation(s, model))
-        assert v.of(atom("confirm", "contact")) == pytest.approx(1.0, abs=1e-12)
+        v = infer(model, w, s)  # forward_steps=1: one step
+        assert v[model.index.index_of(atom("confirm", "contact"))] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_in_zero_out(self):
         comp = toy_compiler()
         model = comp.compile(("a", "b"))
         s = Sample.make([], [atom("p", "a")], [], ("a", "b"))
         w = comp.init_weights(3, 1.0)
-        v = step(model, w, init_valuation(s, model))
-        assert v.values.sum() == 0.0
+        v = infer(model, w, s)  # TOY_TEMPLATE chains one step
+        assert v.sum() == 0.0
 
     def test_product_then_max(self):
         # body values 0.8 and 0.5, previous head value 0.3 -> 0.4
@@ -200,18 +198,16 @@ class TestStep:
         comp = ModelCompiler(frame, pt)
         w = one_hot(comp, "p(V0) <- q(V0), r(V0)")
         model = comp.compile(("a",))
-        from slotlogic.engine import Valuation
+        p_a = model.index.index_of(atom("p", "a"))
 
         values = np.zeros(len(model.index))
         values[model.index.index_of(atom("q", "a"))] = 0.8
         values[model.index.index_of(atom("r", "a"))] = 0.5
-        values[model.index.index_of(atom("p", "a"))] = 0.3
-        v = step(model, w, Valuation(model.index, values))
-        assert v.of(atom("p", "a")) == pytest.approx(0.4, abs=1e-9)
+        values[p_a] = 0.3
+        assert chain_step(model, w, values)[p_a] == pytest.approx(0.4, abs=1e-9)
         # and with an old value above the product, max keeps the old value
-        values[model.index.index_of(atom("p", "a"))] = 0.9
-        v = step(model, w, Valuation(model.index, values))
-        assert v.of(atom("p", "a")) == pytest.approx(0.9)
+        values[p_a] = 0.9
+        assert chain_step(model, w, values)[p_a] == pytest.approx(0.9)
 
 
 class TestInfer:
@@ -221,8 +217,8 @@ class TestInfer:
         comp = ModelCompiler(frame, pt)
         s = Sample.make([atom("q", "a")], [atom("p", "a")], [], ("a",))
         w = [np.full(len(cs), -50.0) for _, cs in comp.pools]
-        v = infer(comp.compile(s.constants), w, s)
-        assert v.of(atom("q", "a")) == 1.0
+        model = comp.compile(s.constants)
+        assert infer(model, w, s)[model.index.index_of(atom("q", "a"))] == 1.0
 
     def test_monotone_per_step(self):
         comp = toy_compiler()
@@ -231,11 +227,11 @@ class TestInfer:
             [atom("q", "a"), atom("r", "b")], [atom("p", "a")], [], ("a", "b", "c")
         )
         w = comp.init_weights(5, 0.7)
-        v = init_valuation(s, model)
+        v = start_valuation(model, s)
         for _ in range(6):
-            nxt = step(model, w, v)
-            assert np.all(nxt.values >= v.values - 1e-12)
-            assert nxt.values.min() >= 0.0 and nxt.values.max() <= 1.0
+            nxt = chain_step(model, w, v)
+            assert np.all(nxt >= v - 1e-12)
+            assert nxt.min() >= 0.0 and nxt.max() <= 1.0
             v = nxt
 
     def test_member_recursion_depth(self):
@@ -268,11 +264,11 @@ class TestInfer:
         fuzzy_support = {
             model.index.atoms[i]
             for i in range(1, len(model.index))
-            if v.values[i] > 0
+            if v[i] > 0
         }
         oracle_derived = {a for a in oracle if a.predicate == member} | set(background)
         assert fuzzy_support == oracle_derived
-        assert v.of(atom("member", "n4", "n1")) > 0  # needs the full depth
+        assert v[model.index.index_of(atom("member", "n4", "n1"))] > 0  # needs the full depth
 
 
 class TestLoss:
@@ -406,10 +402,10 @@ class TestCrispAgreementProperty:
                     )
                     for i in range(1, len(model.index)):
                         a = model.index.atoms[i]
-                        assert (v.values[i] == 1.0) == (a in oracle), (
+                        assert (v[i] == 1.0) == (a in oracle), (
                             f"disagree on {a} with {clauses} bg={background}"
                         )
-                        assert v.values[i] in (0.0, 1.0)
+                        assert v[i] in (0.0, 1.0)
                     checked += 1
         assert checked >= 100
 
@@ -505,10 +501,11 @@ class TestBackgroundClauses:
         atoms_bg += [atom("true", x) for x in "acdefg"]
         s = Sample.make(atoms_bg, [atom("goal", "a")], [], consts)
         w = [np.zeros(0)]
-        v = infer(comp.compile(consts), w, s)
+        model = comp.compile(consts)
+        v = infer(model, w, s)
         for x in "abcdefgh":
             expected = 1.0 if x in "cde" else 0.0
-            assert v.of(atom("all", x)) == expected, x
+            assert v[model.index.index_of(atom("all", x))] == expected, x
 
 
 
@@ -539,10 +536,10 @@ def test_sentinel_stays_zero_through_steps():
     model = comp.compile(("a", "b"))
     s = Sample.make([atom("q", "a")], [atom("p", "a")], [], ("a", "b"))
     w = comp.init_weights(1, 0.5)
-    v = init_valuation(s, model)
+    v = start_valuation(model, s)
     for _ in range(4):
-        v = step(model, w, v)
-        assert v.values[0] == 0.0
+        v = chain_step(model, w, v)
+        assert v[0] == 0.0
 
 
 class TestAblationAmalgamation:
@@ -551,11 +548,11 @@ class TestAblationAmalgamation:
         model = comp.compile(("a", "b"))
         s = Sample.make([atom("q", "a"), atom("r", "a")], [atom("p", "a")], [], ("a", "b"))
         w = comp.init_weights(3, 0.5)
-        v = init_valuation(s, model)
+        v = start_valuation(model, s)
         for _ in range(5):
-            nxt = step(model, w, v)
-            assert np.all(nxt.values >= v.values - 1e-12)
-            assert nxt.values.max() <= 1.0 + 1e-12
+            nxt = chain_step(model, w, v)
+            assert np.all(nxt >= v - 1e-12)
+            assert nxt.max() <= 1.0 + 1e-12
             v = nxt
 
     def test_sum_accumulates_above_max(self):
@@ -566,8 +563,9 @@ class TestAblationAmalgamation:
         frame_pt = ProgramTemplate(slots=TOY_TEMPLATE.slots, forward_steps=4)
         m_max = ModelCompiler(TOY_FRAME, frame_pt).compile(("a",))
         m_sum = ModelCompiler(TOY_FRAME, frame_pt, amalgamation="sum").compile(("a",))
-        v_max = infer(m_max, w, s).of(atom("p", "a"))
-        v_sum = infer(m_sum, w, s).of(atom("p", "a"))
+        p_a = m_max.index.index_of(atom("p", "a"))
+        v_max = infer(m_max, w, s)[p_a]
+        v_sum = infer(m_sum, w, s)[p_a]
         assert v_max == pytest.approx(1.0)  # one clause body is fully true
         assert v_sum > v_max - 1e-12  # probabilistic sum accumulates
 
@@ -634,7 +632,8 @@ class TestTieRules:
 
 
 class TestOneChain:
-    """``step``, ``infer``, ``loss`` and ``loss_and_grad`` chain alike."""
+    """Single chained steps, ``infer``, ``loss`` and ``loss_and_grad``
+    chain alike."""
 
     @staticmethod
     def cases():
@@ -652,10 +651,10 @@ class TestOneChain:
         for compiler, weights, samples, _ in self.cases():
             for s in samples:
                 model = compiler.compile(s.constants)
-                v = init_valuation(s, model)
+                v = start_valuation(model, s)
                 for _ in range(model.forward_steps):
-                    v = step(model, weights, v)
-                assert np.array_equal(infer(model, weights, s).values, v.values)
+                    v = chain_step(model, weights, v)
+                assert np.array_equal(infer(model, weights, s), v)
 
     def test_loss_is_the_value_of_loss_and_grad(self):
         for compiler, weights, samples, hp in self.cases():

@@ -13,7 +13,6 @@ from slotlogic import (
     RuleTemplate,
     Sample,
     Term,
-    agreement,
     atom,
     crisp_infer,
     extract_program,
@@ -27,7 +26,7 @@ from slotlogic.extract import (
     program_to_text,
 )
 
-from .oracles import boolean_fixpoint, boolean_rounds, join_fixpoint
+from .oracles import agreement, boolean_fixpoint, boolean_rounds, join_fixpoint
 
 P, Q, R = Predicate("p", 1), Predicate("q", 1), Predicate("r", 1)
 FRAME = LanguageFrame(targets=(P,), extensional=(Q, R))
@@ -179,7 +178,7 @@ class TestAgreement:
             if a.predicate != P:
                 continue
             total += 1
-            expected_matches += int((v.values[i] >= 0.5) == (a in derived))
+            expected_matches += int((v[i] >= 0.5) == (a in derived))
         assert agreement(trained, program, [s]) == expected_matches / total
 
 

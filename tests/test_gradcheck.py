@@ -17,8 +17,8 @@ from slotlogic import (
     generate_clauses,
     parse_clause,
 )
-from slotlogic.engine import loss_and_grad
-from slotlogic.gradcheck import REL_FLOOR, run_gradcheck
+from slotlogic.engine import loss, loss_and_grad
+from slotlogic.gradcheck import REL_FLOOR, _random_instance, run_gradcheck
 
 
 def test_thirty_instances_quick():
@@ -32,6 +32,25 @@ def test_deterministic():
     b = run_gradcheck(seed=5, instances=10)
     assert a.max_rel_error == b.max_rel_error
     assert a.worst_instance == b.worst_instance
+
+
+def test_finite_differences_equal_those_of_unprepared_losses():
+    # finite_difference_grad prepares the batches once; every difference
+    # must equal, bit for bit, one taken through loss's own preparation.
+    rng = np.random.default_rng(0)
+    h = 1e-4
+    for _ in range(20):
+        compiler, weights, samples, hp = _random_instance(rng)
+        fd = finite_difference_grad(compiler, weights, samples, hp, h=h)
+        for k, v in enumerate(weights):
+            expected = np.zeros(v.size)
+            for i in range(v.size):
+                w = [np.array(x, dtype=np.float64) for x in weights]
+                w[k][i] = v[i] + h
+                up = loss(compiler, w, samples, hp)
+                w[k][i] = v[i] - h
+                expected[i] = (up - loss(compiler, w, samples, hp)) / (2.0 * h)
+            assert fd[k].tobytes() == expected.tobytes()
 
 
 E, F = Predicate("e", 2), Predicate("f", 1)

@@ -130,7 +130,7 @@ class TestFullCli:
         self.run(["generate", "--domain", "restaurant", "--representative",
                   "--out", str(corpus)])
         self.run(["convert", "--format", "simdial", "--in", str(corpus),
-                  "--training-only", "--out", str(samples)])
+                  "--out", str(samples)])
         capsys.readouterr()
         # A negative tolerance makes the first range check fail.
         monkeypatch.setattr(engine, "RANGE_TOL", -1.0)
@@ -352,8 +352,12 @@ class TestMalformedLines:
         (lambda m: {**m, "background": ["u(V0) <- succ(V0, V1), all(V1)"]},
          "model fields do not describe a model: background clause u(V0) <- all(V1), "
          "succ(V0, V1) reads all/1, which is neither extensional nor a background head"),
+        *((lambda m, k=k: {**m, "slots": [{**m["slots"][0], "slot": k}, *m["slots"][1:]]},
+           f"model field 'slots': ValueError: 'slot' must be a JSON integer, not {k!r}")
+          for k in (0.5, "0", False)),
     ], ids=["list", "int-frame", "null-slots", "unknown-hyperparam", "short-weights",
-            "no-trace", "fractional-arity", "swapped-clauses", "background-reads-target"])
+            "no-trace", "fractional-arity", "swapped-clauses", "background-reads-target",
+            "fractional-slot", "string-slot", "boolean-slot"])
     def test_extract_rejects_malformed_model(self, tmp_path, capsys, edit, want):
         frame, sample, template = pipeline.list_all_problem()
         model = train(frame, [sample], template, pipeline.all_task_hyperparams(training_steps=1))

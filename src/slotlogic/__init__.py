@@ -20,7 +20,6 @@ from .engine import (
     TrainedModel,
     TrainingDiverged,
     finite_difference_grad,
-    ground_clause,
     infer,
     loss,
     loss_and_grad,

@@ -127,8 +127,20 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints a usage block and exits on a bad command line; raise
+    # instead, so run_pipeline reports it as one JSON line. Subcommand
+    # parsers are built with the class of their parent.
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="slotlogic")
+    p = _Parser(prog="slotlogic")
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -195,7 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_pipeline(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _fail("usage", exc, EXIT_VALIDATION)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

@@ -11,22 +11,34 @@ capped at one. Background clauses carry no parameters; a background
 head takes the max over the groundings of all its clauses.
 
 Compilation builds one grounding table per constant list. Rows come
-from index arithmetic (``ground_clause``). Each row belongs to a
-segment, the rows one max runs over: a (clause, head atom) cell of a
-slot. Segments are bucketed by row count into dense (segments, rows)
-blocks, so a forward step is a gather-multiply per block, a max and
-argmax along its rows, and one weighted ``bincount`` into the head
-atoms. The backward step gathers the winning rows' body values again
-and scatters into the valuation's gradient with ``bincount``; a step's
-trace keeps only its input, the winners of multi-row segments and the
-head values.
+from index arithmetic, a clause shape at a time (``_ground_clauses``).
+Each row belongs to a segment, the rows one max runs over: a (clause,
+head atom) cell of a slot. Segments are bucketed by row count into dense
+(segments, rows) blocks, so a forward step is a gather-multiply per
+block, a max and argmax along its rows, and one weighted ``bincount``
+into the head atoms.
 
+Only the slot heads (``CompiledModel.heads``) depend on the weights.
 Background is fixed knowledge: a background clause reads only
 extensional atoms and background heads (``ModelCompiler`` rejects any
-other body), so no weight reaches it. It is chained once per batch
-(``_static_schedule``) with the same step count, amalgamation and cap
-as the weighted steps; each step reads its row of that schedule, and
-the backward pass never visits it.
+other body), and every other atom keeps its start value. So the
+valuations of all atoms but the slot heads are chained once per batch,
+background clauses included, with the step count, amalgamation and cap
+of the weighted steps (``_fixed_valuations``), and their range and
+monotonicity are checked there, once. A ``_Chain`` splits the table:
+a *fixed* segment reads no slot head, so its value and winning row at
+every step are computed once too; the other, *dependent* segments keep
+reading atom indices. A step's state is the (samples, heads) array; the
+step writes it over a copy of the step's fixed valuations, gathers only
+the dependent segments from that, merges their values with the step's
+fixed ones in table order (so each head sums its segments in the same
+order as over the whole table), amalgamates, caps and checks the head
+values. The backward step takes the fixed segments' body values from
+the chain, gathers the dependent winners' body values again and
+scatters into the heads' gradient with ``bincount``; a body atom
+outside the heads scatters into a column that is dropped. A step's
+trace keeps its input, the one-row dependent segments' body values, the
+winners of multi-row ones and the head values.
 
 Training batches drop dead segments (``_prepare_batches``). The chaining
 with every clause enabled, run through the same table on boolean
@@ -53,7 +65,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -178,10 +190,16 @@ class Hyperparams:
     accumulator_decay: float | None = None
 
     def __post_init__(self):
+        for name in ("learning_rate", "reg_lambda", "init_scale", "stop_loss"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.reg_lambda < 0:
             raise ValueError("reg_lambda must be non-negative")
+        if self.training_steps < 0:
+            raise ValueError("training_steps must be non-negative")
         if self.reg_kind not in ("none", "l1", "l2"):
             raise ValueError(f"unknown reg_kind {self.reg_kind!r}")
         if self.amalgamation not in AMALGAMATIONS:
@@ -218,43 +236,69 @@ def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Compilation: one grounding table per constant list.
 
-def ground_clause(clause: Clause, index: GroundIndex) -> np.ndarray:
-    """All groundings of ``clause`` as rows (head index, body index, body index).
+def _ground_clauses(
+    clauses: Sequence[Clause], index: GroundIndex
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every grounding of ``clauses`` as rows (head index, body index, body
+    index), clause after clause, and each clause's row count.
 
-    One row per substitution of the clause variables by constants from the
-    index, enumerated like ``itertools.product`` with the first variable
-    slowest. An atom's index is its predicate's start plus the mixed-radix
-    number its argument constants spell in base ``len(constants)``, so the
-    rows are built by array arithmetic. Every variable occurs in some atom
-    and that map is injective, so rows are distinct. A clause naming a
-    constant outside the index has no grounding; one naming a predicate
-    outside it raises ``ValueError``.
+    A clause's rows run over the substitutions of its variables by
+    constants from the index, enumerated like ``itertools.product`` with
+    the first variable slowest. An atom's index is its predicate's start
+    plus the mixed-radix number its argument constants spell in base
+    ``len(constants)``: a constant argument adds a fixed amount per clause,
+    and a variable one a digit of the substitution number that depends only
+    on the clause's shape (its variable count and which variable fills each
+    argument). So clauses are grounded a shape at a time by array
+    arithmetic. Every variable occurs in some atom and that map is
+    injective, so a clause's rows are distinct. A clause naming a constant
+    outside the index has no grounding; one naming a predicate outside it
+    raises ``ValueError``.
     """
-    variables = clause.variables()
-    if len(variables) > MAX_CLAUSE_VARS:
-        raise ValueError("too many clause variables")
-    atoms = (clause.head, *clause.body)
-    for a in atoms:
-        if a.predicate not in index.ranges:
-            raise ValueError(
-                f"clause {format_clause(clause)} uses {a.predicate}, "
-                "which is not in the ground index"
-            )
     n = len(index.constants)
-    combos = np.arange(n ** len(variables), dtype=np.int64)
-    digit = {
-        v: combos // n ** (len(variables) - 1 - i) % n for i, v in enumerate(variables)
-    }
     position = {c: i for i, c in enumerate(index.constants)}
-    rows = np.empty((combos.size, 3), dtype=np.int64)
-    for col, a in enumerate(atoms):
-        offset = np.zeros(combos.size, dtype=np.int64)
-        for t in a.args:
-            if not t.is_variable and t.label not in position:
-                return rows[:0]
-            offset = offset * n + (digit[t] if t.is_variable else position[t.label])
-        rows[:, col] = index.ranges[a.predicate][0] + offset
-    return rows
+    base = np.zeros((len(clauses), 3), dtype=np.int64)
+    grounded = np.ones(len(clauses), dtype=bool)
+    shapes: dict[tuple, list[int]] = {}
+    for i, clause in enumerate(clauses):
+        variables = clause.variables()
+        if len(variables) > MAX_CLAUSE_VARS:
+            raise ValueError("too many clause variables")
+        pattern = []
+        for col, a in enumerate((clause.head, *clause.body)):
+            if a.predicate not in index.ranges:
+                raise ValueError(
+                    f"clause {format_clause(clause)} uses {a.predicate}, "
+                    "which is not in the ground index"
+                )
+            offset = 0
+            for t in a.args:
+                offset *= n
+                if not t.is_variable:
+                    grounded[i] &= t.label in position
+                    offset += position.get(t.label, 0)
+            base[i, col] = index.ranges[a.predicate][0] + offset
+            pattern.append(tuple(variables.index(t) if t.is_variable else -1 for t in a.args))
+        shapes.setdefault((len(variables), tuple(pattern)), []).append(i)
+
+    blocks, first_row = [], np.zeros(len(clauses), dtype=np.int64)
+    counts = np.zeros(len(clauses), dtype=np.int64)
+    n_rows = 0
+    for (n_vars, pattern), members in shapes.items():
+        combos = np.arange(n ** n_vars, dtype=np.int64)
+        digit = [combos // n ** (n_vars - 1 - k) % n for k in range(n_vars)]
+        offsets = np.zeros((combos.size, 3), dtype=np.int64)
+        for col, args in enumerate(pattern):
+            for v in args:
+                offsets[:, col] = offsets[:, col] * n + (digit[v] if v >= 0 else 0)
+        blocks.append((base[members][:, None, :] + offsets).reshape(-1, 3))
+        first_row[members] = n_rows + combos.size * np.arange(len(members))
+        counts[members] = combos.size
+        n_rows += len(members) * combos.size
+    counts *= grounded
+    rows = np.concatenate([np.zeros((0, 3), dtype=np.int64), *blocks])
+    starts = np.cumsum(counts) - counts
+    return rows[np.repeat(first_row - starts, counts) + np.arange(counts.sum())], counts
 
 
 @dataclass(frozen=True)
@@ -299,29 +343,31 @@ class _Table:
             keys.append(key[starts[sizes == size]])
         return _Table(b1[one], b2[one], tuple(blocks), np.concatenate(keys))
 
-    def values(self, a: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Segment values (S, segments) of the valuations ``a`` and, per
-        block, the flat row (into its arrays) attaining each segment's max:
-        the first one on ties."""
-        parts = [np.take(a, self.b1, axis=1)]
-        parts[0] *= np.take(a, self.b2, axis=1)
+    def values(
+        self, a: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """Segment values (S, segments) of the valuations ``a``; per block,
+        the flat row (into its arrays) attaining each segment's max, the
+        first one on ties; and the two body values (S, one-row segments)
+        of the one-row segments."""
+        one = (np.take(a, self.b1, axis=1), np.take(a, self.b2, axis=1))
+        parts = [one[0] * one[1]]
         winners = []
         for b1, b2 in self.blocks:
             prod = np.take(a, b1, axis=1)
             prod *= np.take(a, b2, axis=1)
             winners.append(prod.argmax(axis=2) + np.arange(0, b1.size, b1.shape[1]))
             parts.append(prod.max(axis=2))
-        return np.concatenate(parts, axis=1), winners
+        return np.concatenate(parts, axis=1), winners, one
 
-
-@dataclass(frozen=True)
-class _FlatIndex:
-    """Cells of flattened (S, ·) arrays for a batch of S valuations."""
-
-    out: np.ndarray  # (S * segments,) output cell of each segment value
-    b1: np.ndarray  # (S, one-row segments) valuation cells of the body
-    b2: np.ndarray  # atoms of each one-row segment
-    offset: np.ndarray  # (S, 1) first valuation cell of each sample
+    def winning_cells(
+        self, winners: Sequence[np.ndarray], S: int, width: int
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per block, the flat cells (S, segments) of the two body atoms of
+        each segment's winning row, in S valuations of ``width`` atoms."""
+        offset = width * np.arange(S, dtype=np.int64)[:, None]
+        return [(np.take(b1, won) + offset, np.take(b2, won) + offset)
+                for (b1, b2), won in zip(self.blocks, winners)]
 
 
 @dataclass(frozen=True)
@@ -352,31 +398,11 @@ class CompiledModel:
     single_cols: np.ndarray
     pair_cols: np.ndarray
     static: _Table
-    _flat: dict[int, _FlatIndex] = field(default_factory=dict, repr=False, compare=False)
 
-    def flat_index(self, S: int) -> _FlatIndex:
-        """Flat cells for batches of S valuations, built once per S."""
-        if S not in self._flat:
-            n_out = self.single_cols.size + 2 * self.pair_cols.size
-            offset = len(self.index) * np.arange(S, dtype=np.int64)[:, None]
-            self._flat[S] = _FlatIndex(
-                (self.seg_out + n_out * np.arange(S)[:, None]).ravel(),
-                self.table.b1 + offset,
-                self.table.b2 + offset,
-                offset,
-            )
-        return self._flat[S]
-
-    def winning_cells(
-        self, winners: Sequence[np.ndarray], S: int
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per bucket of the table, the flat valuation cells (S, segments)
-        of the two body atoms of each segment's winning row."""
-        fi = self.flat_index(S)
-        cells = [(fi.b1, fi.b2)]
-        for (b1, b2), won in zip(self.table.blocks, winners):
-            cells.append((np.take(b1, won) + fi.offset, np.take(b2, won) + fi.offset))
-        return cells
+    @property
+    def heads(self) -> np.ndarray:
+        """The atoms a weight reaches: ``single_cols``, then ``pair_cols``."""
+        return np.concatenate((self.single_cols, self.pair_cols))
 
 
 class ModelCompiler:
@@ -423,6 +449,9 @@ class ModelCompiler:
                 )
             if c.head.predicate not in bg_heads:
                 bg_heads.append(c.head.predicate)
+        for (p, _), _ in self.pools:
+            if p in bg_heads:
+                raise ValueError(f"slot predicate {p} is a background clause head")
 
         preds: list[Predicate] = list(frame.extensional)
         for p in (*bg_heads, *frame.targets, *template.auxiliary):
@@ -430,7 +459,7 @@ class ModelCompiler:
                 preds.append(p)
         self.predicates = tuple(preds)
         # Background is fixed knowledge: chained once per batch ahead of
-        # the weights (_static_schedule), so it must not read a slot head.
+        # the weights (_fixed_valuations), so it must not read a slot head.
         fixed = {*frame.extensional, *bg_heads}
         for c in self.background:
             for a in c.body:
@@ -471,27 +500,26 @@ class ModelCompiler:
             out_start[p, which] = n_out
             n_out += span(p).size
 
-        # A row's key is its (clause, head atom) cell in the dense layout;
+        # A row's key is its (clause, head atom) cell in the dense layout,
+        # the row's head index shifted by its clause's key_shift;
         # cell_out/cell_clause map a cell to its output and clause.
-        no_rows = np.zeros((0, 3), dtype=np.int64)
-        no_cells = no_rows[:, 0]
-        keys, rows = [no_cells], [no_rows]
-        cell_out, cell_clause, clause_starts = [no_cells], [no_cells], []
-        n_dense = 0
+        no_cells = np.zeros(0, dtype=np.int64)
+        key_shift, cell_out, cell_clause, clause_starts = [no_cells], [no_cells], [no_cells], [no_cells]
+        n_dense = n_clauses = 0
         for j, ((pred, _), clauses) in enumerate(self.pools):
-            heads = span(pred)
+            lo, hi = index.ranges[pred]
             base = out_start[pred, slots_of[pred].index(j)]
-            for clause in clauses:
-                r = ground_clause(clause, index)
-                keys.append(n_dense + r[:, 0] - heads[0])
-                rows.append(r)
-                cell_out.append(np.arange(base, base + heads.size))
-                cell_clause.append(np.full(heads.size, len(clause_starts)))
-                clause_starts.append(n_dense)
-                n_dense += heads.size
-        rows = np.concatenate(rows)
-        table = _Table.build(np.concatenate(keys), rows[:, 1], rows[:, 2])
-        static = np.concatenate([no_rows, *(ground_clause(c, index) for c in self.background)])
+            starts = n_dense + (hi - lo) * np.arange(len(clauses), dtype=np.int64)
+            clause_starts.append(starts)
+            key_shift.append(starts - lo)
+            cell_out.append(np.tile(np.arange(base, base + hi - lo), len(clauses)))
+            cell_clause.append(np.repeat(n_clauses + np.arange(len(clauses)), hi - lo))
+            n_dense += (hi - lo) * len(clauses)
+            n_clauses += len(clauses)
+        rows, counts = _ground_clauses([c for _, cs in self.pools for c in cs], index)
+        keys = rows[:, 0] + np.repeat(np.concatenate(key_shift), counts)
+        table = _Table.build(keys, rows[:, 1], rows[:, 2])
+        static = _ground_clauses(self.background, index)[0]
         model = CompiledModel(
             index=index,
             slot_groups=tuple(_Slot(pred, tuple(cs)) for (pred, _), cs in self.pools),
@@ -501,7 +529,7 @@ class ModelCompiler:
             seg_out=np.concatenate(cell_out)[table.key],
             seg_weight=np.concatenate(cell_clause)[table.key],
             n_dense=n_dense,
-            clause_starts=np.asarray(clause_starts, dtype=np.int64),
+            clause_starts=np.concatenate(clause_starts),
             single_cols=np.concatenate([no_cells, *map(span, singles)]),
             pair_cols=np.concatenate([no_cells, *map(span, pairs)]),
             static=_Table.build(static[:, 0], static[:, 1], static[:, 2]),
@@ -522,15 +550,6 @@ def _start_values(model: CompiledModel, samples: Sequence[Sample]) -> np.ndarray
     return a0
 
 
-@dataclass
-class _StepTrace:
-    a_in: np.ndarray
-    winners: list[np.ndarray]
-    out: np.ndarray
-    b: np.ndarray
-    over_one: np.ndarray
-
-
 #: count of instrumented step checks performed (all must have passed).
 VALUATION_CHECKS = 0
 
@@ -538,8 +557,6 @@ VALUATION_CHECKS = 0
 def _check_range(a_new: np.ndarray, a_old: np.ndarray) -> None:
     # Instrumentation, always on: every step must stay in [0,1] and never
     # lower any entry (both amalgamation variants are non-decreasing).
-    global VALUATION_CHECKS
-    VALUATION_CHECKS += 1
     if a_new.size == 0:
         return
     lo = float(a_new.min())
@@ -557,16 +574,124 @@ def _amalgamate(kind: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
     return np.minimum(a_new, 1.0), a_new > 1.0
 
 
-def _static_schedule(model: CompiledModel, a0: np.ndarray, steps: int) -> np.ndarray:
-    """Derivations (steps, S, background heads) of the background clauses,
-    chained from ``a0`` with the step's amalgamation and cap."""
-    a = a0.copy()
+def _fixed_valuations(model: CompiledModel, a0: np.ndarray, steps: int) -> np.ndarray:
+    """Valuations (steps + 1, S, atoms) of the atoms no weight reaches,
+    from ``a0`` on: the background clauses chained with the step's
+    amalgamation and cap, every other atom at its start value (a slot
+    head's entries are its start value too; the kernel reads the heads
+    from its state). Checked for range and monotonicity here, once."""
+    out = np.empty((steps + 1, *a0.shape))
+    out[0] = a0
     cols = model.static.key
-    out = np.zeros((steps, a.shape[0], cols.size))
     for t in range(steps):
-        out[t] = model.static.values(a)[0]
-        a[:, cols] = _amalgamate(model.amalgamation, a[:, cols], out[t])[0]
+        out[t + 1] = out[t]
+        out[t + 1][:, cols] = _amalgamate(
+            model.amalgamation, out[t][:, cols], model.static.values(out[t])[0]
+        )[0]
+    _check_range(out[1:], out[:-1])
     return out
+
+
+def _out_cells(model: CompiledModel, S: int) -> np.ndarray:
+    """The output cell of each table segment in a flattened (S, outputs)
+    array, sample after sample."""
+    n_out = model.single_cols.size + 2 * model.pair_cols.size
+    return (model.seg_out + n_out * np.arange(S)[:, None]).ravel()
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """A batch's chaining split by what the weights can change.
+
+    The step state is the values (S, H) of ``heads``, the only atoms a
+    weight reaches; ``fixed`` holds the valuations of all other atoms
+    before each step and after the last (see :func:`_fixed_valuations`).
+    A *fixed* table segment reads no head, so its value and winning row
+    are the same under every weight and are computed once, when the chain
+    is built: ``fixed_values`` holds the values at their positions in
+    table order (0 at the others), ``fixed_x1``/``fixed_x2`` the body
+    values of their winning rows. The *dependent* segments form ``dep``.
+    """
+
+    model: CompiledModel
+    heads: np.ndarray  # model.heads
+    fixed: np.ndarray  # (steps + 1, S, atoms)
+    dep: _Table
+    order: np.ndarray  # table positions of the dependent, then the fixed segments
+    seg_out: np.ndarray  # the output column of each segment in that order
+    fixed_values: np.ndarray  # (steps, S, segments)
+    fixed_x1: np.ndarray  # (steps, S, fixed segments)
+    fixed_x2: np.ndarray
+    out_cells: np.ndarray  # (S * segments,) see _out_cells
+    # The flat cell of (S, H + 1) that a gradient reaches from each flat
+    # cell of (S, atoms), column H standing for every atom outside the
+    # heads; and those of the one-row dependent segments' body atoms.
+    to_head: np.ndarray  # (S * atoms,)
+    one_heads: tuple[np.ndarray, np.ndarray]  # (S * one-row dependent segments,)
+
+    @staticmethod
+    def build(model: CompiledModel, fixed: np.ndarray) -> "_Chain":
+        """The chain of ``model`` over the fixed valuations ``fixed``."""
+        steps, S, g = fixed.shape[0] - 1, fixed.shape[1], fixed.shape[2]
+        table, heads = model.table, model.heads
+        H = heads.size
+        head_col = np.full(g, H)
+        head_col[heads] = np.arange(H)
+        is_head = head_col < H
+        one = is_head[table.b1] | is_head[table.b2]
+        multi = [(is_head[b1] | is_head[b2]).any(axis=1) for b1, b2 in table.blocks]
+        dep = np.concatenate([one, *multi])
+
+        def part(keep_one, keep_multi):
+            return _Table(
+                table.b1[keep_one], table.b2[keep_one],
+                tuple((b1[m], b2[m]) for (b1, b2), m in zip(table.blocks, keep_multi) if m.any()),
+                table.key[np.concatenate([keep_one, *keep_multi])],
+            )
+
+        fixed_table = part(~one, [~m for m in multi])
+        flat = fixed[:steps].reshape(steps * S, g)
+        values, winners, (x1, x2) = fixed_table.values(flat)
+        cells = fixed_table.winning_cells(winners, steps * S, g)
+        x1, x2 = (np.concatenate([x, *(np.take(flat, c[i]) for c in cells)], axis=1)
+                  for i, x in enumerate((x1, x2)))
+        in_order = np.zeros((steps, S, dep.size))
+        in_order[:, :, ~dep] = values.reshape(steps, S, -1)
+        dep_table = part(one, multi)
+        order = np.concatenate((np.flatnonzero(dep), np.flatnonzero(~dep)))
+        to_head = head_col + (H + 1) * np.arange(S)[:, None]
+        return _Chain(
+            model=model,
+            heads=heads,
+            fixed=fixed,
+            dep=dep_table,
+            order=order,
+            seg_out=model.seg_out[order],
+            fixed_values=in_order,
+            fixed_x1=x1.reshape(steps, S, -1),
+            fixed_x2=x2.reshape(steps, S, -1),
+            out_cells=_out_cells(model, S),
+            to_head=to_head.ravel(),
+            one_heads=(to_head[:, dep_table.b1].ravel(), to_head[:, dep_table.b2].ravel()),
+        )
+
+    def valuation(self, t: int, a: np.ndarray) -> np.ndarray:
+        """The whole valuation (S, atoms) before step ``t`` (after the last
+        step if ``t`` is the step count) when the heads hold ``a``."""
+        x = self.fixed[t].copy()
+        x[:, self.heads] = a
+        return x
+
+
+@dataclass
+class _StepTrace:
+    a: np.ndarray  # the step's input head values
+    x: np.ndarray  # and its whole input valuation
+    one: tuple[np.ndarray, np.ndarray]  # body values of the one-row dependent segments
+    winners: list[np.ndarray]
+    out: np.ndarray
+    b: np.ndarray
+    over_one: np.ndarray
 
 
 def _segment_weights(model: CompiledModel, probs: Sequence[np.ndarray]) -> np.ndarray:
@@ -574,58 +699,65 @@ def _segment_weights(model: CompiledModel, probs: Sequence[np.ndarray]) -> np.nd
     return np.concatenate([np.zeros(0), *probs])[model.seg_weight]
 
 
-def _step_batch(
-    model: CompiledModel, seg_w: np.ndarray, a: np.ndarray, b_static: np.ndarray
+def _step(
+    chain: _Chain, seg_w: np.ndarray, t: int, a: np.ndarray
 ) -> tuple[np.ndarray, _StepTrace]:
-    S, g = a.shape
-    V, winners = model.table.values(a)
+    """Step ``t`` from the head values ``a``. The dependent segments'
+    values are merged with the step's fixed ones in table order, so each
+    head sums its segments in the order of the whole table."""
+    global VALUATION_CHECKS
+    model = chain.model
+    S = a.shape[0]
+    x = chain.valuation(t, a)
+    v, winners, one = chain.dep.values(x)
+    V = chain.fixed_values[t].copy()
+    V[:, chain.order[: v.shape[1]]] = v
+    V *= seg_w
     n1, n2 = model.single_cols.size, model.pair_cols.size
     n_out = n1 + 2 * n2
-    V *= seg_w
-    out = np.bincount(
-        model.flat_index(S).out, weights=V.ravel(), minlength=S * n_out
-    ).reshape(S, n_out)
-    b = np.zeros((S, g))
-    b[:, model.single_cols] = out[:, :n1]
+    out = np.bincount(chain.out_cells, weights=V.ravel(), minlength=S * n_out).reshape(S, n_out)
+    b = out
     if n2:
         s0, s1 = out[:, n1 : n1 + n2], out[:, n1 + n2 :]
-        b[:, model.pair_cols] = s0 + s1 - s0 * s1
-    b[:, model.static.key] = b_static
+        b = np.concatenate((out[:, :n1], s0 + s1 - s0 * s1), axis=1)
     a_new, over_one = _amalgamate(model.amalgamation, a, b)
-    a_new[:, 0] = 0.0
+    VALUATION_CHECKS += 1
     _check_range(a_new, a)
-    return a_new, _StepTrace(a, winners, out, b, over_one)
+    return a_new, _StepTrace(a, x, one, winners, out, b, over_one)
 
 
 def _chain(
-    model: CompiledModel,
-    seg_w: np.ndarray,
-    a: np.ndarray,
-    schedule: np.ndarray,
-    traces: list[_StepTrace] | None = None,
+    chain: _Chain, seg_w: np.ndarray, traces: list[_StepTrace] | None = None
 ) -> np.ndarray:
-    """Chain one ``_step_batch`` per row of the static schedule from the
-    valuations ``a``; appends each step's trace to ``traces`` if given."""
-    for b_static in schedule:
-        a, trace = _step_batch(model, seg_w, a, b_static)
+    """Chain every step from the start values; returns the whole
+    valuation after the last step and appends each step's trace to
+    ``traces`` if given."""
+    steps = chain.fixed_values.shape[0]
+    a = chain.fixed[0][:, chain.heads]
+    for t in range(steps):
+        a, trace = _step(chain, seg_w, t, a)
         if traces is not None:
             traces.append(trace)
-    return a
+    return chain.valuation(steps, a)
 
 
 def _backward_step(
-    model: CompiledModel,
-    seg_w: np.ndarray,
+    chain: _Chain,
+    w: np.ndarray,
+    t: int,
     trace: _StepTrace,
     da_new: np.ndarray,
     dseg: np.ndarray,
 ) -> np.ndarray:
-    """Gradient w.r.t. the step's input valuation; adds each segment's
-    d(loss)/d(segment weight) into ``dseg``."""
-    a, b = trace.a_in, trace.b
-    S, g = a.shape
+    """Gradient w.r.t. step ``t``'s input head values; adds each segment's
+    d(loss)/d(segment weight) into ``dseg``. Both ``dseg`` and the
+    segment weights ``w`` are in ``chain.order``."""
+    model = chain.model
+    a, x, b = trace.a, trace.x, trace.b
+    S, width = x.shape
+    n1, n2 = model.single_cols.size, model.pair_cols.size
+    H = n1 + n2
     da_new = np.where(trace.over_one, 0.0, da_new)
-    da_new[:, 0] = 0.0
     if model.amalgamation == "max":
         take_b = b > a
         db = np.where(take_b, da_new, 0.0)
@@ -633,39 +765,51 @@ def _backward_step(
     else:
         db = da_new * (1.0 - a)
         da = da_new * (1.0 - b)
-    n1, n2 = model.single_cols.size, model.pair_cols.size
-    dout = np.empty((S, n1 + 2 * n2))
-    dout[:, :n1] = db[:, model.single_cols]
+    dout = db
     if n2:
-        dy = db[:, model.pair_cols]
+        dout = np.empty((S, n1 + 2 * n2))
+        dout[:, :n1] = db[:, :n1]
+        dy = db[:, n1:]
         dout[:, n1 : n1 + n2] = dy * (1.0 - trace.out[:, n1 + n2 :])
         dout[:, n1 + n2 :] = dy * (1.0 - trace.out[:, n1 : n1 + n2])
-    dV = np.take(dout, model.seg_out, axis=1)
-    da = da.ravel()
+    dV = np.take(dout, chain.seg_out, axis=1)
+    n_dep = chain.dep.key.size
+    # (x1 * x2) * dv: the product comes first, so clauses whose rows
+    # read the same values in either order get bit-equal sums.
+    dseg[n_dep:] += np.einsum("sn,sn,sn->n", chain.fixed_x1[t], chain.fixed_x2[t], dV[:, n_dep:])
+    buckets = [(*trace.one, chain.one_heads)]
+    for c1, c2 in chain.dep.winning_cells(trace.winners, S, width):
+        buckets.append((np.take(x, c1), np.take(x, c2),
+                        (np.take(chain.to_head, c1).ravel(), np.take(chain.to_head, c2).ravel())))
     lo = 0
-    for w1, w2 in model.winning_cells(trace.winners, S):
-        hi = lo + w1.shape[1]
-        x1, x2 = np.take(a, w1), np.take(a, w2)
+    for x1, x2, (h1, h2) in buckets:
+        hi = lo + x1.shape[1]
         dv = dV[:, lo:hi]
-        # (x1 * x2) * dv: the product comes first, so clauses whose rows
-        # read the same values in either order get bit-equal sums.
         dseg[lo:hi] += np.einsum("sn,sn,sn->n", x1, x2, dv)
-        dv *= seg_w[lo:hi]
+        dv *= w[lo:hi]
         x1 *= dv
         x2 *= dv
-        da += np.bincount(w1.ravel(), weights=x2.ravel(), minlength=S * g)
-        da += np.bincount(w2.ravel(), weights=x1.ravel(), minlength=S * g)
+        # A body atom outside the heads scatters into column H, dropped.
+        da += np.bincount(h1, weights=x2.ravel(), minlength=S * (H + 1)).reshape(S, H + 1)[:, :H]
+        da += np.bincount(h2, weights=x1.ravel(), minlength=S * (H + 1)).reshape(S, H + 1)[:, :H]
         lo = hi
-    return da.reshape(S, g)
+    return da
 
 
-def _clause_grads(model: CompiledModel, dseg: np.ndarray) -> np.ndarray:
-    """Sum segment gradients per clause over the dense (clause, head)
-    layout, so clauses equal on the data get bit-equal gradients."""
-    dense = np.bincount(model.table.key, weights=dseg, minlength=model.n_dense)
+def _clause_grads(chain: _Chain, dseg: np.ndarray) -> np.ndarray:
+    """Sum segment gradients (in ``chain.order``) per clause over the dense
+    (clause, head) layout, so clauses equal on the data get bit-equal
+    gradients."""
+    model = chain.model
+    dense = np.bincount(model.table.key[chain.order], weights=dseg, minlength=model.n_dense)
     if not model.clause_starts.size:
         return np.zeros(0)
     return np.add.reduceat(dense, model.clause_starts)
+
+
+def _infer(model: CompiledModel, seg_w: np.ndarray, a0: np.ndarray, steps: int) -> np.ndarray:
+    """The valuations (S, atoms) ``steps`` chained steps after ``a0``."""
+    return _chain(_Chain.build(model, _fixed_valuations(model, a0, steps)), seg_w)
 
 
 def infer(model: CompiledModel, weights: Sequence[np.ndarray], sample: Sample) -> np.ndarray:
@@ -677,8 +821,7 @@ def infer(model: CompiledModel, weights: Sequence[np.ndarray], sample: Sample) -
             "compile it with ModelCompiler.compile(sample.constants)"
         )
     seg_w = _segment_weights(model, probabilities(weights))
-    a = _start_values(model, [sample])
-    return _chain(model, seg_w, a, _static_schedule(model, a, model.forward_steps))[0]
+    return _infer(model, seg_w, _start_values(model, [sample]), model.forward_steps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -686,43 +829,39 @@ def infer(model: CompiledModel, weights: Sequence[np.ndarray], sample: Sample) -
 
 @dataclass(frozen=True)
 class _Batch:
-    model: CompiledModel
-    a0: np.ndarray
-    static_b: np.ndarray  # (forward_steps, S, static heads)
+    chain: _Chain
     rows: np.ndarray  # per labeled atom: its sample,
-    cols: np.ndarray  # its valuation cell,
+    cells: np.ndarray  # its atom,
     positive: np.ndarray  # whether it is positive,
     scale: np.ndarray  # and its loss weight
 
 
-def _live_segments(model: CompiledModel, a0: np.ndarray, static_b: np.ndarray) -> np.ndarray:
+def _live_segments(model: CompiledModel, fixed: np.ndarray) -> np.ndarray:
     """Which table segments some weight can make non-zero in some sample.
 
     The chaining with every clause enabled, on boolean valuations: an atom
     is reachable if it starts above zero, if a segment into it has a row
     whose two body atoms are reachable (``_Table.values`` on booleans;
-    two slots combine by OR), or, for a background head, if the static
-    schedule derives it. The segments live under the valuation that
-    enters the last step are returned; the pass stops early once neither
-    reachability nor the remaining static pattern changes.
+    two slots combine by OR), or, for an atom no weight reaches, if its
+    fixed valuation is above zero. The segments live under the valuation
+    that enters the last step are returned; the pass stops early once
+    reachability no longer changes and covers every fixed valuation still
+    to come.
     """
-    S, steps = a0.shape[0], len(static_b)
+    steps, S = fixed.shape[0] - 1, fixed.shape[1]
     n1, n2 = model.single_cols.size, model.pair_cols.size
-    flat_out = model.flat_index(S).out
-    fired = static_b > 0
-    reach = a0 > 0
+    flat_out = _out_cells(model, S)
+    known = fixed > 0
+    reach = known[0]
     live = model.table.values(reach)[0]
     for t in range(steps - 1):
         hit = np.zeros(S * (n1 + 2 * n2), dtype=bool)
         hit[flat_out[live.ravel()]] = True
         hit = hit.reshape(S, -1)
-        b = np.zeros_like(reach)
-        b[:, model.single_cols] = hit[:, :n1]
-        b[:, model.pair_cols] = hit[:, n1 : n1 + n2] | hit[:, n1 + n2 :]
-        b[:, model.static.key] = fired[t]
-        b |= reach
-        b[:, 0] = False
-        if np.array_equal(b, reach) and (fired[t : steps - 1] == fired[t]).all():
+        b = known[t + 1] | reach
+        b[:, model.single_cols] |= hit[:, :n1]
+        b[:, model.pair_cols] |= hit[:, n1 : n1 + n2] | hit[:, n1 + n2 :]
+        if np.array_equal(b, reach) and not (known[steps - 1] & ~b).any():
             break
         reach = b
         live = model.table.values(reach)[0]
@@ -743,7 +882,21 @@ def _pruned(model: CompiledModel, keep: np.ndarray) -> CompiledModel:
             blocks.append((b1[sel], b2[sel]))
     table = _Table(full.b1[keep[:n1]], full.b2[keep[:n1]], tuple(blocks), full.key[keep])
     return replace(model, table=table, seg_out=model.seg_out[keep],
-                   seg_weight=model.seg_weight[keep], _flat={})
+                   seg_weight=model.seg_weight[keep])
+
+
+def _batch(model: CompiledModel, group: Sequence[Sample], fixed: np.ndarray, n_samples: int) -> _Batch:
+    """The batch of ``group`` on ``model``, over the fixed valuations
+    ``fixed``; each sample's labels share a weight of 1 / ``n_samples``."""
+    labels = [
+        (si, model.index.index_of(a), positive,
+         1.0 / ((len(s.positive) + len(s.negative)) * n_samples))
+        for si, s in enumerate(group)
+        for positive, atoms in ((True, s.positive), (False, s.negative))
+        for a in atoms
+    ]
+    rows, cells, positive, scale = map(np.asarray, zip(*labels))
+    return _Batch(_Chain.build(model, fixed), rows, cells, positive, scale)
 
 
 def _prepare_batches(compiler: ModelCompiler, samples: Sequence[Sample]) -> list[_Batch]:
@@ -755,40 +908,31 @@ def _prepare_batches(compiler: ModelCompiler, samples: Sequence[Sample]) -> list
     batches = []
     for consts, group in groups.items():
         model = compiler.compile(consts)
-        a0 = _start_values(model, group)
-        labels = [
-            (si, model.index.index_of(a), positive,
-             1.0 / ((len(s.positive) + len(s.negative)) * len(samples)))
-            for si, s in enumerate(group)
-            for positive, atoms in ((True, s.positive), (False, s.negative))
-            for a in atoms
-        ]
-        rows, cols, positive, scale = map(np.asarray, zip(*labels))
-        static_b = _static_schedule(model, a0, model.forward_steps)
-        model = _pruned(model, _live_segments(model, a0, static_b))
-        batches.append(_Batch(model, a0, static_b, rows, cols, positive, scale))
+        fixed = _fixed_valuations(model, _start_values(model, group), model.forward_steps)
+        model = _pruned(model, _live_segments(model, fixed))
+        batches.append(_batch(model, group, fixed, len(samples)))
     return batches
 
 
-def _data_loss(batch: _Batch, aT: np.ndarray) -> float:
-    x = np.clip(aT[batch.rows, batch.cols], LOG_EPS, 1.0 - LOG_EPS)
+def _data_loss(batch: _Batch, xT: np.ndarray) -> float:
+    x = np.clip(xT[batch.rows, batch.cells], LOG_EPS, 1.0 - LOG_EPS)
     return float(-(batch.scale * np.where(batch.positive, np.log(x), np.log1p(-x))).sum())
 
 
-def _data_loss_backward(batch: _Batch, aT: np.ndarray) -> np.ndarray:
-    x = aT[batch.rows, batch.cols]
+def _data_loss_backward(batch: _Batch, xT: np.ndarray) -> np.ndarray:
+    x = xT[batch.rows, batch.cells]
     inside = (x > LOG_EPS) & (x < 1.0 - LOG_EPS)
     # -s/x on a positive, s/(1-x) on a negative; (-s)/x has the bits of
     # -(s/x). Sample.make keeps a sample's labeled atoms distinct and its
     # positives and negatives disjoint, so no cell is assigned twice.
-    dA = np.zeros_like(aT)
-    dA[batch.rows, batch.cols] = np.where(
+    dx = np.zeros_like(xT)
+    dx[batch.rows, batch.cells] = np.where(
         inside,
         np.where(batch.positive, -batch.scale, batch.scale)
         / np.clip(np.where(batch.positive, x, 1.0 - x), LOG_EPS, None),
         0.0,
     )
-    return dA
+    return dx
 
 
 def _reg_value(weights: Sequence[np.ndarray], hp: Hyperparams) -> float:
@@ -819,8 +963,8 @@ def loss(
     probs = probabilities(weights)
     total = 0.0
     for batch in batches or _prepare_batches(compiler, samples):
-        seg_w = _segment_weights(batch.model, probs)
-        total += _data_loss(batch, _chain(batch.model, seg_w, batch.a0, batch.static_b))
+        seg_w = _segment_weights(batch.chain.model, probs)
+        total += _data_loss(batch, _chain(batch.chain, seg_w))
     return total + _reg_value(weights, hp)
 
 
@@ -836,16 +980,17 @@ def loss_and_grad(
     dclause = np.zeros(sum(p.size for p in probs))
     total = 0.0
     for batch in batches or _prepare_batches(compiler, samples):
-        model = batch.model
-        seg_w = _segment_weights(model, probs)
+        chain = batch.chain
+        seg_w = _segment_weights(chain.model, probs)
         traces: list[_StepTrace] = []
-        a = _chain(model, seg_w, batch.a0, batch.static_b, traces)
-        total += _data_loss(batch, a)
-        da = _data_loss_backward(batch, a)
-        dseg = np.zeros(model.seg_out.size)
-        for tr in reversed(traces):
-            da = _backward_step(model, seg_w, tr, da, dseg)
-        dclause += _clause_grads(model, dseg)
+        x = _chain(chain, seg_w, traces)
+        total += _data_loss(batch, x)
+        da = _data_loss_backward(batch, x)[:, chain.heads]
+        dseg = np.zeros(seg_w.size)
+        w = seg_w[chain.order]
+        for t in reversed(range(len(traces))):
+            da = _backward_step(chain, w, t, traces[t], da, dseg)
+        dclause += _clause_grads(chain, dseg)
     dprobs = np.split(dclause, np.cumsum([p.size for p in probs])[:-1])
     grads = [
         _softmax_backward(p, dp) for p, dp in zip(probs, dprobs)

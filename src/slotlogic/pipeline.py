@@ -165,8 +165,10 @@ def train_with_restarts(
     """Run ``fit(seed + 1009*k)`` for restart k until one run's final loss
     is under ``target_loss``; keep the lowest-loss run (the first on ties),
     so reruns match bit for bit."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, not {restarts}")
     best: TrainedModel | None = None
-    for k in range(max(1, restarts)):
+    for k in range(restarts):
         model = fit(seed + 1009 * k)
         log.info("restart %d: final loss %.6f", k, model.final_loss)
         if best is None or model.final_loss < best.final_loss:

@@ -7,10 +7,14 @@ one concession to speed: still naive (every round re-derives from all
 facts), but it matches body atoms against facts instead of trying every
 substitution, for tests that chain over hundreds of turns.
 
-The last section is not independent: ``start_valuation`` and
-``chain_step`` drive the engine's own chaining one step at a time, for
-tests that inspect single steps, and ``agreement`` compares the
-package's fuzzy and crisp inference.
+The last two sections are not independent. ``ground_clause`` (one
+clause at a time) and ``reference_loss``/``reference_loss_and_grad`` (the
+engine's chaining over whole valuations, every atom stepped and every
+gradient cell scattered) are the array code the engine's grounding and
+head-only kernel replaced, kept as references they must equal bit for
+bit. ``start_valuation`` and ``chain_step`` drive the engine's own
+chaining one step at a time, for tests that inspect single steps, and
+``agreement`` compares the package's fuzzy and crisp inference.
 """
 
 from __future__ import annotations
@@ -21,13 +25,30 @@ from typing import Sequence
 
 import numpy as np
 
-from slotlogic import Atom, Clause, GroundIndex, Sample, Term, TrainedModel, crisp_infer, infer
+from slotlogic import (
+    Atom,
+    Clause,
+    GroundIndex,
+    Hyperparams,
+    ModelCompiler,
+    Sample,
+    Term,
+    TrainedModel,
+    crisp_infer,
+    format_clause,
+    infer,
+)
 from slotlogic.engine import (
+    LOG_EPS,
+    MAX_CLAUSE_VARS,
     CompiledModel,
-    _chain,
+    _amalgamate,
+    _infer,
+    _reg_grad,
+    _reg_value,
     _segment_weights,
+    _softmax_backward,
     _start_values,
-    _static_schedule,
     probabilities,
 )
 from slotlogic.extract import PolicyProgram
@@ -181,6 +202,191 @@ def multiset_counts_via_counter(pred: list, gold: list) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
+# The array code the engine replaced: references it must equal bit for bit.
+
+def ground_clause(clause: Clause, index: GroundIndex) -> np.ndarray:
+    """All groundings of ``clause`` as rows (head index, body index, body index).
+
+    One row per substitution of the clause variables by constants from the
+    index, enumerated like ``itertools.product`` with the first variable
+    slowest. An atom's index is its predicate's start plus the mixed-radix
+    number its argument constants spell in base ``len(constants)``. A
+    clause naming a constant outside the index has no grounding; one
+    naming a predicate outside it raises ``ValueError``.
+    """
+    variables = clause.variables()
+    if len(variables) > MAX_CLAUSE_VARS:
+        raise ValueError("too many clause variables")
+    atoms = (clause.head, *clause.body)
+    for a in atoms:
+        if a.predicate not in index.ranges:
+            raise ValueError(
+                f"clause {format_clause(clause)} uses {a.predicate}, "
+                "which is not in the ground index"
+            )
+    n = len(index.constants)
+    combos = np.arange(n ** len(variables), dtype=np.int64)
+    digit = {
+        v: combos // n ** (len(variables) - 1 - i) % n for i, v in enumerate(variables)
+    }
+    position = {c: i for i, c in enumerate(index.constants)}
+    rows = np.empty((combos.size, 3), dtype=np.int64)
+    for col, a in enumerate(atoms):
+        offset = np.zeros(combos.size, dtype=np.int64)
+        for t in a.args:
+            if not t.is_variable and t.label not in position:
+                return rows[:0]
+            offset = offset * n + (digit[t] if t.is_variable else position[t.label])
+        rows[:, col] = index.ranges[a.predicate][0] + offset
+    return rows
+
+
+def _winning_cells(model: CompiledModel, winners, S: int):
+    """Per bucket of the table, the flat valuation cells (S, segments) of
+    the two body atoms of each segment's winning row."""
+    offset = len(model.index) * np.arange(S, dtype=np.int64)[:, None]
+    table = model.table
+    cells = [(table.b1 + offset, table.b2 + offset)]
+    for (b1, b2), won in zip(table.blocks, winners):
+        cells.append((np.take(b1, won) + offset, np.take(b2, won) + offset))
+    return cells
+
+
+def _reference_step(model: CompiledModel, seg_w, a, b_static):
+    """One step over whole valuations (S, atoms); returns the new
+    valuations and what the backward step needs."""
+    S, g = a.shape
+    V, winners = model.table.values(a)[:2]
+    n1, n2 = model.single_cols.size, model.pair_cols.size
+    n_out = n1 + 2 * n2
+    V *= seg_w
+    flat_out = (model.seg_out + n_out * np.arange(S)[:, None]).ravel()
+    out = np.bincount(flat_out, weights=V.ravel(), minlength=S * n_out).reshape(S, n_out)
+    b = np.zeros((S, g))
+    b[:, model.single_cols] = out[:, :n1]
+    if n2:
+        s0, s1 = out[:, n1 : n1 + n2], out[:, n1 + n2 :]
+        b[:, model.pair_cols] = s0 + s1 - s0 * s1
+    b[:, model.static.key] = b_static
+    a_new, over_one = _amalgamate(model.amalgamation, a, b)
+    a_new[:, 0] = 0.0
+    return a_new, (a, winners, out, b, over_one)
+
+
+def _reference_backward_step(model: CompiledModel, seg_w, trace, da_new, dseg):
+    """Gradient w.r.t. the step's input valuations, every cell scattered;
+    adds each segment's d(loss)/d(segment weight) into ``dseg``."""
+    a, winners, out, b, over_one = trace
+    S, g = a.shape
+    da_new = np.where(over_one, 0.0, da_new)
+    da_new[:, 0] = 0.0
+    if model.amalgamation == "max":
+        take_b = b > a
+        db = np.where(take_b, da_new, 0.0)
+        da = np.where(take_b, 0.0, da_new)
+    else:
+        db = da_new * (1.0 - a)
+        da = da_new * (1.0 - b)
+    n1, n2 = model.single_cols.size, model.pair_cols.size
+    dout = np.empty((S, n1 + 2 * n2))
+    dout[:, :n1] = db[:, model.single_cols]
+    if n2:
+        dy = db[:, model.pair_cols]
+        dout[:, n1 : n1 + n2] = dy * (1.0 - out[:, n1 + n2 :])
+        dout[:, n1 + n2 :] = dy * (1.0 - out[:, n1 : n1 + n2])
+    dV = np.take(dout, model.seg_out, axis=1)
+    da = da.ravel()
+    lo = 0
+    for w1, w2 in _winning_cells(model, winners, S):
+        hi = lo + w1.shape[1]
+        x1, x2 = np.take(a, w1), np.take(a, w2)
+        dv = dV[:, lo:hi]
+        dseg[lo:hi] += np.einsum("sn,sn,sn->n", x1, x2, dv)
+        dv *= seg_w[lo:hi]
+        x1 *= dv
+        x2 *= dv
+        da += np.bincount(w1.ravel(), weights=x2.ravel(), minlength=S * g)
+        da += np.bincount(w2.ravel(), weights=x1.ravel(), minlength=S * g)
+        lo = hi
+    return da.reshape(S, g)
+
+
+def _reference_batches(compiler: ModelCompiler, samples: Sequence[Sample]):
+    """Per constant list: the full compiled model, start valuations, the
+    background clauses' derivations per step, and the labels."""
+    groups: dict[tuple[str, ...], list[Sample]] = {}
+    for s in samples:
+        groups.setdefault(tuple(s.constants), []).append(s)
+    for consts, group in groups.items():
+        model = compiler.compile(consts)
+        a0 = _start_values(model, group)
+        a, cols = a0.copy(), model.static.key
+        static_b = np.zeros((model.forward_steps, len(group), cols.size))
+        for t in range(model.forward_steps):
+            static_b[t] = model.static.values(a)[0]
+            a[:, cols] = _amalgamate(model.amalgamation, a[:, cols], static_b[t])[0]
+        labels = [
+            (si, model.index.index_of(x), positive,
+             1.0 / ((len(s.positive) + len(s.negative)) * len(samples)))
+            for si, s in enumerate(group)
+            for positive, atoms in ((True, s.positive), (False, s.negative))
+            for x in atoms
+        ]
+        yield model, a0, static_b, tuple(map(np.asarray, zip(*labels)))
+
+
+def _reference_run(compiler, weights, samples, hp, grad: bool):
+    probs = probabilities(weights)
+    dclause = np.zeros(sum(p.size for p in probs))
+    total = 0.0
+    for model, a, static_b, (rows, cols, positive, scale) in _reference_batches(compiler, samples):
+        seg_w = _segment_weights(model, probs)
+        traces = []
+        for b_static in static_b:
+            a, trace = _reference_step(model, seg_w, a, b_static)
+            traces.append(trace)
+        x = np.clip(a[rows, cols], LOG_EPS, 1.0 - LOG_EPS)
+        total += float(-(scale * np.where(positive, np.log(x), np.log1p(-x))).sum())
+        if not grad:
+            continue
+        x = a[rows, cols]
+        inside = (x > LOG_EPS) & (x < 1.0 - LOG_EPS)
+        da = np.zeros_like(a)
+        da[rows, cols] = np.where(
+            inside,
+            np.where(positive, -scale, scale) / np.clip(np.where(positive, x, 1.0 - x), LOG_EPS, None),
+            0.0,
+        )
+        dseg = np.zeros(model.seg_out.size)
+        for trace in reversed(traces):
+            da = _reference_backward_step(model, seg_w, trace, da, dseg)
+        dense = np.bincount(model.table.key, weights=dseg, minlength=model.n_dense)
+        if model.clause_starts.size:
+            dclause += np.add.reduceat(dense, model.clause_starts)
+    dprobs = np.split(dclause, np.cumsum([p.size for p in probs])[:-1])
+    grads = [_softmax_backward(p, dp) + r
+             for p, dp, r in zip(probs, dprobs, _reg_grad(weights, hp))]
+    return total + _reg_value(weights, hp), grads
+
+
+def reference_loss(
+    compiler: ModelCompiler, weights: Sequence[np.ndarray], samples: Sequence[Sample],
+    hp: Hyperparams,
+) -> float:
+    """The engine's loss, chained over whole valuations of the full table."""
+    return _reference_run(compiler, weights, samples, hp, grad=False)[0]
+
+
+def reference_loss_and_grad(
+    compiler: ModelCompiler, weights: Sequence[np.ndarray], samples: Sequence[Sample],
+    hp: Hyperparams,
+) -> tuple[float, list[np.ndarray]]:
+    """The engine's loss and gradient, chained and back-propagated over
+    whole valuations of the full table."""
+    return _reference_run(compiler, weights, samples, hp, grad=True)
+
+
+# ---------------------------------------------------------------------------
 # Single steps of the engine's chaining, and fuzzy-crisp agreement.
 
 def start_valuation(model: CompiledModel, sample: Sample) -> np.ndarray:
@@ -191,9 +397,8 @@ def start_valuation(model: CompiledModel, sample: Sample) -> np.ndarray:
 def chain_step(model: CompiledModel, weights: Sequence[np.ndarray], values: np.ndarray) -> np.ndarray:
     """One deduction step of the engine from the valuation ``values``, the
     background clauses' step derived from ``values`` itself."""
-    a = values[None, :]
     seg_w = _segment_weights(model, probabilities(weights))
-    return _chain(model, seg_w, a, _static_schedule(model, a, 1))[0]
+    return _infer(model, seg_w, values[None, :], 1)[0]
 
 
 def agreement(trained: TrainedModel, program: PolicyProgram, samples: list[Sample]) -> float:

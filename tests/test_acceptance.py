@@ -260,18 +260,21 @@ def test_criterion_7_crisp_agreement_exhaustive():
 
 
 def test_criterion_8_monotonicity_and_range(one_shot):
-    from slotlogic.engine import _prepare_batches, _segment_weights, _step_batch
+    from slotlogic.engine import _prepare_batches, _segment_weights, _step
 
     compiler = one_shot.trained.compiler
     sample = [r.sample for r in one_shot.records if r.meta["supervised"]][0]
     (batch,) = _prepare_batches(compiler, [sample])
-    seg_w = _segment_weights(batch.model, one_shot.trained.probabilities())
-    a = batch.a0
-    for b_static in batch.static_b:
-        nxt, _ = _step_batch(batch.model, seg_w, a, b_static)
-        assert np.all(nxt >= a - 1e-12)
+    chain = batch.chain
+    seg_w = _segment_weights(chain.model, one_shot.trained.probabilities())
+    prev = chain.fixed[0]
+    a = prev[:, chain.heads]
+    for t in range(chain.model.forward_steps):
+        a, _ = _step(chain, seg_w, t, a)
+        nxt = chain.valuation(t + 1, a)
+        assert np.all(nxt >= prev - 1e-12)
         assert nxt.min() >= 0.0 and nxt.max() <= 1.0
-        a = nxt
+        prev = nxt
     checks = engine_mod.VALUATION_CHECKS
     assert checks > 10_000, "instrumentation should have run throughout"
     report(

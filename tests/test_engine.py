@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +22,14 @@ from slotlogic import (
 )
 from slotlogic import pipeline, representative_dialog
 from slotlogic.engine import (
+    AMALGAMATIONS,
+    ValuationInvariantError,
+    _batch,
     _chain,
+    _fixed_valuations,
     _prepare_batches,
     _segment_weights,
+    _start_values,
     loss,
     loss_and_grad,
     probabilities,
@@ -33,7 +37,13 @@ from slotlogic.engine import (
 from slotlogic.gradcheck import _random_instance
 from slotlogic.simulator import DOMAINS, GeneratorConfig, generate_dialog
 
-from .oracles import boolean_rounds, chain_step, start_valuation
+from .oracles import (
+    boolean_rounds,
+    chain_step,
+    reference_loss,
+    reference_loss_and_grad,
+    start_valuation,
+)
 
 P, Q, R = Predicate("p", 1), Predicate("q", 1), Predicate("r", 1)
 TOY_FRAME = LanguageFrame(targets=(P,), extensional=(Q, R))
@@ -691,7 +701,12 @@ class TestLivePrune:
         and that every dropped segment is 0 at every step; returns how many
         segments were dropped."""
         pruned = _prepare_batches(compiler, samples)
-        full = [replace(b, model=compiler.compile(b.model.index.constants)) for b in pruned]
+        full = []
+        for b in pruned:
+            model = compiler.compile(b.chain.model.index.constants)
+            group = [s for s in samples if tuple(s.constants) == model.index.constants]
+            fixed = _fixed_valuations(model, _start_values(model, group), model.forward_steps)
+            full.append(_batch(model, group, fixed, len(samples)))
         assert np.array_equal(loss(compiler, weights, samples, hp, pruned),
                               loss(compiler, weights, samples, hp, full))
         value, grads = loss_and_grad(compiler, weights, samples, hp, pruned)
@@ -700,13 +715,14 @@ class TestLivePrune:
         assert all(np.array_equal(g, fg) for g, fg in zip(grads, full_grads))
         n_dropped = 0
         for b, f in zip(pruned, full):
-            dropped = ~np.isin(f.model.table.key, b.model.table.key)
-            assert dropped.sum() == f.model.seg_out.size - b.model.seg_out.size
+            model = f.chain.model
+            dropped = ~np.isin(model.table.key, b.chain.model.table.key)
+            assert dropped.sum() == model.seg_out.size - b.chain.model.seg_out.size
             traces = []
-            seg_w = _segment_weights(f.model, probabilities(weights))
-            _chain(f.model, seg_w, f.a0, f.static_b, traces)
+            seg_w = _segment_weights(model, probabilities(weights))
+            _chain(f.chain, seg_w, traces)
             for tr in traces:
-                assert not f.model.table.values(tr.a_in)[0][:, dropped].any()
+                assert not model.table.values(tr.x)[0][:, dropped].any()
             n_dropped += int(dropped.sum())
         return n_dropped
 
@@ -727,3 +743,101 @@ class TestLivePrune:
             dropped[hp.amalgamation] += self.dropped_and_check(compiler, weights, samples, hp)
             pairs += compiler.compile(samples[0].constants).pair_cols.size > 0
         assert dropped["max"] > 0 and dropped["sum"] > 0 and pairs > 0
+
+
+class TestHeadKernel:
+    """The head-only kernel (fixed segments precomputed per batch, state and
+    gradient over slot heads) equals the whole-valuation reference in
+    ``tests/oracles.py`` bit for bit."""
+
+    @staticmethod
+    def assert_equals_reference(compiler, weights, samples, hp):
+        value, grads = loss_and_grad(compiler, weights, samples, hp)
+        ref_value, ref_grads = reference_loss_and_grad(compiler, weights, samples, hp)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert len(grads) == len(ref_grads)
+        for g, rg in zip(grads, ref_grads):
+            assert g.tobytes() == rg.tobytes()
+        ref_loss = reference_loss(compiler, weights, samples, hp)
+        assert np.float64(loss(compiler, weights, samples, hp)).tobytes() == \
+            np.float64(ref_loss).tobytes()
+
+    @staticmethod
+    def reads_a_head_in_a_multi_row_segment(compiler, samples) -> bool:
+        return any(b.chain.dep.blocks for b in _prepare_batches(compiler, samples))
+
+    @pytest.mark.parametrize("seed, scale", [(0, 0.0), (0, 1.0), (1, 3.0)])
+    def test_restaurant_batch(self, seed, scale):
+        compiler, _, samples, hp = TestLivePrune.simdial_case()
+        self.assert_equals_reference(compiler, compiler.init_weights(seed, scale), samples, hp)
+        assert not self.reads_a_head_in_a_multi_row_segment(compiler, samples)
+
+    def test_restaurant_with_correction_batch(self):
+        compiler, weights, samples, hp = TestLivePrune.simdial_case(
+            [TestLivePrune.correction_dialog()])
+        assert len(samples) == 20
+        self.assert_equals_reference(compiler, weights, samples, hp)
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(0)
+        seen = {"max": 0, "sum": 0, "pairs": 0, "multi-row head reads": 0}
+        for _ in range(60):
+            compiler, weights, samples, hp = _random_instance(rng)
+            self.assert_equals_reference(compiler, weights, samples, hp)
+            seen[hp.amalgamation] += 1
+            seen["pairs"] += compiler.compile(samples[0].constants).pair_cols.size > 0
+            seen["multi-row head reads"] += self.reads_a_head_in_a_multi_row_segment(
+                compiler, samples)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("amalgamation", AMALGAMATIONS)
+    def test_scattered_heads_and_a_labeled_target_without_slot(self, amalgamation):
+        # Heads are h (one slot), then t (two slots); u, a target with no
+        # slot, lies between them in the index and is labeled. t's second
+        # slot reads h through a free variable: multi-row segments that
+        # read a head.
+        t, u, h = Predicate("t", 1), Predicate("u", 1), Predicate("h", 1)
+        e, f = Predicate("e", 1), Predicate("f", 2)
+        frame = LanguageFrame(targets=(t, u), extensional=(e, f))
+        template = ProgramTemplate(
+            slots=((t, (RuleTemplate(0, True), RuleTemplate(1, True))),
+                   (h, (RuleTemplate(0, True),))),
+            auxiliary=(h,), forward_steps=3)
+        pools = [
+            ((t, 0), [parse_clause("t(X) <- e(X)"), parse_clause("t(X) <- h(X), e(X)")]),
+            ((t, 1), [parse_clause("t(X) <- h(Y), f(X, Y)"), parse_clause("t(X) <- f(X, X)")]),
+            ((h, 0), [parse_clause("h(X) <- e(X)"), parse_clause("h(X) <- f(X, Y), e(Y)")]),
+        ]
+        compiler = ModelCompiler(frame, template, amalgamation=amalgamation, pools=pools)
+        constants = ("a", "b", "c")
+        sample = Sample.make(
+            [atom("e", "a"), atom("f", "b", "a"), atom("f", "c", "c"), atom("u", "b")],
+            [atom("t", "b"), atom("u", "b"), atom("t", "c")], [atom("t", "a"), atom("u", "c")],
+            constants,
+        )
+        model = compiler.compile(constants)
+        lo, hi = model.index.ranges[u]
+        heads = set(model.heads.tolist())
+        assert min(heads) < lo and hi <= max(heads) and not heads & set(range(lo, hi))
+        rng = np.random.default_rng(1)
+        hp = Hyperparams(amalgamation=amalgamation)
+        for _ in range(5):
+            weights = [rng.standard_normal(len(cs)) for _, cs in compiler.pools]
+            self.assert_equals_reference(compiler, weights, [sample], hp)
+        assert self.reads_a_head_in_a_multi_row_segment(compiler, [sample])
+
+    def test_nan_weights_raise(self):
+        compiler, weights, samples, hp = TestLivePrune.simdial_case()
+        weights[0][0] = np.nan
+        with pytest.raises(ValuationInvariantError):
+            loss(compiler, weights, samples, hp)
+        with pytest.raises(ValuationInvariantError):
+            loss_and_grad(compiler, weights, samples, hp)
+
+
+def test_slot_predicate_that_is_a_background_head_rejected():
+    # The kernel chains background heads ahead of the weights, so no slot
+    # may write one.
+    with pytest.raises(ValueError, match="background clause head"):
+        toy_compiler(background=[parse_clause("q(X) <- r(X)")],
+                     pools=[((Q, 0), [parse_clause("q(X) <- r(X)")])])

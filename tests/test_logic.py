@@ -15,12 +15,12 @@ from slotlogic import (
     build_ground_index,
     format_atom,
     format_clause,
-    ground_clause,
     parse_atom,
     parse_clause,
 )
+from slotlogic.engine import _ground_clauses
 
-from .oracles import ground_clause_rows
+from .oracles import ground_clause, ground_clause_rows
 
 
 class TestParseAtom:
@@ -170,6 +170,29 @@ class TestGroundIndex:
         assert a.atoms == b.atoms
 
 
+def ground(clause, idx):
+    rows, counts = _ground_clauses([clause], idx)
+    assert counts.tolist() == [len(rows)]
+    return rows
+
+
+def random_clauses(rng, preds, constants, n):
+    """``n`` random clauses over ``preds``: arguments drawn from three
+    variables and from ``constants`` (one of which is outside the index)."""
+    terms = ["V0", "V1", "V2", *constants]
+    clauses = []
+    while len(clauses) < n:
+        head, b1, b2 = (preds[int(rng.integers(len(preds)))] for _ in range(3))
+        args = [[str(rng.choice(terms)) for _ in range(p.arity)] for p in (head, b1, b2)]
+        try:
+            clauses.append(parse_clause(
+                f"{head.name}({', '.join(args[0])}) <- {b1.name}({', '.join(args[1])}), "
+                f"{b2.name}({', '.join(args[2])})"))
+        except ValueError:
+            continue
+    return clauses
+
+
 class TestGroundClause:
     def test_two_variable_count(self):
         idx = build_ground_index(
@@ -180,7 +203,7 @@ class TestGroundClause:
         clause = parse_clause(
             "confirm(S) <- user_request(S, T), not_confident(S)"
         )
-        rows = ground_clause(clause, idx)
+        rows = ground(clause, idx)
         assert len(rows) == 4
         head_idx = idx.index_of(atom("confirm", "contact"))
         ur = idx.index_of(atom("user_request", "contact", "calling"))
@@ -193,17 +216,17 @@ class TestGroundClause:
             [Predicate("p", 0), Predicate("q", 0)], ["a", "b", "c"]
         )
         clause = parse_clause("p() <- q(), q()")
-        assert len(ground_clause(clause, idx)) == 1
+        assert len(ground(clause, idx)) == 1
 
     def test_duplicated_body(self):
         idx = build_ground_index([Predicate("p", 1), Predicate("q", 1)], ["a", "b", "c"])
         clause = parse_clause("p(X) <- q(X), q(X)")
-        assert len(ground_clause(clause, idx)) == 3
+        assert len(ground(clause, idx)) == 3
 
     def test_free_variable_count(self):
         idx = build_ground_index([Predicate("p", 1), Predicate("q", 2)], ["a", "b", "c"])
         clause = parse_clause("p(X) <- q(X, Y), q(Y, Z)")
-        assert len(ground_clause(clause, idx)) == 27
+        assert len(ground(clause, idx)) == 27
 
     def test_renaming_equivariance(self):
         preds = [Predicate("p", 1), Predicate("q", 2)]
@@ -212,17 +235,17 @@ class TestGroundClause:
         c2 = ["z", "x", "y"]  # bijection a->z, b->x, c->y by position
         idx1 = build_ground_index(preds, c1)
         idx2 = build_ground_index(preds, c2)
-        assert np.array_equal(ground_clause(clause, idx1), ground_clause(clause, idx2))
+        assert np.array_equal(ground(clause, idx1), ground(clause, idx2))
 
 
     def test_predicate_outside_index_named(self):
         idx = build_ground_index([Predicate("p", 1), Predicate("q", 1)], ["a"])
         with pytest.raises(ValueError, match="mystery/2"):
-            ground_clause(parse_clause("p(X) <- q(X), mystery(X, Y)"), idx)
+            ground(parse_clause("p(X) <- q(X), mystery(X, Y)"), idx)
 
     def test_constant_outside_index_has_no_grounding(self):
         idx = build_ground_index([Predicate("p", 1), Predicate("q", 2)], ["a", "b"])
-        rows = ground_clause(parse_clause("p(X) <- q(X, zz)"), idx)
+        rows = ground(parse_clause("p(X) <- q(X, zz)"), idx)
         assert rows.shape == (0, 3)
         assert ground_clause_rows(parse_clause("p(X) <- q(X, zz)"), idx) == []
 
@@ -236,9 +259,40 @@ class TestGroundClause:
         clauses = [c for _, cs in compiler.pools for c in cs] + list(background)
         assert len(clauses) > 400
         for clause in clauses:
-            assert ground_clause(clause, idx).tolist() == [
+            assert ground(clause, idx).tolist() == [
                 list(r) for r in ground_clause_rows(clause, idx)
             ], format_clause(clause)
+
+    @staticmethod
+    def assert_rows_equal_one_clause_at_a_time(clauses, idx):
+        rows, counts = _ground_clauses(clauses, idx)
+        reference = [ground_clause(c, idx) for c in clauses]
+        assert counts.tolist() == [len(r) for r in reference]
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, np.concatenate([np.zeros((0, 3), np.int64), *reference]))
+
+    def test_restaurant_pools_match_clause_at_a_time(self):
+        from slotlogic import ModelCompiler, pipeline
+        from slotlogic.simulator import representative_dialog
+
+        background, pool = pipeline.simdial_background()
+        compiler = ModelCompiler(pipeline.simdial_frame(), pipeline.simdial_template(),
+                                 background, pool)
+        [sample, *_] = pipeline.training_samples(
+            pipeline.convert_corpus([representative_dialog("restaurant")]))
+        idx = compiler.compile(sample.constants).index
+        self.assert_rows_equal_one_clause_at_a_time(
+            [c for _, cs in compiler.pools for c in cs], idx)
+        self.assert_rows_equal_one_clause_at_a_time(list(background), idx)
+
+    def test_random_clauses_match_clause_at_a_time(self):
+        rng = np.random.default_rng(0)
+        preds = [Predicate(f"p{a}", a) for a in range(4)] + [Predicate("q", 2)]
+        for _ in range(60):
+            constants = [f"c{i}" for i in range(int(rng.integers(1, 5)))]
+            idx = build_ground_index(preds, constants)
+            clauses = random_clauses(rng, preds, [*constants, "zz"], int(rng.integers(0, 12)))
+            self.assert_rows_equal_one_clause_at_a_time(clauses, idx)
 
 
 @given(

@@ -537,3 +537,82 @@ def test_program_file_roundtrip_through_disk(tmp_path):
     loaded = load_program(path)
     assert [c for c, _ in loaded.rules] == [c for c, _ in GOLDEN_PROGRAM.rules]
     assert loaded.background == GOLDEN_PROGRAM.background
+
+
+class TestUsageErrors:
+    """A command line the parser rejects exits 2 with one JSON stderr line,
+    like every other bad input; ``--help`` still prints help."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (["convert", "--format", "simdial", "--in", "x", "--out", "y", "--training-only"],
+         "unrecognized arguments: --training-only"),
+        (["convert", "--format", "simdial", "--in", "x"],
+         "the following arguments are required: --out"),
+        (["generate", "--domain", "mars", "--out", "x"], "invalid choice: 'mars'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["unknown-option", "missing-option", "bad-choice", "missing-subcommand"])
+    def test_usage_error_is_one_json_line(self, argv, want, capsys):
+        assert run_pipeline(argv) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "usage" and want in error["message"]
+        assert captured.out == ""
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_pipeline(["convert", "--help"])
+        assert exc.value.code == 0
+        assert "usage: slotlogic convert" in capsys.readouterr().out
+
+
+class TestUntrainableHyperparams:
+    """Hyperparameters that cannot train exit 2 with one JSON line, before
+    any training step."""
+
+    @pytest.fixture
+    def samples(self, tmp_path):
+        corpus, samples = tmp_path / "train.jsonl", tmp_path / "samples.jsonl"
+        assert run_pipeline(["generate", "--domain", "restaurant", "--representative",
+                             "--out", str(corpus)]) == 0
+        assert run_pipeline(["convert", "--format", "simdial", "--in", str(corpus),
+                             "--out", str(samples)]) == 0
+        return samples
+
+    @pytest.mark.parametrize("flags, want", [
+        (["--lr", "nan"], "learning_rate must be finite"),
+        (["--lr", "inf"], "learning_rate must be finite"),
+        (["--reg-lambda", "nan"], "reg_lambda must be finite"),
+        (["--init-scale", "inf"], "init_scale must be finite"),
+        (["--stop-loss", "nan"], "stop_loss must be finite"),
+        (["--steps", "-3"], "training_steps must be non-negative"),
+        (["--restarts", "-4"], "restarts must be at least 1"),
+        (["--restarts", "0"], "restarts must be at least 1"),
+    ])
+    def test_train_exits_2(self, samples, tmp_path, capsys, flags, want):
+        out = tmp_path / "model.json"
+        capsys.readouterr()
+        code = run_pipeline(["train", "--samples", str(samples), "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        [line] = err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "ValueError" and want in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["learning_rate", "reg_lambda", "init_scale", "stop_loss"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Hyperparams(**{field: value})
+
+    def test_zero_steps_accepted(self):
+        assert Hyperparams(training_steps=0).training_steps == 0
+
+    @pytest.mark.parametrize("restarts", [0, -4])
+    def test_restart_loop_rejects_fewer_than_one(self, restarts):
+        def fit(seed):
+            raise AssertionError("no run may start")
+
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            train_with_restarts(fit, 0, restarts, 0.0)

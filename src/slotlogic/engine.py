@@ -11,7 +11,8 @@ capped at one. Background clauses carry no parameters; a background
 head takes the max over the groundings of all its clauses.
 
 Compilation builds one grounding table per constant list. Rows come
-from index arithmetic, a clause shape at a time (``_ground_clauses``).
+from index arithmetic, a clause shape at a time; each compiler works out
+its clauses' shapes once (``_ClauseShapes``).
 Each row belongs to a segment, the rows one max runs over: a (clause,
 head atom) cell of a slot. Segments are bucketed by row count into dense
 (segments, rows) blocks, so a forward step is a gather-multiply per
@@ -32,13 +33,15 @@ reading atom indices. A step's state is the (samples, heads) array; the
 step writes it over a copy of the step's fixed valuations, gathers only
 the dependent segments from that, merges their values with the step's
 fixed ones in table order (so each head sums its segments in the same
-order as over the whole table), amalgamates, caps and checks the head
-values. The backward step takes the fixed segments' body values from
-the chain, gathers the dependent winners' body values again and
-scatters into the heads' gradient with ``bincount``; a body atom
-outside the heads scatters into a column that is dropped. A step's
-trace keeps its input, the one-row dependent segments' body values, the
-winners of multi-row ones and the head values.
+order as over the whole table), and amalgamates and caps the head
+values. A chain keeps every step's head values and checks their range
+and monotonicity once, after its last step. The backward step takes the
+fixed segments' body values from the chain, gathers the dependent
+winners' body values again and scatters into the heads' gradient with
+``bincount``; a body atom outside the heads scatters into a column that
+is dropped. A step's trace keeps its input, the one-row dependent
+segments' body values, the winners of multi-row ones and the head
+values.
 
 Training batches drop dead segments (``_prepare_batches``). The chaining
 with every clause enabled, run through the same table on boolean
@@ -77,6 +80,7 @@ from .logic import (
     GroundIndex,
     LanguageFrame,
     Predicate,
+    Term,
     build_ground_index,
     format_atom,
     format_clause,
@@ -236,69 +240,100 @@ def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Compilation: one grounding table per constant list.
 
-def _ground_clauses(
-    clauses: Sequence[Clause], index: GroundIndex
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every grounding of ``clauses`` as rows (head index, body index, body
-    index), clause after clause, and each clause's row count.
+@dataclass(frozen=True)
+class _ClauseShapes:
+    """What grounding a clause list takes whatever the constants.
 
     A clause's rows run over the substitutions of its variables by
-    constants from the index, enumerated like ``itertools.product`` with
-    the first variable slowest. An atom's index is its predicate's start
-    plus the mixed-radix number its argument constants spell in base
-    ``len(constants)``: a constant argument adds a fixed amount per clause,
-    and a variable one a digit of the substitution number that depends only
-    on the clause's shape (its variable count and which variable fills each
-    argument). So clauses are grounded a shape at a time by array
-    arithmetic. Every variable occurs in some atom and that map is
-    injective, so a clause's rows are distinct. A clause naming a constant
-    outside the index has no grounding; one naming a predicate outside it
-    raises ``ValueError``.
-    """
-    n = len(index.constants)
-    position = {c: i for i, c in enumerate(index.constants)}
-    base = np.zeros((len(clauses), 3), dtype=np.int64)
-    grounded = np.ones(len(clauses), dtype=bool)
-    shapes: dict[tuple, list[int]] = {}
-    for i, clause in enumerate(clauses):
-        variables = clause.variables()
-        if len(variables) > MAX_CLAUSE_VARS:
-            raise ValueError("too many clause variables")
-        pattern = []
-        for col, a in enumerate((clause.head, *clause.body)):
-            if a.predicate not in index.ranges:
-                raise ValueError(
-                    f"clause {format_clause(clause)} uses {a.predicate}, "
-                    "which is not in the ground index"
-                )
-            offset = 0
-            for t in a.args:
-                offset *= n
-                if not t.is_variable:
-                    grounded[i] &= t.label in position
-                    offset += position.get(t.label, 0)
-            base[i, col] = index.ranges[a.predicate][0] + offset
-            pattern.append(tuple(variables.index(t) if t.is_variable else -1 for t in a.args))
-        shapes.setdefault((len(variables), tuple(pattern)), []).append(i)
+    constants, enumerated like ``itertools.product`` with the first
+    variable (in order of first occurrence) slowest. An atom's index is its
+    predicate's start plus the mixed-radix number its argument constants
+    spell in base ``len(constants)``: a constant argument adds a fixed
+    amount per clause, and a variable one a digit of the substitution
+    number that depends only on the clause's shape (its variable count and
+    which variable fills each argument). So the clauses are grounded a
+    shape at a time by array arithmetic (:meth:`ground`). Every variable
+    occurs in some atom and that map is injective, so a clause's rows are
+    distinct.
 
-    blocks, first_row = [], np.zeros(len(clauses), dtype=np.int64)
-    counts = np.zeros(len(clauses), dtype=np.int64)
-    n_rows = 0
-    for (n_vars, pattern), members in shapes.items():
-        combos = np.arange(n ** n_vars, dtype=np.int64)
-        digit = [combos // n ** (n_vars - 1 - k) % n for k in range(n_vars)]
-        offsets = np.zeros((combos.size, 3), dtype=np.int64)
-        for col, args in enumerate(pattern):
-            for v in args:
-                offsets[:, col] = offsets[:, col] * n + (digit[v] if v >= 0 else 0)
-        blocks.append((base[members][:, None, :] + offsets).reshape(-1, 3))
-        first_row[members] = n_rows + combos.size * np.arange(len(members))
-        counts[members] = combos.size
-        n_rows += len(members) * combos.size
-    counts *= grounded
-    rows = np.concatenate([np.zeros((0, 3), dtype=np.int64), *blocks])
-    starts = np.cumsum(counts) - counts
-    return rows[np.repeat(first_row - starts, counts) + np.arange(counts.sum())], counts
+    ``columns`` holds each clause's head and body predicates as positions
+    in the predicate list the shapes were made for; ``constants`` the
+    clause, column, label and place (the power of ``len(constants)`` its
+    position is multiplied by) of each constant argument; ``shapes`` each
+    distinct (variable count, variable numbers per column) shape with its
+    clauses, in order of first occurrence.
+    """
+
+    columns: np.ndarray  # (clauses, 3)
+    constants: tuple[tuple[int, int, str, int], ...]
+    shapes: tuple[tuple[int, tuple[tuple[int, ...], ...], np.ndarray], ...]
+
+    @staticmethod
+    def of(clauses: Sequence[Clause], predicates: Sequence[Predicate]) -> "_ClauseShapes":
+        """The shapes of ``clauses`` over ``predicates``; a clause naming a
+        predicate outside them raises ``ValueError``."""
+        column_of = {p: i for i, p in enumerate(predicates)}
+        columns, constants = [], []
+        shapes: dict[tuple, list[int]] = {}
+        for i, clause in enumerate(clauses):
+            atoms = (clause.head, *clause.body)
+            number: dict[Term, int] = {}
+            pattern = []
+            for col, a in enumerate(atoms):
+                args = []
+                for k, t in enumerate(a.args):
+                    if t.is_variable:
+                        args.append(number.setdefault(t, len(number)))
+                    else:
+                        args.append(-1)
+                        constants.append((i, col, t.label, len(a.args) - 1 - k))
+                pattern.append(tuple(args))
+            if len(number) > MAX_CLAUSE_VARS:
+                raise ValueError("too many clause variables")
+            try:
+                columns.append([column_of[a.predicate] for a in atoms])
+            except KeyError as exc:
+                raise ValueError(f"clause {format_clause(clause)} uses {exc.args[0]}, "
+                                 "which is not in the ground index") from None
+            shapes.setdefault((len(number), tuple(pattern)), []).append(i)
+        return _ClauseShapes(
+            np.array(columns, dtype=np.int64).reshape(-1, 3), tuple(constants),
+            tuple((n_vars, pattern, np.asarray(members))
+                  for (n_vars, pattern), members in shapes.items()),
+        )
+
+    def ground(self, index: GroundIndex) -> tuple[np.ndarray, np.ndarray]:
+        """Every grounding over ``index`` (built over the predicates the
+        shapes were made for) as rows (head index, body index, body index),
+        clause after clause, and each clause's row count. A clause naming a
+        constant outside the index has no grounding."""
+        n = len(index.constants)
+        starts = np.asarray([index.ranges[p][0] for p in index.predicates], dtype=np.int64)
+        base = np.take(starts, self.columns)
+        grounded = np.ones(len(base), dtype=bool)
+        position = {c: i for i, c in enumerate(index.constants)}
+        for i, col, label, place in self.constants:
+            grounded[i] &= label in position
+            base[i, col] += position.get(label, 0) * n ** place
+
+        blocks, first_row = [], np.zeros(len(base), dtype=np.int64)
+        counts = np.zeros(len(base), dtype=np.int64)
+        n_rows = 0
+        for n_vars, pattern, members in self.shapes:
+            combos = np.arange(n ** n_vars, dtype=np.int64)
+            digit = [combos // n ** (n_vars - 1 - k) % n for k in range(n_vars)]
+            offsets = np.zeros((combos.size, 3), dtype=np.int64)
+            for col, args in enumerate(pattern):
+                for v in args:
+                    offsets[:, col] = offsets[:, col] * n + (digit[v] if v >= 0 else 0)
+            blocks.append((base[members][:, None, :] + offsets).reshape(-1, 3))
+            first_row[members] = n_rows + combos.size * np.arange(len(members))
+            counts[members] = combos.size
+            n_rows += len(members) * combos.size
+        counts *= grounded
+        rows = np.concatenate([np.zeros((0, 3), dtype=np.int64), *blocks])
+        starts = np.cumsum(counts) - counts
+        return rows[np.repeat(first_row - starts, counts) + np.arange(counts.sum())], counts
 
 
 @dataclass(frozen=True)
@@ -350,23 +385,25 @@ class _Table:
         the flat row (into its arrays) attaining each segment's max, the
         first one on ties; and the two body values (S, one-row segments)
         of the one-row segments."""
-        one = (np.take(a, self.b1, axis=1), np.take(a, self.b2, axis=1))
+        one = (a.take(self.b1, axis=1), a.take(self.b2, axis=1))
         parts = [one[0] * one[1]]
         winners = []
         for b1, b2 in self.blocks:
-            prod = np.take(a, b1, axis=1)
-            prod *= np.take(a, b2, axis=1)
+            prod = a.take(b1, axis=1)
+            prod *= a.take(b2, axis=1)
             winners.append(prod.argmax(axis=2) + np.arange(0, b1.size, b1.shape[1]))
             parts.append(prod.max(axis=2))
-        return np.concatenate(parts, axis=1), winners, one
+        return np.concatenate(parts, axis=1) if winners else parts[0], winners, one
 
     def winning_cells(
         self, winners: Sequence[np.ndarray], S: int, width: int
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per block, the flat cells (S, segments) of the two body atoms of
         each segment's winning row, in S valuations of ``width`` atoms."""
+        if not self.blocks:
+            return []
         offset = width * np.arange(S, dtype=np.int64)[:, None]
-        return [(np.take(b1, won) + offset, np.take(b2, won) + offset)
+        return [(b1.take(won) + offset, b2.take(won) + offset)
                 for (b1, b2), won in zip(self.blocks, winners)]
 
 
@@ -406,10 +443,13 @@ class CompiledModel:
 
 
 class ModelCompiler:
-    """Builds clause pools once and grounds them per constant list.
+    """Builds clause pools and their grounding shapes once and grounds
+    them per constant list.
 
     Clause pools depend only on predicates, so one weight assignment is
-    valid for every compiled instance, whatever its constants.
+    valid for every compiled instance, whatever its constants. A pool or
+    background clause naming an undeclared predicate raises ``ValueError``
+    here.
     """
 
     def __init__(
@@ -469,6 +509,8 @@ class ModelCompiler:
         for p in self.background_pool:
             if p not in self.predicates:
                 raise ValueError(f"background pool predicate {p} undeclared")
+        self._slot_shapes = _ClauseShapes.of([c for _, cs in self.pools for c in cs], self.predicates)
+        self._background_shapes = _ClauseShapes.of(self.background, self.predicates)
         self._cache: dict[tuple[str, ...], CompiledModel] = {}
 
     def init_weights(self, seed: int = 0, scale: float = 0.1) -> list[np.ndarray]:
@@ -516,10 +558,10 @@ class ModelCompiler:
             cell_clause.append(np.repeat(n_clauses + np.arange(len(clauses)), hi - lo))
             n_dense += (hi - lo) * len(clauses)
             n_clauses += len(clauses)
-        rows, counts = _ground_clauses([c for _, cs in self.pools for c in cs], index)
+        rows, counts = self._slot_shapes.ground(index)
         keys = rows[:, 0] + np.repeat(np.concatenate(key_shift), counts)
         table = _Table.build(keys, rows[:, 1], rows[:, 2])
-        static = _ground_clauses(self.background, index)[0]
+        static = self._background_shapes.ground(index)[0]
         model = CompiledModel(
             index=index,
             slot_groups=tuple(_Slot(pred, tuple(cs)) for (pred, _), cs in self.pools),
@@ -554,17 +596,24 @@ def _start_values(model: CompiledModel, samples: Sequence[Sample]) -> np.ndarray
 VALUATION_CHECKS = 0
 
 
-def _check_range(a_new: np.ndarray, a_old: np.ndarray) -> None:
-    # Instrumentation, always on: every step must stay in [0,1] and never
-    # lower any entry (both amalgamation variants are non-decreasing).
-    if a_new.size == 0:
+def _check_range(new: np.ndarray, old: np.ndarray) -> None:
+    """Instrumentation, always on: the valuations (steps, ...) after each
+    step must stay in [0,1] and never lower an entry of those before it
+    (both amalgamation variants are non-decreasing). Every step is checked
+    at once; the error names the first step that fails."""
+    if new.size == 0:
         return
-    lo = float(a_new.min())
-    hi = float(a_new.max())
-    if lo < -RANGE_TOL or hi > 1.0 + RANGE_TOL:
-        raise ValuationInvariantError(f"valuation left [0,1]: min={lo} max={hi}")
-    if not bool(np.all(a_new >= a_old - RANGE_TOL)):
-        raise ValuationInvariantError("valuation decreased between steps")
+    if not (new.min() < -RANGE_TOL or new.max() > 1.0 + RANGE_TOL) and bool(
+        np.all(new >= old - RANGE_TOL)
+    ):
+        return
+    new, old = new.reshape(len(new), -1), old.reshape(len(old), -1)
+    lo, hi = new.min(axis=1), new.max(axis=1)
+    left = (lo < -RANGE_TOL) | (hi > 1.0 + RANGE_TOL)
+    t = int(np.argmax(left | ~np.all(new >= old - RANGE_TOL, axis=1)))
+    if left[t]:
+        raise ValuationInvariantError(f"valuation left [0,1] at step {t}: min={lo[t]} max={hi[t]}")
+    raise ValuationInvariantError(f"valuation decreased at step {t}")
 
 
 def _amalgamate(kind: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -623,6 +672,8 @@ class _Chain:
     fixed_x1: np.ndarray  # (steps, S, fixed segments)
     fixed_x2: np.ndarray
     out_cells: np.ndarray  # (S * segments,) see _out_cells
+    head_cells: np.ndarray  # (S * H,) the heads' flat cells in (S, atoms)
+    dep_cells: np.ndarray  # (S * dependent segments,) their flat cells in (S, segments), table order
     # The flat cell of (S, H + 1) that a gradient reaches from each flat
     # cell of (S, atoms), column H standing for every atom outside the
     # heads; and those of the one-row dependent segments' body atoms.
@@ -671,6 +722,8 @@ class _Chain:
             fixed_x1=x1.reshape(steps, S, -1),
             fixed_x2=x2.reshape(steps, S, -1),
             out_cells=_out_cells(model, S),
+            head_cells=(heads + g * np.arange(S)[:, None]).ravel(),
+            dep_cells=(order[: dep_table.key.size] + dep.size * np.arange(S)[:, None]).ravel(),
             to_head=to_head.ravel(),
             one_heads=(to_head[:, dep_table.b1].ravel(), to_head[:, dep_table.b2].ravel()),
         )
@@ -679,7 +732,7 @@ class _Chain:
         """The whole valuation (S, atoms) before step ``t`` (after the last
         step if ``t`` is the step count) when the heads hold ``a``."""
         x = self.fixed[t].copy()
-        x[:, self.heads] = a
+        x.ravel()[self.head_cells] = a.ravel()
         return x
 
 
@@ -705,13 +758,12 @@ def _step(
     """Step ``t`` from the head values ``a``. The dependent segments'
     values are merged with the step's fixed ones in table order, so each
     head sums its segments in the order of the whole table."""
-    global VALUATION_CHECKS
     model = chain.model
     S = a.shape[0]
     x = chain.valuation(t, a)
     v, winners, one = chain.dep.values(x)
     V = chain.fixed_values[t].copy()
-    V[:, chain.order[: v.shape[1]]] = v
+    V.ravel()[chain.dep_cells] = v.ravel()
     V *= seg_w
     n1, n2 = model.single_cols.size, model.pair_cols.size
     n_out = n1 + 2 * n2
@@ -721,8 +773,6 @@ def _step(
         s0, s1 = out[:, n1 : n1 + n2], out[:, n1 + n2 :]
         b = np.concatenate((out[:, :n1], s0 + s1 - s0 * s1), axis=1)
     a_new, over_one = _amalgamate(model.amalgamation, a, b)
-    VALUATION_CHECKS += 1
-    _check_range(a_new, a)
     return a_new, _StepTrace(a, x, one, winners, out, b, over_one)
 
 
@@ -731,14 +781,19 @@ def _chain(
 ) -> np.ndarray:
     """Chain every step from the start values; returns the whole
     valuation after the last step and appends each step's trace to
-    ``traces`` if given."""
+    ``traces`` if given. The head values of every step are checked for
+    range and monotonicity once, after the last step."""
+    global VALUATION_CHECKS
     steps = chain.fixed_values.shape[0]
-    a = chain.fixed[0][:, chain.heads]
+    states = np.empty((steps + 1, chain.fixed.shape[1], chain.heads.size))
+    states[0] = chain.fixed[0][:, chain.heads]
     for t in range(steps):
-        a, trace = _step(chain, seg_w, t, a)
+        states[t + 1], trace = _step(chain, seg_w, t, states[t])
         if traces is not None:
             traces.append(trace)
-    return chain.valuation(steps, a)
+    _check_range(states[1:], states[:-1])
+    VALUATION_CHECKS += steps
+    return chain.valuation(steps, states[steps])
 
 
 def _backward_step(
@@ -772,15 +827,15 @@ def _backward_step(
         dy = db[:, n1:]
         dout[:, n1 : n1 + n2] = dy * (1.0 - trace.out[:, n1 + n2 :])
         dout[:, n1 + n2 :] = dy * (1.0 - trace.out[:, n1 : n1 + n2])
-    dV = np.take(dout, chain.seg_out, axis=1)
+    dV = dout.take(chain.seg_out, axis=1)
     n_dep = chain.dep.key.size
     # (x1 * x2) * dv: the product comes first, so clauses whose rows
     # read the same values in either order get bit-equal sums.
     dseg[n_dep:] += np.einsum("sn,sn,sn->n", chain.fixed_x1[t], chain.fixed_x2[t], dV[:, n_dep:])
     buckets = [(*trace.one, chain.one_heads)]
     for c1, c2 in chain.dep.winning_cells(trace.winners, S, width):
-        buckets.append((np.take(x, c1), np.take(x, c2),
-                        (np.take(chain.to_head, c1).ravel(), np.take(chain.to_head, c2).ravel())))
+        buckets.append((x.take(c1), x.take(c2),
+                        (chain.to_head.take(c1).ravel(), chain.to_head.take(c2).ravel())))
     lo = 0
     for x1, x2, (h1, h2) in buckets:
         hi = lo + x1.shape[1]

@@ -168,8 +168,10 @@ class Clause:
 
     Canonical means: variables renamed to V0, V1, ... by first occurrence,
     body pair ordered so the serialized clause is minimal. Build through
-    :meth:`make` (or :func:`parse_clause`), never directly, so equality
-    and hashing see one representative per equivalence class.
+    :meth:`make` (or :func:`parse_clause`, or
+    ``templates.generate_clauses``, which canonicalizes integer patterns
+    the same way), never directly, so equality and hashing see one
+    representative per equivalence class.
     """
 
     head: Atom

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .logic import (
-    Atom, Clause, LanguageFrame, Predicate, Term, UnsafeClauseError, parse_predicate,
+    MAX_CLAUSE_VARS, Atom, Clause, LanguageFrame, Predicate, Term, parse_predicate,
 )
 
 V_MAX = 2
@@ -66,30 +66,66 @@ def generate_clauses(
     the intensional pool. Unsafe clauses, clauses repeating the head atom
     in their body, and duplicates up to body order / variable renaming are
     pruned. Output is sorted by clause text.
+
+    The enumeration runs on integer patterns: a body atom is a pool
+    position and a tuple of variable numbers, the head's variables first.
+    Each body pair is renamed to canonical form in both orders (variables
+    numbered by first occurrence), and the order whose atoms read first in
+    text wins, as in ``Clause.make``. One ``Clause`` is built per class,
+    from atoms built once per call. A safe pair over more than
+    ``MAX_CLAUSE_VARS`` variables raises ``ValueError``, as ``Clause.make``
+    does.
     """
     pool = list(dict.fromkeys(extensional_pool))
     if template.allow_intensional:
         for p in intensional_pool:
             if p not in pool:
                 pool.append(p)
-    head_vars = tuple(Term.var(f"V{k}") for k in range(head.arity))
-    head_atom = Atom(head, head_vars)
-    all_vars = head_vars + tuple(
-        Term.var(f"V{head.arity + k}") for k in range(template.extra_vars)
-    )
-    candidates: list[Atom] = []
-    for p in pool:
-        for combo in itertools.product(all_vars, repeat=p.arity):
-            candidates.append(Atom(p, combo))
-    out: set[Clause] = set()
-    for b1, b2 in itertools.combinations_with_replacement(candidates, 2):
-        if b1 == head_atom or b2 == head_atom:
+    n_head = head.arity
+    terms = [Term.var(f"V{k}") for k in range(n_head + template.extra_vars)]
+    head_atom = Atom(head, tuple(terms[:n_head]))
+    atoms = {
+        (i, args): Atom(p, tuple(terms[k] for k in args))
+        for i, p in enumerate(pool)
+        for args in itertools.product(range(len(terms)), repeat=p.arity)
+    }
+    candidates = [key for key, a in atoms.items() if a != head_atom]
+    head_vars = set(range(n_head))
+    numbering: dict = {}  # argument pair -> its canonical renaming
+
+    def renamed(first, second):
+        args = first[1], second[1]
+        if args not in numbering:
+            number = {k: k for k in range(n_head)}
+            numbering[args] = tuple(
+                tuple(number.setdefault(k, len(number)) for k in a) for a in args
+            )
+        r1, r2 = numbering[args]
+        return (first[0], r1), (second[0], r2)
+
+    def text(body):
+        # No atom's text is a proper prefix of another's (only its last
+        # character is ")"), so comparing the two texts in turn orders
+        # bodies as their joined text does.
+        return atoms[body[0]].text, atoms[body[1]].text
+
+    classes = set()
+    for x, y in itertools.combinations_with_replacement(candidates, 2):
+        used = set(x[1]).union(y[1])
+        if not head_vars <= used:
             continue
-        try:
-            out.add(Clause.make(head_atom, (b1, b2)))
-        except UnsafeClauseError:
-            continue
-    return sorted(out, key=str)
+        if len(used) > MAX_CLAUSE_VARS:
+            raise ValueError(f"clause uses {len(used)} variables (max {MAX_CLAUSE_VARS})")
+        body = renamed(x, y)
+        if x != y:
+            body = min(body, renamed(y, x), key=text)
+        classes.add(body)
+
+    def clause_text(body):  # format_clause of the body's clause
+        t1, t2 = text(body)
+        return f"{head_atom.text} <- {t1}" if t1 == t2 else f"{head_atom.text} <- {t1}, {t2}"
+
+    return [Clause(head_atom, (atoms[b1], atoms[b2])) for b1, b2 in sorted(classes, key=clause_text)]
 
 
 def slot_clause_pools(

@@ -7,14 +7,16 @@ one concession to speed: still naive (every round re-derives from all
 facts), but it matches body atoms against facts instead of trying every
 substitution, for tests that chain over hundreds of turns.
 
-The last two sections are not independent. ``ground_clause`` (one
-clause at a time) and ``reference_loss``/``reference_loss_and_grad`` (the
-engine's chaining over whole valuations, every atom stepped and every
-gradient cell scattered) are the array code the engine's grounding and
-head-only kernel replaced, kept as references they must equal bit for
-bit. ``start_valuation`` and ``chain_step`` drive the engine's own
-chaining one step at a time, for tests that inspect single steps, and
-``agreement`` compares the package's fuzzy and crisp inference.
+The last two sections are not independent. ``generate_clauses`` (an
+``Atom`` and a ``Clause.make`` per candidate body pair),
+``ground_clause`` (one clause at a time) and
+``reference_loss``/``reference_loss_and_grad`` (the engine's chaining
+over whole valuations, every atom stepped and every gradient cell
+scattered) are the code the clause generator, the engine's grounding
+and its head-only kernel replaced, kept as references they must equal
+bit for bit. ``start_valuation`` and ``chain_step`` drive the engine's
+own chaining one step at a time, for tests that inspect single steps,
+and ``agreement`` compares the package's fuzzy and crisp inference.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from slotlogic import (
     GroundIndex,
     Hyperparams,
     ModelCompiler,
+    Predicate,
+    RuleTemplate,
     Sample,
     Term,
     TrainedModel,
@@ -52,6 +56,7 @@ from slotlogic.engine import (
     probabilities,
 )
 from slotlogic.extract import PolicyProgram
+from slotlogic.logic import UnsafeClauseError
 
 
 def ground_clause_rows(
@@ -202,7 +207,44 @@ def multiset_counts_via_counter(pred: list, gold: list) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# The array code the engine replaced: references it must equal bit for bit.
+# The code the clause generator and the engine replaced: references they
+# must equal bit for bit.
+
+def generate_clauses(
+    head: Predicate,
+    template: RuleTemplate,
+    extensional_pool: Sequence[Predicate],
+    intensional_pool: Sequence[Predicate] = (),
+) -> list[Clause]:
+    """Every admissible two-atom-body clause for ``head``, an ``Atom`` and a
+    ``Clause.make`` per body pair: the pool (extensional, then intensional
+    if the template allows), atoms over the head variables plus
+    ``template.extra_vars`` fresh ones, every pair of them but those
+    holding the head atom, unsafe pairs skipped, sorted by clause text."""
+    pool = list(dict.fromkeys(extensional_pool))
+    if template.allow_intensional:
+        for p in intensional_pool:
+            if p not in pool:
+                pool.append(p)
+    head_vars = tuple(Term.var(f"V{k}") for k in range(head.arity))
+    head_atom = Atom(head, head_vars)
+    all_vars = head_vars + tuple(
+        Term.var(f"V{head.arity + k}") for k in range(template.extra_vars)
+    )
+    candidates: list[Atom] = []
+    for p in pool:
+        for combo in itertools.product(all_vars, repeat=p.arity):
+            candidates.append(Atom(p, combo))
+    out: set[Clause] = set()
+    for b1, b2 in itertools.combinations_with_replacement(candidates, 2):
+        if b1 == head_atom or b2 == head_atom:
+            continue
+        try:
+            out.add(Clause.make(head_atom, (b1, b2)))
+        except UnsafeClauseError:
+            continue
+    return sorted(out, key=str)
+
 
 def ground_clause(clause: Clause, index: GroundIndex) -> np.ndarray:
     """All groundings of ``clause`` as rows (head index, body index, body index).

@@ -20,6 +20,7 @@ from slotlogic import (
     parse_clause,
     train,
 )
+from slotlogic import engine as engine_mod
 from slotlogic import pipeline, representative_dialog
 from slotlogic.engine import (
     AMALGAMATIONS,
@@ -833,6 +834,55 @@ class TestHeadKernel:
             loss(compiler, weights, samples, hp)
         with pytest.raises(ValuationInvariantError):
             loss_and_grad(compiler, weights, samples, hp)
+
+
+class TestChainCheck:
+    """A chain checks the head values of all its steps at once, after the
+    last step: the count grows by the step count per chain, and an error
+    names the first step that fails."""
+
+    @staticmethod
+    def two_batch_case():
+        compiler, weights, samples, hp = TestLivePrune.simdial_case([representative_dialog("movie")])
+        batches = _prepare_batches(compiler, samples)
+        assert len(batches) == 2
+        return compiler, weights, samples, hp, batches
+
+    def test_one_check_per_step_and_chain(self):
+        compiler, weights, samples, hp, batches = self.two_batch_case()
+        steps = compiler.template.forward_steps
+        for run in (loss, loss_and_grad):
+            before = engine_mod.VALUATION_CHECKS
+            run(compiler, weights, samples, hp, batches)
+            assert engine_mod.VALUATION_CHECKS - before == steps * len(batches)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("range", r"valuation left \[0,1\] at step 5: "),
+        ("decrease", r"valuation decreased at step 5$"),
+    ])
+    def test_failing_step_named(self, monkeypatch, fault, message):
+        compiler, weights, samples, hp, batches = self.two_batch_case()
+        amalgamate = engine_mod._amalgamate
+
+        def faulty(kind, a, b):
+            a_new, over_one = amalgamate(kind, a, b)
+            if len(calls) == 5:
+                if fault == "range":
+                    a_new = a_new + 2.0  # and step 6 lowers it to 1
+                else:
+                    assert a.max() > 0.01
+                    a_new = a * 0.5
+            calls.append(kind)
+            return a_new, over_one
+
+        monkeypatch.setattr(engine_mod, "_amalgamate", faulty)
+        for run in (loss, loss_and_grad):
+            calls = []
+            before = engine_mod.VALUATION_CHECKS
+            with pytest.raises(ValuationInvariantError, match=message):
+                run(compiler, weights, samples, hp, batches)
+            assert len(calls) == compiler.template.forward_steps
+            assert engine_mod.VALUATION_CHECKS == before
 
 
 def test_slot_predicate_that_is_a_background_head_rejected():

@@ -18,7 +18,7 @@ from slotlogic import (
     parse_atom,
     parse_clause,
 )
-from slotlogic.engine import _ground_clauses
+from slotlogic.engine import _ClauseShapes
 
 from .oracles import ground_clause, ground_clause_rows
 
@@ -170,8 +170,12 @@ class TestGroundIndex:
         assert a.atoms == b.atoms
 
 
+def ground_clauses(clauses, idx):
+    return _ClauseShapes.of(clauses, idx.predicates).ground(idx)
+
+
 def ground(clause, idx):
-    rows, counts = _ground_clauses([clause], idx)
+    rows, counts = ground_clauses([clause], idx)
     assert counts.tolist() == [len(rows)]
     return rows
 
@@ -265,7 +269,7 @@ class TestGroundClause:
 
     @staticmethod
     def assert_rows_equal_one_clause_at_a_time(clauses, idx):
-        rows, counts = _ground_clauses(clauses, idx)
+        rows, counts = ground_clauses(clauses, idx)
         reference = [ground_clause(c, idx) for c in clauses]
         assert counts.tolist() == [len(r) for r in reference]
         assert rows.dtype == np.int64

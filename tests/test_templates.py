@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from slotlogic import (
@@ -12,7 +13,10 @@ from slotlogic import (
     generate_clauses,
     parse_clause,
 )
+from slotlogic import pipeline
 from slotlogic.templates import slot_clause_pools, template_from_dict, template_to_dict
+
+from . import oracles
 
 P, Q, R = Predicate("p", 1), Predicate("q", 1), Predicate("r", 1)
 FRAME = LanguageFrame(targets=(P,), extensional=(Q, R))
@@ -69,6 +73,73 @@ class TestGenerateClauses:
         s = Predicate("s", 2)
         out = generate_clauses(P, RuleTemplate(1, True), [s], [P])
         assert parse_clause("p(V0) <- p(V1), s(V0, V1)") in out
+
+
+def generated(generate, head, rt, extensional, intensional):
+    """What ``generate`` returns, or the type and message of the
+    ``ValueError`` it raises."""
+    try:
+        return generate(head, rt, extensional, intensional)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestGeneratorMatchesReference:
+    """The integer-pattern generator against the ``Clause.make`` one it
+    replaced: equal lists, in the same order."""
+
+    @staticmethod
+    def reference_pools(pt, frame, background_pool=()):
+        extensional = list(frame.extensional) + [
+            p for p in background_pool if p not in frame.extensional
+        ]
+        return [
+            ((pred, k), oracles.generate_clauses(pred, rt, extensional, list(pt.learnable())))
+            for pred, slot_list in pt.slots
+            for k, rt in enumerate(slot_list)
+        ]
+
+    def test_restaurant_pools(self):
+        frame, template = pipeline.simdial_frame(), pipeline.simdial_template()
+        _, pool = pipeline.simdial_background()
+        pools = slot_clause_pools(template, frame, pool)
+        assert sum(len(cs) for _, cs in pools) == 436
+        assert pools == self.reference_pools(template, frame, pool)
+
+    def test_list_all_pools(self):
+        frame, _, template = pipeline.list_all_problem()
+        pools = slot_clause_pools(template, frame)
+        assert pools == self.reference_pools(template, frame)
+        assert all(cs for _, cs in pools)
+
+    def test_random_pools(self):
+        rng = np.random.default_rng(0)
+        names = ["a", "b", "c", "d", "e"]
+        seen = {"clauses": 0, "raised": 0, "head in pool": 0, "intensional": 0}
+        for _ in range(300):
+            preds = [Predicate(n, int(rng.integers(0, 3))) for n in names]
+            head = Predicate("h", int(rng.integers(0, 3)))
+            extensional = [preds[int(i)] for i in rng.integers(0, 5, size=rng.integers(0, 4))]
+            intensional = [preds[int(i)] for i in rng.integers(0, 5, size=rng.integers(0, 3))]
+            if rng.random() < 0.5:
+                (extensional if rng.random() < 0.5 else intensional).append(head)
+            rt = RuleTemplate(int(rng.integers(0, 3)), bool(rng.random() < 0.5))
+            new = generated(generate_clauses, head, rt, extensional, intensional)
+            assert new == generated(oracles.generate_clauses, head, rt, extensional, intensional)
+            if isinstance(new, list):
+                seen["clauses"] += len(new)
+                seen["head in pool"] += any(a.predicate == head for c in new for a in c.body)
+                seen["intensional"] += rt.allow_intensional and bool(new)
+            else:
+                seen["raised"] += 1
+        assert all(seen.values()), seen
+
+    def test_too_many_variables_raise_value_error(self):
+        head, s = Predicate("h", 2), Predicate("s", 2)
+        for generate in (generate_clauses, oracles.generate_clauses):
+            with pytest.raises(ValueError, match=r"clause uses 4 variables \(max 3\)") as info:
+                generate(head, RuleTemplate(2, False), [s])
+            assert info.type is ValueError
 
 
 class TestComplexity:

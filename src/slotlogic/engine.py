@@ -25,35 +25,44 @@ extensional atoms and background heads (``ModelCompiler`` rejects any
 other body), and every other atom keeps its start value. So the
 valuations of all atoms but the slot heads are chained once per batch,
 background clauses included, with the step count, amalgamation and cap
-of the weighted steps (``_fixed_valuations``), and their range and
-monotonicity are checked there, once. A ``_Chain`` splits the table:
-a *fixed* segment reads no slot head, so its value and winning row at
-every step are computed once too; the other, *dependent* segments keep
-reading atom indices. A step's state is the (samples, heads) array; the
-step writes it over a copy of the step's fixed valuations, gathers only
-the dependent segments from that, merges their values with the step's
-fixed ones in table order (so each head sums its segments in the same
-order as over the whole table), and amalgamates and caps the head
-values. A chain keeps every step's head values and checks their range
-and monotonicity once, after its last step. The backward step takes the
-fixed segments' body values from the chain, gathers the dependent
-winners' body values again and scatters into the heads' gradient with
-``bincount``; a body atom outside the heads scatters into a column that
-is dropped. A step's trace keeps its input, the one-row dependent
-segments' body values, the winners of multi-row ones and the head
-values.
+of the weighted steps, up to the step where they stop changing
+(``_fixed_valuations``), and their range and monotonicity are checked
+there, once. A ``_Chain`` lays the table out as (sample, segment) cells,
+sample after sample and each sample's in table order. A *fixed* cell's
+segment reads no slot head, so its value at every distinct step is
+computed once too. A step writes its state, the (samples, heads) array,
+in front of the fixed values the *dependent* cells' rows read and the
+fixed cells' values, gathers two factors per cell from that in one
+``take`` (a fixed cell's are its value and 1), multiplies them, takes
+the max over the rows of the few multi-row dependent cells, weighs every
+cell and sums the cells into the heads with one ``bincount`` (so each
+head of a sample sums its segments in the same order as over the whole
+table), and amalgamates and caps the head values. The gathered factors
+and values go into work arrays the chain owns, so no cell-sized array
+of a training call outlives its step. A chain keeps every step's head
+values and checks their range and monotonicity once, after its last
+step. The backward step takes a cell's value as its winning row's
+product, scatters every cell's segment-weight gradient into the segments
+with one ``bincount`` (each segment's samples in order), and scatters
+each factor's gradient into the heads with one more (and two per block
+of multi-row cells); a factor outside the heads scatters into a cell
+that is dropped. Step 0 scatters nothing
+into the heads: the start values are fixed. A step's trace keeps its
+input, its factors, the winners of multi-row cells, every cell's value
+and the head values.
 
-Training batches drop dead segments (``_prepare_batches``). The chaining
-with every clause enabled, run through the same table on boolean
-valuations (where its product is an AND and its max an OR), marks the
-atoms that can become non-zero in a sample; any other atom is exactly 0
-under every weight, since each step is monotone and a product with 0
-stays 0. A batch's model keeps the segments live in some sample of it (a
-multi-row segment goes only when all its rows are dead, so ties still
-pick the same row). A dropped segment would add +0.0 to every sum and ±0
-to every gradient, so loss and gradients equal those of the full table
-bit for bit. ``ModelCompiler.compile``, ``infer`` and extraction keep
-the full table.
+Training batches drop the cells that cannot fire (``_prepare_batches``).
+The chaining with every clause enabled, run through the same table on
+boolean valuations (where its product is an AND and its max an OR),
+marks the atoms that can become non-zero in each sample; any other atom
+is exactly 0 under every weight, since each step is monotone and a
+product with 0 stays 0. A batch's chain keeps the dependent cells live
+in their own sample (a multi-row cell goes only when all its rows are
+dead, so ties still pick the same row) and the fixed cells non-zero at
+some step. A dropped cell is 0 at every step of its sample, so it would
+add +0.0 to every sum and ±0 to every gradient, and loss and gradients
+equal those of the full table bit for bit. ``ModelCompiler.compile``,
+``infer`` and extraction keep every cell.
 
 Gradients are exact reverse-mode derivatives of that computation. Max
 picks its first argument on ties: the old valuation over the fresh
@@ -68,7 +77,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -395,16 +404,17 @@ class _Table:
             parts.append(prod.max(axis=2))
         return np.concatenate(parts, axis=1) if winners else parts[0], winners, one
 
-    def winning_cells(
-        self, winners: Sequence[np.ndarray], S: int, width: int
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per block, the flat cells (S, segments) of the two body atoms of
-        each segment's winning row, in S valuations of ``width`` atoms."""
-        if not self.blocks:
-            return []
-        offset = width * np.arange(S, dtype=np.int64)[:, None]
-        return [(b1.take(won) + offset, b2.take(won) + offset)
-                for (b1, b2), won in zip(self.blocks, winners)]
+    def subset(self, keep: np.ndarray) -> "_Table":
+        """The segments ``keep`` selects, in order; a block loses a segment
+        only as a whole, so every kept segment keeps its rows in order."""
+        n1 = self.b1.size
+        blocks, lo = [], n1
+        for b1, b2 in self.blocks:
+            sel = keep[lo : lo + b1.shape[0]]
+            lo += b1.shape[0]
+            if sel.any():
+                blocks.append((b1[sel], b2[sel]))
+        return _Table(self.b1[keep[:n1]], self.b2[keep[:n1]], tuple(blocks), self.key[keep])
 
 
 @dataclass(frozen=True)
@@ -624,21 +634,26 @@ def _amalgamate(kind: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _fixed_valuations(model: CompiledModel, a0: np.ndarray, steps: int) -> np.ndarray:
-    """Valuations (steps + 1, S, atoms) of the atoms no weight reaches,
-    from ``a0`` on: the background clauses chained with the step's
-    amalgamation and cap, every other atom at its start value (a slot
-    head's entries are its start value too; the kernel reads the heads
-    from its state). Checked for range and monotonicity here, once."""
-    out = np.empty((steps + 1, *a0.shape))
-    out[0] = a0
+    """Valuations (n, S, atoms) of the atoms no weight reaches, before
+    each step from ``a0`` on: the background clauses chained with the
+    step's amalgamation and cap, every other atom at its start value (a
+    slot head's entries are its start value too; the kernel reads the
+    heads from its state). Chaining stops at the background's fixpoint:
+    entry ``min(t, n - 1)`` holds the valuations before step ``t``, for
+    every ``t`` up to ``steps``. Checked for range and monotonicity here,
+    once."""
+    out = [a0]
     cols = model.static.key
-    for t in range(steps):
-        out[t + 1] = out[t]
-        out[t + 1][:, cols] = _amalgamate(
-            model.amalgamation, out[t][:, cols], model.static.values(out[t])[0]
-        )[0]
-    _check_range(out[1:], out[:-1])
-    return out
+    for _ in range(steps):
+        old = out[-1][:, cols]
+        new = _amalgamate(model.amalgamation, old, model.static.values(out[-1])[0])[0]
+        if np.array_equal(new, old):
+            break
+        out.append(out[-1].copy())
+        out[-1][:, cols] = new
+    fixed = np.stack(out)
+    _check_range(fixed[1:], fixed[:-1])
+    return fixed
 
 
 def _out_cells(model: CompiledModel, S: int) -> np.ndarray:
@@ -650,98 +665,150 @@ def _out_cells(model: CompiledModel, S: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Chain:
-    """A batch's chaining split by what the weights can change.
+    """A batch's chaining laid out as (sample, segment) cells.
 
     The step state is the values (S, H) of ``heads``, the only atoms a
-    weight reaches; ``fixed`` holds the valuations of all other atoms
-    before each step and after the last (see :func:`_fixed_valuations`).
-    A *fixed* table segment reads no head, so its value and winning row
-    are the same under every weight and are computed once, when the chain
-    is built: ``fixed_values`` holds the values at their positions in
-    table order (0 at the others), ``fixed_x1``/``fixed_x2`` the body
-    values of their winning rows. The *dependent* segments form ``dep``.
+    weight reaches; ``fixed`` holds the valuations of all other atoms (see
+    :func:`_fixed_valuations`). A cell is a table segment in one sample;
+    cells run sample after sample, each sample's in table order, so a
+    step's sum into a head of a sample adds its segments in the order of
+    the whole table, and the backward step's sum into a segment adds its
+    samples in order.
+
+    Step ``t``'s cells read ``z[t]``: the step's head values, flattened,
+    then the fixed atom values the dependent cells' rows read, the value
+    of every fixed cell, 1 and 0. A *fixed* cell's segment reads no head,
+    so its value is the same under every weight and is computed once, for
+    each distinct step input. A cell's value is the product of the two
+    entries of ``z[t]`` that ``rows`` names: a one-row dependent cell's
+    body values, a fixed cell's value and 1, or, for a multi-row
+    dependent cell, 0 and 0; the max over the rows of those is taken by
+    ``multi``, a table over ``z[t]`` whose ``key`` holds their positions
+    among the cells.
+
+    ``z``, ``x`` and ``values`` are work arrays: each chaining writes its
+    steps' head values, factors and cell values into them, so no
+    cell-sized array of a call outlives its step, and a step's trace
+    holds until the next chaining.
     """
 
     model: CompiledModel
+    steps: int
     heads: np.ndarray  # model.heads
-    fixed: np.ndarray  # (steps + 1, S, atoms)
-    dep: _Table
-    order: np.ndarray  # table positions of the dependent, then the fixed segments
-    seg_out: np.ndarray  # the output column of each segment in that order
-    fixed_values: np.ndarray  # (steps, S, segments)
-    fixed_x1: np.ndarray  # (steps, S, fixed segments)
-    fixed_x2: np.ndarray
-    out_cells: np.ndarray  # (S * segments,) see _out_cells
-    head_cells: np.ndarray  # (S * H,) the heads' flat cells in (S, atoms)
-    dep_cells: np.ndarray  # (S * dependent segments,) their flat cells in (S, segments), table order
-    # The flat cell of (S, H + 1) that a gradient reaches from each flat
-    # cell of (S, atoms), column H standing for every atom outside the
-    # heads; and those of the one-row dependent segments' body atoms.
-    to_head: np.ndarray  # (S * atoms,)
-    one_heads: tuple[np.ndarray, np.ndarray]  # (S * one-row dependent segments,)
+    fixed: np.ndarray  # (n, S, atoms) see _fixed_valuations
+    z: np.ndarray  # (steps, S * H + reads)
+    rows: np.ndarray  # (2, cells)
+    x: np.ndarray  # (steps, 2, cells) each step's factors, rows read from z
+    values: np.ndarray  # (steps, cells) each step's cell values
+    multi: _Table
+    segments: np.ndarray  # the table positions of the segments with a cell
+    cells: np.ndarray  # (cells,) the flat (S, segments) cell
+    seg: np.ndarray  # (cells,) the cell's position in segments
+    out_cells: np.ndarray  # (cells,) the flat (S, outputs) output
+    # (2 * cells,) the flat cell of (2, S * H + 1) that a gradient reaches
+    # from each of ``rows``: its entry of the heads, or S * H for the
+    # others, in the first row for the first factor and in the second for
+    # the second.
+    to_heads: np.ndarray
 
     @staticmethod
-    def build(model: CompiledModel, fixed: np.ndarray) -> "_Chain":
-        """The chain of ``model`` over the fixed valuations ``fixed``."""
-        steps, S, g = fixed.shape[0] - 1, fixed.shape[1], fixed.shape[2]
+    def build(
+        model: CompiledModel, fixed: np.ndarray, steps: int, live: np.ndarray | None = None
+    ) -> "_Chain":
+        """The chain of ``model`` over ``steps`` steps and the fixed
+        valuations ``fixed``. With ``live`` (S, segments) it keeps only the
+        dependent cells ``live`` marks and the fixed cells that are non-zero
+        at some step; without, every cell."""
+        S, g = fixed.shape[1:]
+        n = min(len(fixed), steps)
         table, heads = model.table, model.heads
         H = heads.size
         head_col = np.full(g, H)
         head_col[heads] = np.arange(H)
         is_head = head_col < H
-        one = is_head[table.b1] | is_head[table.b2]
-        multi = [(is_head[b1] | is_head[b2]).any(axis=1) for b1, b2 in table.blocks]
-        dep = np.concatenate([one, *multi])
+        dep_blocks = [(is_head[b1] | is_head[b2]).any(axis=1) for b1, b2 in table.blocks]
+        dep = np.concatenate([is_head[table.b1] | is_head[table.b2], *dep_blocks])
+        keep = np.ones((S, dep.size), dtype=bool) if live is None else live.copy()
 
-        def part(keep_one, keep_multi):
-            return _Table(
-                table.b1[keep_one], table.b2[keep_one],
-                tuple((b1[m], b2[m]) for (b1, b2), m in zip(table.blocks, keep_multi) if m.any()),
-                table.key[np.concatenate([keep_one, *keep_multi])],
-            )
+        fix = ~dep & keep.any(axis=0)
+        seg_values = table.subset(fix).values(fixed[:n].reshape(n * S, g))[0].reshape(n, S, -1)
+        if live is not None:
+            keep[:, fix] = seg_values.any(axis=0)
+        cells = np.flatnonzero(keep)
+        sample, seg = np.divmod(cells, dep.size)
+        fixed_cells = np.flatnonzero(~dep[seg])
+        fixed_values = seg_values[:, sample[fixed_cells], np.cumsum(fix)[seg[fixed_cells]] - 1]
 
-        fixed_table = part(~one, [~m for m in multi])
-        flat = fixed[:steps].reshape(steps * S, g)
-        values, winners, (x1, x2) = fixed_table.values(flat)
-        cells = fixed_table.winning_cells(winners, steps * S, g)
-        x1, x2 = (np.concatenate([x, *(np.take(flat, c[i]) for c in cells)], axis=1)
-                  for i, x in enumerate((x1, x2)))
-        in_order = np.zeros((steps, S, dep.size))
-        in_order[:, :, ~dep] = values.reshape(steps, S, -1)
-        dep_table = part(one, multi)
-        order = np.concatenate((np.flatnonzero(dep), np.flatnonzero(~dep)))
-        to_head = head_col + (H + 1) * np.arange(S)[:, None]
+        # The dependent cells by row count: one-row segments come first in
+        # the table, then each block.
+        sizes = [table.b1.size, *(b1.shape[0] for b1, _ in table.blocks)]
+        starts = np.cumsum([0, *sizes])
+        block = np.repeat(np.arange(len(sizes)), sizes)[seg]
+        dep_cells = [np.flatnonzero(dep[seg] & (block == k)) for k in range(len(sizes))]
+        one = dep_cells[0]
+        r = seg[one]
+        dep_rows = [(sample[one], table.b1[r], table.b2[r])]
+        for (b1, b2), at, lo in zip(table.blocks, dep_cells[1:], starts[1:]):
+            r = seg[at] - lo
+            dep_rows.append((sample[at][:, None], b1[r], b2[r]))
+        outside = [(s * g + b)[~is_head[b]] for s, b1, b2 in dep_rows for b in (b1, b2)]
+        read = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *outside]))
+
+        def z(s, b):
+            return np.where(is_head[b], s * H + head_col[b],
+                            S * H + np.searchsorted(read, s * g + b))
+
+        # Fixed cells read their value and 1, multi-row ones 0 and 0.
+        rows = np.empty((2, cells.size), dtype=np.int64)
+        one_at = S * H + read.size + fixed_cells.size
+        rows[0, fixed_cells] = S * H + read.size + np.arange(fixed_cells.size)
+        rows[1, fixed_cells] = one_at
+        no_rows = np.zeros(0, dtype=np.int64)
+        multi_cells = np.concatenate([no_rows, *dep_cells[1:]])
+        rows[:, multi_cells] = one_at + 1
+        s, b1, b2 = dep_rows[0]
+        rows[:, one] = z(s, b1), z(s, b2)
+        blocks = tuple((z(s, b1), z(s, b2)) for s, b1, b2 in dep_rows[1:] if s.size)
+        reads = np.concatenate((fixed[:n].reshape(n, S * g)[:, read], fixed_values,
+                                np.ones((n, 1)), np.zeros((n, 1))), axis=1)
+        segments, local = np.unique(seg, return_inverse=True)
         return _Chain(
             model=model,
+            steps=steps,
             heads=heads,
             fixed=fixed,
-            dep=dep_table,
-            order=order,
-            seg_out=model.seg_out[order],
-            fixed_values=in_order,
-            fixed_x1=x1.reshape(steps, S, -1),
-            fixed_x2=x2.reshape(steps, S, -1),
-            out_cells=_out_cells(model, S),
-            head_cells=(heads + g * np.arange(S)[:, None]).ravel(),
-            dep_cells=(order[: dep_table.key.size] + dep.size * np.arange(S)[:, None]).ravel(),
-            to_head=to_head.ravel(),
-            one_heads=(to_head[:, dep_table.b1].ravel(), to_head[:, dep_table.b2].ravel()),
+            z=np.concatenate((np.zeros((steps, S * H)), reads[np.minimum(np.arange(steps), n - 1)]),
+                             axis=1),
+            rows=rows,
+            x=np.empty((steps, *rows.shape)),
+            values=np.empty((steps, cells.size)),
+            multi=_Table(no_rows, no_rows, blocks, multi_cells),
+            segments=segments,
+            cells=cells,
+            seg=local,
+            out_cells=_out_cells(model, S)[cells],
+            to_heads=(np.minimum(rows, S * H) + [[0], [S * H + 1]]).ravel(),
         )
+
+    def weigh(self, seg_w: np.ndarray) -> np.ndarray:
+        """Each cell's weight, of the table segment weights ``seg_w``."""
+        return seg_w.take(self.segments).take(self.seg)
 
     def valuation(self, t: int, a: np.ndarray) -> np.ndarray:
         """The whole valuation (S, atoms) before step ``t`` (after the last
         step if ``t`` is the step count) when the heads hold ``a``."""
-        x = self.fixed[t].copy()
-        x.ravel()[self.head_cells] = a.ravel()
+        x = self.fixed[min(t, len(self.fixed) - 1)].copy()
+        x[:, self.heads] = a
         return x
 
 
 @dataclass
 class _StepTrace:
     a: np.ndarray  # the step's input head values
-    x: np.ndarray  # and its whole input valuation
-    one: tuple[np.ndarray, np.ndarray]  # body values of the one-row dependent segments
-    winners: list[np.ndarray]
+    z: np.ndarray  # and what its cells read
+    x: np.ndarray  # (2, cells) the factors of each cell's value
+    winners: list[np.ndarray]  # per block of multi-row cells, each one's winning row
+    values: np.ndarray  # every cell's value
     out: np.ndarray
     b: np.ndarray
     over_one: np.ndarray
@@ -753,42 +820,43 @@ def _segment_weights(model: CompiledModel, probs: Sequence[np.ndarray]) -> np.nd
 
 
 def _step(
-    chain: _Chain, seg_w: np.ndarray, t: int, a: np.ndarray
+    chain: _Chain, w: np.ndarray, t: int, a: np.ndarray
 ) -> tuple[np.ndarray, _StepTrace]:
-    """Step ``t`` from the head values ``a``. The dependent segments'
-    values are merged with the step's fixed ones in table order, so each
-    head sums its segments in the order of the whole table."""
+    """Step ``t`` from the head values ``a``, with the cell weights ``w``."""
     model = chain.model
     S = a.shape[0]
-    x = chain.valuation(t, a)
-    v, winners, one = chain.dep.values(x)
-    V = chain.fixed_values[t].copy()
-    V.ravel()[chain.dep_cells] = v.ravel()
-    V *= seg_w
+    z = chain.z[t]
+    z[: a.size] = a.ravel()
+    x = z.take(chain.rows, out=chain.x[t], mode="clip")
+    values = np.multiply(x[0], x[1], out=chain.values[t])
+    winners = []
+    if chain.multi.blocks:
+        v, winners = chain.multi.values(z[None])[:2]
+        values[chain.multi.key] = v.ravel()
     n1, n2 = model.single_cols.size, model.pair_cols.size
     n_out = n1 + 2 * n2
-    out = np.bincount(chain.out_cells, weights=V.ravel(), minlength=S * n_out).reshape(S, n_out)
+    out = np.bincount(chain.out_cells, weights=values * w, minlength=S * n_out).reshape(S, n_out)
     b = out
     if n2:
         s0, s1 = out[:, n1 : n1 + n2], out[:, n1 + n2 :]
         b = np.concatenate((out[:, :n1], s0 + s1 - s0 * s1), axis=1)
     a_new, over_one = _amalgamate(model.amalgamation, a, b)
-    return a_new, _StepTrace(a, x, one, winners, out, b, over_one)
+    return a_new, _StepTrace(a, z, x, winners, values, out, b, over_one)
 
 
 def _chain(
-    chain: _Chain, seg_w: np.ndarray, traces: list[_StepTrace] | None = None
+    chain: _Chain, w: np.ndarray, traces: list[_StepTrace] | None = None
 ) -> np.ndarray:
-    """Chain every step from the start values; returns the whole
-    valuation after the last step and appends each step's trace to
-    ``traces`` if given. The head values of every step are checked for
-    range and monotonicity once, after the last step."""
+    """Chain every step from the start values with the cell weights ``w``;
+    returns the whole valuation after the last step and appends each
+    step's trace to ``traces`` if given. The head values of every step are
+    checked for range and monotonicity once, after the last step."""
     global VALUATION_CHECKS
-    steps = chain.fixed_values.shape[0]
+    steps = chain.steps
     states = np.empty((steps + 1, chain.fixed.shape[1], chain.heads.size))
     states[0] = chain.fixed[0][:, chain.heads]
     for t in range(steps):
-        states[t + 1], trace = _step(chain, seg_w, t, states[t])
+        states[t + 1], trace = _step(chain, w, t, states[t])
         if traces is not None:
             traces.append(trace)
     _check_range(states[1:], states[:-1])
@@ -799,17 +867,17 @@ def _chain(
 def _backward_step(
     chain: _Chain,
     w: np.ndarray,
-    t: int,
     trace: _StepTrace,
     da_new: np.ndarray,
     dseg: np.ndarray,
-) -> np.ndarray:
-    """Gradient w.r.t. step ``t``'s input head values; adds each segment's
-    d(loss)/d(segment weight) into ``dseg``. Both ``dseg`` and the
-    segment weights ``w`` are in ``chain.order``."""
+    heads: bool = True,
+) -> np.ndarray | None:
+    """Gradient w.r.t. a step's input head values (None unless ``heads``);
+    adds each of ``chain.segments``' d(loss)/d(segment weight) into
+    ``dseg``. ``w`` holds the cell weights."""
     model = chain.model
-    a, x, b = trace.a, trace.x, trace.b
-    S, width = x.shape
+    a, b = trace.a, trace.b
+    S = a.shape[0]
     n1, n2 = model.single_cols.size, model.pair_cols.size
     H = n1 + n2
     da_new = np.where(trace.over_one, 0.0, da_new)
@@ -822,41 +890,42 @@ def _backward_step(
         da = da_new * (1.0 - b)
     dout = db
     if n2:
-        dout = np.empty((S, n1 + 2 * n2))
-        dout[:, :n1] = db[:, :n1]
-        dy = db[:, n1:]
-        dout[:, n1 : n1 + n2] = dy * (1.0 - trace.out[:, n1 + n2 :])
-        dout[:, n1 + n2 :] = dy * (1.0 - trace.out[:, n1 : n1 + n2])
-    dV = dout.take(chain.seg_out, axis=1)
-    n_dep = chain.dep.key.size
-    # (x1 * x2) * dv: the product comes first, so clauses whose rows
-    # read the same values in either order get bit-equal sums.
-    dseg[n_dep:] += np.einsum("sn,sn,sn->n", chain.fixed_x1[t], chain.fixed_x2[t], dV[:, n_dep:])
-    buckets = [(*trace.one, chain.one_heads)]
-    for c1, c2 in chain.dep.winning_cells(trace.winners, S, width):
-        buckets.append((x.take(c1), x.take(c2),
-                        (chain.to_head.take(c1).ravel(), chain.to_head.take(c2).ravel())))
+        dy, pair = db[:, n1:], trace.out[:, n1:]
+        dout = np.concatenate((db[:, :n1], dy * (1.0 - pair[:, n2:]), dy * (1.0 - pair[:, :n2])),
+                              axis=1)
+    dv = dout.take(chain.out_cells)
+    # A cell's value is its winning row's x1 * x2, so (x1 * x2) * dv comes
+    # first, and clauses whose rows read the same values in either order
+    # get bit-equal sums.
+    dseg += np.bincount(chain.seg, weights=trace.values * dv, minlength=dseg.size)
+    if not heads:
+        return None
+    dv *= w
+    # Each factor's gradient is the other factor times dv; a factor
+    # outside the heads scatters into a cell that is dropped.
+    SH = S * H
+    d = np.bincount(chain.to_heads, weights=(trace.x[::-1] * dv).ravel(), minlength=2 * SH + 2)
+    da += d[:SH].reshape(S, H)
+    da += d[SH + 1 : 2 * SH + 1].reshape(S, H)
     lo = 0
-    for x1, x2, (h1, h2) in buckets:
-        hi = lo + x1.shape[1]
-        dv = dV[:, lo:hi]
-        dseg[lo:hi] += np.einsum("sn,sn,sn->n", x1, x2, dv)
-        dv *= w[lo:hi]
-        x1 *= dv
-        x2 *= dv
-        # A body atom outside the heads scatters into column H, dropped.
-        da += np.bincount(h1, weights=x2.ravel(), minlength=S * (H + 1)).reshape(S, H + 1)[:, :H]
-        da += np.bincount(h2, weights=x1.ravel(), minlength=S * (H + 1)).reshape(S, H + 1)[:, :H]
+    for (b1, b2), won in zip(chain.multi.blocks, trace.winners):
+        c1, c2 = b1.take(won).ravel(), b2.take(won).ravel()
+        hi = lo + c1.size
+        dvw = dv.take(chain.multi.key[lo:hi])
+        da += np.bincount(np.minimum(c1, SH), weights=trace.z.take(c2) * dvw,
+                          minlength=SH + 1)[:SH].reshape(S, H)
+        da += np.bincount(np.minimum(c2, SH), weights=trace.z.take(c1) * dvw,
+                          minlength=SH + 1)[:SH].reshape(S, H)
         lo = hi
     return da
 
 
 def _clause_grads(chain: _Chain, dseg: np.ndarray) -> np.ndarray:
-    """Sum segment gradients (in ``chain.order``) per clause over the dense
+    """Sum the gradients of ``chain.segments`` per clause over the dense
     (clause, head) layout, so clauses equal on the data get bit-equal
     gradients."""
     model = chain.model
-    dense = np.bincount(model.table.key[chain.order], weights=dseg, minlength=model.n_dense)
+    dense = np.bincount(model.table.key[chain.segments], weights=dseg, minlength=model.n_dense)
     if not model.clause_starts.size:
         return np.zeros(0)
     return np.add.reduceat(dense, model.clause_starts)
@@ -864,7 +933,8 @@ def _clause_grads(chain: _Chain, dseg: np.ndarray) -> np.ndarray:
 
 def _infer(model: CompiledModel, seg_w: np.ndarray, a0: np.ndarray, steps: int) -> np.ndarray:
     """The valuations (S, atoms) ``steps`` chained steps after ``a0``."""
-    return _chain(_Chain.build(model, _fixed_valuations(model, a0, steps)), seg_w)
+    chain = _Chain.build(model, _fixed_valuations(model, a0, steps), steps)
+    return _chain(chain, chain.weigh(seg_w))
 
 
 def infer(model: CompiledModel, weights: Sequence[np.ndarray], sample: Sample) -> np.ndarray:
@@ -892,7 +962,8 @@ class _Batch:
 
 
 def _live_segments(model: CompiledModel, fixed: np.ndarray) -> np.ndarray:
-    """Which table segments some weight can make non-zero in some sample.
+    """Which table segments (S, segments) some weight can make non-zero in
+    each sample.
 
     The chaining with every clause enabled, on boolean valuations: an atom
     is reachable if it starts above zero, if a segment into it has a row
@@ -903,46 +974,35 @@ def _live_segments(model: CompiledModel, fixed: np.ndarray) -> np.ndarray:
     reachability no longer changes and covers every fixed valuation still
     to come.
     """
-    steps, S = fixed.shape[0] - 1, fixed.shape[1]
+    steps, S = model.forward_steps, fixed.shape[1]
     n1, n2 = model.single_cols.size, model.pair_cols.size
     flat_out = _out_cells(model, S)
     known = fixed > 0
+    last = known[min(steps - 1, len(known) - 1)]
     reach = known[0]
     live = model.table.values(reach)[0]
     for t in range(steps - 1):
         hit = np.zeros(S * (n1 + 2 * n2), dtype=bool)
         hit[flat_out[live.ravel()]] = True
         hit = hit.reshape(S, -1)
-        b = known[t + 1] | reach
+        b = known[min(t + 1, len(known) - 1)] | reach
         b[:, model.single_cols] |= hit[:, :n1]
         b[:, model.pair_cols] |= hit[:, n1 : n1 + n2] | hit[:, n1 + n2 :]
-        if np.array_equal(b, reach) and not (known[steps - 1] & ~b).any():
+        if np.array_equal(b, reach) and not (last & ~b).any():
             break
         reach = b
         live = model.table.values(reach)[0]
-    return live.any(axis=0)
+    return live
 
 
-def _pruned(model: CompiledModel, keep: np.ndarray) -> CompiledModel:
-    """``model`` with only the table segments ``keep`` selects. A block
-    loses a segment only as a whole, so every kept segment keeps its rows
-    in order and its first-row tie rule."""
-    full = model.table
-    n1 = full.b1.size
-    blocks, lo = [], n1
-    for b1, b2 in full.blocks:
-        sel = keep[lo : lo + b1.shape[0]]
-        lo += b1.shape[0]
-        if sel.any():
-            blocks.append((b1[sel], b2[sel]))
-    table = _Table(full.b1[keep[:n1]], full.b2[keep[:n1]], tuple(blocks), full.key[keep])
-    return replace(model, table=table, seg_out=model.seg_out[keep],
-                   seg_weight=model.seg_weight[keep])
-
-
-def _batch(model: CompiledModel, group: Sequence[Sample], fixed: np.ndarray, n_samples: int) -> _Batch:
+def _batch(
+    model: CompiledModel, group: Sequence[Sample], fixed: np.ndarray, n_samples: int,
+    live: np.ndarray | None = None,
+) -> _Batch:
     """The batch of ``group`` on ``model``, over the fixed valuations
-    ``fixed``; each sample's labels share a weight of 1 / ``n_samples``."""
+    ``fixed`` and, if given, only the cells ``live`` keeps (see
+    :meth:`_Chain.build`); each sample's labels share a weight of
+    1 / ``n_samples``."""
     labels = [
         (si, model.index.index_of(a), positive,
          1.0 / ((len(s.positive) + len(s.negative)) * n_samples))
@@ -951,7 +1011,8 @@ def _batch(model: CompiledModel, group: Sequence[Sample], fixed: np.ndarray, n_s
         for a in atoms
     ]
     rows, cells, positive, scale = map(np.asarray, zip(*labels))
-    return _Batch(_Chain.build(model, fixed), rows, cells, positive, scale)
+    chain = _Chain.build(model, fixed, model.forward_steps, live)
+    return _Batch(chain, rows, cells, positive, scale)
 
 
 def _prepare_batches(compiler: ModelCompiler, samples: Sequence[Sample]) -> list[_Batch]:
@@ -964,8 +1025,7 @@ def _prepare_batches(compiler: ModelCompiler, samples: Sequence[Sample]) -> list
     for consts, group in groups.items():
         model = compiler.compile(consts)
         fixed = _fixed_valuations(model, _start_values(model, group), model.forward_steps)
-        model = _pruned(model, _live_segments(model, fixed))
-        batches.append(_batch(model, group, fixed, len(samples)))
+        batches.append(_batch(model, group, fixed, len(samples), _live_segments(model, fixed)))
     return batches
 
 
@@ -1018,8 +1078,8 @@ def loss(
     probs = probabilities(weights)
     total = 0.0
     for batch in batches or _prepare_batches(compiler, samples):
-        seg_w = _segment_weights(batch.chain.model, probs)
-        total += _data_loss(batch, _chain(batch.chain, seg_w))
+        chain = batch.chain
+        total += _data_loss(batch, _chain(chain, chain.weigh(_segment_weights(chain.model, probs))))
     return total + _reg_value(weights, hp)
 
 
@@ -1036,15 +1096,15 @@ def loss_and_grad(
     total = 0.0
     for batch in batches or _prepare_batches(compiler, samples):
         chain = batch.chain
-        seg_w = _segment_weights(chain.model, probs)
+        w = chain.weigh(_segment_weights(chain.model, probs))
         traces: list[_StepTrace] = []
-        x = _chain(chain, seg_w, traces)
+        x = _chain(chain, w, traces)
         total += _data_loss(batch, x)
         da = _data_loss_backward(batch, x)[:, chain.heads]
-        dseg = np.zeros(seg_w.size)
-        w = seg_w[chain.order]
+        dseg = np.zeros(chain.segments.size)
+        # Step 0's input gradient is not needed: the start values are fixed.
         for t in reversed(range(len(traces))):
-            da = _backward_step(chain, w, t, traces[t], da, dseg)
+            da = _backward_step(chain, w, traces[t], da, dseg, heads=t > 0)
         dclause += _clause_grads(chain, dseg)
     dprobs = np.split(dclause, np.cumsum([p.size for p in probs])[:-1])
     grads = [

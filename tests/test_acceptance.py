@@ -266,11 +266,11 @@ def test_criterion_8_monotonicity_and_range(one_shot):
     sample = [r.sample for r in one_shot.records if r.meta["supervised"]][0]
     (batch,) = _prepare_batches(compiler, [sample])
     chain = batch.chain
-    seg_w = _segment_weights(chain.model, one_shot.trained.probabilities())
+    w = chain.weigh(_segment_weights(chain.model, one_shot.trained.probabilities()))
     prev = chain.fixed[0]
     a = prev[:, chain.heads]
     for t in range(chain.model.forward_steps):
-        a, _ = _step(chain, seg_w, t, a)
+        a, _ = _step(chain, w, t, a)
         nxt = chain.valuation(t + 1, a)
         assert np.all(nxt >= prev - 1e-12)
         assert nxt.min() >= 0.0 and nxt.max() <= 1.0

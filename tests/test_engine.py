@@ -28,6 +28,7 @@ from slotlogic.engine import (
     _batch,
     _chain,
     _fixed_valuations,
+    _live_segments,
     _prepare_batches,
     _segment_weights,
     _start_values,
@@ -36,6 +37,7 @@ from slotlogic.engine import (
     probabilities,
 )
 from slotlogic.gradcheck import _random_instance
+from slotlogic.logic import ground_atoms
 from slotlogic.simulator import DOMAINS, GeneratorConfig, generate_dialog
 
 from .oracles import (
@@ -65,6 +67,29 @@ def one_hot(compiler, clause_text):
             v[clauses.index(target)] = 60.0
         vectors.append(v)
     return vectors
+
+
+def random_multi_sample_instance(rng):
+    """A ``_random_instance`` draw with one to three more samples of its
+    frame: 2-4 samples over its constant list and, half the time, a second
+    list of 2-4 other constants."""
+    compiler, weights, (first,), hp = _random_instance(rng)
+    lists = [first.constants]
+    if rng.random() < 0.5:
+        lists.append(tuple(f"d{i}" for i in range(int(rng.integers(2, 5)))))
+    samples = [first]
+    for _ in range(int(rng.integers(1, 4))):
+        constants = lists[int(rng.integers(len(lists)))]
+        background = [a for a in ground_atoms(compiler.frame.extensional, constants)
+                      if rng.random() < 0.5]
+        labeled = ground_atoms(compiler.frame.targets, constants)
+        flags = rng.integers(0, 3, size=len(labeled))
+        positive = [a for a, f in zip(labeled, flags) if f == 1]
+        negative = [a for a, f in zip(labeled, flags) if f == 2]
+        if not positive and not negative:
+            positive = [labeled[0]]
+        samples.append(Sample.make(background, positive, negative, constants))
+    return compiler, weights, samples, hp
 
 
 class TestSample:
@@ -697,17 +722,31 @@ class TestLivePrune:
         raise RuntimeError("no correction dialog found")
 
     @staticmethod
+    def full_batches(compiler, samples):
+        """The batches of ``samples`` with every (sample, segment) cell."""
+        batches = []
+        for constants in dict.fromkeys(tuple(s.constants) for s in samples):
+            model = compiler.compile(constants)
+            group = [s for s in samples if tuple(s.constants) == constants]
+            fixed = _fixed_valuations(model, _start_values(model, group), model.forward_steps)
+            batches.append(_batch(model, group, fixed, len(samples)))
+        return batches
+
+    @staticmethod
+    def valuations(chain, weights):
+        """The whole valuation (S, atoms) before each step of ``chain``."""
+        traces = []
+        _chain(chain, chain.weigh(_segment_weights(chain.model, probabilities(weights))), traces)
+        return [chain.valuation(t, tr.a) for t, tr in enumerate(traces)]
+
+    @staticmethod
     def dropped_and_check(compiler, weights, samples, hp) -> int:
         """Asserts the pruned batches agree bit for bit with the full table
-        and that every dropped segment is 0 at every step; returns how many
-        segments were dropped."""
+        and that every (sample, segment) cell a pruned chain drops is 0 in
+        that sample's whole valuation at every step; returns how many cells
+        were dropped."""
         pruned = _prepare_batches(compiler, samples)
-        full = []
-        for b in pruned:
-            model = compiler.compile(b.chain.model.index.constants)
-            group = [s for s in samples if tuple(s.constants) == model.index.constants]
-            fixed = _fixed_valuations(model, _start_values(model, group), model.forward_steps)
-            full.append(_batch(model, group, fixed, len(samples)))
+        full = TestLivePrune.full_batches(compiler, samples)
         assert np.array_equal(loss(compiler, weights, samples, hp, pruned),
                               loss(compiler, weights, samples, hp, full))
         value, grads = loss_and_grad(compiler, weights, samples, hp, pruned)
@@ -717,13 +756,15 @@ class TestLivePrune:
         n_dropped = 0
         for b, f in zip(pruned, full):
             model = f.chain.model
-            dropped = ~np.isin(model.table.key, b.chain.model.table.key)
-            assert dropped.sum() == model.seg_out.size - b.chain.model.seg_out.size
-            traces = []
-            seg_w = _segment_weights(model, probabilities(weights))
-            _chain(f.chain, seg_w, traces)
-            for tr in traces:
-                assert not model.table.values(tr.x)[0][:, dropped].any()
+            S = len(b.chain.fixed[0])
+            assert f.chain.cells.size == S * model.seg_out.size
+            dropped = np.ones(f.chain.cells.size, dtype=bool)
+            dropped[b.chain.cells] = False
+            dropped = dropped.reshape(S, -1)
+            xs = TestLivePrune.valuations(b.chain, weights)
+            for x, full_x in zip(xs, TestLivePrune.valuations(f.chain, weights)):
+                assert np.array_equal(x, full_x)
+                assert not model.table.values(x)[0][dropped].any()
             n_dropped += int(dropped.sum())
         return n_dropped
 
@@ -735,6 +776,10 @@ class TestLivePrune:
         assert len(samples) == 20
         assert self.dropped_and_check(compiler, weights, samples, hp) > 0
 
+    def test_two_batch_set(self):
+        compiler, weights, samples, hp, _ = TestChainCheck.two_batch_case()
+        assert self.dropped_and_check(compiler, weights, samples, hp) > 0
+
     def test_random_instances(self):
         rng = np.random.default_rng(0)
         dropped = {"max": 0, "sum": 0}
@@ -744,6 +789,68 @@ class TestLivePrune:
             dropped[hp.amalgamation] += self.dropped_and_check(compiler, weights, samples, hp)
             pairs += compiler.compile(samples[0].constants).pair_cols.size > 0
         assert dropped["max"] > 0 and dropped["sum"] > 0 and pairs > 0
+
+    def test_random_multi_sample_instances(self):
+        rng = np.random.default_rng(2)
+        dropped = {"max": 0, "sum": 0}
+        for _ in range(40):
+            compiler, weights, samples, hp = random_multi_sample_instance(rng)
+            dropped[hp.amalgamation] += self.dropped_and_check(compiler, weights, samples, hp)
+        assert dropped["max"] > 0 and dropped["sum"] > 0
+
+
+class TestFixpoint:
+    """Background chaining stops at its fixpoint, and a chain computes its
+    fixed cells only for the distinct steps; both equal full-length
+    chaining."""
+
+    @staticmethod
+    def full_length(model, a0, steps):
+        out = np.empty((steps + 1, *a0.shape))
+        out[0] = a0
+        cols = model.static.key
+        for t in range(steps):
+            out[t + 1] = out[t]
+            out[t + 1][:, cols] = engine_mod._amalgamate(
+                model.amalgamation, out[t][:, cols], model.static.values(out[t])[0])[0]
+        return out
+
+    def assert_equals_full_length(self, compiler, samples) -> bool:
+        """Whether some batch reached its fixpoint before the last step."""
+        early = False
+        for b in _prepare_batches(compiler, samples):
+            chain = b.chain
+            model, steps = chain.model, chain.steps
+            full = self.full_length(model, chain.fixed[0], steps)
+            n = len(chain.fixed)
+            assert np.array_equal(chain.fixed[np.minimum(np.arange(steps + 1), n - 1)], full)
+            early |= n < steps
+            live = _live_segments(model, chain.fixed)
+            assert np.array_equal(live, _live_segments(model, full))
+            ref = engine_mod._Chain.build(model, full, steps, live)
+            for name in ("cells", "seg", "out_cells", "rows"):
+                assert np.array_equal(getattr(chain, name), getattr(ref, name))
+            heads = chain.fixed.shape[1] * chain.heads.size
+            assert np.array_equal(chain.z[:, heads:], ref.z[:, heads:])
+        return early
+
+    def test_restaurant_batch(self):
+        compiler, _, samples, _ = TestLivePrune.simdial_case()
+        assert self.assert_equals_full_length(compiler, samples)
+        (batch,) = _prepare_batches(compiler, samples)
+        assert len(batch.chain.fixed) < compiler.template.forward_steps
+
+    def test_restaurant_with_correction_batch(self):
+        compiler, _, samples, _ = TestLivePrune.simdial_case([TestLivePrune.correction_dialog()])
+        assert self.assert_equals_full_length(compiler, samples)
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            compiler, _, samples, _ = _random_instance(rng)
+            self.assert_equals_full_length(compiler, samples)
+            compiler, _, samples, _ = random_multi_sample_instance(rng)
+            self.assert_equals_full_length(compiler, samples)
 
 
 class TestHeadKernel:
@@ -765,7 +872,7 @@ class TestHeadKernel:
 
     @staticmethod
     def reads_a_head_in_a_multi_row_segment(compiler, samples) -> bool:
-        return any(b.chain.dep.blocks for b in _prepare_batches(compiler, samples))
+        return any(b.chain.multi.blocks for b in _prepare_batches(compiler, samples))
 
     @pytest.mark.parametrize("seed, scale", [(0, 0.0), (0, 1.0), (1, 3.0)])
     def test_restaurant_batch(self, seed, scale):
@@ -789,6 +896,28 @@ class TestHeadKernel:
             seen["pairs"] += compiler.compile(samples[0].constants).pair_cols.size > 0
             seen["multi-row head reads"] += self.reads_a_head_in_a_multi_row_segment(
                 compiler, samples)
+        assert all(seen.values()), seen
+
+    def test_random_multi_sample_instances(self):
+        rng = np.random.default_rng(1)
+        seen = {"max": 0, "sum": 0, "pairs": 0, "multi-row head reads": 0, "two lists": 0,
+                "a segment kept in some samples only": 0}
+        for _ in range(60):
+            compiler, weights, samples, hp = random_multi_sample_instance(rng)
+            assert 2 <= len(samples) <= 4
+            self.assert_equals_reference(compiler, weights, samples, hp)
+            seen[hp.amalgamation] += 1
+            seen["pairs"] += compiler.compile(samples[0].constants).pair_cols.size > 0
+            seen["multi-row head reads"] += self.reads_a_head_in_a_multi_row_segment(
+                compiler, samples)
+            batches = _prepare_batches(compiler, samples)
+            seen["two lists"] += len(batches) == 2
+            for b in batches:
+                S, K = len(b.chain.fixed[0]), b.chain.model.seg_out.size
+                kept = np.zeros(S * K, dtype=bool)
+                kept[b.chain.cells] = True
+                kept = kept.reshape(S, K)
+                seen["a segment kept in some samples only"] += (kept.any(0) & ~kept.all(0)).any()
         assert all(seen.values()), seen
 
     @pytest.mark.parametrize("amalgamation", AMALGAMATIONS)

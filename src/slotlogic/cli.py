@@ -8,18 +8,21 @@ import argparse
 import itertools
 import json
 import logging
+import math
 import sys
 from dataclasses import fields
+
+import numpy as np
 
 from . import pipeline
 from .dialog import (dialog_from_dict, is_act_pairs, load_samples, read_json_lines,
                      save_corpus, save_samples, write_json_lines)
-from .engine import Hyperparams, TrainedModel, TrainingDiverged, ValuationInvariantError
+from .engine import (Hyperparams, TrainedModel, TrainingDiverged, ValuationInvariantError,
+                     task_from_dict)
 from .extract import extract_program, load_program, save_program
 from .gradcheck import run_gradcheck
 from .multiwoz import convert_multiwoz_records
 from .simulator import DOMAINS, generate_corpus, representative_dialog
-from .templates import template_from_dict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -59,19 +62,15 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    records = load_samples(args.samples)
-    samples = pipeline.training_samples(records)
-    hp = pipeline.simdial_hyperparams(**{
-        f.name: getattr(args, f.name) for f in fields(Hyperparams)
-        if getattr(args, f.name) is not None
-    })
-    template = None
-    if args.template:
-        with open(args.template) as f:
-            template = template_from_dict(json.load(f))
-    trained = pipeline.train_policy(
-        samples, hp=hp, template=template, restarts=args.restarts
-    )
+    samples = pipeline.training_samples(load_samples(args.samples))
+    if args.task:
+        with open(args.task) as f:
+            task = task_from_dict(json.load(f))
+    else:
+        task = pipeline.simdial_task()
+    overrides = {f.name: getattr(args, f.name) for f in fields(Hyperparams)
+                 if getattr(args, f.name) is not None}
+    trained = pipeline.fit(task, samples, args.restarts, **overrides)
     trained.save(args.out)
     log.info("final loss %.6f -> %s", trained.final_loss, args.out)
     return EXIT_OK
@@ -115,6 +114,8 @@ def _prediction(p):
 
 
 def _cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, not {args.tolerance}")
     report = run_gradcheck(seed=args.seed, instances=args.instances)
     print(
         f"gradcheck: {report.instances} instances, "
@@ -122,8 +123,8 @@ def _cmd_gradcheck(args) -> int:
         f"max relative error {report.max_rel_error:.3e}"
     )
     if not report.ok(args.tolerance):
-        print(f"exceeds tolerance {args.tolerance:g}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail("gradient_mismatch", f"max relative error {report.max_rel_error:.3e} "
+                     f"exceeds tolerance {args.tolerance:g}", EXIT_NUMERIC)
     return EXIT_OK
 
 
@@ -163,10 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="fit clause weights on samples")
     t.add_argument("--samples", required=True)
-    t.add_argument("--template", help="program template JSON (default: slot-filling)")
+    t.add_argument("--task", help="task or model JSON file (default: the SimDial task)")
     t.add_argument("--out", required=True)
-    # Each flag names a Hyperparams field; unset ones keep the value of
-    # pipeline.simdial_hyperparams.
+    # Each flag names a Hyperparams field; unset ones keep the task's value.
     t.add_argument("--lr", dest="learning_rate", type=float)
     t.add_argument("--steps", dest="training_steps", type=int)
     t.add_argument("--reg", dest="reg_kind", choices=("none", "l1", "l2"))
@@ -216,7 +216,9 @@ def run_pipeline(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        # Numeric failures end in one JSON line; numpy warnings would add more.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except TrainingDiverged as exc:
         return _fail("divergence", exc, EXIT_NUMERIC)
     except ValuationInvariantError as exc:
@@ -225,8 +227,8 @@ def run_pipeline(argv=None) -> int:
         return _fail(type(exc).__name__, exc, EXIT_VALIDATION)
 
 
-def _fail(error: str, exc: Exception, code: int) -> int:
-    print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)
+def _fail(error: str, message, code: int) -> int:
+    print(json.dumps({"error": error, "message": str(message)}), file=sys.stderr)
     return code
 
 

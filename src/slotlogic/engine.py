@@ -610,7 +610,7 @@ def _check_range(new: np.ndarray, old: np.ndarray) -> None:
     """Instrumentation, always on: the valuations (steps, ...) after each
     step must stay in [0,1] and never lower an entry of those before it
     (both amalgamation variants are non-decreasing). Every step is checked
-    at once; the error names the first step that fails."""
+    at once; the error names the first step that fails (and NaN in it)."""
     if new.size == 0:
         return
     if not (new.min() < -RANGE_TOL or new.max() > 1.0 + RANGE_TOL) and bool(
@@ -621,6 +621,8 @@ def _check_range(new: np.ndarray, old: np.ndarray) -> None:
     lo, hi = new.min(axis=1), new.max(axis=1)
     left = (lo < -RANGE_TOL) | (hi > 1.0 + RANGE_TOL)
     t = int(np.argmax(left | ~np.all(new >= old - RANGE_TOL, axis=1)))
+    if np.isnan(lo[t]):
+        raise ValuationInvariantError(f"valuation is NaN at step {t}")
     if left[t]:
         raise ValuationInvariantError(f"valuation left [0,1] at step {t}: min={lo[t]} max={hi[t]}")
     raise ValuationInvariantError(f"valuation decreased at step {t}")
@@ -1139,6 +1141,55 @@ def finite_difference_grad(
 
 
 # ---------------------------------------------------------------------------
+# Task files: a compiler and the hyperparameters to train it with.
+
+def _read_field(d: dict, name: str, parse: Callable, *default):
+    if name not in d and not default:
+        raise ValueError(f"model lacks field {name!r}")
+    try:
+        return parse(d.get(name, *default))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"model field {name!r}: {type(exc).__name__}: {exc}") from exc
+
+
+def task_to_dict(compiler: ModelCompiler, hp: Hyperparams) -> dict:
+    """The fields that :func:`task_from_dict` reads."""
+    return {
+        "frame": {
+            "targets": [[p.name, p.arity] for p in compiler.frame.targets],
+            "extensional": [[p.name, p.arity] for p in compiler.frame.extensional],
+        },
+        "template": template_to_dict(compiler.template),
+        "background": [format_clause(x) for x in compiler.background],
+        "background_pool": [[p.name, p.arity] for p in compiler.background_pool],
+        "hyperparams": hp.to_dict(),
+    }
+
+
+def task_from_dict(d: dict) -> tuple[ModelCompiler, Hyperparams]:
+    """The task of a file's frame, template, background, background pool
+    and hyperparameters; other fields, such as a model file's ``slots``
+    and ``loss_trace``, are ignored. A ``ValueError`` names the first
+    missing or malformed field."""
+    if not isinstance(d, dict):
+        raise ValueError("a model must be a JSON object")
+
+    def predicates(pairs) -> tuple[Predicate, ...]:
+        return tuple(Predicate(n, a) for n, a in pairs)
+
+    frame = _read_field(d, "frame", lambda f: LanguageFrame(
+        targets=predicates(f["targets"]), extensional=predicates(f["extensional"])))
+    template = _read_field(d, "template", template_from_dict)
+    background = _read_field(d, "background", lambda cs: tuple(parse_clause(t) for t in cs))
+    pool = _read_field(d, "background_pool", predicates, [])
+    hp = _read_field(d, "hyperparams", Hyperparams.from_dict)
+    try:
+        return ModelCompiler(frame, template, background, pool, hp.amalgamation), hp
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model fields do not describe a model: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # Training.
 
 @dataclass
@@ -1160,13 +1211,7 @@ class TrainedModel:
     def to_dict(self) -> dict:
         c = self.compiler
         return {
-            "frame": {
-                "targets": [[p.name, p.arity] for p in c.frame.targets],
-                "extensional": [[p.name, p.arity] for p in c.frame.extensional],
-            },
-            "template": template_to_dict(c.template),
-            "background": [format_clause(x) for x in c.background],
-            "background_pool": [[p.name, p.arity] for p in c.background_pool],
+            **task_to_dict(c, self.hyperparams),
             "slots": [
                 {
                     "predicate": [pred.name, pred.arity],
@@ -1179,28 +1224,13 @@ class TrainedModel:
                 in zip(c.pools, self.weights, self.probabilities())
             ],
             "loss_trace": [float(x) for x in self.loss_trace],
-            "hyperparams": self.hyperparams.to_dict(),
         }
 
     @staticmethod
     def from_dict(d: dict) -> "TrainedModel":
-        """The model a file's fields describe: its compiler is rebuilt from
-        the frame, template, background, background pool and amalgamation,
-        and the slot clause lists must equal that compiler's pools. A
-        ``ValueError`` names the first missing or malformed field."""
-        if not isinstance(d, dict):
-            raise ValueError("a model must be a JSON object")
-
-        def read(name: str, parse: Callable, *default):
-            if name not in d and not default:
-                raise ValueError(f"model lacks field {name!r}")
-            try:
-                return parse(d.get(name, *default))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"model field {name!r}: {type(exc).__name__}: {exc}") from exc
-
-        def predicates(pairs) -> tuple[Predicate, ...]:
-            return tuple(Predicate(n, a) for n, a in pairs)
+        """The file's task (:func:`task_from_dict`) with the slot weights
+        and loss trace; the slot clause lists must equal the task's pools."""
+        compiler, hp = task_from_dict(d)
 
         def slot(s: dict) -> tuple[tuple[Predicate, int], tuple[Clause, ...], np.ndarray]:
             if type(s["slot"]) is not int:
@@ -1213,18 +1243,8 @@ class TrainedModel:
                                  f"but raw_weights of shape {vec.shape}")
             return key, clauses, vec
 
-        frame = read("frame", lambda f: LanguageFrame(
-            targets=predicates(f["targets"]), extensional=predicates(f["extensional"])))
-        slots = read("slots", lambda ss: [slot(s) for s in ss])
-        template = read("template", template_from_dict)
-        background = read("background", lambda cs: tuple(parse_clause(t) for t in cs))
-        pool = read("background_pool", predicates, [])
-        loss_trace = read("loss_trace", lambda xs: [float(x) for x in xs])
-        hp = read("hyperparams", Hyperparams.from_dict)
-        try:
-            compiler = ModelCompiler(frame, template, background, pool, hp.amalgamation)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"model fields do not describe a model: {exc}") from exc
+        slots = _read_field(d, "slots", lambda ss: [slot(s) for s in ss])
+        loss_trace = _read_field(d, "loss_trace", lambda xs: [float(x) for x in xs])
         if [(key, clauses) for key, clauses, _ in slots] != [
             (key, tuple(cs)) for key, cs in compiler.pools
         ]:

@@ -21,7 +21,7 @@ from .dialog import (
     decode_acts,
     is_act_pairs,
 )
-from .engine import Hyperparams, Sample, TrainedModel, train
+from .engine import Hyperparams, ModelCompiler, Sample, TrainedModel, train
 from .extract import PolicyProgram, crisp_infer, extract_program
 from .logic import Clause, LanguageFrame, Predicate, atom, parse_clause
 from .metrics import MetricsReport, evaluate_turns
@@ -108,6 +108,12 @@ def simdial_hyperparams(**overrides) -> Hyperparams:
     return Hyperparams(**base)
 
 
+def simdial_task() -> tuple[ModelCompiler, Hyperparams]:
+    background, pool = simdial_background()
+    hp = simdial_hyperparams()
+    return ModelCompiler(simdial_frame(), simdial_template(), background, pool, hp.amalgamation), hp
+
+
 # ---------------------------------------------------------------------------
 # Conversion.
 
@@ -160,16 +166,16 @@ def training_samples(records: Sequence[SampleRecord]):
 # Training with deterministic restarts.
 
 def train_with_restarts(
-    fit: Callable[[int], TrainedModel], seed: int, restarts: int, target_loss: float
+    run: Callable[[int], TrainedModel], seed: int, restarts: int, target_loss: float
 ) -> TrainedModel:
-    """Run ``fit(seed + 1009*k)`` for restart k until one run's final loss
+    """Run ``run(seed + 1009*k)`` for restart k until one run's final loss
     is under ``target_loss``; keep the lowest-loss run (the first on ties),
     so reruns match bit for bit."""
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, not {restarts}")
     best: TrainedModel | None = None
     for k in range(restarts):
-        model = fit(seed + 1009 * k)
+        model = run(seed + 1009 * k)
         log.info("restart %d: final loss %.6f", k, model.final_loss)
         if best is None or model.final_loss < best.final_loss:
             best = model
@@ -179,23 +185,21 @@ def train_with_restarts(
     return best
 
 
-def train_policy(
-    samples,
-    hp: Hyperparams | None = None,
-    template: ProgramTemplate | None = None,
-    restarts: int = 1,
-    target_loss: float = RESTART_TARGET,
+def fit(
+    task: tuple[ModelCompiler, Hyperparams], samples, restarts: int = 1, **overrides
 ) -> TrainedModel:
-    """Train the slot-filling model with :func:`train_with_restarts`."""
-    hp = hp or simdial_hyperparams()
-    template = template or simdial_template()
-    frame = simdial_frame()
-    background, pool = simdial_background()
+    """Train a task on samples with :func:`train_with_restarts`; keyword
+    overrides replace the task's hyperparameters. The restart target is
+    the task's ``stop_loss`` when set, else ``RESTART_TARGET``."""
+    c, hp = task
+    hp = replace(hp, **overrides)
 
-    def fit(seed: int) -> TrainedModel:
-        return train(frame, samples, template, replace(hp, seed=seed), background, pool)
+    def run(seed: int) -> TrainedModel:
+        return train(c.frame, samples, c.template, replace(hp, seed=seed),
+                     c.background, c.background_pool)
 
-    return train_with_restarts(fit, hp.seed, restarts, target_loss)
+    target = RESTART_TARGET if hp.stop_loss is None else hp.stop_loss
+    return train_with_restarts(run, hp.seed, restarts, target)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +281,8 @@ def evaluate_program_on_corpus(
 # property holds from it through to the terminal. Needs one invented
 # helper predicate and recursion.
 
-def list_all_problem() -> tuple[LanguageFrame, Sample, ProgramTemplate]:
+def list_all_problem() -> tuple[tuple[ModelCompiler, Hyperparams], Sample]:
+    """The task and its one sample; :func:`fit` it with about 12 restarts."""
     allp = Predicate("all", 1)
     helper = Predicate("pred1", 2)
     frame = LanguageFrame(
@@ -304,32 +309,9 @@ def list_all_problem() -> tuple[LanguageFrame, Sample, ProgramTemplate]:
         auxiliary=(helper,),
         forward_steps=12,
     )
-    return frame, sample, template
-
-
-def all_task_hyperparams(**overrides) -> Hyperparams:
-    base = dict(
-        learning_rate=0.5,
-        training_steps=600,
-        reg_kind="l2",
-        reg_lambda=1e-5,
-        init_scale=0.5,
-        accumulator_decay=0.9,
-        stop_loss=5e-3,
-    )
-    base.update(overrides)
-    return Hyperparams(**base)
-
-
-def train_list_all(restarts: int = 12, seed: int = 0) -> TrainedModel:
-    """Fit the list-"all" problem; random restarts until the loss target."""
-    frame, sample, template = list_all_problem()
-    return train_with_restarts(
-        lambda s: train(frame, [sample], template, all_task_hyperparams(seed=s)),
-        seed,
-        restarts,
-        5e-3,
-    )
+    hp = Hyperparams(learning_rate=0.5, training_steps=600, reg_kind="l2", reg_lambda=1e-5,
+                     init_scale=0.5, accumulator_decay=0.9, stop_loss=5e-3)
+    return (ModelCompiler(frame, template, amalgamation=hp.amalgamation), hp), sample
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +325,8 @@ class OneShotResult:
 
 
 def simdial_one_shot(
-    domain: str = "restaurant",
-    hp: Hyperparams | None = None,
-    restarts: int = 3,
-    extra_dialogs: Sequence[Dialog] = (),
-    threshold: float = 0.9,
+    domain: str = "restaurant", restarts: int = 3, extra_dialogs: Sequence[Dialog] = ()
 ) -> OneShotResult:
-    dialogs = [representative_dialog(domain), *extra_dialogs]
-    records = convert_corpus(dialogs)
-    trained = train_policy(training_samples(records), hp=hp, restarts=restarts)
-    program = extract_program(trained, threshold=threshold)
-    return OneShotResult(trained, program, records)
+    records = convert_corpus([representative_dialog(domain), *extra_dialogs])
+    trained = fit(simdial_task(), training_samples(records), restarts)
+    return OneShotResult(trained, extract_program(trained), records)

@@ -31,11 +31,11 @@ from slotlogic.multiwoz import encode_act_triples, encode_multiwoz_state
 from slotlogic.pipeline import (
     convert_corpus,
     evaluate_program_on_corpus,
+    fit,
     list_all_problem,
     predict_records,
-    simdial_hyperparams,
     simdial_one_shot,
-    train_list_all,
+    simdial_task,
 )
 from slotlogic.simulator import DOMAINS, GeneratorConfig, generate_corpus, generate_dialog
 
@@ -80,9 +80,9 @@ def eval_domain(program, domain, n=500):
 
 def test_criterion_1_list_all_golden_task():
     t0 = time.time()
-    trained = train_list_all()
+    task, sample = list_all_problem()
+    trained = fit(task, [sample], restarts=12)
     program = extract_program(trained, threshold=1.0)
-    frame, sample, _ = list_all_problem()
 
     derived = crisp_infer(program, sample.background)
     got_positive = {a for a in derived if a.predicate.name == "all"}
@@ -335,12 +335,9 @@ def test_criterion_9_multiwoz_converter_suite():
 def test_criterion_10_amalgamation_ablation(one_shot):
     records = one_shot.records
     samples = [r.sample for r in records if r.meta["supervised"]]
-    from slotlogic.pipeline import train_policy
-
     traces = {}
     for variant in ("max", "sum"):
-        hp = simdial_hyperparams(training_steps=600, amalgamation=variant)
-        model = train_policy(samples, hp=hp, restarts=1)
+        model = fit(simdial_task(), samples, 1, training_steps=600, amalgamation=variant)
         traces[variant] = model.loss_trace
 
     def steps_to(trace, target=0.01):

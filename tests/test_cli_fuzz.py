@@ -10,7 +10,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from slotlogic import pipeline, representative_dialog, train
+from slotlogic import pipeline, representative_dialog
 from slotlogic.cli import run_pipeline
 from slotlogic.dialog import dialog_to_dict
 from slotlogic.extract import save_program
@@ -76,8 +76,8 @@ def inputs(tmp_path_factory):
                          "--out", str(samples)]) == 0
     assert run_pipeline(["transfer", "--program", str(program), "--samples", str(samples),
                          "--out", str(preds)]) == 0
-    frame, sample, template = pipeline.list_all_problem()
-    model = train(frame, [sample], template, pipeline.all_task_hyperparams(training_steps=1))
+    task, sample = pipeline.list_all_problem()
+    model = pipeline.fit(task, [sample], training_steps=1)
     bad, out = d / "bad", str(d / "out")
     return d, {
         "simdial": (dialog, ["convert", "--format", "simdial", "--in", str(bad), "--out", out]),

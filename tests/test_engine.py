@@ -549,8 +549,8 @@ def test_list_problem_pool_contains_solution():
     from slotlogic.pipeline import list_all_problem
     from slotlogic.templates import slot_clause_pools
 
-    frame, _, template = list_all_problem()
-    pools = dict(slot_clause_pools(template, frame))
+    (compiler, _), _ = list_all_problem()
+    pools = dict(slot_clause_pools(compiler.template, compiler.frame))
     allp, helper = Predicate("all", 1), Predicate("pred1", 2)
     assert parse_clause("all(V0) <- true(V0), pred1(V0, V1)") in pools[(allp, 0)]
     for k in (0, 1):
@@ -988,6 +988,7 @@ class TestChainCheck:
     @pytest.mark.parametrize("fault, message", [
         ("range", r"valuation left \[0,1\] at step 5: "),
         ("decrease", r"valuation decreased at step 5$"),
+        ("nan", r"valuation is NaN at step 5$"),
     ])
     def test_failing_step_named(self, monkeypatch, fault, message):
         compiler, weights, samples, hp, batches = self.two_batch_case()
@@ -998,6 +999,8 @@ class TestChainCheck:
             if len(calls) == 5:
                 if fault == "range":
                     a_new = a_new + 2.0  # and step 6 lowers it to 1
+                elif fault == "nan":
+                    a_new = a_new + np.nan
                 else:
                     assert a.max() > 0.01
                     a_new = a * 0.5

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from slotlogic import (
     generate_clauses,
     parse_clause,
 )
+from slotlogic.cli import run_pipeline
 from slotlogic.engine import loss, loss_and_grad
 from slotlogic.gradcheck import REL_FLOOR, _random_instance, run_gradcheck
 
@@ -25,6 +27,21 @@ def test_thirty_instances_quick():
     report = run_gradcheck(seed=3, instances=30)
     assert report.parameters > 50
     assert report.max_rel_error <= 1e-4, f"max rel error {report.max_rel_error}"
+
+
+@pytest.mark.parametrize("flags, code, want", [
+    (["--instances", "-1"], 2, "instances must be at least 1, not -1"),
+    (["--instances", "0"], 2, "instances must be at least 1, not 0"),
+    (["--tolerance", "nan"], 2, "tolerance must be finite and non-negative, not nan"),
+    (["--tolerance", "-1"], 2, "tolerance must be finite and non-negative, not -1.0"),
+    # Central differences are not exact, so no check passes at tolerance 0.
+    (["--instances", "2", "--tolerance", "0"], 3, "exceeds tolerance 0"),
+], ids=["negative-instances", "zero-instances", "nan-tolerance", "negative-tolerance",
+        "failed-check"])
+def test_cli_exit_contract(capsys, flags, code, want):
+    assert run_pipeline(["gradcheck", *flags]) == code
+    [line] = capsys.readouterr().err.splitlines()
+    assert want in json.loads(line)["message"]
 
 
 def test_deterministic():

@@ -21,7 +21,7 @@ from slotlogic import (
     train,
 )
 from slotlogic.cli import run_pipeline
-from slotlogic.dialog import Dialog, load_corpus, load_samples, save_samples
+from slotlogic.dialog import Dialog, SampleRecord, load_corpus, load_samples, save_samples
 from slotlogic.pipeline import (
     convert_corpus,
     evaluate_predictions,
@@ -32,7 +32,8 @@ from slotlogic.pipeline import (
 )
 from slotlogic.extract import PolicyProgram, load_program, save_program
 from slotlogic.logic import parse_clause, Predicate
-from slotlogic.templates import template_to_dict
+from slotlogic.multiwoz import MULTIWOZ_TARGETS
+from slotlogic.engine import TrainedModel, task_to_dict
 
 GOLDEN_PROGRAM = PolicyProgram(
     rules=tuple(
@@ -145,9 +146,10 @@ class TestFullCli:
     def test_gradcheck_command(self):
         assert run_pipeline(["gradcheck", "--seed", "1", "--instances", "5"]) == 0
 
-    def test_failing_train_prints_one_json_line(self, tmp_path):
-        # A subprocess, because pytest's own log handlers would swallow a
-        # stray log line on stderr in-process.
+    def train_subprocess(self, tmp_path, *flags):
+        """Exit code and JSON stderr line of a failing training run. A
+        subprocess, because pytest's own log handlers would swallow a stray
+        log line, and its warning filters a numpy warning, in-process."""
         corpus, samples = tmp_path / "train.jsonl", tmp_path / "samples.jsonl"
         self.run(["generate", "--domain", "restaurant", "--representative",
                   "--out", str(corpus)])
@@ -158,13 +160,24 @@ class TestFullCli:
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         proc = subprocess.run(
             [sys.executable, "-m", "slotlogic.cli", "train", "--samples", str(samples),
-             "--steps", "1", "--lr", "-1", "--out", str(tmp_path / "m.json")],
+             "--steps", "5", "--restarts", "1", *flags, "--out", str(tmp_path / "m.json")],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
-        assert json.loads(lines[0])["error"] == "ValueError"
+        return proc.returncode, json.loads(lines[0])
+
+    def test_failing_train_prints_one_json_line(self, tmp_path):
+        code, error = self.train_subprocess(tmp_path, "--lr", "-1")
+        assert code == 2 and error["error"] == "ValueError"
+
+    @pytest.mark.parametrize("flag, want", [
+        ("--init-scale", "valuation is NaN at step 0"),
+        ("--lr", "loss became non-finite at step 1"),
+    ])
+    def test_numeric_failure_prints_one_json_line(self, tmp_path, flag, want):
+        code, error = self.train_subprocess(tmp_path, flag, "1e308")
+        assert code == 3 and want in error["message"]
 
     def test_train_flags_override_simdial_hyperparams(self, tmp_path, monkeypatch):
         corpus, samples = tmp_path / "train.jsonl", tmp_path / "samples.jsonl"
@@ -182,6 +195,19 @@ class TestFullCli:
             self.run(["train", "--samples", str(samples), "--restarts", "1",
                       "--out", str(model), *flags])
             assert json.loads(model.read_text())["hyperparams"] == want.to_dict()
+
+    def test_model_file_as_task_reproduces_itself(self, tmp_path):
+        corpus, samples = tmp_path / "train.jsonl", tmp_path / "samples.jsonl"
+        self.run(["generate", "--domain", "restaurant", "--representative",
+                  "--out", str(corpus)])
+        self.run(["convert", "--format", "simdial", "--in", str(corpus),
+                  "--out", str(samples)])
+        first, second = tmp_path / "model.json", tmp_path / "model2.json"
+        self.run(["train", "--samples", str(samples), "--steps", "5", "--lr", "0.3",
+                  "--restarts", "1", "--out", str(first)])
+        self.run(["train", "--task", str(first), "--samples", str(samples),
+                  "--restarts", "1", "--out", str(second)])
+        assert first.read_bytes() == second.read_bytes()
 
 
 def swapped_first_clauses(slot: dict) -> dict:
@@ -359,22 +385,28 @@ class TestMalformedLines:
             "no-trace", "fractional-arity", "swapped-clauses", "background-reads-target",
             "fractional-slot", "string-slot", "boolean-slot"])
     def test_extract_rejects_malformed_model(self, tmp_path, capsys, edit, want):
-        frame, sample, template = pipeline.list_all_problem()
-        model = train(frame, [sample], template, pipeline.all_task_hyperparams(training_steps=1))
-        path = tmp_path / "model.json"
+        # A task file's fields are read as a model file's are: the cases
+        # that break a task field also fail "train --task".
+        task, sample = pipeline.list_all_problem()
+        model = pipeline.fit(task, [sample], training_steps=1)
+        path, samples = tmp_path / "model.json", tmp_path / "samples.jsonl"
         path.write_text(json.dumps(edit(model.to_dict())))
-        message = self.fail(["extract", "--model", str(path), "--out", str(tmp_path / "p.txt")],
-                            capsys, where="")
-        assert want in message
+        save_samples([SampleRecord(sample, meta={})], samples)
+        commands = [["extract", "--model", str(path), "--out", str(tmp_path / "p.txt")]]
+        if "'slots'" not in want and "'loss_trace'" not in want:
+            commands.append(["train", "--task", str(path), "--samples", str(samples),
+                             "--out", str(tmp_path / "m.json")])
+        for argv in commands:
+            assert want in self.fail(argv, capsys, where="")
 
     @pytest.mark.parametrize("slot", ["foo/1", "known/1"], ids=["undeclared", "extensional"])
     def test_train_rejects_template_slot_outside_targets(self, files, capsys, slot):
         tmp_path, samples = files
-        template = template_to_dict(pipeline.simdial_template())
-        template["slots"].append([slot, [{"v": 0, "i": False}]])
-        path = tmp_path / "template.json"
-        path.write_text(json.dumps(template))
-        message = self.fail(["train", "--samples", str(samples), "--template", str(path),
+        task = task_to_dict(*pipeline.simdial_task())
+        task["template"]["slots"].append([slot, [{"v": 0, "i": False}]])
+        path = tmp_path / "task.json"
+        path.write_text(json.dumps(task))
+        message = self.fail(["train", "--samples", str(samples), "--task", str(path),
                              "--steps", "1", "--restarts", "1", "--out", str(tmp_path / "m.json")],
                             capsys, where="")
         assert f"template slot {slot} must be a frame target" in message
@@ -395,9 +427,8 @@ class TestMalformedLines:
 
 
 class TestRestartLoop:
-    """``train_with_restarts``, the loop behind ``train_policy`` and
-    ``train_list_all``, on a one-clause toy problem whose final loss
-    depends on the seed."""
+    """``train_with_restarts``, the loop behind ``fit``, on a one-clause
+    toy problem whose final loss depends on the seed."""
 
     P, Q, R = Predicate("p", 1), Predicate("q", 1), Predicate("r", 1)
     FRAME = LanguageFrame(targets=(P,), extensional=(Q, R))
@@ -443,15 +474,57 @@ class TestRestartLoop:
 
         monkeypatch.setattr(pipeline, "train_with_restarts", recording_loop)
         records = convert_corpus([representative_dialog("restaurant")])
-        hp = pipeline.simdial_hyperparams(training_steps=2, seed=3)
-        model = pipeline.train_policy(
-            pipeline.training_samples(records), hp=hp, restarts=2, target_loss=-1.0
-        )
+        samples = pipeline.training_samples(records)
+        model = pipeline.fit(pipeline.simdial_task(), samples, 2,
+                             training_steps=2, seed=3, stop_loss=-1.0)
         assert calls == [(3, 2, -1.0)]
         assert model.hyperparams.seed in (3, 1012)
+        # Without a stop_loss the target is RESTART_TARGET; list-all sets 5e-3.
+        pipeline.fit(pipeline.simdial_task(), samples, training_steps=0)
+        task, sample = pipeline.list_all_problem()
+        pipeline.fit(task, [sample], training_steps=0)
+        assert calls[1:] == [(0, 1, pipeline.RESTART_TARGET), (0, 1, 5e-3)]
 
 
 class TestMultiwozCli:
+    def test_train_task_fits_converted_annotated_records(self, tmp_path):
+        # An annotated sample labels nooffer/0 and offerbooked/0-1, which the
+        # SimDial task does not target; a task file over them trains.
+        turns = [
+            {"state": {"restaurant": {"semi": {"food": "eritrean", "area": "not mentioned"}}},
+             "user_acts": [["inform", "restaurant", "food"]],
+             "system_acts": [["request", "restaurant", "area"]]},
+            {"state": {"restaurant": {"semi": {"food": "eritrean", "area": "west"}}},
+             "user_acts": [["inform", "restaurant", "area"]],
+             "system_acts": [["nooffer", "restaurant", "none"]],
+             "db": {"restaurant": {"no_match": True}}},
+            {"state": {"hotel": {"book": {"people": "2"}}},
+             "system_acts": [["offerbooked", "hotel", "ref"]]},
+        ]
+        extensional = [["usr_inform", 1], ["known", 1], ["unknown", 1], ["inform", 1],
+                       ["request", 1], ["no_match", 0], ["book_fail", 0]]
+        task = {
+            "frame": {"targets": [[p.name, p.arity] for p in MULTIWOZ_TARGETS],
+                      "extensional": extensional},
+            "template": {"forward_steps": 2, "slots": [
+                [f"{p.name}/{p.arity}", [{"v": 1, "i": False}]] for p in MULTIWOZ_TARGETS]},
+            "background": [],
+            "hyperparams": {"learning_rate": 0.5, "training_steps": 20},
+        }
+        src, samples = tmp_path / "mwoz.jsonl", tmp_path / "samples.jsonl"
+        task_path, model = tmp_path / "task.json", tmp_path / "model.json"
+        src.write_text(json.dumps({"turns": turns}) + "\n")
+        task_path.write_text(json.dumps(task))
+        assert run_pipeline(["convert", "--format", "multiwoz",
+                             "--in", str(src), "--out", str(samples)]) == 0
+        assert run_pipeline(["train", "--task", str(task_path), "--samples", str(samples),
+                             "--restarts", "1", "--out", str(model)]) == 0
+        trained = TrainedModel.load(model)
+        assert trained.compiler.frame.targets == MULTIWOZ_TARGETS
+        assert trained.final_loss < trained.loss_trace[0]
+        assert run_pipeline(["extract", "--model", str(model),
+                             "--out", str(tmp_path / "program.txt")]) == 0
+
     def test_convert_format_multiwoz(self, tmp_path):
         record = {
             "turns": [

@@ -107,7 +107,8 @@ class TestGeneratorMatchesReference:
         assert pools == self.reference_pools(template, frame, pool)
 
     def test_list_all_pools(self):
-        frame, _, template = pipeline.list_all_problem()
+        (compiler, _), _ = pipeline.list_all_problem()
+        frame, template = compiler.frame, compiler.template
         pools = slot_clause_pools(template, frame)
         assert pools == self.reference_pools(template, frame)
         assert all(cs for _, cs in pools)

@@ -78,7 +78,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_extract(args) -> int:
     trained = TrainedModel.load(args.model)
-    program = extract_program(trained, threshold=args.threshold)
+    program = extract_program(trained)
     save_program(program, args.out)
     log.info("wrote %d rules to %s", len(program.rules), args.out)
     return EXIT_OK
@@ -182,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("extract", help="trained model -> symbolic program")
     e.add_argument("--model", required=True)
-    e.add_argument("--threshold", type=float, default=0.9)
     e.add_argument("--out", required=True)
     e.set_defaults(func=_cmd_extract)
 

@@ -51,18 +51,18 @@ into the heads: the start values are fixed. A step's trace keeps its
 input, its factors, the winners of multi-row cells, every cell's value
 and the head values.
 
-Training batches drop the cells that cannot fire (``_prepare_batches``).
-The chaining with every clause enabled, run through the same table on
-boolean valuations (where its product is an AND and its max an OR),
-marks the atoms that can become non-zero in each sample; any other atom
-is exactly 0 under every weight, since each step is monotone and a
-product with 0 stays 0. A batch's chain keeps the dependent cells live
-in their own sample (a multi-row cell goes only when all its rows are
-dead, so ties still pick the same row) and the fixed cells non-zero at
-some step. A dropped cell is 0 at every step of its sample, so it would
-add +0.0 to every sum and ±0 to every gradient, and loss and gradients
-equal those of the full table bit for bit. ``ModelCompiler.compile``,
-``infer`` and extraction keep every cell.
+Every chain, ``infer``'s and training's alike, is built by
+``_chain_for`` and drops the cells that cannot fire. The chaining with
+every clause enabled, run through the same table on boolean valuations
+(where its product is an AND and its max an OR), marks the atoms that
+can become non-zero in each sample; any other atom is exactly 0 under
+every weight, since each step is monotone and a product with 0 stays 0.
+A chain keeps the dependent cells live in their own sample (a multi-row
+cell goes only when all its rows are dead, so ties still pick the same
+row) and the fixed cells non-zero at some step. A dropped cell is 0 at
+every step of its sample, so it would add +0.0 to every sum and ±0 to
+every gradient, and valuations, loss and gradients equal those of the
+whole table bit for bit.
 
 Gradients are exact reverse-mode derivatives of that computation. Max
 picks its first argument on ties: the old valuation over the fresh
@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -203,9 +204,18 @@ class Hyperparams:
     accumulator_decay: float | None = None
 
     def __post_init__(self):
-        for name in ("learning_rate", "reg_lambda", "init_scale", "stop_loss"):
+        for name in ("training_steps", "seed"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        for name in ("learning_rate", "reg_lambda", "init_scale", "stop_loss",
+                     "accumulator_decay"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, not {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, not {value}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
@@ -387,22 +397,18 @@ class _Table:
             keys.append(key[starts[sizes == size]])
         return _Table(b1[one], b2[one], tuple(blocks), np.concatenate(keys))
 
-    def values(
-        self, a: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """Segment values (S, segments) of the valuations ``a``; per block,
-        the flat row (into its arrays) attaining each segment's max, the
-        first one on ties; and the two body values (S, one-row segments)
-        of the one-row segments."""
-        one = (a.take(self.b1, axis=1), a.take(self.b2, axis=1))
-        parts = [one[0] * one[1]]
+    def values(self, a: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Segment values (S, segments) of the valuations ``a``; and per
+        block, the flat row (into its arrays) attaining each segment's max,
+        the first one on ties."""
+        parts = [a.take(self.b1, axis=1) * a.take(self.b2, axis=1)]
         winners = []
         for b1, b2 in self.blocks:
             prod = a.take(b1, axis=1)
             prod *= a.take(b2, axis=1)
             winners.append(prod.argmax(axis=2) + np.arange(0, b1.size, b1.shape[1]))
             parts.append(prod.max(axis=2))
-        return np.concatenate(parts, axis=1) if winners else parts[0], winners, one
+        return np.concatenate(parts, axis=1) if winners else parts[0], winners
 
     def subset(self, keep: np.ndarray) -> "_Table":
         """The segments ``keep`` selects, in order; a block loses a segment
@@ -635,18 +641,18 @@ def _amalgamate(kind: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
     return np.minimum(a_new, 1.0), a_new > 1.0
 
 
-def _fixed_valuations(model: CompiledModel, a0: np.ndarray, steps: int) -> np.ndarray:
+def _fixed_valuations(model: CompiledModel, a0: np.ndarray) -> np.ndarray:
     """Valuations (n, S, atoms) of the atoms no weight reaches, before
     each step from ``a0`` on: the background clauses chained with the
     step's amalgamation and cap, every other atom at its start value (a
     slot head's entries are its start value too; the kernel reads the
     heads from its state). Chaining stops at the background's fixpoint:
     entry ``min(t, n - 1)`` holds the valuations before step ``t``, for
-    every ``t`` up to ``steps``. Checked for range and monotonicity here,
-    once."""
+    every ``t`` up to ``model.forward_steps``. Checked for range and
+    monotonicity here, once."""
     out = [a0]
     cols = model.static.key
-    for _ in range(steps):
+    for _ in range(model.forward_steps):
         old = out[-1][:, cols]
         new = _amalgamate(model.amalgamation, old, model.static.values(out[-1])[0])[0]
         if np.array_equal(new, old):
@@ -695,7 +701,6 @@ class _Chain:
     """
 
     model: CompiledModel
-    steps: int
     heads: np.ndarray  # model.heads
     fixed: np.ndarray  # (n, S, atoms) see _fixed_valuations
     z: np.ndarray  # (steps, S * H + reads)
@@ -714,14 +719,11 @@ class _Chain:
     to_heads: np.ndarray
 
     @staticmethod
-    def build(
-        model: CompiledModel, fixed: np.ndarray, steps: int, live: np.ndarray | None = None
-    ) -> "_Chain":
-        """The chain of ``model`` over ``steps`` steps and the fixed
-        valuations ``fixed``. With ``live`` (S, segments) it keeps only the
-        dependent cells ``live`` marks and the fixed cells that are non-zero
-        at some step; without, every cell."""
-        S, g = fixed.shape[1:]
+    def build(model: CompiledModel, fixed: np.ndarray, live: np.ndarray) -> "_Chain":
+        """The chain of ``model`` over the fixed valuations ``fixed``: the
+        dependent cells ``live`` (S, segments) marks and the fixed cells
+        that are non-zero at some step."""
+        (S, g), steps = fixed.shape[1:], model.forward_steps
         n = min(len(fixed), steps)
         table, heads = model.table, model.heads
         H = heads.size
@@ -730,12 +732,11 @@ class _Chain:
         is_head = head_col < H
         dep_blocks = [(is_head[b1] | is_head[b2]).any(axis=1) for b1, b2 in table.blocks]
         dep = np.concatenate([is_head[table.b1] | is_head[table.b2], *dep_blocks])
-        keep = np.ones((S, dep.size), dtype=bool) if live is None else live.copy()
+        keep = live.copy()
 
         fix = ~dep & keep.any(axis=0)
         seg_values = table.subset(fix).values(fixed[:n].reshape(n * S, g))[0].reshape(n, S, -1)
-        if live is not None:
-            keep[:, fix] = seg_values.any(axis=0)
+        keep[:, fix] = seg_values.any(axis=0)
         cells = np.flatnonzero(keep)
         sample, seg = np.divmod(cells, dep.size)
         fixed_cells = np.flatnonzero(~dep[seg])
@@ -776,7 +777,6 @@ class _Chain:
         segments, local = np.unique(seg, return_inverse=True)
         return _Chain(
             model=model,
-            steps=steps,
             heads=heads,
             fixed=fixed,
             z=np.concatenate((np.zeros((steps, S * H)), reads[np.minimum(np.arange(steps), n - 1)]),
@@ -854,7 +854,7 @@ def _chain(
     step's trace to ``traces`` if given. The head values of every step are
     checked for range and monotonicity once, after the last step."""
     global VALUATION_CHECKS
-    steps = chain.steps
+    steps = chain.model.forward_steps
     states = np.empty((steps + 1, chain.fixed.shape[1], chain.heads.size))
     states[0] = chain.fixed[0][:, chain.heads]
     for t in range(steps):
@@ -932,37 +932,6 @@ def _clause_grads(chain: _Chain, dseg: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     return np.add.reduceat(dense, model.clause_starts)
 
-
-def _infer(model: CompiledModel, seg_w: np.ndarray, a0: np.ndarray, steps: int) -> np.ndarray:
-    """The valuations (S, atoms) ``steps`` chained steps after ``a0``."""
-    chain = _Chain.build(model, _fixed_valuations(model, a0, steps), steps)
-    return _chain(chain, chain.weigh(seg_w))
-
-
-def infer(model: CompiledModel, weights: Sequence[np.ndarray], sample: Sample) -> np.ndarray:
-    """The valuation over ``model.index`` after ``forward_steps`` chained
-    deduction steps from the background (entry 0 stays 0)."""
-    if tuple(sample.constants) != model.index.constants:
-        raise ValueError(
-            "sample constants do not match this compiled model; "
-            "compile it with ModelCompiler.compile(sample.constants)"
-        )
-    seg_w = _segment_weights(model, probabilities(weights))
-    return _infer(model, seg_w, _start_values(model, [sample]), model.forward_steps)[0]
-
-
-# ---------------------------------------------------------------------------
-# Loss and gradient.
-
-@dataclass(frozen=True)
-class _Batch:
-    chain: _Chain
-    rows: np.ndarray  # per labeled atom: its sample,
-    cells: np.ndarray  # its atom,
-    positive: np.ndarray  # whether it is positive,
-    scale: np.ndarray  # and its loss weight
-
-
 def _live_segments(model: CompiledModel, fixed: np.ndarray) -> np.ndarray:
     """Which table segments (S, segments) some weight can make non-zero in
     each sample.
@@ -997,27 +966,37 @@ def _live_segments(model: CompiledModel, fixed: np.ndarray) -> np.ndarray:
     return live
 
 
-def _batch(
-    model: CompiledModel, group: Sequence[Sample], fixed: np.ndarray, n_samples: int,
-    live: np.ndarray | None = None,
-) -> _Batch:
-    """The batch of ``group`` on ``model``, over the fixed valuations
-    ``fixed`` and, if given, only the cells ``live`` keeps (see
-    :meth:`_Chain.build`); each sample's labels share a weight of
-    1 / ``n_samples``."""
-    labels = [
-        (si, model.index.index_of(a), positive,
-         1.0 / ((len(s.positive) + len(s.negative)) * n_samples))
-        for si, s in enumerate(group)
-        for positive, atoms in ((True, s.positive), (False, s.negative))
-        for a in atoms
-    ]
-    rows, cells, positive, scale = map(np.asarray, zip(*labels))
-    chain = _Chain.build(model, fixed, model.forward_steps, live)
-    return _Batch(chain, rows, cells, positive, scale)
+def _chain_for(model: CompiledModel, a0: np.ndarray) -> _Chain:
+    """The chain of ``model`` from the start valuations ``a0``, keeping the
+    cells some weight can make non-zero."""
+    fixed = _fixed_valuations(model, a0)
+    return _Chain.build(model, fixed, _live_segments(model, fixed))
+
+
+def infer(model: CompiledModel, weights: Sequence[np.ndarray], sample: Sample) -> np.ndarray:
+    """The valuation over ``model.index`` after ``forward_steps`` chained
+    deduction steps from the background (entry 0 stays 0)."""
+    if tuple(sample.constants) != model.index.constants:
+        raise ValueError("sample constants do not match this compiled model; "
+                         "compile it with ModelCompiler.compile(sample.constants)")
+    chain = _chain_for(model, _start_values(model, [sample]))
+    return _chain(chain, chain.weigh(_segment_weights(model, probabilities(weights))))[0]
+
+
+# ---------------------------------------------------------------------------
+# Loss and gradient.
+
+@dataclass(frozen=True)
+class _Batch:
+    chain: _Chain
+    rows: np.ndarray  # per labeled atom: its sample,
+    cells: np.ndarray  # its atom,
+    positive: np.ndarray  # whether it is positive,
+    scale: np.ndarray  # and its loss weight
 
 
 def _prepare_batches(compiler: ModelCompiler, samples: Sequence[Sample]) -> list[_Batch]:
+    """One batch per constant list; each sample's labels share a weight of 1 / len(samples)."""
     groups: dict[tuple[str, ...], list[Sample]] = {}
     for s in samples:
         if not s.positive and not s.negative:
@@ -1026,8 +1005,16 @@ def _prepare_batches(compiler: ModelCompiler, samples: Sequence[Sample]) -> list
     batches = []
     for consts, group in groups.items():
         model = compiler.compile(consts)
-        fixed = _fixed_valuations(model, _start_values(model, group), model.forward_steps)
-        batches.append(_batch(model, group, fixed, len(samples), _live_segments(model, fixed)))
+        labels = [
+            (si, model.index.index_of(a), positive,
+             1.0 / ((len(s.positive) + len(s.negative)) * len(samples)))
+            for si, s in enumerate(group)
+            for positive, atoms in ((True, s.positive), (False, s.negative))
+            for a in atoms
+        ]
+        rows, cells, positive, scale = map(np.asarray, zip(*labels))
+        batches.append(_Batch(_chain_for(model, _start_values(model, group)),
+                              rows, cells, positive, scale))
     return batches
 
 

@@ -23,10 +23,9 @@ from .logic import (
 
 @dataclass(frozen=True)
 class PolicyProgram:
-    """Argmax rules (used for inference), alternates, and fixed background."""
+    """Argmax rules with their probabilities, and fixed background."""
 
     rules: tuple[tuple[Clause, float], ...]
-    alternates: tuple[tuple[Clause, float], ...]
     background: tuple[Clause, ...]
     targets: tuple[Predicate, ...]
     forward_steps: int
@@ -41,25 +40,17 @@ class PolicyProgram:
         object.__setattr__(self, "plan", plan)
 
 
-def extract_program(trained: TrainedModel, threshold: float = 0.9) -> PolicyProgram:
-    """Per slot, keep the argmax clause plus any clause at or above
-    ``threshold`` probability (ties go to the first clause in pool order)."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must be in (0, 1]")
+def extract_program(trained: TrainedModel) -> PolicyProgram:
+    """Per slot, the argmax clause; ties go to the first clause in pool order."""
     compiler = trained.compiler
     rules: list[tuple[Clause, float]] = []
-    alternates: list[tuple[Clause, float]] = []
     for (_, clauses), probs in zip(compiler.pools, trained.probabilities()):
         if not clauses:
             continue
         best = int(np.argmax(probs))
         rules.append((clauses[best], float(probs[best])))
-        for i, c in enumerate(clauses):
-            if i != best and probs[i] >= threshold:
-                alternates.append((c, float(probs[i])))
     return PolicyProgram(
         rules=tuple(rules),
-        alternates=tuple(alternates),
         background=compiler.background,
         targets=compiler.frame.targets,
         forward_steps=compiler.template.forward_steps,
@@ -132,8 +123,7 @@ def program_to_text(program: PolicyProgram) -> str:
         f"forward_steps: {program.forward_steps}",
         "targets: " + " ".join(f"{p.name}/{p.arity}" for p in program.targets),
     ]
-    sections = (("rules", program.rules), ("alternates", program.alternates),
-                ("background", [(c, 1.0) for c in program.background]))
+    sections = (("rules", program.rules), ("background", [(c, 1.0) for c in program.background]))
     for name, entries in sections:
         if entries or name == "rules":  # only [rules] is written when empty
             lines.append(f"[{name}]")
@@ -163,7 +153,7 @@ def program_from_text(text: str) -> PolicyProgram:
     """The program a file's text holds; a ``ValueError`` names the line it fails on."""
     headers: dict[str, tuple[int, str]] = {}
     section = None
-    sections: dict[str, list] = {"rules": [], "alternates": [], "background": []}
+    sections: dict[str, list] = {"rules": [], "background": []}
     for n, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -172,8 +162,10 @@ def program_from_text(text: str) -> PolicyProgram:
             name, _, value = line.partition(":")
             headers[name] = n, value.strip()
         elif line.startswith("["):
-            section = line.strip("[]")
-        elif section not in sections:
+            section = line[1:-1]
+            if not line.endswith("]") or section not in sections:
+                raise ValueError(f"line {n}: unknown section {line!r}")
+        elif section is None:
             raise ValueError(f"line {n}: clause outside a section: {line!r}")
         else:
             prob_text, _, clause_text = line.partition(" ")
@@ -184,7 +176,6 @@ def program_from_text(text: str) -> PolicyProgram:
             raise ValueError(f"program has a missing or empty '{name}:' header")
     return PolicyProgram(
         rules=tuple(sections["rules"]),
-        alternates=tuple(sections["alternates"]),
         background=tuple(c for c, _ in sections["background"]),
         targets=_at_line(_targets, "targets", *headers["targets"]),
         forward_steps=_at_line(_forward_steps, "forward_steps", *headers["forward_steps"]),

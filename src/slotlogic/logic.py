@@ -140,6 +140,11 @@ class Atom:
         return self.text
 
 
+def is_constant_name(text: str) -> bool:
+    """Whether ``text`` is a constant (or predicate) name."""
+    return _NAME_RE.fullmatch(text) is not None
+
+
 def parse_digits(text: str) -> int:
     """A count written in ASCII digits only: no sign, space or underscore."""
     if not (text.isascii() and text.isdigit()):

@@ -11,12 +11,13 @@ meant to be recombined across domains afterwards.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Sequence
 
 from .dialog import SampleRecord, closed_world_negatives, decode_acts
 from .engine import Sample
-from .logic import Atom, Predicate, atom
+from .logic import Atom, Predicate, atom, is_constant_name
 
 GENERAL_DOMAIN = "general"
 
@@ -45,11 +46,17 @@ MULTIWOZ_TARGETS = (
 )
 
 
+@functools.lru_cache(maxsize=1024)
 def normalize_slot(slot: str) -> str | None:
-    slot = slot.strip().lower().replace(" ", "_").replace("-", "_")
-    if slot in ("none", "", "?"):
+    """The constant a slot name becomes (``ValueError`` if none), or None
+    for no slot; cached, since a corpus repeats its slot names."""
+    name = slot.strip().lower().replace(" ", "_").replace("-", "_")
+    if name in ("none", "", "?"):
         return None
-    return SLOT_RENAMES.get(slot, slot)
+    if not is_constant_name(name):
+        raise ValueError(f"slot {slot!r} must be a constant name once normalized (a "
+                         f"lowercase letter, then lowercase letters, digits or '_'): {name!r}")
+    return SLOT_RENAMES.get(name, name)
 
 
 def _filled(value) -> bool:

@@ -10,13 +10,15 @@ substitution, for tests that chain over hundreds of turns.
 The last two sections are not independent. ``generate_clauses`` (an
 ``Atom`` and a ``Clause.make`` per candidate body pair),
 ``ground_clause`` (one clause at a time) and
-``reference_loss``/``reference_loss_and_grad`` (the engine's chaining
-over whole valuations, every atom stepped and every gradient cell
-scattered) are the code the clause generator, the engine's grounding
-and its head-only kernel replaced, kept as references they must equal
-bit for bit. ``start_valuation`` and ``chain_step`` drive the engine's
-own chaining one step at a time, for tests that inspect single steps,
-and ``agreement`` compares the package's fuzzy and crisp inference.
+``reference_loss``/``reference_loss_and_grad``/``reference_valuations``
+(the engine's chaining over whole valuations of the whole table, every
+atom stepped and every gradient cell scattered) are the code the clause
+generator, the engine's grounding and its pruned head-only kernel
+replaced, kept as references they must equal bit for bit.
+``chain_step`` is one step of that reference from any valuation, for
+tests that inspect single steps; ``start_valuation`` is where ``infer``
+starts, and ``agreement`` compares the package's fuzzy and crisp
+inference.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from slotlogic.engine import (
     MAX_CLAUSE_VARS,
     CompiledModel,
     _amalgamate,
-    _infer,
     _reg_grad,
     _reg_value,
     _segment_weights,
@@ -298,7 +299,7 @@ def _reference_step(model: CompiledModel, seg_w, a, b_static):
     """One step over whole valuations (S, atoms); returns the new
     valuations and what the backward step needs."""
     S, g = a.shape
-    V, winners = model.table.values(a)[:2]
+    V, winners = model.table.values(a)
     n1, n2 = model.single_cols.size, model.pair_cols.size
     n_out = n1 + 2 * n2
     V *= seg_w
@@ -377,16 +378,24 @@ def _reference_batches(compiler: ModelCompiler, samples: Sequence[Sample]):
         yield model, a0, static_b, tuple(map(np.asarray, zip(*labels)))
 
 
+def _reference_chain(model: CompiledModel, seg_w, a, static_b):
+    """Every step from the valuations ``a``; returns the valuations after
+    the last step and each step's trace, whose first entry is the step's
+    input."""
+    traces = []
+    for b_static in static_b:
+        a, trace = _reference_step(model, seg_w, a, b_static)
+        traces.append(trace)
+    return a, traces
+
+
 def _reference_run(compiler, weights, samples, hp, grad: bool):
     probs = probabilities(weights)
     dclause = np.zeros(sum(p.size for p in probs))
     total = 0.0
     for model, a, static_b, (rows, cols, positive, scale) in _reference_batches(compiler, samples):
         seg_w = _segment_weights(model, probs)
-        traces = []
-        for b_static in static_b:
-            a, trace = _reference_step(model, seg_w, a, b_static)
-            traces.append(trace)
+        a, traces = _reference_chain(model, seg_w, a, static_b)
         x = np.clip(a[rows, cols], LOG_EPS, 1.0 - LOG_EPS)
         total += float(-(scale * np.where(positive, np.log(x), np.log1p(-x))).sum())
         if not grad:
@@ -428,8 +437,21 @@ def reference_loss_and_grad(
     return _reference_run(compiler, weights, samples, hp, grad=True)
 
 
+def reference_valuations(
+    compiler: ModelCompiler, weights: Sequence[np.ndarray], samples: Sequence[Sample],
+) -> list[list[np.ndarray]]:
+    """Per constant list, in order of first occurrence, the whole
+    valuations (S, atoms) of its samples before each step, chained over
+    the whole table."""
+    probs = probabilities(weights)
+    return [
+        [trace[0] for trace in _reference_chain(model, _segment_weights(model, probs), a, sb)[1]]
+        for model, a, sb, _ in _reference_batches(compiler, samples)
+    ]
+
+
 # ---------------------------------------------------------------------------
-# Single steps of the engine's chaining, and fuzzy-crisp agreement.
+# Single reference steps, and fuzzy-crisp agreement.
 
 def start_valuation(model: CompiledModel, sample: Sample) -> np.ndarray:
     """The valuation ``infer`` starts from: background atoms 1, others 0."""
@@ -437,10 +459,11 @@ def start_valuation(model: CompiledModel, sample: Sample) -> np.ndarray:
 
 
 def chain_step(model: CompiledModel, weights: Sequence[np.ndarray], values: np.ndarray) -> np.ndarray:
-    """One deduction step of the engine from the valuation ``values``, the
+    """One reference deduction step from the valuation ``values``, the
     background clauses' step derived from ``values`` itself."""
+    a = values[None, :]
     seg_w = _segment_weights(model, probabilities(weights))
-    return _infer(model, seg_w, values[None, :], 1)[0]
+    return _reference_step(model, seg_w, a, model.static.values(a)[0])[0][0]
 
 
 def agreement(trained: TrainedModel, program: PolicyProgram, samples: list[Sample]) -> float:

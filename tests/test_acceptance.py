@@ -82,7 +82,7 @@ def test_criterion_1_list_all_golden_task():
     t0 = time.time()
     task, sample = list_all_problem()
     trained = fit(task, [sample], restarts=12)
-    program = extract_program(trained, threshold=1.0)
+    program = extract_program(trained)
 
     derived = crisp_infer(program, sample.background)
     got_positive = {a for a in derived if a.predicate.name == "all"}

@@ -25,13 +25,10 @@ from slotlogic import pipeline, representative_dialog
 from slotlogic.engine import (
     AMALGAMATIONS,
     ValuationInvariantError,
-    _batch,
     _chain,
-    _fixed_valuations,
     _live_segments,
     _prepare_batches,
     _segment_weights,
-    _start_values,
     loss,
     loss_and_grad,
     probabilities,
@@ -45,6 +42,7 @@ from .oracles import (
     chain_step,
     reference_loss,
     reference_loss_and_grad,
+    reference_valuations,
     start_valuation,
 )
 
@@ -668,8 +666,8 @@ class TestTieRules:
 
 
 class TestOneChain:
-    """Single chained steps, ``infer``, ``loss`` and ``loss_and_grad``
-    chain alike."""
+    """``infer`` equals the reference step (``chain_step``) chained from its
+    start valuation, and ``loss`` and ``loss_and_grad`` chain alike."""
 
     @staticmethod
     def cases():
@@ -700,8 +698,9 @@ class TestOneChain:
 
 
 class TestLivePrune:
-    """Training batches keep only the table segments that some weight can
-    make non-zero; loss and gradient equal those of the full table."""
+    """Chains keep only the table segments that some weight can make
+    non-zero; valuations, loss and gradient equal those of the whole-table
+    reference in ``tests/oracles.py``."""
 
     @staticmethod
     def simdial_case(extra_dialogs=()):
@@ -722,17 +721,6 @@ class TestLivePrune:
         raise RuntimeError("no correction dialog found")
 
     @staticmethod
-    def full_batches(compiler, samples):
-        """The batches of ``samples`` with every (sample, segment) cell."""
-        batches = []
-        for constants in dict.fromkeys(tuple(s.constants) for s in samples):
-            model = compiler.compile(constants)
-            group = [s for s in samples if tuple(s.constants) == constants]
-            fixed = _fixed_valuations(model, _start_values(model, group), model.forward_steps)
-            batches.append(_batch(model, group, fixed, len(samples)))
-        return batches
-
-    @staticmethod
     def valuations(chain, weights):
         """The whole valuation (S, atoms) before each step of ``chain``."""
         traces = []
@@ -741,30 +729,32 @@ class TestLivePrune:
 
     @staticmethod
     def dropped_and_check(compiler, weights, samples, hp) -> int:
-        """Asserts the pruned batches agree bit for bit with the full table
-        and that every (sample, segment) cell a pruned chain drops is 0 in
-        that sample's whole valuation at every step; returns how many cells
-        were dropped."""
+        """Asserts the pruned batches agree bit for bit with the whole-table
+        reference and that every (sample, segment) cell a pruned chain
+        drops is 0 in that sample's whole valuation at every step; returns
+        how many cells were dropped."""
         pruned = _prepare_batches(compiler, samples)
-        full = TestLivePrune.full_batches(compiler, samples)
-        assert np.array_equal(loss(compiler, weights, samples, hp, pruned),
-                              loss(compiler, weights, samples, hp, full))
+        assert np.float64(loss(compiler, weights, samples, hp, pruned)).tobytes() == \
+            np.float64(reference_loss(compiler, weights, samples, hp)).tobytes()
         value, grads = loss_and_grad(compiler, weights, samples, hp, pruned)
-        full_value, full_grads = loss_and_grad(compiler, weights, samples, hp, full)
-        assert np.array_equal(value, full_value)
-        assert all(np.array_equal(g, fg) for g, fg in zip(grads, full_grads))
+        ref_value, ref_grads = reference_loss_and_grad(compiler, weights, samples, hp)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert len(grads) == len(ref_grads)
+        assert all(g.tobytes() == rg.tobytes() for g, rg in zip(grads, ref_grads))
+        refs = reference_valuations(compiler, weights, samples)
+        assert len(refs) == len(pruned)
         n_dropped = 0
-        for b, f in zip(pruned, full):
-            model = f.chain.model
+        for b, ref_xs in zip(pruned, refs):
+            model = b.chain.model
             S = len(b.chain.fixed[0])
-            assert f.chain.cells.size == S * model.seg_out.size
-            dropped = np.ones(f.chain.cells.size, dtype=bool)
+            dropped = np.ones(S * model.seg_out.size, dtype=bool)
             dropped[b.chain.cells] = False
             dropped = dropped.reshape(S, -1)
             xs = TestLivePrune.valuations(b.chain, weights)
-            for x, full_x in zip(xs, TestLivePrune.valuations(f.chain, weights)):
-                assert np.array_equal(x, full_x)
-                assert not model.table.values(x)[0][dropped].any()
+            assert len(xs) == len(ref_xs) == model.forward_steps
+            for x, ref_x in zip(xs, ref_xs):
+                assert x.tobytes() == ref_x.tobytes()
+                assert not model.table.values(ref_x)[0][dropped].any()
             n_dropped += int(dropped.sum())
         return n_dropped
 
@@ -820,14 +810,14 @@ class TestFixpoint:
         early = False
         for b in _prepare_batches(compiler, samples):
             chain = b.chain
-            model, steps = chain.model, chain.steps
+            model, steps = chain.model, chain.model.forward_steps
             full = self.full_length(model, chain.fixed[0], steps)
             n = len(chain.fixed)
             assert np.array_equal(chain.fixed[np.minimum(np.arange(steps + 1), n - 1)], full)
             early |= n < steps
             live = _live_segments(model, chain.fixed)
             assert np.array_equal(live, _live_segments(model, full))
-            ref = engine_mod._Chain.build(model, full, steps, live)
+            ref = engine_mod._Chain.build(model, full, live)
             for name in ("cells", "seg", "out_cells", "rows"):
                 assert np.array_equal(getattr(chain, name), getattr(ref, name))
             heads = chain.fixed.shape[1] * chain.heads.size

@@ -42,7 +42,7 @@ def trained_toy(steps=300):
 class TestExtract:
     def test_argmax_always_included(self):
         trained, _ = trained_toy()
-        program = extract_program(trained, threshold=1.0)
+        program = extract_program(trained)
         assert len(program.rules) == 1
         assert program.rules[0][0] == parse_clause("p(V0) <- q(V0)")
 
@@ -50,19 +50,9 @@ class TestExtract:
         s = Sample.make([atom("q", "a")], [atom("p", "a")], [], ("a",))
         hp = Hyperparams(training_steps=1, seed=0, init_scale=0.0, learning_rate=1e-9)
         trained = train(FRAME, [s], TEMPLATE, hp)
-        program = extract_program(trained, threshold=1.0)
+        program = extract_program(trained)
         # exact tie: first clause in canonical pool order wins
         assert program.rules[0][0] == trained.compiler.pools[0][1][0]
-
-    def test_threshold_includes_alternates(self):
-        trained, _ = trained_toy(steps=5)
-        program = extract_program(trained, threshold=0.01)
-        assert len(program.alternates) >= 1
-
-    def test_threshold_validation(self):
-        trained, _ = trained_toy(steps=1)
-        with pytest.raises(ValueError):
-            extract_program(trained, threshold=0.0)
 
     def test_probabilities_recorded(self):
         trained, _ = trained_toy()
@@ -75,8 +65,7 @@ class TestCrispInfer:
     def test_empty_background(self):
         program = PolicyProgram(
             rules=((parse_clause("p(V0) <- q(V0)"), 1.0),),
-            alternates=(),
-            background=(),
+                background=(),
             targets=(P,),
             forward_steps=5,
         )
@@ -89,8 +78,7 @@ class TestCrispInfer:
         ]
         program = PolicyProgram(
             rules=tuple((c, 1.0) for c in clauses),
-            alternates=(),
-            background=(),
+                background=(),
             targets=(P,),
             forward_steps=10,
         )
@@ -105,8 +93,7 @@ class TestCrispInfer:
                    parse_clause("p(V0) <- q(V0)")]
         program = PolicyProgram(
             rules=tuple((c, 1.0) for c in clauses),
-            alternates=(),
-            background=(),
+                background=(),
             targets=(P,),
             forward_steps=2,
         )
@@ -121,8 +108,7 @@ class TestCrispInfer:
     def test_monotone_in_background(self):
         program = PolicyProgram(
             rules=((parse_clause("p(V0) <- q(V0)"), 1.0),),
-            alternates=(),
-            background=(),
+                background=(),
             targets=(P,),
             forward_steps=3,
         )
@@ -133,8 +119,7 @@ class TestCrispInfer:
     def test_constant_renaming_invariance(self):
         program = PolicyProgram(
             rules=((parse_clause("p(V0) <- q(V0), s(V0, V1)"), 1.0),),
-            alternates=(),
-            background=(),
+                background=(),
             targets=(P,),
             forward_steps=3,
         )
@@ -161,7 +146,7 @@ class TestAgreement:
         s = Sample.make([atom("q", "a")], [atom("p", "a")], [], ("a", "b"))
         hp = Hyperparams(training_steps=1, learning_rate=1e-9, seed=0, init_scale=0.0)
         trained = train(FRAME, [s], TEMPLATE, hp)
-        program = extract_program(trained, threshold=1.0)
+        program = extract_program(trained)
         # independent check: fuzzy >= 0.5 per atom vs crisp derivation
         from slotlogic import infer
 
@@ -185,7 +170,7 @@ class TestAgreement:
 class TestProgramFile:
     def test_roundtrip(self):
         trained, _ = trained_toy()
-        program = extract_program(trained, threshold=0.2)
+        program = extract_program(trained)
         text = program_to_text(program)
         loaded = program_from_text(text)
         assert [c for c, _ in loaded.rules] == [c for c, _ in program.rules]
@@ -230,8 +215,11 @@ class TestProgramFile:
         (5, "high p(X) <- q(X)", "line 5: probability: could not convert"),
         (5, "1.0 p(X) <-", "line 5: clause: "),
         (1, "1.0 p(X) <- q(X)", "line 1: clause outside a section"),
+        (4, "[alternates]", r"line 4: unknown section '\[alternates\]'"),
+        (4, "[rules", r"line 4: unknown section '\[rules'"),
     ], ids=["forward-steps", "zero-steps", "negative-steps", "signed-steps", "targets",
-            "signed-arity", "probability", "clause", "no-section"])
+            "signed-arity", "probability", "clause", "no-section", "unknown-section",
+            "unclosed-section"])
     def test_bad_line_named(self, tmp_path, n, line, want):
         trained, _ = trained_toy()
         lines = program_to_text(extract_program(trained)).splitlines()
@@ -283,7 +271,6 @@ _GROUND = [
 def _program(clauses, steps):
     return PolicyProgram(
         rules=tuple((c, 1.0) for c in clauses[:1]),
-        alternates=(),
         background=tuple(clauses[1:]),
         targets=_TARGETS,
         forward_steps=steps,

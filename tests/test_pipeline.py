@@ -46,7 +46,6 @@ GOLDEN_PROGRAM = PolicyProgram(
             "pred3(V0) <- pred2(), unknown(V0)",
         )
     ),
-    alternates=(),
     background=simdial_background()[0],
     targets=(
         Predicate("sys_request", 1),
@@ -381,9 +380,16 @@ class TestMalformedLines:
         *((lambda m, k=k: {**m, "slots": [{**m["slots"][0], "slot": k}, *m["slots"][1:]]},
            f"model field 'slots': ValueError: 'slot' must be a JSON integer, not {k!r}")
           for k in (0.5, "0", False)),
+        *((lambda m, f=f, v=v: {**m, "hyperparams": {**m["hyperparams"], f: v}},
+           f"model field 'hyperparams': ValueError: {f} must be {kind}, not {v!r}")
+          for f, v, kind in (("training_steps", 1.5, "an integer"), ("seed", 1.5, "an integer"),
+                             ("training_steps", True, "an integer"),
+                             ("learning_rate", True, "a number"),
+                             ("init_scale", "0.1", "a number"))),
     ], ids=["list", "int-frame", "null-slots", "unknown-hyperparam", "short-weights",
             "no-trace", "fractional-arity", "swapped-clauses", "background-reads-target",
-            "fractional-slot", "string-slot", "boolean-slot"])
+            "fractional-slot", "string-slot", "boolean-slot", "fractional-steps",
+            "fractional-seed", "boolean-steps", "boolean-rate", "string-scale"])
     def test_extract_rejects_malformed_model(self, tmp_path, capsys, edit, want):
         # A task file's fields are read as a model file's are: the cases
         # that break a task field also fail "train --task".
@@ -417,6 +423,8 @@ class TestMalformedLines:
         '"system_acts": [["inform", "restaurant", "food"]]}]}',
         '{"turns": [{"state": {"restaurant": 5}}]}',
         '{"turns": [{"state": {"restaurant": {"semi": []}}}]}',
+        '{"turns": [{"state": {"restaurant": {"semi": {"food!": "thai"}}}}]}',
+        '{"turns": [{"state": {}, "system_acts": [["request", "restaurant", "2nd"]]}]}',
     ])
     def test_convert_multiwoz_rejects_malformed_line(self, tmp_path, capsys, line):
         corpus = tmp_path / "mwoz.jsonl"

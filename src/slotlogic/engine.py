@@ -7,8 +7,10 @@ groundings of the product of its two body values; a slot mixes its
 clauses by softmax weight; a predicate with two slots combines them by
 probabilistic sum; the step result is folded into the valuation with an
 element-wise max (or, for the ablation variant, a probabilistic sum),
-capped at one. Background clauses carry no parameters; a background
-head takes the max over the groundings of all its clauses.
+capped at one. The amalgamation is a training setting
+(``Hyperparams.amalgamation``); every chain is built with its call's.
+Background clauses carry no parameters; a background head takes the max
+over the groundings of all its clauses.
 
 Compilation builds one grounding table per constant list. Rows come
 from index arithmetic, a clause shape at a time; each compiler works out
@@ -442,7 +444,6 @@ class CompiledModel:
     index: GroundIndex
     slot_groups: tuple[_Slot, ...]
     forward_steps: int
-    amalgamation: str
     table: _Table
     seg_out: np.ndarray
     seg_weight: np.ndarray
@@ -474,16 +475,12 @@ class ModelCompiler:
         template: ProgramTemplate,
         background: Sequence[Clause] = (),
         background_pool: Sequence[Predicate] = (),
-        amalgamation: str = "max",
         pools: Sequence[tuple[tuple[Predicate, int], Sequence[Clause]]] | None = None,
     ):
-        if amalgamation not in AMALGAMATIONS:
-            raise ValueError(f"unknown amalgamation {amalgamation!r}")
         self.frame = frame
         self.template = template
         self.background = tuple(background)
         self.background_pool = tuple(background_pool)
-        self.amalgamation = amalgamation
         for p in template.learnable():
             if p in frame.extensional or p not in (*frame.targets, *template.auxiliary):
                 raise ValueError(f"template slot {p} must be a frame target or an "
@@ -582,7 +579,6 @@ class ModelCompiler:
             index=index,
             slot_groups=tuple(_Slot(pred, tuple(cs)) for (pred, _), cs in self.pools),
             forward_steps=self.template.forward_steps,
-            amalgamation=self.amalgamation,
             table=table,
             seg_out=np.concatenate(cell_out)[table.key],
             seg_weight=np.concatenate(cell_clause)[table.key],
@@ -641,10 +637,10 @@ def _amalgamate(kind: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
     return np.minimum(a_new, 1.0), a_new > 1.0
 
 
-def _fixed_valuations(model: CompiledModel, a0: np.ndarray) -> np.ndarray:
+def _fixed_valuations(model: CompiledModel, a0: np.ndarray, amalgamation: str) -> np.ndarray:
     """Valuations (n, S, atoms) of the atoms no weight reaches, before
     each step from ``a0`` on: the background clauses chained with the
-    step's amalgamation and cap, every other atom at its start value (a
+    steps' ``amalgamation`` and cap, every other atom at its start value (a
     slot head's entries are its start value too; the kernel reads the
     heads from its state). Chaining stops at the background's fixpoint:
     entry ``min(t, n - 1)`` holds the valuations before step ``t``, for
@@ -654,7 +650,7 @@ def _fixed_valuations(model: CompiledModel, a0: np.ndarray) -> np.ndarray:
     cols = model.static.key
     for _ in range(model.forward_steps):
         old = out[-1][:, cols]
-        new = _amalgamate(model.amalgamation, old, model.static.values(out[-1])[0])[0]
+        new = _amalgamate(amalgamation, old, model.static.values(out[-1])[0])[0]
         if np.array_equal(new, old):
             break
         out.append(out[-1].copy())
@@ -676,7 +672,8 @@ class _Chain:
     """A batch's chaining laid out as (sample, segment) cells.
 
     The step state is the values (S, H) of ``heads``, the only atoms a
-    weight reaches; ``fixed`` holds the valuations of all other atoms (see
+    weight reaches; each step folds its derivations into it by
+    ``amalgamation``; ``fixed`` holds the valuations of all other atoms (see
     :func:`_fixed_valuations`). A cell is a table segment in one sample;
     cells run sample after sample, each sample's in table order, so a
     step's sum into a head of a sample adds its segments in the order of
@@ -701,6 +698,7 @@ class _Chain:
     """
 
     model: CompiledModel
+    amalgamation: str
     heads: np.ndarray  # model.heads
     fixed: np.ndarray  # (n, S, atoms) see _fixed_valuations
     z: np.ndarray  # (steps, S * H + reads)
@@ -719,7 +717,8 @@ class _Chain:
     to_heads: np.ndarray
 
     @staticmethod
-    def build(model: CompiledModel, fixed: np.ndarray, live: np.ndarray) -> "_Chain":
+    def build(model: CompiledModel, fixed: np.ndarray, live: np.ndarray,
+              amalgamation: str) -> "_Chain":
         """The chain of ``model`` over the fixed valuations ``fixed``: the
         dependent cells ``live`` (S, segments) marks and the fixed cells
         that are non-zero at some step."""
@@ -777,6 +776,7 @@ class _Chain:
         segments, local = np.unique(seg, return_inverse=True)
         return _Chain(
             model=model,
+            amalgamation=amalgamation,
             heads=heads,
             fixed=fixed,
             z=np.concatenate((np.zeros((steps, S * H)), reads[np.minimum(np.arange(steps), n - 1)]),
@@ -842,7 +842,7 @@ def _step(
     if n2:
         s0, s1 = out[:, n1 : n1 + n2], out[:, n1 + n2 :]
         b = np.concatenate((out[:, :n1], s0 + s1 - s0 * s1), axis=1)
-    a_new, over_one = _amalgamate(model.amalgamation, a, b)
+    a_new, over_one = _amalgamate(chain.amalgamation, a, b)
     return a_new, _StepTrace(a, z, x, winners, values, out, b, over_one)
 
 
@@ -883,7 +883,7 @@ def _backward_step(
     n1, n2 = model.single_cols.size, model.pair_cols.size
     H = n1 + n2
     da_new = np.where(trace.over_one, 0.0, da_new)
-    if model.amalgamation == "max":
+    if chain.amalgamation == "max":
         take_b = b > a
         db = np.where(take_b, da_new, 0.0)
         da = np.where(take_b, 0.0, da_new)
@@ -966,20 +966,24 @@ def _live_segments(model: CompiledModel, fixed: np.ndarray) -> np.ndarray:
     return live
 
 
-def _chain_for(model: CompiledModel, a0: np.ndarray) -> _Chain:
-    """The chain of ``model`` from the start valuations ``a0``, keeping the
-    cells some weight can make non-zero."""
-    fixed = _fixed_valuations(model, a0)
-    return _Chain.build(model, fixed, _live_segments(model, fixed))
+def _chain_for(model: CompiledModel, a0: np.ndarray, amalgamation: str) -> _Chain:
+    """The chain of ``model`` from the start valuations ``a0`` under
+    ``amalgamation``, keeping the cells some weight can make non-zero."""
+    fixed = _fixed_valuations(model, a0, amalgamation)
+    return _Chain.build(model, fixed, _live_segments(model, fixed), amalgamation)
 
 
-def infer(model: CompiledModel, weights: Sequence[np.ndarray], sample: Sample) -> np.ndarray:
+def infer(
+    model: CompiledModel, weights: Sequence[np.ndarray], sample: Sample, hp: Hyperparams
+) -> np.ndarray:
     """The valuation over ``model.index`` after ``forward_steps`` chained
-    deduction steps from the background (entry 0 stays 0)."""
+    deduction steps from the background (entry 0 stays 0), under the
+    hyperparameters ``hp`` the weights were trained with (for a trained
+    model, its ``hyperparams``)."""
     if tuple(sample.constants) != model.index.constants:
         raise ValueError("sample constants do not match this compiled model; "
                          "compile it with ModelCompiler.compile(sample.constants)")
-    chain = _chain_for(model, _start_values(model, [sample]))
+    chain = _chain_for(model, _start_values(model, [sample]), hp.amalgamation)
     return _chain(chain, chain.weigh(_segment_weights(model, probabilities(weights))))[0]
 
 
@@ -995,12 +999,23 @@ class _Batch:
     scale: np.ndarray  # and its loss weight
 
 
-def _prepare_batches(compiler: ModelCompiler, samples: Sequence[Sample]) -> list[_Batch]:
-    """One batch per constant list; each sample's labels share a weight of 1 / len(samples)."""
+def _prepare_batches(
+    compiler: ModelCompiler, samples: Sequence[Sample], hp: Hyperparams
+) -> list[_Batch]:
+    """One batch per constant list, chained under ``hp``'s amalgamation;
+    each sample's labels share a weight of 1 / len(samples). The only
+    check of training samples: a ``ValueError`` for no samples, a sample
+    without labels or a label outside the frame's targets."""
+    if not samples:
+        raise ValueError("no samples")
+    targets = set(compiler.frame.targets)
     groups: dict[tuple[str, ...], list[Sample]] = {}
     for s in samples:
         if not s.positive and not s.negative:
             raise ValueError("sample has no positive or negative atoms")
+        for a in (*s.positive, *s.negative):
+            if a.predicate not in targets:
+                raise ValueError(f"labeled atom {format_atom(a)} is not a target predicate")
         groups.setdefault(tuple(s.constants), []).append(s)
     batches = []
     for consts, group in groups.items():
@@ -1013,47 +1028,70 @@ def _prepare_batches(compiler: ModelCompiler, samples: Sequence[Sample]) -> list
             for a in atoms
         ]
         rows, cells, positive, scale = map(np.asarray, zip(*labels))
-        batches.append(_Batch(_chain_for(model, _start_values(model, group)),
-                              rows, cells, positive, scale))
+        chain = _chain_for(model, _start_values(model, group), hp.amalgamation)
+        batches.append(_Batch(chain, rows, cells, positive, scale))
     return batches
 
 
-def _data_loss(batch: _Batch, xT: np.ndarray) -> float:
-    x = np.clip(xT[batch.rows, batch.cells], LOG_EPS, 1.0 - LOG_EPS)
-    return float(-(batch.scale * np.where(batch.positive, np.log(x), np.log1p(-x))).sum())
-
-
-def _data_loss_backward(batch: _Batch, xT: np.ndarray) -> np.ndarray:
-    x = xT[batch.rows, batch.cells]
-    inside = (x > LOG_EPS) & (x < 1.0 - LOG_EPS)
-    # -s/x on a positive, s/(1-x) on a negative; (-s)/x has the bits of
-    # -(s/x). Sample.make keeps a sample's labeled atoms distinct and its
-    # positives and negatives disjoint, so no cell is assigned twice.
-    dx = np.zeros_like(xT)
-    dx[batch.rows, batch.cells] = np.where(
-        inside,
-        np.where(batch.positive, -batch.scale, batch.scale)
-        / np.clip(np.where(batch.positive, x, 1.0 - x), LOG_EPS, None),
-        0.0,
-    )
-    return dx
-
-
-def _reg_value(weights: Sequence[np.ndarray], hp: Hyperparams) -> float:
+def _penalty(weights: Sequence[np.ndarray], hp: Hyperparams) -> tuple[float, list]:
+    """The weight penalty and its gradient per pool (a scalar 0.0 per pool
+    when there is no penalty)."""
     if hp.reg_kind == "none" or hp.reg_lambda == 0.0:
-        return 0.0
-    total = 0.0
-    for v in weights:
-        total += float(np.abs(v).sum() if hp.reg_kind == "l1" else (v * v).sum())
-    return hp.reg_lambda * total
-
-
-def _reg_grad(weights: Sequence[np.ndarray], hp: Hyperparams) -> list[np.ndarray]:
-    if hp.reg_kind == "none" or hp.reg_lambda == 0.0:
-        return [np.zeros_like(v) for v in weights]
+        return 0.0, [0.0] * len(weights)
     if hp.reg_kind == "l1":
-        return [hp.reg_lambda * np.sign(v) for v in weights]
-    return [2.0 * hp.reg_lambda * v for v in weights]
+        return (hp.reg_lambda * sum(float(np.abs(v).sum()) for v in weights),
+                [hp.reg_lambda * np.sign(v) for v in weights])
+    return (hp.reg_lambda * sum(float((v * v).sum()) for v in weights),
+            [2.0 * hp.reg_lambda * v for v in weights])
+
+
+def _loss_pass(
+    compiler: ModelCompiler,
+    weights: Sequence[np.ndarray],
+    samples: Sequence[Sample],
+    hp: Hyperparams,
+    batches: Sequence[_Batch] | None,
+    grad: bool,
+) -> tuple[float, list[np.ndarray] | None]:
+    """:func:`loss` over ``batches`` (prepared from ``samples`` when None)
+    and, if ``grad``, its reverse-mode gradient w.r.t. the raw weights."""
+    probs = probabilities(weights)
+    dclause = np.zeros(sum(p.size for p in probs))
+    total = 0.0
+    for batch in _prepare_batches(compiler, samples, hp) if batches is None else batches:
+        chain = batch.chain
+        w = chain.weigh(_segment_weights(chain.model, probs))
+        traces: list[_StepTrace] | None = [] if grad else None
+        a = _chain(chain, w, traces)
+        x = a[batch.rows, batch.cells]
+        c = np.clip(x, LOG_EPS, 1.0 - LOG_EPS)
+        total += float(-(batch.scale * np.where(batch.positive, np.log(c), np.log1p(-c))).sum())
+        if not grad:
+            continue
+        # -s/x on a positive, s/(1-x) on a negative, 0 where the clip
+        # binds (where it does not, c is x); (-s)/x has the bits of -(s/x).
+        # Sample.make keeps a sample's labeled atoms distinct and its
+        # positives and negatives disjoint, so no cell is assigned twice.
+        dx = np.zeros_like(a)
+        dx[batch.rows, batch.cells] = np.where(
+            (x > LOG_EPS) & (x < 1.0 - LOG_EPS),
+            np.where(batch.positive, -batch.scale, batch.scale)
+            / np.where(batch.positive, c, 1.0 - c),
+            0.0,
+        )
+        da = dx[:, chain.heads]
+        dseg = np.zeros(chain.segments.size)
+        # Step 0's input gradient is not needed: the start values are fixed.
+        for t in reversed(range(len(traces))):
+            da = _backward_step(chain, w, traces[t], da, dseg, heads=t > 0)
+        dclause += _clause_grads(chain, dseg)
+    penalty, dpenalty = _penalty(weights, hp)
+    if not grad:
+        return total + penalty, None
+    dprobs = np.split(dclause, np.cumsum([p.size for p in probs])[:-1])
+    return total + penalty, [
+        _softmax_backward(p, dp) + r for p, dp, r in zip(probs, dprobs, dpenalty)
+    ]
 
 
 def loss(
@@ -1064,12 +1102,7 @@ def loss(
     batches: Sequence[_Batch] | None = None,
 ) -> float:
     """Mean per-sample normalized cross-entropy plus the weight penalty."""
-    probs = probabilities(weights)
-    total = 0.0
-    for batch in batches or _prepare_batches(compiler, samples):
-        chain = batch.chain
-        total += _data_loss(batch, _chain(chain, chain.weigh(_segment_weights(chain.model, probs))))
-    return total + _reg_value(weights, hp)
+    return _loss_pass(compiler, weights, samples, hp, batches, grad=False)[0]
 
 
 def loss_and_grad(
@@ -1080,28 +1113,7 @@ def loss_and_grad(
     batches: Sequence[_Batch] | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """:func:`loss` and its exact reverse-mode gradient w.r.t. raw weights."""
-    probs = probabilities(weights)
-    dclause = np.zeros(sum(p.size for p in probs))
-    total = 0.0
-    for batch in batches or _prepare_batches(compiler, samples):
-        chain = batch.chain
-        w = chain.weigh(_segment_weights(chain.model, probs))
-        traces: list[_StepTrace] = []
-        x = _chain(chain, w, traces)
-        total += _data_loss(batch, x)
-        da = _data_loss_backward(batch, x)[:, chain.heads]
-        dseg = np.zeros(chain.segments.size)
-        # Step 0's input gradient is not needed: the start values are fixed.
-        for t in reversed(range(len(traces))):
-            da = _backward_step(chain, w, traces[t], da, dseg, heads=t > 0)
-        dclause += _clause_grads(chain, dseg)
-    dprobs = np.split(dclause, np.cumsum([p.size for p in probs])[:-1])
-    grads = [
-        _softmax_backward(p, dp) for p, dp in zip(probs, dprobs)
-    ]
-    reg = _reg_grad(weights, hp)
-    grads = [g + r for g, r in zip(grads, reg)]
-    return total + _reg_value(weights, hp), grads
+    return _loss_pass(compiler, weights, samples, hp, batches, grad=True)
 
 
 def finite_difference_grad(
@@ -1114,7 +1126,7 @@ def finite_difference_grad(
     """Central finite differences of :func:`loss`; the gradient oracle."""
     weights = [np.array(v, dtype=np.float64) for v in weights]
     grads = [np.zeros_like(v) for v in weights]
-    batches = _prepare_batches(compiler, samples)
+    batches = _prepare_batches(compiler, samples, hp)
     for v, g in zip(weights, grads):
         for i in range(v.size):
             x = v[i]
@@ -1171,7 +1183,7 @@ def task_from_dict(d: dict) -> tuple[ModelCompiler, Hyperparams]:
     pool = _read_field(d, "background_pool", predicates, [])
     hp = _read_field(d, "hyperparams", Hyperparams.from_dict)
     try:
-        return ModelCompiler(frame, template, background, pool, hp.amalgamation), hp
+        return ModelCompiler(frame, template, background, pool), hp
     except (TypeError, ValueError) as exc:
         raise ValueError(f"model fields do not describe a model: {exc}") from exc
 
@@ -1265,26 +1277,11 @@ def train(
 ) -> TrainedModel:
     """Full-batch gradient descent with per-parameter accumulated-square
     step scaling; deterministic given the seed."""
-    if not samples:
-        raise ValueError("no samples")
-    targets = set(frame.targets)
-    for s in samples:
-        for a in (*s.positive, *s.negative):
-            if a.predicate not in targets:
-                raise ValueError(
-                    f"labeled atom {format_atom(a)} is not a target predicate"
-                )
-    compiler = ModelCompiler(
-        frame,
-        template,
-        background,
-        background_pool,
-        amalgamation=hp.amalgamation,
-    )
+    compiler = ModelCompiler(frame, template, background, background_pool)
     weights = compiler.init_weights(hp.seed, hp.init_scale)
     acc = [np.zeros_like(v) for v in weights]
     trace: list[float] = []
-    batches = _prepare_batches(compiler, samples)
+    batches = _prepare_batches(compiler, samples, hp)
     for step_i in range(hp.training_steps):
         value, grads = loss_and_grad(compiler, weights, samples, hp, batches)
         if not math.isfinite(value):

@@ -75,12 +75,8 @@ def _random_instance(rng: np.random.Generator):
             budget = max(0, budget - take)
             pools.append(((p, k), [full[i] for i in picked]))
 
-    compiler = ModelCompiler(
-        frame,
-        template,
-        amalgamation="max" if rng.random() < 0.7 else "sum",
-        pools=pools,
-    )
+    amalgamation = "max" if rng.random() < 0.7 else "sum"
+    compiler = ModelCompiler(frame, template, pools=pools)
 
     background = [a for a in ground_atoms(ext, constants) if rng.random() < 0.5]
     labeled = ground_atoms([target], constants)
@@ -96,7 +92,7 @@ def _random_instance(rng: np.random.Generator):
     hp = Hyperparams(
         reg_kind=reg,
         reg_lambda=0.01 if reg != "none" else 0.0,
-        amalgamation=compiler.amalgamation,
+        amalgamation=amalgamation,
     )
     return compiler, weights, [sample], hp
 

@@ -110,8 +110,7 @@ def simdial_hyperparams(**overrides) -> Hyperparams:
 
 def simdial_task() -> tuple[ModelCompiler, Hyperparams]:
     background, pool = simdial_background()
-    hp = simdial_hyperparams()
-    return ModelCompiler(simdial_frame(), simdial_template(), background, pool, hp.amalgamation), hp
+    return ModelCompiler(simdial_frame(), simdial_template(), background, pool), simdial_hyperparams()
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +310,7 @@ def list_all_problem() -> tuple[tuple[ModelCompiler, Hyperparams], Sample]:
     )
     hp = Hyperparams(learning_rate=0.5, training_steps=600, reg_kind="l2", reg_lambda=1e-5,
                      init_scale=0.5, accumulator_decay=0.9, stop_loss=5e-3)
-    return (ModelCompiler(frame, template, amalgamation=hp.amalgamation), hp), sample
+    return (ModelCompiler(frame, template), hp), sample
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,7 @@ from slotlogic.engine import (
     MAX_CLAUSE_VARS,
     CompiledModel,
     _amalgamate,
-    _reg_grad,
-    _reg_value,
+    _penalty,
     _segment_weights,
     _softmax_backward,
     _start_values,
@@ -295,9 +294,9 @@ def _winning_cells(model: CompiledModel, winners, S: int):
     return cells
 
 
-def _reference_step(model: CompiledModel, seg_w, a, b_static):
-    """One step over whole valuations (S, atoms); returns the new
-    valuations and what the backward step needs."""
+def _reference_step(model: CompiledModel, seg_w, a, b_static, amalgamation: str):
+    """One step over whole valuations (S, atoms) under ``amalgamation``;
+    returns the new valuations and what the backward step needs."""
     S, g = a.shape
     V, winners = model.table.values(a)
     n1, n2 = model.single_cols.size, model.pair_cols.size
@@ -311,19 +310,19 @@ def _reference_step(model: CompiledModel, seg_w, a, b_static):
         s0, s1 = out[:, n1 : n1 + n2], out[:, n1 + n2 :]
         b[:, model.pair_cols] = s0 + s1 - s0 * s1
     b[:, model.static.key] = b_static
-    a_new, over_one = _amalgamate(model.amalgamation, a, b)
+    a_new, over_one = _amalgamate(amalgamation, a, b)
     a_new[:, 0] = 0.0
     return a_new, (a, winners, out, b, over_one)
 
 
-def _reference_backward_step(model: CompiledModel, seg_w, trace, da_new, dseg):
+def _reference_backward_step(model: CompiledModel, seg_w, trace, da_new, dseg, amalgamation: str):
     """Gradient w.r.t. the step's input valuations, every cell scattered;
     adds each segment's d(loss)/d(segment weight) into ``dseg``."""
     a, winners, out, b, over_one = trace
     S, g = a.shape
     da_new = np.where(over_one, 0.0, da_new)
     da_new[:, 0] = 0.0
-    if model.amalgamation == "max":
+    if amalgamation == "max":
         take_b = b > a
         db = np.where(take_b, da_new, 0.0)
         da = np.where(take_b, 0.0, da_new)
@@ -354,9 +353,10 @@ def _reference_backward_step(model: CompiledModel, seg_w, trace, da_new, dseg):
     return da.reshape(S, g)
 
 
-def _reference_batches(compiler: ModelCompiler, samples: Sequence[Sample]):
+def _reference_batches(compiler: ModelCompiler, samples: Sequence[Sample], amalgamation: str):
     """Per constant list: the full compiled model, start valuations, the
-    background clauses' derivations per step, and the labels."""
+    background clauses' derivations per step under ``amalgamation``, and
+    the labels."""
     groups: dict[tuple[str, ...], list[Sample]] = {}
     for s in samples:
         groups.setdefault(tuple(s.constants), []).append(s)
@@ -367,7 +367,7 @@ def _reference_batches(compiler: ModelCompiler, samples: Sequence[Sample]):
         static_b = np.zeros((model.forward_steps, len(group), cols.size))
         for t in range(model.forward_steps):
             static_b[t] = model.static.values(a)[0]
-            a[:, cols] = _amalgamate(model.amalgamation, a[:, cols], static_b[t])[0]
+            a[:, cols] = _amalgamate(amalgamation, a[:, cols], static_b[t])[0]
         labels = [
             (si, model.index.index_of(x), positive,
              1.0 / ((len(s.positive) + len(s.negative)) * len(samples)))
@@ -378,13 +378,13 @@ def _reference_batches(compiler: ModelCompiler, samples: Sequence[Sample]):
         yield model, a0, static_b, tuple(map(np.asarray, zip(*labels)))
 
 
-def _reference_chain(model: CompiledModel, seg_w, a, static_b):
+def _reference_chain(model: CompiledModel, seg_w, a, static_b, amalgamation: str):
     """Every step from the valuations ``a``; returns the valuations after
     the last step and each step's trace, whose first entry is the step's
     input."""
     traces = []
     for b_static in static_b:
-        a, trace = _reference_step(model, seg_w, a, b_static)
+        a, trace = _reference_step(model, seg_w, a, b_static, amalgamation)
         traces.append(trace)
     return a, traces
 
@@ -393,9 +393,10 @@ def _reference_run(compiler, weights, samples, hp, grad: bool):
     probs = probabilities(weights)
     dclause = np.zeros(sum(p.size for p in probs))
     total = 0.0
-    for model, a, static_b, (rows, cols, positive, scale) in _reference_batches(compiler, samples):
+    batches = _reference_batches(compiler, samples, hp.amalgamation)
+    for model, a, static_b, (rows, cols, positive, scale) in batches:
         seg_w = _segment_weights(model, probs)
-        a, traces = _reference_chain(model, seg_w, a, static_b)
+        a, traces = _reference_chain(model, seg_w, a, static_b, hp.amalgamation)
         x = np.clip(a[rows, cols], LOG_EPS, 1.0 - LOG_EPS)
         total += float(-(scale * np.where(positive, np.log(x), np.log1p(-x))).sum())
         if not grad:
@@ -410,14 +411,14 @@ def _reference_run(compiler, weights, samples, hp, grad: bool):
         )
         dseg = np.zeros(model.seg_out.size)
         for trace in reversed(traces):
-            da = _reference_backward_step(model, seg_w, trace, da, dseg)
+            da = _reference_backward_step(model, seg_w, trace, da, dseg, hp.amalgamation)
         dense = np.bincount(model.table.key, weights=dseg, minlength=model.n_dense)
         if model.clause_starts.size:
             dclause += np.add.reduceat(dense, model.clause_starts)
     dprobs = np.split(dclause, np.cumsum([p.size for p in probs])[:-1])
-    grads = [_softmax_backward(p, dp) + r
-             for p, dp, r in zip(probs, dprobs, _reg_grad(weights, hp))]
-    return total + _reg_value(weights, hp), grads
+    penalty, dpenalty = _penalty(weights, hp)
+    grads = [_softmax_backward(p, dp) + r for p, dp, r in zip(probs, dprobs, dpenalty)]
+    return total + penalty, grads
 
 
 def reference_loss(
@@ -439,14 +440,16 @@ def reference_loss_and_grad(
 
 def reference_valuations(
     compiler: ModelCompiler, weights: Sequence[np.ndarray], samples: Sequence[Sample],
+    amalgamation: str,
 ) -> list[list[np.ndarray]]:
     """Per constant list, in order of first occurrence, the whole
     valuations (S, atoms) of its samples before each step, chained over
-    the whole table."""
+    the whole table under ``amalgamation``."""
     probs = probabilities(weights)
     return [
-        [trace[0] for trace in _reference_chain(model, _segment_weights(model, probs), a, sb)[1]]
-        for model, a, sb, _ in _reference_batches(compiler, samples)
+        [trace[0] for trace in _reference_chain(
+            model, _segment_weights(model, probs), a, sb, amalgamation)[1]]
+        for model, a, sb, _ in _reference_batches(compiler, samples, amalgamation)
     ]
 
 
@@ -458,12 +461,15 @@ def start_valuation(model: CompiledModel, sample: Sample) -> np.ndarray:
     return _start_values(model, [sample])[0]
 
 
-def chain_step(model: CompiledModel, weights: Sequence[np.ndarray], values: np.ndarray) -> np.ndarray:
-    """One reference deduction step from the valuation ``values``, the
-    background clauses' step derived from ``values`` itself."""
+def chain_step(
+    model: CompiledModel, weights: Sequence[np.ndarray], values: np.ndarray, amalgamation: str
+) -> np.ndarray:
+    """One reference deduction step from the valuation ``values`` under
+    ``amalgamation``, the background clauses' step derived from ``values``
+    itself."""
     a = values[None, :]
     seg_w = _segment_weights(model, probabilities(weights))
-    return _reference_step(model, seg_w, a, model.static.values(a)[0])[0][0]
+    return _reference_step(model, seg_w, a, model.static.values(a)[0], amalgamation)[0][0]
 
 
 def agreement(trained: TrainedModel, program: PolicyProgram, samples: list[Sample]) -> float:
@@ -474,7 +480,7 @@ def agreement(trained: TrainedModel, program: PolicyProgram, samples: list[Sampl
     total = 0
     for sample in samples:
         model = compiler.compile(sample.constants)
-        values = infer(model, trained.weights, sample)
+        values = infer(model, trained.weights, sample, trained.hyperparams)
         derived = crisp_infer(program, sample.background)
         for pred in compiler.frame.targets:
             lo, hi = model.index.ranges[pred]

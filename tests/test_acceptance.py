@@ -14,6 +14,7 @@ import pytest
 
 import slotlogic.engine as engine_mod
 from slotlogic import (
+    Hyperparams,
     LanguageFrame,
     ModelCompiler,
     Predicate,
@@ -243,7 +244,7 @@ def test_criterion_7_crisp_agreement_exhaustive():
                     background, [atom("p", constants[0])], [], constants
                 )
                 model = compiler.compile(constants)
-                valuation = infer(model, weights, sample)
+                valuation = infer(model, weights, sample, Hyperparams())
                 oracle = boolean_rounds(
                     clauses, set(background), constants, rounds=pt.forward_steps
                 )
@@ -264,7 +265,7 @@ def test_criterion_8_monotonicity_and_range(one_shot):
 
     compiler = one_shot.trained.compiler
     sample = [r.sample for r in one_shot.records if r.meta["supervised"]][0]
-    (batch,) = _prepare_batches(compiler, [sample])
+    (batch,) = _prepare_batches(compiler, [sample], one_shot.trained.hyperparams)
     chain = batch.chain
     w = chain.weigh(_segment_weights(chain.model, one_shot.trained.probabilities()))
     prev = chain.fixed[0]

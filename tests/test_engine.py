@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ class TestCompile:
         comp = ModelCompiler(frame, pt)
         s = Sample.make([], [atom("p", "a")], [], ("a",))
         w = comp.init_weights()
-        v = infer(comp.compile(("a",)), w, s)
+        v = infer(comp.compile(("a",)), w, s, Hyperparams())
         assert v.sum() == 0.0
 
     def test_cache(self):
@@ -141,7 +142,7 @@ class TestCompile:
         comp = toy_compiler()
         s = Sample.make([], [atom("p", "b")], [], ("b",))
         with pytest.raises(ValueError, match="constants do not match"):
-            infer(comp.compile(("a",)), comp.init_weights(), s)
+            infer(comp.compile(("a",)), comp.init_weights(), s, Hyperparams())
 
     def test_clause_budget(self, monkeypatch):
         from slotlogic import engine
@@ -194,7 +195,7 @@ class TestInitValuation:
         model = comp.compile(("a",))
         s = Sample.make([atom("zz", "a")], [atom("p", "a")], [], ("a",))
         with pytest.raises(KeyError):
-            infer(model, comp.init_weights(), s)
+            infer(model, comp.init_weights(), s, Hyperparams())
 
 
 class TestStep:
@@ -214,7 +215,7 @@ class TestStep:
             ("contact", "calling"),
         )
         model = comp.compile(s.constants)
-        v = infer(model, w, s)  # forward_steps=1: one step
+        v = infer(model, w, s, Hyperparams())  # forward_steps=1: one step
         assert v[model.index.index_of(atom("confirm", "contact"))] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_in_zero_out(self):
@@ -222,7 +223,7 @@ class TestStep:
         model = comp.compile(("a", "b"))
         s = Sample.make([], [atom("p", "a")], [], ("a", "b"))
         w = comp.init_weights(3, 1.0)
-        v = infer(model, w, s)  # TOY_TEMPLATE chains one step
+        v = infer(model, w, s, Hyperparams())  # TOY_TEMPLATE chains one step
         assert v.sum() == 0.0
 
     def test_product_then_max(self):
@@ -238,10 +239,10 @@ class TestStep:
         values[model.index.index_of(atom("q", "a"))] = 0.8
         values[model.index.index_of(atom("r", "a"))] = 0.5
         values[p_a] = 0.3
-        assert chain_step(model, w, values)[p_a] == pytest.approx(0.4, abs=1e-9)
+        assert chain_step(model, w, values, "max")[p_a] == pytest.approx(0.4, abs=1e-9)
         # and with an old value above the product, max keeps the old value
         values[p_a] = 0.9
-        assert chain_step(model, w, values)[p_a] == pytest.approx(0.9)
+        assert chain_step(model, w, values, "max")[p_a] == pytest.approx(0.9)
 
 
 class TestInfer:
@@ -252,7 +253,7 @@ class TestInfer:
         s = Sample.make([atom("q", "a")], [atom("p", "a")], [], ("a",))
         w = [np.full(len(cs), -50.0) for _, cs in comp.pools]
         model = comp.compile(s.constants)
-        assert infer(model, w, s)[model.index.index_of(atom("q", "a"))] == 1.0
+        assert infer(model, w, s, Hyperparams())[model.index.index_of(atom("q", "a"))] == 1.0
 
     def test_monotone_per_step(self):
         comp = toy_compiler()
@@ -263,7 +264,7 @@ class TestInfer:
         w = comp.init_weights(5, 0.7)
         v = start_valuation(model, s)
         for _ in range(6):
-            nxt = chain_step(model, w, v)
+            nxt = chain_step(model, w, v, "max")
             assert np.all(nxt >= v - 1e-12)
             assert nxt.min() >= 0.0 and nxt.max() <= 1.0
             v = nxt
@@ -294,7 +295,7 @@ class TestInfer:
         oracle = boolean_rounds(clauses, set(background), consts, rounds=4)
         model = comp.compile(consts)
         # mixture weights mean fuzzy values sit below 1; compare support at T=4
-        v = infer(model, [np.array([0.0, 0.0])], s)
+        v = infer(model, [np.array([0.0, 0.0])], s, Hyperparams())
         fuzzy_support = {
             model.index.atoms[i]
             for i in range(1, len(model.index))
@@ -395,6 +396,38 @@ class TestGrad:
         assert np.linalg.norm(np.concatenate(g)) < 1e-3
 
 
+class TestSampleCheck:
+    """Training samples are checked in one place: every training call
+    raises the same ``ValueError`` for the same bad sample list."""
+
+    @pytest.mark.parametrize("case, message", [
+        ("extensional label", r"^labeled atom known\(loc\) is not a target predicate$"),
+        ("no labels", "^sample has no positive or negative atoms$"),
+        ("no samples", "^no samples$"),
+    ])
+    def test_every_training_call_raises_the_same_error(self, case, message):
+        compiler, hp = pipeline.simdial_task()
+        records = pipeline.convert_corpus([representative_dialog("restaurant")])
+        s = pipeline.training_samples(records)[0]
+        samples = {
+            "extensional label": [Sample.make(s.background, [*s.positive, atom("known", "loc")],
+                                              s.negative, s.constants)],
+            "no labels": [Sample.make(s.background, [], [], s.constants)],
+            "no samples": [],
+        }[case]
+        weights = compiler.init_weights()
+        c = compiler
+        for call in (
+            lambda: loss(c, weights, samples, hp),
+            lambda: loss_and_grad(c, weights, samples, hp),
+            lambda: finite_difference_grad(c, weights, samples, hp),
+            lambda: train(c.frame, samples, c.template, replace(hp, training_steps=1),
+                          c.background, c.background_pool),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
 class TestCrispAgreementProperty:
     def test_exhaustive_small_instances(self):
         q2 = Predicate("q", 2)
@@ -430,7 +463,7 @@ class TestCrispAgreementProperty:
                     background = [a for a, m in zip(ext_atoms, mask) if m]
                     s = Sample.make(background, [atom("p", consts[0])], [], consts)
                     model = comp.compile(consts)
-                    v = infer(model, weights, s)
+                    v = infer(model, weights, s, Hyperparams())
                     oracle = boolean_rounds(
                         clauses, set(background), consts, rounds=pt.forward_steps
                     )
@@ -536,7 +569,7 @@ class TestBackgroundClauses:
         s = Sample.make(atoms_bg, [atom("goal", "a")], [], consts)
         w = [np.zeros(0)]
         model = comp.compile(consts)
-        v = infer(model, w, s)
+        v = infer(model, w, s, Hyperparams())
         for x in "abcdefgh":
             expected = 1.0 if x in "cde" else 0.0
             assert v[model.index.index_of(atom("all", x))] == expected, x
@@ -572,36 +605,49 @@ def test_sentinel_stays_zero_through_steps():
     w = comp.init_weights(1, 0.5)
     v = start_valuation(model, s)
     for _ in range(4):
-        v = chain_step(model, w, v)
+        v = chain_step(model, w, v, "max")
         assert v[0] == 0.0
 
 
 class TestAblationAmalgamation:
     def test_sum_variant_still_monotone_in_range(self):
-        comp = toy_compiler(amalgamation="sum")
+        comp = toy_compiler()
         model = comp.compile(("a", "b"))
         s = Sample.make([atom("q", "a"), atom("r", "a")], [atom("p", "a")], [], ("a", "b"))
         w = comp.init_weights(3, 0.5)
         v = start_valuation(model, s)
         for _ in range(5):
-            nxt = chain_step(model, w, v)
+            nxt = chain_step(model, w, v, "sum")
             assert np.all(nxt >= v - 1e-12)
             assert nxt.max() <= 1.0 + 1e-12
             v = nxt
 
     def test_sum_accumulates_above_max(self):
-        comp_max = toy_compiler(amalgamation="max")
-        comp_sum = toy_compiler(amalgamation="sum")
-        w = comp_max.init_weights(0, 0.0)  # uniform thirds
+        w = toy_compiler().init_weights(0, 0.0)  # uniform thirds
         s = Sample.make([atom("q", "a"), atom("r", "a")], [atom("p", "a")], [], ("a",))
         frame_pt = ProgramTemplate(slots=TOY_TEMPLATE.slots, forward_steps=4)
-        m_max = ModelCompiler(TOY_FRAME, frame_pt).compile(("a",))
-        m_sum = ModelCompiler(TOY_FRAME, frame_pt, amalgamation="sum").compile(("a",))
-        p_a = m_max.index.index_of(atom("p", "a"))
-        v_max = infer(m_max, w, s)[p_a]
-        v_sum = infer(m_sum, w, s)[p_a]
+        model = ModelCompiler(TOY_FRAME, frame_pt).compile(("a",))
+        p_a = model.index.index_of(atom("p", "a"))
+        v_max = infer(model, w, s, Hyperparams())[p_a]
+        v_sum = infer(model, w, s, Hyperparams(amalgamation="sum"))[p_a]
         assert v_max == pytest.approx(1.0)  # one clause body is fully true
         assert v_sum > v_max - 1e-12  # probabilistic sum accumulates
+
+    def test_loss_takes_the_amalgamation_of_its_hyperparams(self):
+        compiler, _, samples, hp = TestLivePrune.simdial_case()
+        weights = compiler.init_weights(0, 0.0)
+        hp_sum = replace(hp, amalgamation="sum")
+        value = loss(compiler, weights, samples, hp_sum)
+        assert value != loss(compiler, weights, samples, hp)
+        assert np.float64(value).tobytes() == \
+            np.float64(reference_loss(compiler, weights, samples, hp_sum)).tobytes()
+
+    def test_fit_overrides_the_amalgamation(self):
+        _, _, samples, _ = TestLivePrune.simdial_case()
+        traces = [pipeline.fit(pipeline.simdial_task(), samples, 1, training_steps=5,
+                               **overrides).loss_trace
+                  for overrides in ({}, {"amalgamation": "sum"})]
+        assert traces[0] != traces[1]
 
 
 class TestTieRules:
@@ -682,13 +728,13 @@ class TestOneChain:
             yield _random_instance(rng)
 
     def test_infer_equals_chained_steps(self):
-        for compiler, weights, samples, _ in self.cases():
+        for compiler, weights, samples, hp in self.cases():
             for s in samples:
                 model = compiler.compile(s.constants)
                 v = start_valuation(model, s)
                 for _ in range(model.forward_steps):
-                    v = chain_step(model, weights, v)
-                assert np.array_equal(infer(model, weights, s), v)
+                    v = chain_step(model, weights, v, hp.amalgamation)
+                assert np.array_equal(infer(model, weights, s, hp), v)
 
     def test_loss_is_the_value_of_loss_and_grad(self):
         for compiler, weights, samples, hp in self.cases():
@@ -733,7 +779,7 @@ class TestLivePrune:
         reference and that every (sample, segment) cell a pruned chain
         drops is 0 in that sample's whole valuation at every step; returns
         how many cells were dropped."""
-        pruned = _prepare_batches(compiler, samples)
+        pruned = _prepare_batches(compiler, samples, hp)
         assert np.float64(loss(compiler, weights, samples, hp, pruned)).tobytes() == \
             np.float64(reference_loss(compiler, weights, samples, hp)).tobytes()
         value, grads = loss_and_grad(compiler, weights, samples, hp, pruned)
@@ -741,7 +787,7 @@ class TestLivePrune:
         assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
         assert len(grads) == len(ref_grads)
         assert all(g.tobytes() == rg.tobytes() for g, rg in zip(grads, ref_grads))
-        refs = reference_valuations(compiler, weights, samples)
+        refs = reference_valuations(compiler, weights, samples, hp.amalgamation)
         assert len(refs) == len(pruned)
         n_dropped = 0
         for b, ref_xs in zip(pruned, refs):
@@ -795,29 +841,29 @@ class TestFixpoint:
     chaining."""
 
     @staticmethod
-    def full_length(model, a0, steps):
+    def full_length(model, a0, steps, amalgamation):
         out = np.empty((steps + 1, *a0.shape))
         out[0] = a0
         cols = model.static.key
         for t in range(steps):
             out[t + 1] = out[t]
             out[t + 1][:, cols] = engine_mod._amalgamate(
-                model.amalgamation, out[t][:, cols], model.static.values(out[t])[0])[0]
+                amalgamation, out[t][:, cols], model.static.values(out[t])[0])[0]
         return out
 
-    def assert_equals_full_length(self, compiler, samples) -> bool:
+    def assert_equals_full_length(self, compiler, samples, hp) -> bool:
         """Whether some batch reached its fixpoint before the last step."""
         early = False
-        for b in _prepare_batches(compiler, samples):
+        for b in _prepare_batches(compiler, samples, hp):
             chain = b.chain
             model, steps = chain.model, chain.model.forward_steps
-            full = self.full_length(model, chain.fixed[0], steps)
+            full = self.full_length(model, chain.fixed[0], steps, hp.amalgamation)
             n = len(chain.fixed)
             assert np.array_equal(chain.fixed[np.minimum(np.arange(steps + 1), n - 1)], full)
             early |= n < steps
             live = _live_segments(model, chain.fixed)
             assert np.array_equal(live, _live_segments(model, full))
-            ref = engine_mod._Chain.build(model, full, live)
+            ref = engine_mod._Chain.build(model, full, live, hp.amalgamation)
             for name in ("cells", "seg", "out_cells", "rows"):
                 assert np.array_equal(getattr(chain, name), getattr(ref, name))
             heads = chain.fixed.shape[1] * chain.heads.size
@@ -825,22 +871,22 @@ class TestFixpoint:
         return early
 
     def test_restaurant_batch(self):
-        compiler, _, samples, _ = TestLivePrune.simdial_case()
-        assert self.assert_equals_full_length(compiler, samples)
-        (batch,) = _prepare_batches(compiler, samples)
+        compiler, _, samples, hp = TestLivePrune.simdial_case()
+        assert self.assert_equals_full_length(compiler, samples, hp)
+        (batch,) = _prepare_batches(compiler, samples, hp)
         assert len(batch.chain.fixed) < compiler.template.forward_steps
 
     def test_restaurant_with_correction_batch(self):
-        compiler, _, samples, _ = TestLivePrune.simdial_case([TestLivePrune.correction_dialog()])
-        assert self.assert_equals_full_length(compiler, samples)
+        compiler, _, samples, hp = TestLivePrune.simdial_case([TestLivePrune.correction_dialog()])
+        assert self.assert_equals_full_length(compiler, samples, hp)
 
     def test_random_instances(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
-            compiler, _, samples, _ = _random_instance(rng)
-            self.assert_equals_full_length(compiler, samples)
-            compiler, _, samples, _ = random_multi_sample_instance(rng)
-            self.assert_equals_full_length(compiler, samples)
+            compiler, _, samples, hp = _random_instance(rng)
+            self.assert_equals_full_length(compiler, samples, hp)
+            compiler, _, samples, hp = random_multi_sample_instance(rng)
+            self.assert_equals_full_length(compiler, samples, hp)
 
 
 class TestHeadKernel:
@@ -861,14 +907,14 @@ class TestHeadKernel:
             np.float64(ref_loss).tobytes()
 
     @staticmethod
-    def reads_a_head_in_a_multi_row_segment(compiler, samples) -> bool:
-        return any(b.chain.multi.blocks for b in _prepare_batches(compiler, samples))
+    def reads_a_head_in_a_multi_row_segment(compiler, samples, hp) -> bool:
+        return any(b.chain.multi.blocks for b in _prepare_batches(compiler, samples, hp))
 
     @pytest.mark.parametrize("seed, scale", [(0, 0.0), (0, 1.0), (1, 3.0)])
     def test_restaurant_batch(self, seed, scale):
         compiler, _, samples, hp = TestLivePrune.simdial_case()
         self.assert_equals_reference(compiler, compiler.init_weights(seed, scale), samples, hp)
-        assert not self.reads_a_head_in_a_multi_row_segment(compiler, samples)
+        assert not self.reads_a_head_in_a_multi_row_segment(compiler, samples, hp)
 
     def test_restaurant_with_correction_batch(self):
         compiler, weights, samples, hp = TestLivePrune.simdial_case(
@@ -885,7 +931,7 @@ class TestHeadKernel:
             seen[hp.amalgamation] += 1
             seen["pairs"] += compiler.compile(samples[0].constants).pair_cols.size > 0
             seen["multi-row head reads"] += self.reads_a_head_in_a_multi_row_segment(
-                compiler, samples)
+                compiler, samples, hp)
         assert all(seen.values()), seen
 
     def test_random_multi_sample_instances(self):
@@ -899,8 +945,8 @@ class TestHeadKernel:
             seen[hp.amalgamation] += 1
             seen["pairs"] += compiler.compile(samples[0].constants).pair_cols.size > 0
             seen["multi-row head reads"] += self.reads_a_head_in_a_multi_row_segment(
-                compiler, samples)
-            batches = _prepare_batches(compiler, samples)
+                compiler, samples, hp)
+            batches = _prepare_batches(compiler, samples, hp)
             seen["two lists"] += len(batches) == 2
             for b in batches:
                 S, K = len(b.chain.fixed[0]), b.chain.model.seg_out.size
@@ -928,7 +974,7 @@ class TestHeadKernel:
             ((t, 1), [parse_clause("t(X) <- h(Y), f(X, Y)"), parse_clause("t(X) <- f(X, X)")]),
             ((h, 0), [parse_clause("h(X) <- e(X)"), parse_clause("h(X) <- f(X, Y), e(Y)")]),
         ]
-        compiler = ModelCompiler(frame, template, amalgamation=amalgamation, pools=pools)
+        compiler = ModelCompiler(frame, template, pools=pools)
         constants = ("a", "b", "c")
         sample = Sample.make(
             [atom("e", "a"), atom("f", "b", "a"), atom("f", "c", "c"), atom("u", "b")],
@@ -944,7 +990,7 @@ class TestHeadKernel:
         for _ in range(5):
             weights = [rng.standard_normal(len(cs)) for _, cs in compiler.pools]
             self.assert_equals_reference(compiler, weights, [sample], hp)
-        assert self.reads_a_head_in_a_multi_row_segment(compiler, [sample])
+        assert self.reads_a_head_in_a_multi_row_segment(compiler, [sample], hp)
 
     def test_nan_weights_raise(self):
         compiler, weights, samples, hp = TestLivePrune.simdial_case()
@@ -963,7 +1009,7 @@ class TestChainCheck:
     @staticmethod
     def two_batch_case():
         compiler, weights, samples, hp = TestLivePrune.simdial_case([representative_dialog("movie")])
-        batches = _prepare_batches(compiler, samples)
+        batches = _prepare_batches(compiler, samples, hp)
         assert len(batches) == 2
         return compiler, weights, samples, hp, batches
 

@@ -152,7 +152,7 @@ class TestAgreement:
 
         compiler = trained.compiler
         model = compiler.compile(s.constants)
-        v = infer(model, trained.weights, s)
+        v = infer(model, trained.weights, s, trained.hyperparams)
         derived = boolean_fixpoint(
             [program.rules[0][0]], set(s.background), s.constants
         )

@@ -97,9 +97,7 @@ def _background_instance(rng, amalgamation):
         slots=((T, tuple(RuleTemplate(0, True) for _ in range(n_slots))),),
         forward_steps=int(rng.integers(2, 6)),
     )
-    compiler = ModelCompiler(
-        frame, template, BACKGROUND, BODY_POOL, amalgamation=amalgamation, pools=pools
-    )
+    compiler = ModelCompiler(frame, template, BACKGROUND, BODY_POOL, pools=pools)
     atoms_of = lambda p: [
         Atom(p, tuple(Term.const(c) for c in combo))
         for combo in itertools.product(constants, repeat=p.arity)

@@ -202,11 +202,13 @@ class TestFullCli:
         self.run(["convert", "--format", "simdial", "--in", str(corpus),
                   "--out", str(samples)])
         first, second = tmp_path / "model.json", tmp_path / "model2.json"
-        self.run(["train", "--samples", str(samples), "--steps", "5", "--lr", "0.3",
-                  "--restarts", "1", "--out", str(first)])
-        self.run(["train", "--task", str(first), "--samples", str(samples),
-                  "--restarts", "1", "--out", str(second)])
-        assert first.read_bytes() == second.read_bytes()
+        for flags in (["--lr", "0.3"], ["--amalgamation", "sum"]):
+            self.run(["train", "--samples", str(samples), "--steps", "5", *flags,
+                      "--restarts", "1", "--out", str(first)])
+            self.run(["train", "--task", str(first), "--samples", str(samples),
+                      "--restarts", "1", "--out", str(second)])
+            assert first.read_bytes() == second.read_bytes()
+        assert json.loads(first.read_text())["hyperparams"]["amalgamation"] == "sum"
 
 
 def swapped_first_clauses(slot: dict) -> dict:

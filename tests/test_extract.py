@@ -213,13 +213,20 @@ class TestProgramFile:
         (3, "targets: p", "line 3: targets: invalid literal"),
         (3, "targets: p/+1", r"line 3: targets: invalid literal '\+1'"),
         (5, "high p(X) <- q(X)", "line 5: probability: could not convert"),
+        (5, "nan p(X) <- q(X)", r"line 5: probability: 'nan' is not a number in \[0, 1\]"),
+        (5, "inf p(X) <- q(X)", r"line 5: probability: 'inf' is not a number in \[0, 1\]"),
+        (5, "-0.5 p(X) <- q(X)", r"line 5: probability: '-0.5' is not a number in \[0, 1\]"),
+        (5, "1_0 p(X) <- q(X)", r"line 5: probability: '1_0' is not a number in \[0, 1\]"),
         (5, "1.0 p(X) <-", "line 5: clause: "),
         (1, "1.0 p(X) <- q(X)", "line 1: clause outside a section"),
+        (4, "forward_steps: 3", r"line 4: repeated 'forward_steps:' header \(first on line 2\)"),
+        (4, "targets: sys_inform/1", r"line 4: repeated 'targets:' header \(first on line 3\)"),
         (4, "[alternates]", r"line 4: unknown section '\[alternates\]'"),
         (4, "[rules", r"line 4: unknown section '\[rules'"),
     ], ids=["forward-steps", "zero-steps", "negative-steps", "signed-steps", "targets",
-            "signed-arity", "probability", "clause", "no-section", "unknown-section",
-            "unclosed-section"])
+            "signed-arity", "probability", "nan-probability", "inf-probability",
+            "negative-probability", "underscore-probability", "clause", "no-section",
+            "repeated-steps", "repeated-targets", "unknown-section", "unclosed-section"])
     def test_bad_line_named(self, tmp_path, n, line, want):
         trained, _ = trained_toy()
         lines = program_to_text(extract_program(trained)).splitlines()
@@ -235,10 +242,12 @@ class TestProgramFile:
 # ---------------------------------------------------------------------------
 # crisp_infer against the independent naive oracle on random programs.
 
-_E, _Q, _S, _P, _Z, _H = (
-    Predicate(n, k) for n, k in [("e", 0), ("q", 1), ("s", 2), ("p", 1), ("z", 0), ("h", 2)]
+_E, _Q, _Q2, _S, _U, _P, _Z, _H = (
+    Predicate(n, k) for n, k in [("e", 0), ("q", 1), ("q", 2), ("s", 2), ("u", 1),
+                                 ("p", 1), ("z", 0), ("h", 2)]
 )
 _TARGETS = (_P, _Z)  # h/2 is derived but no target
+# q/2 shares its name with q/1; u/1 is background that no clause names.
 _CONSTS = ("a", "b", "c")
 _VARS = [Term.var(f"V{i}") for i in range(3)]
 
@@ -250,7 +259,8 @@ def _clauses(draw):
     term = st.sampled_from(_VARS[:2] * 2 + [_VARS[2], Term.const("a")])
     body = [
         Atom(pred, tuple(draw(st.lists(term, min_size=pred.arity, max_size=pred.arity))))
-        for pred in draw(st.lists(st.sampled_from([_E, _Q, _S, _P, _Z, _H]), min_size=1, max_size=2))
+        for pred in draw(st.lists(st.sampled_from([_E, _Q, _Q2, _S, _P, _Z, _H]),
+                                  min_size=1, max_size=2))
     ]
     head_term = st.sampled_from(sorted({t for a in body for t in a.variables()})
                                 + [Term.const("a"), Term.const("c")])
@@ -263,7 +273,7 @@ def _clauses(draw):
 # through clause heads.
 _GROUND = [
     Atom(p, tuple(Term.const(c) for c in combo))
-    for p in (_E, _Q, _S)
+    for p in (_E, _Q, _Q2, _S, _U)
     for combo in itertools.product(_CONSTS[:2], repeat=p.arity)
 ]
 
@@ -307,6 +317,13 @@ def _program(clauses, steps):
     ],
     background={atom("s", "b", "b"), atom("s", "a", "c"), atom("q", "c"),
                 atom("w", "a", "b", "a"), atom("w", "a", "b", "c")},
+    steps=3,
+)
+# q/1 and q/2 are two relations; u/1 takes part in no join
+@example(
+    clauses=[parse_clause("p(V0) <- q(V0), q(V0, V1)"), parse_clause("h(V0, V1) <- q(V1, V0)"),
+             parse_clause("p(V0) <- h(V0, V0), q(V0)")],
+    background={atom("q", "a"), atom("q", "b", "a"), atom("q", "a", "a"), atom("u", "b")},
     steps=3,
 )
 def test_crisp_infer_matches_naive_rounds(clauses, background, steps):

@@ -284,6 +284,17 @@ class TestMalformedLines:
                              "--out", str(tmp_path / "p.jsonl")], capsys)
         assert "must be a JSON object" in message
 
+    def test_transfer_rejects_repeated_header(self, files, capsys):
+        tmp_path, samples = files
+        program = tmp_path / "program.txt"
+        lines = program.read_text().splitlines()
+        assert lines[2].startswith("targets: ")
+        lines.insert(3, "targets: sys_inform/1")
+        program.write_text("\n".join(lines) + "\n")
+        message = self.fail(["transfer", "--program", str(program), "--samples", str(samples),
+                             "--out", str(tmp_path / "p.jsonl")], capsys, where=" line 4: ")
+        assert "repeated 'targets:' header (first on line 3)" in message
+
     def test_eval_rejects_list_prediction_line(self, files, capsys):
         tmp_path, samples = files
         preds = tmp_path / "preds.jsonl"

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .engine import Sample
+from .engine import Sample, sample_fields
 from .logic import Atom, Predicate, atom, ground_atoms, parse_atom
 
 TERM = "term"
@@ -210,7 +210,7 @@ def decode_acts(
     return sorted(acts, key=act_order), rejected
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1024)
 def _target_grounding(constants: tuple[str, ...], targets: tuple[Predicate, ...]) -> frozenset[Atom]:
     return frozenset(ground_atoms(targets, constants))
 
@@ -355,8 +355,8 @@ class SampleRecord:
         return d
 
     @staticmethod
-    def from_dict(d: dict, parse=parse_atom) -> "SampleRecord":
-        sample = Sample.from_dict(d, parse)
+    def from_dict(d: dict, read_sample: Callable[[dict], Sample] = Sample.from_dict) -> "SampleRecord":
+        sample = read_sample(d)
         meta = d.get("meta", {})
         if not (isinstance(meta, dict) and isinstance(meta.get("slots"), (list, type(None)))):
             raise ValueError("sample field 'meta' must be an object, any 'slots' in it a list")
@@ -368,6 +368,18 @@ def save_samples(records: Sequence[SampleRecord], path) -> None:
 
 
 def load_samples(path) -> list[SampleRecord]:
-    """Each distinct atom text is parsed once per file."""
+    """Each distinct atom text is parsed once per file, and each distinct
+    sample built once: a line whose four sample lists equal an earlier
+    line's shares that line's (frozen) ``Sample``. Every line gets its
+    own ``meta``."""
     parse = functools.lru_cache(maxsize=None)(parse_atom)
-    return read_json_lines(path, lambda d: SampleRecord.from_dict(d, parse))
+    shared: dict[tuple, Sample] = {}
+
+    def read_sample(d: dict) -> Sample:
+        fields = sample_fields(d)
+        sample = shared.get(fields)
+        if sample is None:
+            sample = shared[fields] = Sample.from_fields(fields, parse)
+        return sample
+
+    return read_json_lines(path, lambda d: SampleRecord.from_dict(d, read_sample))

@@ -153,7 +153,8 @@ class Sample:
         pos_set, neg_set = set(positive), set(negative)
         both = pos_set & neg_set
         if both:
-            raise ValueError(f"atoms both positive and negative: {both}")
+            raise ValueError("atoms both positive and negative: "
+                             + ", ".join(sorted(map(format_atom, both))))
         bg = tuple(sorted(set(background), key=format_atom))
         pos = tuple(sorted(pos_set, key=format_atom))
         neg = tuple(sorted(neg_set, key=format_atom))
@@ -179,14 +180,26 @@ class Sample:
 
     @staticmethod
     def from_dict(d: dict, parse: Callable[[str], Atom] = parse_atom) -> "Sample":
-        for key in ("background", "positive", "negative", "constants"):
-            if not (isinstance(d, dict) and isinstance(d.get(key), list)
-                    and all(isinstance(x, str) for x in d[key])):
-                raise ValueError(f"a sample must be a JSON object, {key!r} a list of strings")
-        return Sample.make(
-            map(parse, d["background"]), map(parse, d["positive"]), map(parse, d["negative"]),
-            d["constants"],
-        )
+        return Sample.from_fields(sample_fields(d), parse)
+
+    @staticmethod
+    def from_fields(fields: tuple[tuple[str, ...], ...], parse: Callable[[str], Atom]) -> "Sample":
+        """The sample that :func:`sample_fields`' four tuples describe."""
+        background, positive, negative, constants = fields
+        return Sample.make(map(parse, background), map(parse, positive), map(parse, negative),
+                           constants)
+
+
+def sample_fields(d: dict) -> tuple[tuple[str, ...], ...]:
+    """A sample object's background, positive, negative and constants
+    lists as tuples; a ``ValueError`` unless each is a list of strings."""
+    out = []
+    for key in ("background", "positive", "negative", "constants"):
+        if not (isinstance(d, dict) and isinstance(d.get(key), list)
+                and all(isinstance(x, str) for x in d[key])):
+            raise ValueError(f"a sample must be a JSON object, {key!r} a list of strings")
+        out.append(tuple(d[key]))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

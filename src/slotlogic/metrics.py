@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
 ActPair = tuple[str, str | None]
 
@@ -46,38 +46,47 @@ class F1Score:
         return F1Score(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
 
-def _count_turn(pred: Iterable[Hashable], gold: Iterable[Hashable]) -> F1Score:
-    pc, gc = Counter(pred), Counter(gold)
-    tp = sum(min(pc[k], gc[k]) for k in pc)
-    return F1Score(tp, sum(pc.values()) - tp, sum(gc.values()) - tp)
+def _tp(pred: list, gold: list) -> int:
+    """Multiset matches: each key counts min(its pred count, its gold count)."""
+    if not pred or not gold:
+        return 0
+    left = Counter(gold)
+    tp = 0
+    for k in pred:
+        if left[k]:
+            left[k] -= 1
+            tp += 1
+    return tp
 
 
-def _score(
-    turns: Sequence[tuple[Sequence[ActPair], Sequence[ActPair]]],
-    key,
-) -> F1Score:
-    total = F1Score()
-    for pred, gold in turns:
-        total += _count_turn(
-            [key(a) for a in pred if key(a) is not None],
-            [key(a) for a in gold if key(a) is not None],
-        )
-    return total
+def _add_turn(totals: list[int], pred: Sequence[ActPair], gold: Sequence[ActPair]) -> None:
+    """Add one turn's intent, entity and action (tp, fp, fn) to ``totals``.
+
+    Intents and slots that are None carry no key."""
+    for n, (p, g) in enumerate((
+        ([a[0] for a in pred if a[0] is not None], [a[0] for a in gold if a[0] is not None]),
+        ([a[1] for a in pred if a[1] is not None], [a[1] for a in gold if a[1] is not None]),
+        ([(a[0], a[1]) for a in pred], [(a[0], a[1]) for a in gold]),
+    )):
+        tp = _tp(p, g)
+        totals[3 * n] += tp
+        totals[3 * n + 1] += len(p) - tp
+        totals[3 * n + 2] += len(g) - tp
 
 
 def intent_f1(turns: Sequence[tuple[Sequence[ActPair], Sequence[ActPair]]]) -> F1Score:
     """Micro F1 over act intents, slots ignored."""
-    return _score(turns, lambda a: a[0])
+    return evaluate_turns(turns).intent
 
 
 def entity_f1(turns: Sequence[tuple[Sequence[ActPair], Sequence[ActPair]]]) -> F1Score:
     """Micro F1 over slot names; slotless acts carry no entity."""
-    return _score(turns, lambda a: a[1])
+    return evaluate_turns(turns).entity
 
 
 def action_f1(turns: Sequence[tuple[Sequence[ActPair], Sequence[ActPair]]]) -> F1Score:
     """Micro F1 over full (intent, slot) acts."""
-    return _score(turns, lambda a: (a[0], a[1]))
+    return evaluate_turns(turns).action
 
 
 @dataclass
@@ -139,22 +148,29 @@ def evaluate_turns(
     turns: Sequence[tuple[Sequence[ActPair], Sequence[ActPair]]],
     domains: Sequence[str] | None = None,
 ) -> MetricsReport:
-    """Score all turns and, when domains are given, per-domain slices."""
-    report = MetricsReport(
-        intent=intent_f1(turns),
-        entity=entity_f1(turns),
-        action=action_f1(turns),
-        n_turns=len(turns),
-    )
+    """Score all turns and, when domains are given, per-domain slices.
+
+    One pass counts each turn into its domain's totals; the overall
+    scores are the sum of the domain totals (integer counts, so exact)."""
+    if domains is not None and len(domains) != len(turns):
+        raise ValueError("one domain label per turn required")
+    totals: dict[str | None, list[int]] = {}
+    sizes: Counter = Counter()
+    for (pred, gold), dom in zip(turns, [None] * len(turns) if domains is None else domains):
+        t = totals.get(dom)
+        if t is None:
+            t = totals[dom] = [0] * 9
+        _add_turn(t, pred, gold)
+        sizes[dom] += 1
+    overall = [sum(t[k] for t in totals.values()) for k in range(9)]
+    report = MetricsReport(*_scores(overall), n_turns=len(turns))
     if domains is not None:
-        if len(domains) != len(turns):
-            raise ValueError("one domain label per turn required")
-        for dom in sorted(set(domains)):
-            subset = [t for t, d in zip(turns, domains) if d == dom]
-            report.per_domain[dom] = {
-                "intent": intent_f1(subset),
-                "entity": entity_f1(subset),
-                "action": action_f1(subset),
-            }
-            report.domain_turns[dom] = len(subset)
+        for dom in sorted(totals):
+            report.per_domain[dom] = dict(zip(("intent", "entity", "action"), _scores(totals[dom])))
+            report.domain_turns[dom] = sizes[dom]
     return report
+
+
+def _scores(t: list[int]) -> tuple[F1Score, F1Score, F1Score]:
+    """Intent, entity and action scores of nine totals."""
+    return F1Score(*t[0:3]), F1Score(*t[3:6]), F1Score(*t[6:9])

@@ -204,21 +204,46 @@ def fit(
 # ---------------------------------------------------------------------------
 # Prediction and evaluation.
 
-def predict_record(program: PolicyProgram, record: SampleRecord) -> dict:
-    """Crisp-derive system acts for one sample; structural or non-slot
-    constants never decode, they are reported in ``rejected``."""
+def _derive(program: PolicyProgram, record: SampleRecord) -> tuple:
+    """A record's derived atom texts, acts and rejected atom texts."""
     derived = crisp_infer(program, record.sample.background)
     acts, rejected = decode_acts(derived, record.meta.get("slots"))
+    return [str(a) for a in sorted(derived, key=str)], acts, [str(a) for a in rejected]
+
+
+def _prediction(record: SampleRecord, derivation: tuple) -> dict:
+    """A fresh prediction dict: no list in it is shared with another."""
+    atoms, acts, rejected = derivation
     return {
         "meta": record.meta,
-        "atoms": [str(a) for a in sorted(derived, key=str)],
+        "atoms": list(atoms),
         "acts": [[i, s] for i, s in acts],
-        "rejected": [str(a) for a in rejected],
+        "rejected": list(rejected),
     }
 
 
+def predict_record(program: PolicyProgram, record: SampleRecord) -> dict:
+    """Crisp-derive system acts for one sample; structural or non-slot
+    constants never decode, they are reported in ``rejected``."""
+    return _prediction(record, _derive(program, record))
+
+
 def predict_records(program: PolicyProgram, records: Sequence[SampleRecord]) -> list[dict]:
-    return [predict_record(program, r) for r in records]
+    """:func:`predict_record` of each record, deriving once per distinct
+    (background, slots) state: derivations depend on nothing else."""
+    memo: dict[tuple, tuple] = {}
+    out = []
+    for r in records:
+        slots = r.meta.get("slots")
+        key = (r.sample.background, None if slots is None else tuple(slots))
+        try:
+            derivation = memo.get(key)
+        except TypeError:  # a slot list holding a JSON list or object
+            derivation = _derive(program, r)
+        if derivation is None:
+            derivation = memo[key] = _derive(program, r)
+        out.append(_prediction(r, derivation))
+    return out
 
 
 def _eval_meta(meta: dict, where: str, dialog=None) -> tuple[tuple, str, list]:

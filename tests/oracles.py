@@ -6,6 +6,9 @@ shares code with the package's inference paths. ``join_fixpoint`` is the
 one concession to speed: still naive (every round re-derives from all
 facts), but it matches body atoms against facts instead of trying every
 substitution, for tests that chain over hundreds of turns.
+``reference_evaluate_turns`` is the six-pass scorer that
+``metrics.evaluate_turns`` replaced, on the package's score types but
+with its own multiset counts.
 
 The last two sections are not independent. ``generate_clauses`` (an
 ``Atom`` and a ``Clause.make`` per candidate body pair),
@@ -57,6 +60,7 @@ from slotlogic.engine import (
 )
 from slotlogic.extract import PolicyProgram
 from slotlogic.logic import UnsafeClauseError
+from slotlogic.metrics import F1Score, MetricsReport
 
 
 def ground_clause_rows(
@@ -204,6 +208,35 @@ def multiset_counts_via_counter(pred: list, gold: list) -> tuple[int, int, int]:
     pc, gc = Counter(pred), Counter(gold)
     tp = sum(min(pc[k], gc[k]) for k in pc)
     return tp, len(pred) - tp, len(gold) - tp
+
+
+def _reference_score(turns, key) -> F1Score:
+    total = F1Score()
+    for pred, gold in turns:
+        total += F1Score(*multiset_counts_via_counter(
+            [key(a) for a in pred if key(a) is not None],
+            [key(a) for a in gold if key(a) is not None],
+        ))
+    return total
+
+
+def reference_evaluate_turns(turns, domains=None) -> MetricsReport:
+    """The scorer ``metrics.evaluate_turns`` replaced: intent, entity and
+    action F1 over all turns, then again over each domain's slice."""
+    scores = {
+        "intent": lambda ts: _reference_score(ts, lambda a: a[0]),
+        "entity": lambda ts: _reference_score(ts, lambda a: a[1]),
+        "action": lambda ts: _reference_score(ts, lambda a: (a[0], a[1])),
+    }
+    report = MetricsReport(*(f(turns) for f in scores.values()), n_turns=len(turns))
+    if domains is not None:
+        if len(domains) != len(turns):
+            raise ValueError("one domain label per turn required")
+        for dom in sorted(set(domains)):
+            subset = [t for t, d in zip(turns, domains) if d == dom]
+            report.per_domain[dom] = {name: f(subset) for name, f in scores.items()}
+            report.domain_turns[dom] = len(subset)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from slotlogic import (
     DialogAct,
     DomainSpec,
     Predicate,
+    Sample,
     Term,
     Turn,
     atom,
@@ -291,6 +294,53 @@ def test_sample_records_roundtrip(tmp_path):
     assert len(loaded) == 1
     assert loaded[0].sample == sample
     assert loaded[0].meta["turn"] == 1
+
+
+class TestLoadSamplesShares:
+    """A samples-file line whose four sample lists equal an earlier line's
+    gets that line's ``Sample`` object; every line keeps its own meta and
+    its own checks."""
+
+    def lines(self):
+        def record(sample, turn):
+            return SampleRecord(sample, meta={"dialog": 0, "turn": turn, "slots": ["loc"]}).to_dict()
+        a = Sample.make([atom("known", "loc")], [atom("sys_inform", "loc")], [], ("loc",))
+        b = Sample.make([atom("unknown", "loc")], [], [atom("sys_inform", "loc")], ("loc",))
+        c = Sample.make([atom("known", "loc")], [], [atom("sys_inform", "loc")], ("loc",))
+        return [record(a, 0), record(a, 1), record(b, 2), record(a, 3), record(c, 4)]
+
+    @staticmethod
+    def write(path, dicts):
+        path.write_text("".join(json.dumps(d) + "\n" for d in dicts))
+        return path
+
+    def test_repeats_share_one_sample(self, tmp_path):
+        lines = self.lines()
+        loaded = load_samples(self.write(tmp_path / "s.jsonl", lines))
+        assert [r.to_dict() for r in loaded] == lines
+        assert loaded[0].sample is loaded[1].sample is loaded[3].sample
+        assert len({id(r.sample) for r in loaded}) == 3
+        assert [r.meta["turn"] for r in loaded] == [0, 1, 2, 3, 4]
+        assert len({id(r.meta) for r in loaded}) == 5
+        assert loaded[0].meta["slots"] is not loaded[1].meta["slots"]
+
+    @pytest.mark.parametrize("edit, want", [
+        (lambda d: {**d, "positive": d["positive"] + [7]}, "'positive' a list of strings"),
+        (lambda d: {**d, "meta": {"slots": "loc"}}, "any 'slots' in it a list"),
+        (lambda d: {**d, "negative": d["positive"]}, "both positive and negative: sys_inform(loc)"),
+        (lambda d: [d], "must be a JSON object"),
+    ])
+    def test_bad_line_after_repeats_names_its_line(self, tmp_path, edit, want):
+        lines = self.lines()
+        path = self.write(tmp_path / "s.jsonl", lines + [edit(lines[0])])
+        with pytest.raises(ValueError, match=r"line 6: .*" + re.escape(want)):
+            load_samples(path)
+
+    def test_unparsable_line_after_repeats_names_its_line(self, tmp_path):
+        path = self.write(tmp_path / "s.jsonl", self.lines())
+        path.write_text(path.read_text() + "{not json\n")
+        with pytest.raises(ValueError, match="line 6: "):
+            load_samples(path)
 
 
 def test_closed_world_negatives_disjoint():

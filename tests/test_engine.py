@@ -96,6 +96,13 @@ class TestSample:
         with pytest.raises(ValueError, match="both positive and negative"):
             Sample.make([], [atom("p", "a")], [atom("p", "a")], ("a",))
 
+    def test_overlap_names_atoms_by_sorted_text(self):
+        # The message must not depend on set order (PYTHONHASHSEED).
+        both = [atom("q", "b"), atom("p", "b", "a"), atom("p", "a", "b")]
+        with pytest.raises(ValueError) as exc:
+            Sample.make([], both, reversed(both), ("a", "b"))
+        assert str(exc.value) == "atoms both positive and negative: p(a, b), p(b, a), q(b)"
+
     def test_unknown_constant_rejected(self):
         with pytest.raises(ValueError, match="constant 'z' outside"):
             Sample.make([atom("q", "z")], [atom("p", "a")], [], ("a",))

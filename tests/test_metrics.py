@@ -3,10 +3,13 @@ import random
 
 from hypothesis import given, strategies as st
 
+import pytest
+
 from slotlogic import action_f1, entity_f1, intent_f1
+from slotlogic import metrics
 from slotlogic.metrics import F1Score, evaluate_turns
 
-from .oracles import multiset_counts_via_counter, multiset_f1_counts
+from .oracles import multiset_counts_via_counter, multiset_f1_counts, reference_evaluate_turns
 
 
 def turn(pred, gold):
@@ -77,6 +80,7 @@ class TestActionF1:
 )
 def test_counts_match_bruteforce_pairing(pred, gold):
     assert multiset_f1_counts(pred, gold) == multiset_counts_via_counter(pred, gold)
+    assert metrics._tp(pred, gold) == multiset_f1_counts(pred, gold)[0]
 
 
 def test_order_invariance():
@@ -106,3 +110,61 @@ def test_per_domain_breakdown():
     assert report.per_domain["rest"]["intent"].f1 == 1.0
     assert report.per_domain["movie"]["intent"].f1 == 0.0
     assert report.domain_turns == {"rest": 1, "movie": 1}
+
+
+class TestOnePassMatchesReference:
+    """``evaluate_turns`` counts each turn once; the six-pass scorer it
+    replaced is the reference, field for field."""
+
+    INTENTS = ("request", "inform", "query", "nooffer", None)
+    SLOTS = ("a", "b", "c", None)
+
+    def random_turns(self, rng: random.Random, n: int):
+        def acts():
+            # Small vocabularies make duplicate intents, slots and whole acts
+            # common; a zero length makes empty turns.
+            return [(rng.choice(self.INTENTS), rng.choice(self.SLOTS))
+                    for _ in range(rng.choice((0, 0, 1, 2, 3, 5)))]
+        return [(acts(), acts()) for _ in range(n)]
+
+    @staticmethod
+    def assert_same(turns, domains):
+        got, want = evaluate_turns(turns, domains), reference_evaluate_turns(turns, domains)
+        assert got == want
+        assert list(got.per_domain) == list(want.per_domain)
+        assert got.to_dict() == want.to_dict()
+        assert got.summary() == want.summary()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_turns(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            turns = self.random_turns(rng, rng.randint(0, 12))
+            labels = ("rest", "movie", "bus+hotel")[: rng.randint(1, 3)]
+            self.assert_same(turns, None)
+            self.assert_same(turns, [rng.choice(labels) for _ in turns])
+
+    def test_duplicates_none_slots_and_empty_turns(self):
+        turns = [
+            ([("inform", "a"), ("inform", "a"), ("request", None)],
+             [("inform", "a"), ("inform", None), ("request", "a")]),
+            ([], []),
+            ([("nooffer", None)], []),
+            ([], [("query", "b"), ("query", "b")]),
+        ]
+        report = evaluate_turns(turns, ["x", "y", "x", "y"])
+        assert (report.intent.tp, report.intent.fp, report.intent.fn) == (3, 1, 2)
+        assert (report.entity.tp, report.entity.fp, report.entity.fn) == (2, 0, 2)
+        assert (report.action.tp, report.action.fp, report.action.fn) == (1, 3, 4)
+        self.assert_same(turns, None)
+        self.assert_same(turns, ["x", "y", "x", "y"])
+
+    def test_no_turns(self):
+        self.assert_same([], None)
+        self.assert_same([], [])
+
+    def test_domain_count_mismatch(self):
+        turns = [([("inform", "a")], [])]
+        for scorer in (evaluate_turns, reference_evaluate_turns):
+            with pytest.raises(ValueError, match="one domain label per turn required"):
+                scorer(turns, ["x", "y"])

@@ -32,7 +32,7 @@ from slotlogic.pipeline import (
 )
 from slotlogic.extract import PolicyProgram, load_program, save_program
 from slotlogic.logic import parse_clause, Predicate
-from slotlogic.multiwoz import MULTIWOZ_TARGETS
+from slotlogic.multiwoz import MULTIWOZ_TARGETS, convert_multiwoz_records
 from slotlogic.engine import TrainedModel, task_to_dict
 
 GOLDEN_PROGRAM = PolicyProgram(
@@ -80,6 +80,106 @@ class TestPredictEvaluate:
         for p in predictions:
             assert "rejected" in p
             assert not p["rejected"]
+
+
+ANNOTATED_PROGRAM = PolicyProgram(
+    rules=tuple(
+        (parse_clause(t), 1.0)
+        for t in ("sys_request(V0) <- unknown(V0)", "sys_inform(V0) <- usr_inform(V0)")
+    ),
+    background=(),
+    targets=(Predicate("sys_request", 1), Predicate("sys_inform", 1)),
+    forward_steps=2,
+)
+
+
+def annotated_records() -> list[SampleRecord]:
+    """Converted annotated turns, several of them the same state."""
+    first = {"state": {"restaurant": {"semi": {"food": "thai", "area": "not mentioned"}}},
+             "user_acts": [["inform", "restaurant", "food"]],
+             "system_acts": [["request", "restaurant", "area"]]}
+    second = {"state": {"restaurant": {"semi": {"food": "thai", "area": "west"}},
+                        "hotel": {"semi": {"area": "north", "stars": "not mentioned"}}},
+              "system_acts": [["inform", "restaurant", "food"], ["request", "hotel", "stars"]]}
+    return convert_multiwoz_records({"turns": [first, first, second, first, second]})
+
+
+class TestPredictRecordsMemo:
+    """``predict_records`` derives once per distinct (background, slots)
+    state, and answers as ``predict_record`` does on every record."""
+
+    @pytest.fixture(params=["simulator", "annotated"])
+    def case(self, request, tmp_path):
+        if request.param == "simulator":
+            program, records = GOLDEN_PROGRAM, convert_corpus(generate_corpus("bus", 12, seed=1))
+        else:
+            program, records = ANNOTATED_PROGRAM, annotated_records()
+        save_samples(records, tmp_path / "samples.jsonl")
+        loaded = load_samples(tmp_path / "samples.jsonl")
+        states = {(r.sample.background, tuple(r.meta.get("slots") or ())) for r in loaded}
+        assert len(states) < len(loaded)  # the memo has repeats to serve
+        assert any(p["acts"] for p in predict_records(program, loaded))
+        return program, records, loaded
+
+    def test_equals_one_record_at_a_time(self, case):
+        program, records, loaded = case
+        for rs in (records, loaded):
+            assert predict_records(program, rs) == [pipeline.predict_record(program, r) for r in rs]
+
+    def test_no_list_shared_between_predictions(self, case):
+        program, _, loaded = case
+        preds = predict_records(program, loaded)
+        for field in ("atoms", "acts", "rejected"):
+            assert len({id(p[field]) for p in preds}) == len(preds)
+        victim = next(i for i, p in enumerate(preds) if p["acts"])
+        preds[victim]["acts"][0][1] = "changed"
+        preds[victim]["acts"].append(["inform", "x"])
+        preds[victim]["atoms"].append("x(y)")
+        preds[victim]["rejected"].append("x(y)")
+        for i, (p, r) in enumerate(zip(preds, loaded)):
+            if i != victim:
+                assert p == pipeline.predict_record(program, r)
+
+    def test_slots_are_part_of_the_state(self):
+        record = next(r for r in convert_corpus(generate_corpus("bus", 3, seed=1))
+                      if predict_records(GOLDEN_PROGRAM, [r])[0]["acts"])
+        no_slots = SampleRecord(record.sample, {**record.meta, "slots": []})
+        records = [record, no_slots, record]
+        preds = predict_records(GOLDEN_PROGRAM, records)
+        assert preds == [pipeline.predict_record(GOLDEN_PROGRAM, r) for r in records]
+        assert preds[1]["acts"] == [] and preds[1]["rejected"] != preds[0]["rejected"]
+
+    def test_unhashable_slots_are_derived_without_the_memo(self):
+        record = convert_corpus(generate_corpus("bus", 1, seed=1))[0]
+        odd = SampleRecord(record.sample, {**record.meta, "slots": [["loc"], *record.meta["slots"]]})
+        assert predict_records(GOLDEN_PROGRAM, [odd, odd]) == [
+            pipeline.predict_record(GOLDEN_PROGRAM, odd)] * 2
+
+
+def test_overlap_error_is_the_same_under_any_hash_seed(tmp_path):
+    """``transfer`` on a line whose atoms are both positive and negative
+    exits 2 and names them in sorted text order, whatever PYTHONHASHSEED."""
+    save_program(GOLDEN_PROGRAM, tmp_path / "program.txt")
+    both = ["sys_request(loc)", "sys_inform(loc)", "sys_inform(food)"]
+    samples = tmp_path / "samples.jsonl"
+    samples.write_text(json.dumps({"background": [], "positive": both, "negative": both,
+                                   "constants": ["loc", "food"], "meta": {}}) + "\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    messages = set()
+    for hashseed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "slotlogic.cli", "transfer", "--program",
+             str(tmp_path / "program.txt"), "--samples", str(samples),
+             "--out", str(tmp_path / "preds.jsonl")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        [line] = proc.stderr.splitlines()
+        assert proc.returncode == 2
+        messages.add(json.loads(line)["message"])
+    assert messages == {f"{samples} line 1: atoms both positive and negative: "
+                        "sys_inform(food), sys_inform(loc), sys_request(loc)"}
 
 
 class TestFullCli:

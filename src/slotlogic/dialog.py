@@ -358,8 +358,13 @@ class SampleRecord:
     def from_dict(d: dict, read_sample: Callable[[dict], Sample] = Sample.from_dict) -> "SampleRecord":
         sample = read_sample(d)
         meta = d.get("meta", {})
-        if not (isinstance(meta, dict) and isinstance(meta.get("slots"), (list, type(None)))):
-            raise ValueError("sample field 'meta' must be an object, any 'slots' in it a list")
+        slots = meta.get("slots") if isinstance(meta, dict) else None
+        if not (isinstance(meta, dict)
+                and (slots is None or isinstance(slots, list)
+                     and all(map(isinstance, slots, itertools.repeat(str))))
+                and type(meta.get("supervised", True)) is bool):
+            raise ValueError("sample field 'meta' must be an object, any 'slots' in it a list "
+                             "of strings or null and any 'supervised' a JSON boolean")
         return SampleRecord(sample, meta)
 
 

@@ -26,45 +26,45 @@ Background is fixed knowledge: a background clause reads only
 extensional atoms and background heads (``ModelCompiler`` rejects any
 other body), and every other atom keeps its start value. So the
 valuations of all atoms but the slot heads are chained once per batch,
-background clauses included, with the step count, amalgamation and cap
-of the weighted steps, up to the step where they stop changing
-(``_fixed_valuations``), and their range and monotonicity are checked
-there, once. A ``_Chain`` lays the table out as (sample, segment) cells,
-sample after sample and each sample's in table order. A *fixed* cell's
-segment reads no slot head, so its value at every distinct step is
-computed once too. A step writes its state, the (samples, heads) array,
-in front of the fixed values the *dependent* cells' rows read and the
-fixed cells' values, gathers two factors per cell from that in one
-``take`` (a fixed cell's are its value and 1), multiplies them, takes
-the max over the rows of the few multi-row dependent cells, weighs every
-cell and sums the cells into the heads with one ``bincount`` (so each
-head of a sample sums its segments in the same order as over the whole
-table), and amalgamates and caps the head values. The gathered factors
-and values go into work arrays the chain owns, so no cell-sized array
-of a training call outlives its step. A chain keeps every step's head
-values and checks their range and monotonicity once, after its last
-step. The backward step takes a cell's value as its winning row's
-product, scatters every cell's segment-weight gradient into the segments
-with one ``bincount`` (each segment's samples in order), and scatters
-each factor's gradient into the heads with one more (and two per block
-of multi-row cells); a factor outside the heads scatters into a cell
-that is dropped. Step 0 scatters nothing
-into the heads: the start values are fixed. A step's trace keeps its
-input, its factors, the winners of multi-row cells, every cell's value
-and the head values.
+up to the step where they stop changing, by the boolean pass below:
+start values are 0 or 1 and a background segment is a max of products of
+them, so these valuations are 0 or 1 under either amalgamation, and an
+OR chain can neither leave [0, 1] nor decrease. A ``_Chain`` lays the
+table out as (sample, segment) cells, sample after sample and each
+sample's in table order. A *fixed* cell's segment reads no slot head, so
+its value at every distinct step is computed once too. A step writes its
+state, the (samples, heads) array, in front of the fixed values the
+*dependent* cells' rows read and the fixed cells' values, gathers two
+factors per cell from that in one ``take`` (a fixed cell's are its value
+and 1), multiplies them, takes the max over the rows of the few
+multi-row dependent cells, weighs every cell and sums the cells into the
+heads with one ``bincount`` (so each head of a sample sums its segments
+in the same order as over the whole table), and amalgamates and caps the
+head values. The gathered factors and values go into work arrays the
+chain owns, so no cell-sized array of a training call outlives its step.
+A chain keeps every step's head values and checks their range and
+monotonicity once, after its last step. The backward step takes a cell's
+value as its winning row's product, scatters every cell's segment-weight
+gradient into the segments with one ``bincount`` (each segment's samples
+in order), and scatters each factor's gradient into the heads with one
+more (and two per block of multi-row cells); a factor outside the heads
+scatters into a cell that is dropped. Step 0 scatters nothing into the
+heads: the start values are fixed. A step's trace keeps its input, its
+factors, the winners of multi-row cells, every cell's value and the head
+values.
 
 Every chain, ``infer``'s and training's alike, is built by
-``_chain_for`` and drops the cells that cannot fire. The chaining with
-every clause enabled, run through the same table on boolean valuations
-(where its product is an AND and its max an OR), marks the atoms that
-can become non-zero in each sample; any other atom is exactly 0 under
-every weight, since each step is monotone and a product with 0 stays 0.
-A chain keeps the dependent cells live in their own sample (a multi-row
-cell goes only when all its rows are dead, so ties still pick the same
-row) and the fixed cells non-zero at some step. A dropped cell is 0 at
-every step of its sample, so it would add +0.0 to every sum and ±0 to
-every gradient, and valuations, loss and gradients equal those of the
-whole table bit for bit.
+``_chain_for`` from one boolean pass (``_reachable``): the chaining
+with every clause enabled, on booleans (a product is an AND, a max an
+OR), until neither the background heads nor the slot heads grow. It
+gives the fixed valuations and the segments live in each sample entering
+the last step; any other segment is exactly 0 under every weight, since
+each step is monotone and a product with 0 stays 0. A chain keeps only
+the live cells (a multi-row cell goes only when all its rows are dead,
+so ties still pick the same row). A dropped cell is 0 at every step of
+its sample, so it would add +0.0 to every sum and ±0 to every gradient,
+and valuations, loss and gradients equal those of the whole table bit
+for bit.
 
 Gradients are exact reverse-mode derivatives of that computation. Max
 picks its first argument on ties: the old valuation over the fresh
@@ -77,6 +77,7 @@ that agree on the data stay exactly tied.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -179,8 +180,8 @@ class Sample:
         }
 
     @staticmethod
-    def from_dict(d: dict, parse: Callable[[str], Atom] = parse_atom) -> "Sample":
-        return Sample.from_fields(sample_fields(d), parse)
+    def from_dict(d: dict) -> "Sample":
+        return Sample.from_fields(sample_fields(d), parse_atom)
 
     @staticmethod
     def from_fields(fields: tuple[tuple[str, ...], ...], parse: Callable[[str], Atom]) -> "Sample":
@@ -196,7 +197,7 @@ def sample_fields(d: dict) -> tuple[tuple[str, ...], ...]:
     out = []
     for key in ("background", "positive", "negative", "constants"):
         if not (isinstance(d, dict) and isinstance(d.get(key), list)
-                and all(isinstance(x, str) for x in d[key])):
+                and all(map(isinstance, d[key], itertools.repeat(str)))):
             raise ValueError(f"a sample must be a JSON object, {key!r} a list of strings")
         out.append(tuple(d[key]))
     return tuple(out)
@@ -525,7 +526,7 @@ class ModelCompiler:
                 preds.append(p)
         self.predicates = tuple(preds)
         # Background is fixed knowledge: chained once per batch ahead of
-        # the weights (_fixed_valuations), so it must not read a slot head.
+        # the weights (_reachable), so it must not read a slot head.
         fixed = {*frame.extensional, *bg_heads}
         for c in self.background:
             for a in c.body:
@@ -650,34 +651,42 @@ def _amalgamate(kind: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
     return np.minimum(a_new, 1.0), a_new > 1.0
 
 
-def _fixed_valuations(model: CompiledModel, a0: np.ndarray, amalgamation: str) -> np.ndarray:
-    """Valuations (n, S, atoms) of the atoms no weight reaches, before
-    each step from ``a0`` on: the background clauses chained with the
-    steps' ``amalgamation`` and cap, every other atom at its start value (a
-    slot head's entries are its start value too; the kernel reads the
-    heads from its state). Chaining stops at the background's fixpoint:
-    entry ``min(t, n - 1)`` holds the valuations before step ``t``, for
-    every ``t`` up to ``model.forward_steps``. Checked for range and
-    monotonicity here, once."""
-    out = [a0]
-    cols = model.static.key
-    for _ in range(model.forward_steps):
-        old = out[-1][:, cols]
-        new = _amalgamate(amalgamation, old, model.static.values(out[-1])[0])[0]
-        if np.array_equal(new, old):
-            break
-        out.append(out[-1].copy())
-        out[-1][:, cols] = new
-    fixed = np.stack(out)
-    _check_range(fixed[1:], fixed[:-1])
-    return fixed
-
-
 def _out_cells(model: CompiledModel, S: int) -> np.ndarray:
     """The output cell of each table segment in a flattened (S, outputs)
     array, sample after sample."""
     n_out = model.single_cols.size + 2 * model.pair_cols.size
     return (model.seg_out + n_out * np.arange(S)[:, None]).ravel()
+
+
+def _reachable(model: CompiledModel, a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chaining with every clause enabled, on booleans from ``a0``:
+    each step ORs the background segments into the background heads and
+    the table segments into the slot heads (two slots combine by OR),
+    until neither grows. Returns the 0/1 valuations (n, S, atoms) of the
+    atoms no weight reaches up to the background's fixpoint (a slot head
+    at its start value), entry ``min(t, n - 1)`` before step ``t`` for
+    every ``t`` up to ``model.forward_steps``, and the table segments
+    (S, segments) live entering the last step."""
+    S, cols = len(a0), model.static.key
+    n1, n2 = model.single_cols.size, model.pair_cols.size
+    flat_out = _out_cells(model, S)
+    fixed, reach = [a0], a0 > 0
+    for _ in range(model.forward_steps):
+        live = model.table.values(reach)[0]
+        hit = np.zeros(S * (n1 + 2 * n2), dtype=bool)
+        hit[flat_out[live.ravel()]] = True
+        hit = hit.reshape(S, -1)
+        b = reach.copy()
+        b[:, cols] |= model.static.values(reach)[0]
+        b[:, model.single_cols] |= hit[:, :n1]
+        b[:, model.pair_cols] |= hit[:, n1 : n1 + n2] | hit[:, n1 + n2 :]
+        if not np.array_equal(b[:, cols], reach[:, cols]):
+            fixed.append(fixed[-1].copy())
+            fixed[-1][:, cols] = b[:, cols]
+        elif np.array_equal(b, reach):
+            break
+        reach = b
+    return np.stack(fixed), live
 
 
 @dataclass(frozen=True)
@@ -687,7 +696,7 @@ class _Chain:
     The step state is the values (S, H) of ``heads``, the only atoms a
     weight reaches; each step folds its derivations into it by
     ``amalgamation``; ``fixed`` holds the valuations of all other atoms (see
-    :func:`_fixed_valuations`). A cell is a table segment in one sample;
+    :func:`_reachable`). A cell is a table segment in one sample;
     cells run sample after sample, each sample's in table order, so a
     step's sum into a head of a sample adds its segments in the order of
     the whole table, and the backward step's sum into a segment adds its
@@ -713,7 +722,7 @@ class _Chain:
     model: CompiledModel
     amalgamation: str
     heads: np.ndarray  # model.heads
-    fixed: np.ndarray  # (n, S, atoms) see _fixed_valuations
+    fixed: np.ndarray  # (n, S, atoms) see _reachable
     z: np.ndarray  # (steps, S * H + reads)
     rows: np.ndarray  # (2, cells)
     x: np.ndarray  # (steps, 2, cells) each step's factors, rows read from z
@@ -732,9 +741,10 @@ class _Chain:
     @staticmethod
     def build(model: CompiledModel, fixed: np.ndarray, live: np.ndarray,
               amalgamation: str) -> "_Chain":
-        """The chain of ``model`` over the fixed valuations ``fixed``: the
-        dependent cells ``live`` (S, segments) marks and the fixed cells
-        that are non-zero at some step."""
+        """The chain of ``model`` over the fixed valuations ``fixed``,
+        keeping the cells ``live`` (S, segments) marks: as
+        :func:`_reachable` gives it, the dependent cells some weight can
+        make non-zero and the fixed cells that are non-zero at some step."""
         (S, g), steps = fixed.shape[1:], model.forward_steps
         n = min(len(fixed), steps)
         table, heads = model.table, model.heads
@@ -744,12 +754,9 @@ class _Chain:
         is_head = head_col < H
         dep_blocks = [(is_head[b1] | is_head[b2]).any(axis=1) for b1, b2 in table.blocks]
         dep = np.concatenate([is_head[table.b1] | is_head[table.b2], *dep_blocks])
-        keep = live.copy()
-
-        fix = ~dep & keep.any(axis=0)
+        fix = ~dep & live.any(axis=0)
         seg_values = table.subset(fix).values(fixed[:n].reshape(n * S, g))[0].reshape(n, S, -1)
-        keep[:, fix] = seg_values.any(axis=0)
-        cells = np.flatnonzero(keep)
+        cells = np.flatnonzero(live)
         sample, seg = np.divmod(cells, dep.size)
         fixed_cells = np.flatnonzero(~dep[seg])
         fixed_values = seg_values[:, sample[fixed_cells], np.cumsum(fix)[seg[fixed_cells]] - 1]
@@ -945,45 +952,11 @@ def _clause_grads(chain: _Chain, dseg: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     return np.add.reduceat(dense, model.clause_starts)
 
-def _live_segments(model: CompiledModel, fixed: np.ndarray) -> np.ndarray:
-    """Which table segments (S, segments) some weight can make non-zero in
-    each sample.
-
-    The chaining with every clause enabled, on boolean valuations: an atom
-    is reachable if it starts above zero, if a segment into it has a row
-    whose two body atoms are reachable (``_Table.values`` on booleans;
-    two slots combine by OR), or, for an atom no weight reaches, if its
-    fixed valuation is above zero. The segments live under the valuation
-    that enters the last step are returned; the pass stops early once
-    reachability no longer changes and covers every fixed valuation still
-    to come.
-    """
-    steps, S = model.forward_steps, fixed.shape[1]
-    n1, n2 = model.single_cols.size, model.pair_cols.size
-    flat_out = _out_cells(model, S)
-    known = fixed > 0
-    last = known[min(steps - 1, len(known) - 1)]
-    reach = known[0]
-    live = model.table.values(reach)[0]
-    for t in range(steps - 1):
-        hit = np.zeros(S * (n1 + 2 * n2), dtype=bool)
-        hit[flat_out[live.ravel()]] = True
-        hit = hit.reshape(S, -1)
-        b = known[min(t + 1, len(known) - 1)] | reach
-        b[:, model.single_cols] |= hit[:, :n1]
-        b[:, model.pair_cols] |= hit[:, n1 : n1 + n2] | hit[:, n1 + n2 :]
-        if np.array_equal(b, reach) and not (last & ~b).any():
-            break
-        reach = b
-        live = model.table.values(reach)[0]
-    return live
-
 
 def _chain_for(model: CompiledModel, a0: np.ndarray, amalgamation: str) -> _Chain:
     """The chain of ``model`` from the start valuations ``a0`` under
     ``amalgamation``, keeping the cells some weight can make non-zero."""
-    fixed = _fixed_valuations(model, a0, amalgamation)
-    return _Chain.build(model, fixed, _live_segments(model, fixed), amalgamation)
+    return _Chain.build(model, *_reachable(model, a0), amalgamation)
 
 
 def infer(

@@ -236,10 +236,7 @@ def predict_records(program: PolicyProgram, records: Sequence[SampleRecord]) -> 
     for r in records:
         slots = r.meta.get("slots")
         key = (r.sample.background, None if slots is None else tuple(slots))
-        try:
-            derivation = memo.get(key)
-        except TypeError:  # a slot list holding a JSON list or object
-            derivation = _derive(program, r)
+        derivation = memo.get(key)
         if derivation is None:
             derivation = memo[key] = _derive(program, r)
         out.append(_prediction(r, derivation))
@@ -348,9 +345,7 @@ class OneShotResult:
     records: list[SampleRecord]
 
 
-def simdial_one_shot(
-    domain: str = "restaurant", restarts: int = 3, extra_dialogs: Sequence[Dialog] = ()
-) -> OneShotResult:
-    records = convert_corpus([representative_dialog(domain), *extra_dialogs])
+def simdial_one_shot(domain: str = "restaurant", restarts: int = 3) -> OneShotResult:
+    records = convert_corpus([representative_dialog(domain)])
     trained = fit(simdial_task(), training_samples(records), restarts)
     return OneShotResult(trained, extract_program(trained), records)

@@ -182,9 +182,11 @@ def template_from_dict(d: dict) -> ProgramTemplate:
             raise ValueError(f"template slot {key}: entry lacks key {exc}; want {form}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"template slot {entry!r}: {exc}; want {form}") from exc
+    if "forward_steps" not in d:
+        raise ValueError('a template lacks field "forward_steps"')
     try:
         auxiliary = tuple(Predicate(n, a) for n, a in d.get("auxiliary", []))
-        forward_steps = d.get("forward_steps", 10)
+        forward_steps = d["forward_steps"]
         if type(forward_steps) is not int:
             raise ValueError(f"forward_steps is {forward_steps!r}")
     except (TypeError, ValueError) as exc:

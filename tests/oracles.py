@@ -18,6 +18,10 @@ The last two sections are not independent. ``generate_clauses`` (an
 atom stepped and every gradient cell scattered) are the code the clause
 generator, the engine's grounding and its pruned head-only kernel
 replaced, kept as references they must equal bit for bit.
+``reference_fixed_valuations`` and ``reference_live_segments`` (the
+background chained numerically under an amalgamation, then the whole
+table's liveness chained again on booleans) are the two passes the
+engine's one boolean pass replaced.
 ``chain_step`` is one step of that reference from any valuation, for
 tests that inspect single steps; ``start_valuation`` is where ``infer``
 starts, and ``agreement`` compares the package's fuzzy and crisp
@@ -52,6 +56,8 @@ from slotlogic.engine import (
     MAX_CLAUSE_VARS,
     CompiledModel,
     _amalgamate,
+    _check_range,
+    _out_cells,
     _penalty,
     _segment_weights,
     _softmax_backward,
@@ -484,6 +490,57 @@ def reference_valuations(
             model, _segment_weights(model, probs), a, sb, amalgamation)[1]]
         for model, a, sb, _ in _reference_batches(compiler, samples, amalgamation)
     ]
+
+
+def reference_fixed_valuations(
+    model: CompiledModel, a0: np.ndarray, amalgamation: str
+) -> np.ndarray:
+    """Valuations (n, S, atoms) of the atoms no weight reaches, before
+    each step from ``a0`` on: the background clauses chained with the
+    steps' ``amalgamation`` and cap, every other atom at its start value.
+    Chaining stops at the background's fixpoint: entry ``min(t, n - 1)``
+    holds the valuations before step ``t``, for every ``t`` up to
+    ``model.forward_steps``. Checked for range and monotonicity."""
+    out = [a0]
+    cols = model.static.key
+    for _ in range(model.forward_steps):
+        old = out[-1][:, cols]
+        new = _amalgamate(amalgamation, old, model.static.values(out[-1])[0])[0]
+        if np.array_equal(new, old):
+            break
+        out.append(out[-1].copy())
+        out[-1][:, cols] = new
+    fixed = np.stack(out)
+    _check_range(fixed[1:], fixed[:-1])
+    return fixed
+
+
+def reference_live_segments(model: CompiledModel, fixed: np.ndarray) -> np.ndarray:
+    """Which table segments (S, segments) some weight can make non-zero in
+    each sample, entering the last step: the chaining with every clause
+    enabled on booleans, an atom no weight reaches taken from its fixed
+    valuation ``fixed`` (:func:`reference_fixed_valuations`), two slots
+    combined by OR; stops once reachability no longer changes and covers
+    every fixed valuation still to come."""
+    steps, S = model.forward_steps, fixed.shape[1]
+    n1, n2 = model.single_cols.size, model.pair_cols.size
+    flat_out = _out_cells(model, S)
+    known = fixed > 0
+    last = known[min(steps - 1, len(known) - 1)]
+    reach = known[0]
+    live = model.table.values(reach)[0]
+    for t in range(steps - 1):
+        hit = np.zeros(S * (n1 + 2 * n2), dtype=bool)
+        hit[flat_out[live.ravel()]] = True
+        hit = hit.reshape(S, -1)
+        b = known[min(t + 1, len(known) - 1)] | reach
+        b[:, model.single_cols] |= hit[:, :n1]
+        b[:, model.pair_cols] |= hit[:, n1 : n1 + n2] | hit[:, n1 + n2 :]
+        if np.array_equal(b, reach) and not (last & ~b).any():
+            break
+        reach = b
+        live = model.table.values(reach)[0]
+    return live
 
 
 # ---------------------------------------------------------------------------

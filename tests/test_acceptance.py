@@ -37,8 +37,15 @@ from slotlogic.pipeline import (
     predict_records,
     simdial_one_shot,
     simdial_task,
+    training_samples,
 )
-from slotlogic.simulator import DOMAINS, GeneratorConfig, generate_corpus, generate_dialog
+from slotlogic.simulator import (
+    DOMAINS,
+    GeneratorConfig,
+    generate_corpus,
+    generate_dialog,
+    representative_dialog,
+)
 
 from .oracles import boolean_rounds, list_all_property, multiset_f1_counts
 
@@ -182,12 +189,11 @@ def test_criterion_5_failure_case_and_retraining(one_shot, correction_dialog):
         assert r.meta["gold_acts"] == [["query", "default"]]
         assert base_preds[r.meta["turn"]] == [], "base model should predict no action"
 
-    retrained = simdial_one_shot(
-        "restaurant", restarts=3, extra_dialogs=[correction_dialog]
-    )
+    retrained = fit(simdial_task(), training_samples(
+        convert_corpus([representative_dialog("restaurant"), correction_dialog])), restarts=3)
     new_preds = {
         p["meta"]["turn"]: p["acts"]
-        for p in predict_records(retrained.program, records)
+        for p in predict_records(extract_program(retrained), records)
     }
     for r in correction_turns:
         assert new_preds[r.meta["turn"]] == [["query", "default"]]

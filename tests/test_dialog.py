@@ -327,6 +327,9 @@ class TestLoadSamplesShares:
     @pytest.mark.parametrize("edit, want", [
         (lambda d: {**d, "positive": d["positive"] + [7]}, "'positive' a list of strings"),
         (lambda d: {**d, "meta": {"slots": "loc"}}, "any 'slots' in it a list"),
+        (lambda d: {**d, "meta": {"slots": ["loc", 1]}}, "any 'slots' in it a list of strings"),
+        (lambda d: {**d, "meta": {"supervised": "false"}}, "any 'supervised' a JSON boolean"),
+        (lambda d: {**d, "meta": {"supervised": 0}}, "any 'supervised' a JSON boolean"),
         (lambda d: {**d, "negative": d["positive"]}, "both positive and negative: sys_inform(loc)"),
         (lambda d: [d], "must be a JSON object"),
     ])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slotlogic import (
+    Clause,
     Hyperparams,
     LanguageFrame,
     ModelCompiler,
@@ -15,6 +16,7 @@ from slotlogic import (
     Sample,
     TrainedModel,
     TrainingDiverged,
+    Term,
     atom,
     finite_difference_grad,
     infer,
@@ -27,8 +29,8 @@ from slotlogic.engine import (
     AMALGAMATIONS,
     ValuationInvariantError,
     _chain,
-    _live_segments,
     _prepare_batches,
+    _reachable,
     _segment_weights,
     loss,
     loss_and_grad,
@@ -37,10 +39,13 @@ from slotlogic.engine import (
 from slotlogic.gradcheck import _random_instance
 from slotlogic.logic import ground_atoms
 from slotlogic.simulator import DOMAINS, GeneratorConfig, generate_dialog
+from slotlogic.templates import generate_clauses
 
 from .oracles import (
     boolean_rounds,
     chain_step,
+    reference_fixed_valuations,
+    reference_live_segments,
     reference_loss,
     reference_loss_and_grad,
     reference_valuations,
@@ -89,6 +94,54 @@ def random_multi_sample_instance(rng):
             positive = [labeled[0]]
         samples.append(Sample.make(background, positive, negative, constants))
     return compiler, weights, samples, hp
+
+
+def random_background_instance(rng):
+    """A random task with one to four background clauses over extensional
+    and background-head predicates (recursive ones among them, and half
+    the time one that names a constant), slot clauses that may read the
+    background heads, and one to three samples over one constant list,
+    some starting with background-head facts."""
+    constants = tuple(f"c{i}" for i in range(int(rng.integers(2, 5))))
+    ext = [Predicate(f"e{i}", int(rng.integers(1, 3))) for i in range(int(rng.integers(2, 4)))]
+    bg_heads = [Predicate(f"b{i}", int(rng.integers(0, 3))) for i in range(int(rng.integers(1, 3)))]
+    pools = [generate_clauses(h, RuleTemplate(1, True), ext, bg_heads) for h in bg_heads]
+    background = [cs[int(rng.integers(len(cs)))] for cs in pools]
+    rest = [c for cs in pools for c in cs if c not in background]
+    extra = rng.choice(len(rest), size=min(len(rest), int(rng.integers(0, 5 - len(background)))),
+                       replace=False)
+    background += [rest[i] for i in sorted(extra)]
+    if rng.random() < 0.5:
+        c = background[0]
+        bind = {c.variables()[0]: Term.const(constants[int(rng.integers(len(constants)))])}
+        background[0] = Clause.make(c.head.substitute(bind), [a.substitute(bind) for a in c.body])
+    target = Predicate("t", int(rng.integers(0, 3)))
+    aux = (Predicate("h", int(rng.integers(0, 3))),) if rng.random() < 0.5 else ()
+    template = ProgramTemplate(
+        slots=tuple((p, tuple(RuleTemplate(0, True) for _ in range(int(rng.integers(1, 3)))))
+                    for p in (target, *aux)),
+        auxiliary=aux, forward_steps=int(rng.integers(1, 6)))
+    pools = []
+    for p, slots in template.slots:
+        full = generate_clauses(p, RuleTemplate(int(rng.integers(0, 2)), True), ext + bg_heads,
+                                [target, *aux])
+        for k in range(len(slots)):
+            take = rng.choice(len(full), size=min(len(full), int(rng.integers(1, 4))),
+                              replace=False)
+            pools.append(((p, k), [full[i] for i in sorted(take)]))
+    compiler = ModelCompiler(LanguageFrame(targets=(target,), extensional=tuple(ext)), template,
+                             background, pools=pools)
+    samples = []
+    for _ in range(int(rng.integers(1, 4))):
+        facts = [a for a in ground_atoms(ext, constants) if rng.random() < 0.4]
+        facts += [a for a in ground_atoms(bg_heads, constants) if rng.random() < 0.1]
+        labeled = ground_atoms([target], constants)
+        flags = rng.integers(0, 3, size=len(labeled))
+        positive = [a for a, f in zip(labeled, flags) if f == 1] or [labeled[0]]
+        negative = [a for a, f in zip(labeled, flags) if f == 2 and a not in positive]
+        samples.append(Sample.make(facts, positive, negative, constants))
+    weights = [rng.standard_normal(len(cs)) for _, cs in compiler.pools]
+    return compiler, weights, samples
 
 
 class TestSample:
@@ -843,9 +896,10 @@ class TestLivePrune:
 
 
 class TestFixpoint:
-    """Background chaining stops at its fixpoint, and a chain computes its
-    fixed cells only for the distinct steps; both equal full-length
-    chaining."""
+    """The one boolean pass stops background chaining at its fixpoint and
+    equals full-length chaining under either amalgamation; its liveness
+    equals the separate pass it replaced; and a chain computes its fixed
+    cells only for the distinct steps."""
 
     @staticmethod
     def full_length(model, a0, steps, amalgamation):
@@ -864,12 +918,18 @@ class TestFixpoint:
         for b in _prepare_batches(compiler, samples, hp):
             chain = b.chain
             model, steps = chain.model, chain.model.forward_steps
-            full = self.full_length(model, chain.fixed[0], steps, hp.amalgamation)
-            n = len(chain.fixed)
-            assert np.array_equal(chain.fixed[np.minimum(np.arange(steps + 1), n - 1)], full)
+            a0 = chain.fixed[0]
+            fixed, live = _reachable(model, a0)
+            assert fixed.tobytes() == chain.fixed.tobytes()
+            n = len(fixed)
+            for amalgamation in AMALGAMATIONS:
+                full = self.full_length(model, a0, steps, amalgamation)
+                assert np.array_equal(fixed[np.minimum(np.arange(steps + 1), n - 1)], full)
+                ref_fixed = reference_fixed_valuations(model, a0, amalgamation)
+                assert fixed.shape == ref_fixed.shape and np.array_equal(fixed, ref_fixed)
+                assert np.array_equal(live, reference_live_segments(model, full))
+            assert set(np.unique(fixed)) <= {0.0, 1.0}
             early |= n < steps
-            live = _live_segments(model, chain.fixed)
-            assert np.array_equal(live, _live_segments(model, full))
             ref = engine_mod._Chain.build(model, full, live, hp.amalgamation)
             for name in ("cells", "seg", "out_cells", "rows"):
                 assert np.array_equal(getattr(chain, name), getattr(ref, name))
@@ -894,6 +954,28 @@ class TestFixpoint:
             self.assert_equals_full_length(compiler, samples, hp)
             compiler, _, samples, hp = random_multi_sample_instance(rng)
             self.assert_equals_full_length(compiler, samples, hp)
+
+    def test_random_background_programs(self):
+        rng = np.random.default_rng(5)
+        seen = {"recursive": 0, "a constant": 0, "a slot reads a background head": 0,
+                "a fixpoint before the last step": 0, "a background head grows": 0}
+        for i in range(60):
+            compiler, weights, samples = random_background_instance(rng)
+            clauses = compiler.background
+            heads = {c.head.predicate for c in clauses}
+            seen["recursive"] += any(a.predicate in heads for c in clauses for a in c.body)
+            seen["a constant"] += any(not t.is_variable for c in clauses
+                                      for a in (c.head, *c.body) for t in a.args)
+            seen["a slot reads a background head"] += any(
+                a.predicate in heads for _, cs in compiler.pools for c in cs for a in c.body)
+            for amalgamation in AMALGAMATIONS:
+                hp = Hyperparams(amalgamation=amalgamation, seed=i)
+                early = self.assert_equals_full_length(compiler, samples, hp)
+                TestHeadKernel.assert_equals_reference(compiler, weights, samples, hp)
+            seen["a fixpoint before the last step"] += early
+            seen["a background head grows"] += any(
+                len(b.chain.fixed) > 1 for b in _prepare_batches(compiler, samples, hp))
+        assert all(seen.values()), seen
 
 
 class TestHeadKernel:

@@ -149,11 +149,15 @@ class TestPredictRecordsMemo:
         assert preds == [pipeline.predict_record(GOLDEN_PROGRAM, r) for r in records]
         assert preds[1]["acts"] == [] and preds[1]["rejected"] != preds[0]["rejected"]
 
-    def test_unhashable_slots_are_derived_without_the_memo(self):
+    def test_unhashable_slots_are_rejected_at_load(self, tmp_path):
+        # Every loaded slot list is strings, so every state is a key.
         record = convert_corpus(generate_corpus("bus", 1, seed=1))[0]
-        odd = SampleRecord(record.sample, {**record.meta, "slots": [["loc"], *record.meta["slots"]]})
-        assert predict_records(GOLDEN_PROGRAM, [odd, odd]) == [
-            pipeline.predict_record(GOLDEN_PROGRAM, odd)] * 2
+        path = tmp_path / "s.jsonl"
+        for slots in ([["loc"], *record.meta["slots"]], [{"loc": 1}], [1, 2], "loc"):
+            save_samples([SampleRecord(record.sample, {**record.meta, "slots": slots})], path)
+            with pytest.raises(ValueError, match=r"line 1: .*any 'slots' in it a list of "
+                                                 "strings or null"):
+                load_samples(path)
 
 
 def test_overlap_error_is_the_same_under_any_hash_seed(tmp_path):
@@ -369,13 +373,26 @@ class TestMalformedLines:
         assert "'constants' a list of strings" in message
 
     def test_transfer_rejects_non_list_slots(self, files, capsys):
+        # A list of non-strings too: unchecked, transfer exited 0 and
+        # rejected every slot act.
         tmp_path, samples = files
         record = json.loads(samples.read_text().splitlines()[1])
-        record["meta"]["slots"] = 3
-        message = self.fail(["transfer", "--program", str(tmp_path / "program.txt"),
-                             "--samples", str(self.with_line_2(samples, json.dumps(record))),
-                             "--out", str(tmp_path / "p.jsonl")], capsys)
-        assert "any 'slots' in it a list" in message
+        for slots in (3, [1]):
+            record["meta"]["slots"] = slots
+            message = self.fail(["transfer", "--program", str(tmp_path / "program.txt"),
+                                 "--samples", str(self.with_line_2(samples, json.dumps(record))),
+                                 "--out", str(tmp_path / "p.jsonl")], capsys)
+            assert "any 'slots' in it a list of strings or null" in message
+
+    def test_train_rejects_non_boolean_supervised(self, files, capsys):
+        # "false" is truthy: before the check, training used the turn.
+        tmp_path, samples = files
+        record = json.loads(samples.read_text().splitlines()[1])
+        record["meta"]["supervised"] = "false"
+        bad = self.with_line_2(samples, json.dumps(record))
+        message = self.fail(["train", "--samples", str(bad), "--out", str(tmp_path / "m.json")],
+                            capsys)
+        assert "any 'supervised' a JSON boolean" in message
 
     def test_transfer_rejects_list_line(self, files, capsys):
         tmp_path, samples = files
@@ -483,6 +500,9 @@ class TestMalformedLines:
          "model field 'slots': ValueError"),
         (lambda m: {k: v for k, v in m.items() if k != "loss_trace"},
          "model lacks field 'loss_trace'"),
+        (lambda m: {**m, "template": {k: v for k, v in m["template"].items()
+                                      if k != "forward_steps"}},
+         'model field \'template\': ValueError: a template lacks field "forward_steps"'),
         (lambda m: {**m, "frame": {**m["frame"], "extensional": [["true", 0.5]]}},
          "model field 'frame': ValueError"),
         (lambda m: {**m, "slots": [swapped_first_clauses(m["slots"][0]), *m["slots"][1:]]},
@@ -500,9 +520,9 @@ class TestMalformedLines:
                              ("learning_rate", True, "a number"),
                              ("init_scale", "0.1", "a number"))),
     ], ids=["list", "int-frame", "null-slots", "unknown-hyperparam", "short-weights",
-            "no-trace", "fractional-arity", "swapped-clauses", "background-reads-target",
-            "fractional-slot", "string-slot", "boolean-slot", "fractional-steps",
-            "fractional-seed", "boolean-steps", "boolean-rate", "string-scale"])
+            "no-trace", "no-forward-steps", "fractional-arity", "swapped-clauses",
+            "background-reads-target", "fractional-slot", "string-slot", "boolean-slot",
+            "fractional-steps", "fractional-seed", "boolean-steps", "boolean-rate", "string-scale"])
     def test_extract_rejects_malformed_model(self, tmp_path, capsys, edit, want):
         # A task file's fields are read as a model file's are: the cases
         # that break a task field also fail "train --task".

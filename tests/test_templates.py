@@ -237,6 +237,13 @@ class TestProgramTemplate:
         with pytest.raises(ValueError, match='"auxiliary" must be a list'):
             template_from_dict(d)
 
+    def test_missing_forward_steps_rejected(self):
+        # No default: the restaurant task needs 14 steps, not 10.
+        d = template_to_dict(ProgramTemplate(slots=((P, (RuleTemplate(0, True),)),)))
+        del d["forward_steps"]
+        with pytest.raises(ValueError, match='^a template lacks field "forward_steps"$'):
+            template_from_dict(d)
+
     def test_pools_cover_all_slots(self):
         pt = ProgramTemplate(
             slots=((P, (RuleTemplate(0, True), RuleTemplate(1, True))),)

@@ -48,7 +48,7 @@ from .logic import (
     parse_atom,
     parse_clause,
 )
-from .metrics import F1Score, MetricsReport, action_f1, entity_f1, intent_f1
+from .metrics import F1Score, MetricsReport
 from .multiwoz import convert_multiwoz_records, encode_multiwoz_state
 from .simulator import (
     DOMAINS,

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .engine import Sample, sample_fields
+from .engine import Sample
 from .logic import Atom, Predicate, atom, ground_atoms, parse_atom
 
 TERM = "term"
@@ -263,7 +263,7 @@ def dialog_to_dict(d: Dialog) -> dict:
     }
 
 
-def _is_pairs(x, second: Callable = lambda v: True) -> bool:
+def _is_pairs(x, second: Callable) -> bool:
     """Whether ``x`` is a list of [string, value] pairs whose values pass ``second``."""
     return isinstance(x, list) and all(
         isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) and second(p[1]) for p in x)
@@ -275,13 +275,20 @@ def is_act_pairs(acts) -> bool:
     return _is_pairs(acts, lambda s: s is None or isinstance(s, str))
 
 
+def is_flag(x) -> bool:
+    """Whether ``x`` is a JSON boolean (``bool("false")`` is true)."""
+    return type(x) is bool
+
+
 def _is_turn(t) -> bool:
     """Whether ``t`` has the shape :func:`dialog_from_dict` reads."""
     state = t.get("state") if isinstance(t, dict) else None
     return (
         isinstance(state, dict)
-        and all(_is_pairs(state.get(k)) for k in ("user_slots", "sys_slots"))
+        and all(_is_pairs(state.get(k), is_flag) for k in ("user_slots", "sys_slots"))
         and all(isinstance(state.get(k, []), list) for k in ("kb_return", "outstanding"))
+        and all(is_flag(state.get(k, False)) for k in ("no_match", "book_fail"))
+        and is_flag(t.get("correction", False))
         and all(is_act_pairs(t.get(k)) for k in ("user_acts", "system_acts"))
     )
 
@@ -295,22 +302,24 @@ def dialog_from_dict(d: dict) -> Dialog:
         if not _is_turn(t):
             raise ValueError(f"turn {n}: a turn must be an object with a 'state' object (its "
                              "'user_slots' and 'sys_slots' lists of [slot, flag] pairs, any "
-                             "'kb_return' and 'outstanding' lists) and 'user_acts' and "
-                             "'system_acts' lists of [intent, slot] pairs")
+                             "'kb_return' and 'outstanding' lists, any 'no_match' and "
+                             "'book_fail' flags), 'user_acts' and 'system_acts' lists of "
+                             "[intent, slot] pairs and any 'correction' flag; a flag is a "
+                             "JSON boolean")
         state = BeliefState(
-            user_known={s: bool(v) for s, v in t["state"]["user_slots"]},
-            sys_known={s: bool(v) for s, v in t["state"]["sys_slots"]},
+            user_known=dict(t["state"]["user_slots"]),
+            sys_known=dict(t["state"]["sys_slots"]),
             kb_return=tuple(t["state"].get("kb_return", ())),
             outstanding=tuple(t["state"].get("outstanding", ())),
-            no_match=bool(t["state"].get("no_match", False)),
-            book_fail=bool(t["state"].get("book_fail", False)),
+            no_match=t["state"].get("no_match", False),
+            book_fail=t["state"].get("book_fail", False),
         )
         turns.append(
             Turn(
                 state=state,
                 user_acts=[DialogAct(*p) for p in t["user_acts"]],
                 system_acts=[DialogAct(*p) for p in t["system_acts"]],
-                correction=bool(t.get("correction", False)),
+                correction=t.get("correction", False),
             )
         )
     return Dialog(domain=d["domain"], turns=turns)
@@ -346,17 +355,45 @@ def load_corpus(path) -> list[Dialog]:
 
 @dataclass
 class SampleRecord:
+    """A samples-file line: :meth:`to_dict` writes it, :func:`load_samples` reads it."""
+
     sample: Sample
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = self.sample.to_dict()
-        d["meta"] = self.meta
-        return d
+        return {
+            "background": [a.text for a in self.sample.background],
+            "positive": [a.text for a in self.sample.positive],
+            "negative": [a.text for a in self.sample.negative],
+            "constants": list(self.sample.constants),
+            "meta": self.meta,
+        }
 
-    @staticmethod
-    def from_dict(d: dict, read_sample: Callable[[dict], Sample] = Sample.from_dict) -> "SampleRecord":
-        sample = read_sample(d)
+
+def save_samples(records: Sequence[SampleRecord], path) -> None:
+    write_json_lines(path, (r.to_dict() for r in records))
+
+
+def load_samples(path) -> list[SampleRecord]:
+    """A samples file's records. Each distinct atom text is parsed once
+    per file, and each distinct sample built once: a line whose four
+    sample lists equal an earlier line's shares that line's (frozen)
+    ``Sample``. Every line gets its own ``meta``, and its own checks."""
+    parse = functools.lru_cache(maxsize=None)(parse_atom)
+    shared: dict[tuple, Sample] = {}
+
+    def record(d) -> SampleRecord:
+        fields = []
+        for name in ("background", "positive", "negative", "constants"):
+            if not (isinstance(d, dict) and isinstance(d.get(name), list)
+                    and all(map(isinstance, d[name], itertools.repeat(str)))):
+                raise ValueError(f"a sample must be a JSON object, {name!r} a list of strings")
+            fields.append(tuple(d[name]))
+        key = tuple(fields)
+        sample = shared.get(key)
+        if sample is None:
+            *atoms, constants = key
+            sample = shared[key] = Sample.make(*(map(parse, x) for x in atoms), constants)
         meta = d.get("meta", {})
         slots = meta.get("slots") if isinstance(meta, dict) else None
         if not (isinstance(meta, dict)
@@ -367,24 +404,4 @@ class SampleRecord:
                              "of strings or null and any 'supervised' a JSON boolean")
         return SampleRecord(sample, meta)
 
-
-def save_samples(records: Sequence[SampleRecord], path) -> None:
-    write_json_lines(path, (r.to_dict() for r in records))
-
-
-def load_samples(path) -> list[SampleRecord]:
-    """Each distinct atom text is parsed once per file, and each distinct
-    sample built once: a line whose four sample lists equal an earlier
-    line's shares that line's (frozen) ``Sample``. Every line gets its
-    own ``meta``."""
-    parse = functools.lru_cache(maxsize=None)(parse_atom)
-    shared: dict[tuple, Sample] = {}
-
-    def read_sample(d: dict) -> Sample:
-        fields = sample_fields(d)
-        sample = shared.get(fields)
-        if sample is None:
-            sample = shared[fields] = Sample.from_fields(fields, parse)
-        return sample
-
-    return read_json_lines(path, lambda d: SampleRecord.from_dict(d, read_sample))
+    return read_json_lines(path, record)

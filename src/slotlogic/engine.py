@@ -32,8 +32,8 @@ them, so these valuations are 0 or 1 under either amalgamation, and an
 OR chain can neither leave [0, 1] nor decrease. A ``_Chain`` lays the
 table out as (sample, segment) cells, sample after sample and each
 sample's in table order. A *fixed* cell's segment reads no slot head, so
-its value at every distinct step is computed once too. A step writes its
-state, the (samples, heads) array, in front of the fixed values the
+its value at every distinct step comes from that pass too. A step writes
+its state, the (samples, heads) array, in front of the fixed values the
 *dependent* cells' rows read and the fixed cells' values, gathers two
 factors per cell from that in one ``take`` (a fixed cell's are its value
 and 1), multiplies them, takes the max over the rows of the few
@@ -57,14 +57,14 @@ Every chain, ``infer``'s and training's alike, is built by
 ``_chain_for`` from one boolean pass (``_reachable``): the chaining
 with every clause enabled, on booleans (a product is an AND, a max an
 OR), until neither the background heads nor the slot heads grow. It
-gives the fixed valuations and the segments live in each sample entering
-the last step; any other segment is exactly 0 under every weight, since
-each step is monotone and a product with 0 stays 0. A chain keeps only
-the live cells (a multi-row cell goes only when all its rows are dead,
-so ties still pick the same row). A dropped cell is 0 at every step of
-its sample, so it would add +0.0 to every sum and ±0 to every gradient,
-and valuations, loss and gradients equal those of the whole table bit
-for bit.
+gives the fixed valuations, the table values at each distinct step
+input and the segments live in each sample entering the last step; any
+other segment is exactly 0 under every weight, since each step is
+monotone and a product with 0 stays 0. A chain keeps only the live cells
+(a multi-row cell goes only when all its rows are dead, so ties still
+pick the same row). A dropped cell is 0 at every step of its sample, so
+it would add +0.0 to every sum and ±0 to every gradient, and valuations,
+loss and gradients equal those of the whole table bit for bit.
 
 Gradients are exact reverse-mode derivatives of that computation. Max
 picks its first argument on ties: the old valuation over the fresh
@@ -77,7 +77,6 @@ that agree on the data stay exactly tied.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -97,7 +96,6 @@ from .logic import (
     build_ground_index,
     format_atom,
     format_clause,
-    parse_atom,
     parse_clause,
 )
 from .templates import (
@@ -170,37 +168,6 @@ class Sample:
                         "outside the sample's constant list"
                     )
         return Sample(bg, pos, neg, tuple(constants))
-
-    def to_dict(self) -> dict:
-        return {
-            "background": [format_atom(a) for a in self.background],
-            "positive": [format_atom(a) for a in self.positive],
-            "negative": [format_atom(a) for a in self.negative],
-            "constants": list(self.constants),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Sample":
-        return Sample.from_fields(sample_fields(d), parse_atom)
-
-    @staticmethod
-    def from_fields(fields: tuple[tuple[str, ...], ...], parse: Callable[[str], Atom]) -> "Sample":
-        """The sample that :func:`sample_fields`' four tuples describe."""
-        background, positive, negative, constants = fields
-        return Sample.make(map(parse, background), map(parse, positive), map(parse, negative),
-                           constants)
-
-
-def sample_fields(d: dict) -> tuple[tuple[str, ...], ...]:
-    """A sample object's background, positive, negative and constants
-    lists as tuples; a ``ValueError`` unless each is a list of strings."""
-    out = []
-    for key in ("background", "positive", "negative", "constants"):
-        if not (isinstance(d, dict) and isinstance(d.get(key), list)
-                and all(map(isinstance, d[key], itertools.repeat(str)))):
-            raise ValueError(f"a sample must be a JSON object, {key!r} a list of strings")
-        out.append(tuple(d[key]))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -426,18 +393,6 @@ class _Table:
             parts.append(prod.max(axis=2))
         return np.concatenate(parts, axis=1) if winners else parts[0], winners
 
-    def subset(self, keep: np.ndarray) -> "_Table":
-        """The segments ``keep`` selects, in order; a block loses a segment
-        only as a whole, so every kept segment keeps its rows in order."""
-        n1 = self.b1.size
-        blocks, lo = [], n1
-        for b1, b2 in self.blocks:
-            sel = keep[lo : lo + b1.shape[0]]
-            lo += b1.shape[0]
-            if sel.any():
-                blocks.append((b1[sel], b2[sel]))
-        return _Table(self.b1[keep[:n1]], self.b2[keep[:n1]], tuple(blocks), self.key[keep])
-
 
 @dataclass(frozen=True)
 class CompiledModel:
@@ -658,21 +613,26 @@ def _out_cells(model: CompiledModel, S: int) -> np.ndarray:
     return (model.seg_out + n_out * np.arange(S)[:, None]).ravel()
 
 
-def _reachable(model: CompiledModel, a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reachable(model: CompiledModel, a0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The chaining with every clause enabled, on booleans from ``a0``:
     each step ORs the background segments into the background heads and
     the table segments into the slot heads (two slots combine by OR),
     until neither grows. Returns the 0/1 valuations (n, S, atoms) of the
     atoms no weight reaches up to the background's fixpoint (a slot head
     at its start value), entry ``min(t, n - 1)`` before step ``t`` for
-    every ``t`` up to ``model.forward_steps``, and the table segments
-    (S, segments) live entering the last step."""
+    every ``t`` up to ``model.forward_steps``; the table values (m, S,
+    segments) at the inputs of the first ``m = min(n, forward_steps)``
+    steps (the background grows only in a prefix of them, so step ``k``
+    reads entry ``k``); and the table segments (S, segments) live
+    entering the last step."""
     S, cols = len(a0), model.static.key
     n1, n2 = model.single_cols.size, model.pair_cols.size
     flat_out = _out_cells(model, S)
-    fixed, reach = [a0], a0 > 0
+    fixed, seg_values, reach = [a0], [], a0 > 0
     for _ in range(model.forward_steps):
         live = model.table.values(reach)[0]
+        if len(seg_values) < len(fixed):
+            seg_values.append(live)
         hit = np.zeros(S * (n1 + 2 * n2), dtype=bool)
         hit[flat_out[live.ravel()]] = True
         hit = hit.reshape(S, -1)
@@ -686,7 +646,7 @@ def _reachable(model: CompiledModel, a0: np.ndarray) -> tuple[np.ndarray, np.nda
         elif np.array_equal(b, reach):
             break
         reach = b
-    return np.stack(fixed), live
+    return np.stack(fixed), np.stack(seg_values), live
 
 
 @dataclass(frozen=True)
@@ -739,11 +699,13 @@ class _Chain:
     to_heads: np.ndarray
 
     @staticmethod
-    def build(model: CompiledModel, fixed: np.ndarray, live: np.ndarray,
-              amalgamation: str) -> "_Chain":
-        """The chain of ``model`` over the fixed valuations ``fixed``,
-        keeping the cells ``live`` (S, segments) marks: as
-        :func:`_reachable` gives it, the dependent cells some weight can
+    def build(model: CompiledModel, fixed: np.ndarray, seg_values: np.ndarray,
+              live: np.ndarray, amalgamation: str) -> "_Chain":
+        """The chain of ``model`` over the fixed valuations ``fixed`` and
+        the table values ``seg_values`` at their step inputs (a fixed
+        cell's is a max of products of 0/1 values, so booleans give it
+        exactly), keeping the cells ``live`` (S, segments) marks: as
+        :func:`_reachable` gives them, the dependent cells some weight can
         make non-zero and the fixed cells that are non-zero at some step."""
         (S, g), steps = fixed.shape[1:], model.forward_steps
         n = min(len(fixed), steps)
@@ -754,12 +716,10 @@ class _Chain:
         is_head = head_col < H
         dep_blocks = [(is_head[b1] | is_head[b2]).any(axis=1) for b1, b2 in table.blocks]
         dep = np.concatenate([is_head[table.b1] | is_head[table.b2], *dep_blocks])
-        fix = ~dep & live.any(axis=0)
-        seg_values = table.subset(fix).values(fixed[:n].reshape(n * S, g))[0].reshape(n, S, -1)
         cells = np.flatnonzero(live)
         sample, seg = np.divmod(cells, dep.size)
         fixed_cells = np.flatnonzero(~dep[seg])
-        fixed_values = seg_values[:, sample[fixed_cells], np.cumsum(fix)[seg[fixed_cells]] - 1]
+        fixed_values = seg_values[:, sample[fixed_cells], seg[fixed_cells]]
 
         # The dependent cells by row count: one-row segments come first in
         # the table, then each block.

@@ -74,21 +74,6 @@ def _add_turn(totals: list[int], pred: Sequence[ActPair], gold: Sequence[ActPair
         totals[3 * n + 2] += len(g) - tp
 
 
-def intent_f1(turns: Sequence[tuple[Sequence[ActPair], Sequence[ActPair]]]) -> F1Score:
-    """Micro F1 over act intents, slots ignored."""
-    return evaluate_turns(turns).intent
-
-
-def entity_f1(turns: Sequence[tuple[Sequence[ActPair], Sequence[ActPair]]]) -> F1Score:
-    """Micro F1 over slot names; slotless acts carry no entity."""
-    return evaluate_turns(turns).entity
-
-
-def action_f1(turns: Sequence[tuple[Sequence[ActPair], Sequence[ActPair]]]) -> F1Score:
-    """Micro F1 over full (intent, slot) acts."""
-    return evaluate_turns(turns).action
-
-
 @dataclass
 class MetricsReport:
     intent: F1Score

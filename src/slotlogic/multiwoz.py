@@ -15,7 +15,7 @@ import functools
 import itertools
 from typing import Sequence
 
-from .dialog import SampleRecord, closed_world_negatives, decode_acts
+from .dialog import SampleRecord, closed_world_negatives, decode_acts, is_flag
 from .engine import Sample
 from .logic import Atom, Predicate, atom, is_constant_name
 
@@ -146,6 +146,8 @@ def convert_multiwoz_turn(turn_record: dict) -> list[tuple[str, Sample]]:
     user_atoms = encode_act_triples(turn_record.get("user_acts", []), "user")
     system_atoms = encode_act_triples(turn_record.get("system_acts", []), "system")
     db = turn_record.get("db", {})
+    if not isinstance(db, dict):
+        raise ValueError("a turn's 'db' must be an object mapping domains to pointers")
     domains = sorted(set(state) | set(user_atoms) | set(system_atoms))
     out: list[tuple[str, Sample]] = []
     for domain in domains:
@@ -154,9 +156,11 @@ def convert_multiwoz_turn(turn_record: dict) -> list[tuple[str, Sample]]:
         domain_state = state.get(domain, {})
         background = set(encode_multiwoz_state(domain_state))
         background |= user_atoms.get(domain, set())
-        pointer = db.get(domain, {}) if isinstance(db, dict) else {}
-        if not isinstance(pointer, dict):
-            raise ValueError(f"db pointer for {domain!r} must be an object")
+        pointer = db.get(domain, {})
+        if not (isinstance(pointer, dict)
+                and all(is_flag(pointer.get(k, False)) for k in ("no_match", "book_fail"))):
+            raise ValueError(f"db pointer for {domain!r} must be an object, any 'no_match' "
+                             "and 'book_fail' in it a JSON boolean")
         if pointer.get("no_match"):
             background.add(atom("no_match"))
         if pointer.get("book_fail"):

@@ -27,7 +27,7 @@ from slotlogic import (
 )
 from slotlogic.extract import crisp_infer, extract_program, program_to_text
 from slotlogic.gradcheck import run_gradcheck
-from slotlogic.metrics import action_f1
+from slotlogic.metrics import evaluate_turns
 from slotlogic.multiwoz import encode_act_triples, encode_multiwoz_state
 from slotlogic.pipeline import (
     convert_corpus,
@@ -330,7 +330,7 @@ def test_criterion_9_multiwoz_converter_suite():
     for _ in range(300):
         pred = [vocab[rng.randrange(4)] for _ in range(rng.randrange(5))]
         gold = [vocab[rng.randrange(4)] for _ in range(rng.randrange(5))]
-        score = action_f1([(pred, gold)])
+        score = evaluate_turns([(pred, gold)]).action
         tp, fp, fn = multiset_f1_counts(pred, gold)
         assert (score.tp, score.fp, score.fn) == (tp, fp, fn)
     report(

@@ -296,6 +296,25 @@ def test_sample_records_roundtrip(tmp_path):
     assert loaded[0].meta["turn"] == 1
 
 
+def test_samples_file_roundtrip_is_byte_identical(tmp_path):
+    """A saved samples file loads and saves again to the same bytes: a
+    0-arity atom, an empty ``negative`` list and a null ``slots``
+    included; its equal lines share one ``Sample``."""
+    a = Sample.make([atom("no_match"), atom("known", "loc")], [atom("nooffer")], [], ("loc",))
+    b = Sample.make([atom("unknown", "loc")], [], [atom("sys_inform", "loc")], ("loc", "term"))
+    records = [SampleRecord(a, {"dialog": 0, "turn": 0, "slots": None}),
+               SampleRecord(b, {"dialog": 0, "turn": 1, "slots": ["loc"]}),
+               SampleRecord(a, {"dialog": 1, "turn": 0, "slots": None, "supervised": True})]
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    save_samples(records, first)
+    loaded = load_samples(first)
+    save_samples(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert [r.sample for r in loaded] == [a, b, a]
+    assert loaded[0].sample is loaded[2].sample
+    assert [r.meta for r in loaded] == [r.meta for r in records]
+
+
 class TestLoadSamplesShares:
     """A samples-file line whose four sample lists equal an earlier line's
     gets that line's ``Sample`` object; every line keeps its own meta and

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 import pytest
 
-from slotlogic import action_f1, entity_f1, intent_f1
 from slotlogic import metrics
 from slotlogic.metrics import F1Score, evaluate_turns
 
@@ -19,35 +18,35 @@ def turn(pred, gold):
 class TestIntentF1:
     def test_exact_match(self):
         t = turn([("request", "loc")], [("request", "loc")])
-        assert intent_f1(t).f1 == 1.0
+        assert evaluate_turns(t).intent.f1 == 1.0
 
     def test_partial(self):
         t = turn([("request", "a")], [("request", "a"), ("inform", "b")])
-        s = intent_f1(t)
+        s = evaluate_turns(t).intent
         assert s.precision == 1.0
         assert s.recall == 0.5
         assert math.isclose(s.f1, 2 / 3)
 
     def test_both_empty(self):
-        assert intent_f1(turn([], [])).f1 == 1.0
+        assert evaluate_turns(turn([], [])).intent.f1 == 1.0
 
     def test_slot_ignored(self):
         t = turn([("request", "a")], [("request", "b")])
-        assert intent_f1(t).f1 == 1.0
+        assert evaluate_turns(t).intent.f1 == 1.0
 
 
 class TestEntityF1:
     def test_exact(self):
         t = turn([("request", "loc")], [("inform", "loc")])
-        assert entity_f1(t).f1 == 1.0
+        assert evaluate_turns(t).entity.f1 == 1.0
 
     def test_disjoint(self):
         t = turn([("request", "loc")], [("request", "food_pref")])
-        assert entity_f1(t).f1 == 0.0
+        assert evaluate_turns(t).entity.f1 == 0.0
 
     def test_slotless_acts_carry_no_entity(self):
         t = turn([("nooffer", None)], [("nooffer", None)])
-        s = entity_f1(t)
+        s = evaluate_turns(t).entity
         assert s.tp == s.fp == s.fn == 0
         assert s.f1 == 1.0
 
@@ -55,11 +54,11 @@ class TestEntityF1:
 class TestActionF1:
     def test_exact(self):
         t = turn([("request", "loc")], [("request", "loc")])
-        assert action_f1(t).f1 == 1.0
+        assert evaluate_turns(t).action.f1 == 1.0
 
     def test_none_prediction_counts_fn(self):
         t = turn([], [("query", "default")])
-        s = action_f1(t)
+        s = evaluate_turns(t).action
         assert (s.tp, s.fp, s.fn) == (0, 0, 1)
 
     def test_intent_entity_bound(self):
@@ -69,9 +68,9 @@ class TestActionF1:
         for _ in range(200):
             pred = rng.sample(vocab, rng.randint(0, 4))
             gold = rng.sample(vocab, rng.randint(0, 4))
-            t = turn(pred, gold)
-            assert action_f1(t).tp <= intent_f1(t).tp
-            assert action_f1(t).tp <= entity_f1(t).tp
+            r = evaluate_turns(turn(pred, gold))
+            assert r.action.tp <= r.intent.tp
+            assert r.action.tp <= r.entity.tp
 
 
 @given(

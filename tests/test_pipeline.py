@@ -457,6 +457,22 @@ class TestMalformedLines:
     def test_convert_simdial_rejects_malformed_turn(self, files, capsys, line, want):
         assert want in self.convert_simdial_line_2(files, capsys, line)
 
+    @pytest.mark.parametrize("state, turn", [
+        ({"user_slots": [["loc", "no"]], "sys_slots": []}, {}),
+        ({"user_slots": [], "sys_slots": [["open", 0]]}, {}),
+        ({"user_slots": [], "sys_slots": [], "no_match": "false"}, {}),
+        ({"user_slots": [], "sys_slots": [], "book_fail": 1}, {}),
+        ({"user_slots": [], "sys_slots": []}, {"correction": "false"}),
+    ], ids=["slot-string", "slot-int", "no-match", "book-fail", "correction"])
+    def test_convert_simdial_rejects_non_boolean_flag(self, files, capsys, state, turn):
+        # bool("no") and bool("false") are true: a flag that is not a JSON
+        # boolean would be misread.
+        line = json.dumps({"domain": "restaurant", "turns": [
+            {"state": {"user_slots": [], "sys_slots": []}, "user_acts": [], "system_acts": []},
+            {"state": state, "user_acts": [], "system_acts": [], **turn}]})
+        message = self.convert_simdial_line_2(files, capsys, line)
+        assert "turn 1: " in message and "a flag is a JSON boolean" in message
+
     @pytest.mark.parametrize("line, want", [
         ('{"domain": "nosuch", "turns": []}', "unknown domain 'nosuch'"),
         ('{"domain": "movie", "turns": [{"state": {"user_slots": [["nosuchslot", true]], '
@@ -565,6 +581,22 @@ class TestMalformedLines:
         message = self.fail(["convert", "--format", "multiwoz", "--in", str(corpus),
                              "--out", str(tmp_path / "s.jsonl")], capsys)
         assert "must be a" in message
+
+    @pytest.mark.parametrize("db, want", [
+        ([1], "'db' must be an object"),
+        ({"restaurant": {"no_match": "false"}}, "'no_match' and 'book_fail' in it a JSON boolean"),
+        ({"restaurant": {"book_fail": 0}}, "'no_match' and 'book_fail' in it a JSON boolean"),
+    ], ids=["db-list", "no-match-string", "book-fail-int"])
+    def test_convert_multiwoz_rejects_non_boolean_db(self, tmp_path, capsys, db, want):
+        # A db that is not an object used to be ignored, and a pointer's
+        # "no_match": "false" to become a no_match() fact.
+        corpus = tmp_path / "mwoz.jsonl"
+        turn = {"state": {"restaurant": {"semi": {"food": "thai"}}},
+                "system_acts": [["inform", "restaurant", "food"]]}
+        corpus.write_text(json.dumps({"turns": [turn, {**turn, "db": db}]}) + "\n")
+        message = self.fail(["convert", "--format", "multiwoz", "--in", str(corpus),
+                             "--out", str(tmp_path / "s.jsonl")], capsys, where=" line 1: turn 1: ")
+        assert want in message
 
 
 class TestRestartLoop:

@@ -49,7 +49,7 @@ from .logic import (
     parse_clause,
 )
 from .metrics import F1Score, MetricsReport
-from .multiwoz import convert_multiwoz_records, encode_multiwoz_state
+from .multiwoz import convert_multiwoz_records
 from .simulator import (
     DOMAINS,
     GeneratorConfig,

@@ -23,10 +23,14 @@ STRUCTURAL = (TERM, USR_HEAD)
 
 USER_INTENTS = ("inform", "request")
 
+# A system intent's target predicate: inform, request and query take a
+# slot, nooffer none, offerbooked one or none.
 SYSTEM_PREDICATES = {
     "inform": "sys_inform",
     "request": "sys_request",
     "query": "sys_query",
+    "nooffer": "nooffer",
+    "offerbooked": "offerbooked",
 }
 
 SIMDIAL_TARGETS = (
@@ -139,10 +143,24 @@ def encode_state(state: BeliefState, spec: DomainSpec) -> frozenset[Atom]:
     return frozenset(out)
 
 
-def _normalize_intent(intent: str, side: str) -> str:
-    if side == "system" and intent.startswith("sys_"):
-        intent = intent[4:]
+def system_intent(written: str) -> str:
+    """The intent a SimDial system act written as ``written`` decodes to:
+    a corpus may prefix it with ``sys_``. A ``ValueError`` if unknown."""
+    intent = written.removeprefix("sys_")
+    if intent not in SYSTEM_PREDICATES:
+        raise ValueError(f"unknown system intent {written!r}")
     return intent
+
+
+def system_act_atom(intent: str, slot: str | None) -> Atom | None:
+    """The target atom of a system intent and slot, or None for an inform,
+    request or query without a slot; a ``ValueError`` if the intent is unknown."""
+    pred = SYSTEM_PREDICATES.get(intent)
+    if pred is None:
+        raise ValueError(f"unknown system intent {intent!r}")
+    if intent == "nooffer" or (intent == "offerbooked" and slot is None):
+        return atom(pred)
+    return None if slot is None else atom(pred, slot)
 
 
 def encode_acts(acts: Sequence[DialogAct], side: str) -> frozenset[Atom]:
@@ -151,28 +169,18 @@ def encode_acts(acts: Sequence[DialogAct], side: str) -> frozenset[Atom]:
         raise ValueError(f"side must be user or system, got {side!r}")
     out: set[Atom] = set()
     for act in acts:
-        intent = _normalize_intent(act.intent, side)
         if side == "user":
-            if intent not in USER_INTENTS:
+            if act.intent not in USER_INTENTS:
                 raise ValueError(f"unknown user intent {act.intent!r}")
             if act.slot is None:
-                raise ValueError(f"user {intent} needs a slot")
-            out.add(atom(intent, act.slot))
+                raise ValueError(f"user {act.intent} needs a slot")
+            out.add(atom(act.intent, act.slot))
         else:
-            if intent in SYSTEM_PREDICATES:
-                if act.slot is None:
-                    raise ValueError(f"system {intent} needs a slot")
-                out.add(atom(SYSTEM_PREDICATES[intent], act.slot))
-            elif intent == "nooffer":
-                out.add(atom("nooffer"))
-            elif intent == "offerbooked":
-                out.add(
-                    atom("offerbooked", act.slot)
-                    if act.slot is not None
-                    else atom("offerbooked")
-                )
-            else:
-                raise ValueError(f"unknown system intent {act.intent!r}")
+            intent = system_intent(act.intent)
+            a = system_act_atom(intent, act.slot)
+            if a is None:
+                raise ValueError(f"system {intent} needs a slot")
+            out.add(a)
     return frozenset(out)
 
 
@@ -182,7 +190,6 @@ def act_order(act: tuple[str, str | None]) -> tuple[str, str]:
 
 
 _INTENT_OF = {pred: intent for intent, pred in SYSTEM_PREDICATES.items()}
-_INTENT_OF.update(nooffer="nooffer", offerbooked="offerbooked")
 
 
 def decode_acts(

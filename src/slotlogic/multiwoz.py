@@ -15,7 +15,8 @@ import functools
 import itertools
 from typing import Sequence
 
-from .dialog import SampleRecord, closed_world_negatives, decode_acts, is_flag
+from .dialog import (SYSTEM_PREDICATES, USER_INTENTS, SampleRecord, closed_world_negatives,
+                     decode_acts, is_flag, system_act_atom)
 from .engine import Sample
 from .logic import Atom, Predicate, atom, is_constant_name
 
@@ -25,17 +26,12 @@ SLOT_RENAMES = {"pricerange": "price"}
 
 _EMPTY_VALUES = ("", "not mentioned", "none", "not_mentioned")
 
-_USER_PREDICATES = {"inform": "inform", "request": "request"}
+# An annotated system intent and the intent it encodes as; query has no
+# annotated counterpart.
+_SYSTEM_INTENTS = {intent: intent for intent in SYSTEM_PREDICATES if intent != "query"}
+_SYSTEM_INTENTS.update(select="inform", recommend="inform", offerbook="inform")
 
-_SYSTEM_PREDICATES = {
-    "inform": "sys_inform",
-    "select": "sys_inform",
-    "recommend": "sys_inform",
-    "offerbook": "sys_inform",
-    "request": "sys_request",
-    "nooffer": "nooffer",
-    "offerbooked": "offerbooked",
-}
+_POINTER_FLAGS = frozenset(("no_match", "book_fail"))
 
 MULTIWOZ_TARGETS = (
     Predicate("sys_inform", 1),
@@ -59,52 +55,31 @@ def normalize_slot(slot: str) -> str | None:
     return SLOT_RENAMES.get(name, name)
 
 
-def _filled(value) -> bool:
-    return str(value).strip().lower() not in _EMPTY_VALUES
+def read_domain_state(domain_state: dict) -> tuple[set[Atom], tuple[str, ...]]:
+    """One domain's belief state as atoms and its slot constants in
+    first-mention order.
 
-
-def encode_multiwoz_state(domain_state: dict) -> frozenset[Atom]:
-    """One domain's belief-state section as atoms.
-
-    Filled slots yield ``usr_inform(s)`` and ``known(s)``; unfilled ones
-    ``unknown(s)``. Booking sub-fields are treated the same way.
+    A filled ``semi`` or ``book`` slot yields ``usr_inform(s)`` and
+    ``known(s)``, an unfilled one ``unknown(s)``; the ``book`` section's
+    ``booked`` list is no slot.
     """
-    out: set[Atom] = set()
-
-    def add(slot_raw: str, value) -> None:
-        slot = normalize_slot(slot_raw)
-        if slot is None:
-            return
-        if _filled(value):
-            out.add(atom("usr_inform", slot))
-            out.add(atom("known", slot))
-        else:
-            out.add(atom("unknown", slot))
-
-    for slot, value in domain_state.get("semi", {}).items():
-        add(slot, value)
-    for slot, value in domain_state.get("book", {}).items():
-        if slot == "booked":
-            continue
-        add(slot, value)
-    return frozenset(out)
-
-
-def domain_slots(domain_state: dict) -> tuple[str, ...]:
-    slots: list[str] = []
+    atoms: set[Atom] = set()
+    slots: dict[str, None] = {}
     for section in ("semi", "book"):
-        for raw in domain_state.get(section, {}):
-            if raw == "booked":
+        for raw, value in domain_state.get(section, {}).items():
+            slot = None if section == "book" and raw == "booked" else normalize_slot(raw)
+            if slot is None:
                 continue
-            s = normalize_slot(raw)
-            if s is not None and s not in slots:
-                slots.append(s)
-    return tuple(slots)
+            slots[slot] = None
+            if str(value).strip().lower() in _EMPTY_VALUES:
+                atoms.add(atom("unknown", slot))
+            else:
+                atoms.update((atom("usr_inform", slot), atom("known", slot)))
+    return atoms, tuple(slots)
 
 
 def encode_act_triples(triples: Sequence[Sequence[str]], side: str) -> dict[str, set[Atom]]:
     """[intent, domain, slot] triples to atoms, grouped by domain."""
-    table = _USER_PREDICATES if side == "user" else _SYSTEM_PREDICATES
     if not (isinstance(triples, (list, tuple))
             and all(isinstance(t, (list, tuple)) and len(t) == 3 for t in triples)):
         raise ValueError(f"{side} acts must be a list of [intent, domain, slot] triples")
@@ -113,20 +88,17 @@ def encode_act_triples(triples: Sequence[Sequence[str]], side: str) -> dict[str,
         intent, domain, slot_raw = (str(x).strip().lower() for x in triple)
         if domain == GENERAL_DOMAIN:
             continue
-        if intent not in table:
+        if intent not in (USER_INTENTS if side == "user" else _SYSTEM_INTENTS):
             raise ValueError(f"unknown {side} intent {intent!r}")
-        pred = table[intent]
         slot = normalize_slot(slot_raw)
         atoms = out.setdefault(domain, set())
-        if pred in ("nooffer",):
-            atoms.add(atom("nooffer"))
-        elif pred == "offerbooked":
-            atoms.add(atom("offerbooked", slot) if slot else atom("offerbooked"))
+        if side == "user":
+            a = None if slot is None else atom(intent, slot)
         else:
-            if slot is None:
-                # Slotless inform/request annotations carry no entity; drop.
-                continue
-            atoms.add(atom(pred, slot))
+            a = system_act_atom(_SYSTEM_INTENTS[intent], slot)
+        # Slotless inform/request annotations carry no entity; drop.
+        if a is not None:
+            atoms.add(a)
     return out
 
 
@@ -135,7 +107,10 @@ def convert_multiwoz_turn(turn_record: dict) -> list[tuple[str, Sample]]:
 
     Training supervision comes from the system acts; the belief state is
     split by domain and each involved domain gets its own sample over its
-    own slot constants.
+    own slot constants. A ``ValueError`` for a state or ``db`` domain that
+    is not written as act domains are read (stripped, lowercase), a ``db``
+    pointer for a domain the turn has no state or acts in, or a pointer
+    key other than ``no_match`` and ``book_fail``.
     """
     state = turn_record.get("state", {}) if isinstance(turn_record, dict) else None
     if not (isinstance(state, dict) and all(
@@ -148,34 +123,37 @@ def convert_multiwoz_turn(turn_record: dict) -> list[tuple[str, Sample]]:
     db = turn_record.get("db", {})
     if not isinstance(db, dict):
         raise ValueError("a turn's 'db' must be an object mapping domains to pointers")
-    domains = sorted(set(state) | set(user_atoms) | set(system_atoms))
+    for domain in itertools.chain(state, db):
+        if domain != domain.strip().lower():
+            raise ValueError(f"domain {domain!r} must be a lowercase name without surrounding "
+                             "spaces: act domains are read that way")
+    domains = set(state) | set(user_atoms) | set(system_atoms)
+    if not db.keys() <= domains:
+        raise ValueError(f"db pointer for {min(db.keys() - domains)!r} must be for a domain "
+                         "the turn has state or acts in")
     out: list[tuple[str, Sample]] = []
-    for domain in domains:
-        if domain == GENERAL_DOMAIN:
-            continue
-        domain_state = state.get(domain, {})
-        background = set(encode_multiwoz_state(domain_state))
-        background |= user_atoms.get(domain, set())
+    for domain in sorted(domains):
         pointer = db.get(domain, {})
         if not (isinstance(pointer, dict)
-                and all(is_flag(pointer.get(k, False)) for k in ("no_match", "book_fail"))):
+                and all(is_flag(pointer.get(k, False)) for k in _POINTER_FLAGS)):
             raise ValueError(f"db pointer for {domain!r} must be an object, any 'no_match' "
                              "and 'book_fail' in it a JSON boolean")
+        if not pointer.keys() <= _POINTER_FLAGS:
+            raise ValueError(f"db pointer for {domain!r} has key "
+                             f"{min(pointer.keys() - _POINTER_FLAGS)!r}; a pointer's keys must "
+                             "be among 'no_match' and 'book_fail'")
+        if domain == GENERAL_DOMAIN:
+            continue
+        background, constants = read_domain_state(state.get(domain, {}))
+        background |= user_atoms.get(domain, set())
         if pointer.get("no_match"):
             background.add(atom("no_match"))
         if pointer.get("book_fail"):
             background.add(atom("book_fail"))
         positives = system_atoms.get(domain, set())
-        constants = domain_slots(domain_state)
-        extra = sorted(
-            {
-                t.label
-                for a in itertools.chain(background, positives)
-                for t in a.args
-                if t.label not in constants
-            }
-        )
-        constants = constants + tuple(extra)
+        constants += tuple(sorted(
+            {t.label for a in itertools.chain(background, positives) for t in a.args}
+            - set(constants)))
         if not constants:
             continue
         negatives = closed_world_negatives(positives, constants, MULTIWOZ_TARGETS)

@@ -16,10 +16,10 @@ from .dialog import (
     SIMDIAL_TARGETS,
     Dialog,
     SampleRecord,
-    act_order,
     build_sample,
     decode_acts,
     is_act_pairs,
+    system_intent,
 )
 from .engine import Hyperparams, ModelCompiler, Sample, TrainedModel, train
 from .extract import PolicyProgram, crisp_infer, extract_program
@@ -139,7 +139,7 @@ def convert_dialog(dialog: Dialog, dialog_id: int) -> list[SampleRecord]:
                     "domain": dialog.domain,
                     "supervised": bool(sample.positive),
                     "correction": turn.correction,
-                    "gold_acts": [[a.intent, a.slot] for a in turn.system_acts],
+                    "gold_acts": [[system_intent(a.intent), a.slot] for a in turn.system_acts],
                     "slots": list(spec.slots),
                     "format": "simdial",
                 },
@@ -260,32 +260,18 @@ def evaluate_predictions(
     predictions: Sequence[dict], gold_records: Sequence[SampleRecord]
 ) -> MetricsReport:
     """Group per (dialog, turn), union acts across domain splits, score."""
-    golds: dict[tuple, set] = {}
-    domains: dict[tuple, set] = {}
-    order: list[tuple] = []
+    turns: dict[tuple, tuple[set, set, set]] = {}  # predicted acts, gold acts, domains
     for n, r in enumerate(gold_records, 1):
         key, domain, gold = _eval_meta(r.meta, f"gold record {n}", id(r))
-        if key not in golds:
-            golds[key] = set()
-            domains[key] = set()
-            order.append(key)
-        golds[key].update((i, s) for i, s in gold)
-        domains[key].add(domain)
-    preds: dict[tuple, set] = {k: set() for k in golds}
+        _, golds, domains = turns.setdefault(key, (set(), set(), set()))
+        golds.update((i, s) for i, s in gold)
+        domains.add(domain)
     for n, p in enumerate(predictions, 1):
         key, domain, _ = _eval_meta(p.get("meta", {}), f"prediction {n}")
-        if key not in preds:
-            preds[key] = set()
-            golds.setdefault(key, set())
-            domains.setdefault(key, {domain})
-            order.append(key)
-        preds[key].update((i, s) for i, s in p.get("acts", []))
-    turns = []
-    labels = []
-    for key in order:
-        turns.append((sorted(preds[key], key=act_order), sorted(golds[key], key=act_order)))
-        labels.append("+".join(sorted(domains[key])))
-    return evaluate_turns(turns, labels)
+        preds, _, _ = turns.setdefault(key, (set(), set(), {domain}))
+        preds.update((i, s) for i, s in p.get("acts", []))
+    return evaluate_turns([(list(p), list(g)) for p, g, _ in turns.values()],
+                          ["+".join(sorted(d)) for _, _, d in turns.values()])
 
 
 def evaluate_program_on_corpus(

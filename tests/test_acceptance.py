@@ -28,7 +28,7 @@ from slotlogic import (
 from slotlogic.extract import crisp_infer, extract_program, program_to_text
 from slotlogic.gradcheck import run_gradcheck
 from slotlogic.metrics import evaluate_turns
-from slotlogic.multiwoz import encode_act_triples, encode_multiwoz_state
+from slotlogic.multiwoz import encode_act_triples, read_domain_state
 from slotlogic.pipeline import (
     convert_corpus,
     evaluate_program_on_corpus,
@@ -311,7 +311,7 @@ def test_criterion_9_multiwoz_converter_suite():
         atom("unknown", "day"),
         atom("unknown", "time"),
     }
-    assert encode_multiwoz_state(state) == expected
+    assert read_domain_state(state)[0] == expected
 
     acts = encode_act_triples(
         [["nooffer", "restaurant", "none"], ["reqmore", "general", "none"]],

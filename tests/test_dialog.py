@@ -165,6 +165,10 @@ class TestEncodeActs:
         with pytest.raises(ValueError):
             encode_acts([DialogAct("shout", "loc")], "user")
 
+    def test_unknown_system_intent_named_as_written(self):
+        with pytest.raises(ValueError, match="unknown system intent 'sys_shout'"):
+            encode_acts([DialogAct("sys_shout", "loc")], "system")
+
 
 class TestBuildSample:
     def make_turn(self):

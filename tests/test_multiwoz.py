@@ -1,10 +1,11 @@
 import pytest
 
-from slotlogic import atom, convert_multiwoz_records, encode_multiwoz_state
+from slotlogic import atom, convert_multiwoz_records
 from slotlogic.multiwoz import (
     convert_multiwoz_turn,
     encode_act_triples,
     normalize_slot,
+    read_domain_state,
 )
 
 RESTAURANT_STATE = {
@@ -20,7 +21,7 @@ RESTAURANT_STATE = {
 
 class TestEncodeState:
     def test_first_turn_nine_atoms(self):
-        got = encode_multiwoz_state(RESTAURANT_STATE)
+        got, _ = read_domain_state(RESTAURANT_STATE)
         expected = {
             atom("usr_inform", "food"),
             atom("usr_inform", "area"),
@@ -36,12 +37,22 @@ class TestEncodeState:
         assert len(got) == 9
 
     def test_pricerange_renamed(self):
-        got = encode_multiwoz_state({"semi": {"pricerange": "cheap"}})
+        got, _ = read_domain_state({"semi": {"pricerange": "cheap"}})
         assert atom("usr_inform", "price") in got
 
     def test_booked_section_ignored(self):
-        got = encode_multiwoz_state({"book": {"booked": [{"ref": "X"}]}})
-        assert got == frozenset()
+        assert read_domain_state({"book": {"booked": [{"ref": "X"}]}}) == (set(), ())
+
+    def test_slots_in_first_mention_order(self):
+        state = {"semi": {"food": "thai", "Price Range": "", "booked": "yes"},
+                 "book": {"people": "2", "booked": [], "food": "thai"}}
+        assert read_domain_state(state)[1] == ("food", "price_range", "booked", "people")
+
+    def test_slot_that_normalizes_to_none_skipped(self):
+        atoms, slots = read_domain_state({"semi": {"none": "x", "food": "thai"},
+                                          "book": {"?": ""}})
+        assert atoms == {atom("usr_inform", "food"), atom("known", "food")}
+        assert slots == ("food",)
 
 
 class TestActTriples:
@@ -132,6 +143,27 @@ class TestConvertTurn:
         assert atom("sys_request", "area") in out["hotel"].positive
         assert atom("sys_inform", "food") in out["restaurant"].positive
         assert atom("inform", "food") not in out["hotel"].background
+
+
+    def test_general_state_section_ignored(self):
+        general = {"semi": {"food": "thai"}, "book": {"people": "2"}}
+        out = convert_multiwoz_turn({"state": {"general": general,
+                                               "restaurant": {"semi": {"area": "west"}}}})
+        assert [d for d, _ in out] == ["restaurant"]
+        assert out[0][1].constants == ("area",)
+        assert convert_multiwoz_turn({"state": {"general": general}}) == []
+
+    def test_db_pointer_for_an_act_only_domain_kept(self):
+        out = dict(convert_multiwoz_turn({
+            "state": {"restaurant": {"semi": {"food": "thai"}}},
+            "system_acts": [["request", "hotel", "area"]], "db": {"hotel": {"no_match": True}}}))
+        assert atom("no_match") in out["hotel"].background
+
+    def test_slot_that_normalizes_to_none_is_no_constant(self):
+        [(_, sample)] = convert_multiwoz_turn(
+            {"state": {"restaurant": {"semi": {"none": "x", "food": "thai"}}}})
+        assert sample.constants == ("food",)
+        assert set(sample.background) == {atom("usr_inform", "food"), atom("known", "food")}
 
 
 class TestConvertDialog:

@@ -81,6 +81,31 @@ class TestPredictEvaluate:
             assert "rejected" in p
             assert not p["rejected"]
 
+    def test_prefixed_system_intents_score_as_decoded(self):
+        # A corpus may write system intents with the sys_ prefix; the gold
+        # acts are written as the acts decode, so the prefix costs nothing.
+        plain = representative_dialog("restaurant")
+        prefixed = replace(plain, turns=[
+            replace(t, system_acts=[replace(a, intent="sys_" + a.intent) for a in t.system_acts])
+            for t in plain.turns])
+        records = convert_corpus([prefixed])
+        assert [(r.sample, r.meta) for r in records] == [
+            (r.sample, r.meta) for r in convert_corpus([plain])]
+        report = evaluate_predictions(predict_records(GOLDEN_PROGRAM, records), records)
+        assert report.action.f1 == 1.0
+
+    def test_prediction_without_gold_record_is_an_extra_turn(self):
+        [gold] = convert_corpus([representative_dialog("restaurant")])[:1]
+        stray = {"meta": {"dialog": 9, "turn": 4, "domain": "hotel"}, "acts": [["inform", "area"]]}
+        report = evaluate_predictions(
+            [{"meta": gold.meta, "acts": gold.meta["gold_acts"]}, stray], [gold])
+        assert report.n_turns == 2
+        assert report.domain_turns == {"hotel": 1, "restaurant": 1}
+        hotel = report.per_domain["hotel"]["action"]
+        assert (hotel.tp, hotel.fp, hotel.fn) == (0, 1, 0)
+        assert (report.action.tp, report.action.fp, report.action.fn) == (
+            len(gold.meta["gold_acts"]), 1, 0)
+
 
 ANNOTATED_PROGRAM = PolicyProgram(
     rules=tuple(
@@ -574,6 +599,8 @@ class TestMalformedLines:
         '{"turns": [{"state": {"restaurant": {"semi": []}}}]}',
         '{"turns": [{"state": {"restaurant": {"semi": {"food!": "thai"}}}}]}',
         '{"turns": [{"state": {}, "system_acts": [["request", "restaurant", "2nd"]]}]}',
+        '{"turns": [{"state": {"Restaurant": {"semi": {"food": "thai"}}}, '
+        '"system_acts": [["request", "Restaurant", "area"]]}]}',
     ])
     def test_convert_multiwoz_rejects_malformed_line(self, tmp_path, capsys, line):
         corpus = tmp_path / "mwoz.jsonl"
@@ -586,12 +613,19 @@ class TestMalformedLines:
         ([1], "'db' must be an object"),
         ({"restaurant": {"no_match": "false"}}, "'no_match' and 'book_fail' in it a JSON boolean"),
         ({"restaurant": {"book_fail": 0}}, "'no_match' and 'book_fail' in it a JSON boolean"),
-    ], ids=["db-list", "no-match-string", "book-fail-int"])
+        ({"hotel": {"no_match": True}}, "db pointer for 'hotel' must be for a domain the turn"),
+        ({"restaurant": {"nomatch": True}}, "db pointer for 'restaurant' has key 'nomatch'"),
+        ({" restaurant": {"no_match": True}}, "domain ' restaurant' must be a lowercase name"),
+        ({"general": 5}, "db pointer for 'general' must be an object"),
+    ], ids=["db-list", "no-match-string", "book-fail-int", "absent-domain", "unknown-key",
+            "domain-space", "general-not-object"])
     def test_convert_multiwoz_rejects_non_boolean_db(self, tmp_path, capsys, db, want):
         # A db that is not an object used to be ignored, and a pointer's
-        # "no_match": "false" to become a no_match() fact.
+        # "no_match": "false" to become a no_match() fact; a pointer for a
+        # domain without state or acts, or with a key other than the two
+        # flags, was dropped, and so was any pointer for the general domain.
         corpus = tmp_path / "mwoz.jsonl"
-        turn = {"state": {"restaurant": {"semi": {"food": "thai"}}},
+        turn = {"state": {"restaurant": {"semi": {"food": "thai"}}, "general": {}},
                 "system_acts": [["inform", "restaurant", "food"]]}
         corpus.write_text(json.dumps({"turns": [turn, {**turn, "db": db}]}) + "\n")
         message = self.fail(["convert", "--format", "multiwoz", "--in", str(corpus),

@@ -111,12 +111,17 @@ class Dialog:
 def encode_state(state: BeliefState, spec: DomainSpec) -> frozenset[Atom]:
     """Belief state as ground atoms: the user-slot chain plus flags.
 
-    A ``ValueError`` unless every slot of ``state`` is one of ``spec``'s
-    and every ``kb_return`` and ``outstanding`` slot a system slot.
+    A ``ValueError`` unless every slot of ``state`` is one of ``spec``'s,
+    filed under its own side's list (``user_slots`` or ``sys_slots``), and
+    every ``kb_return`` and ``outstanding`` slot a system slot.
     """
-    for s in itertools.chain(state.user_known, state.sys_known):
-        if s not in spec.slots:
-            raise ValueError(f"slot {s!r} not in domain {spec.name}")
+    for name, side, known, own in (("user_slots", "user", state.user_known, spec.user_slots),
+                                   ("sys_slots", "system", state.sys_known, spec.system_slots)):
+        for s in known:
+            if s not in spec.slots:
+                raise ValueError(f"slot {s!r} not in domain {spec.name}")
+            if s not in own:
+                raise ValueError(f"{name} slot {s!r} is not a {side} slot of domain {spec.name}")
     for name, slots in (("kb_return", state.kb_return), ("outstanding", state.outstanding)):
         for s in slots:
             if s not in spec.system_slots:

@@ -80,6 +80,8 @@ def read_domain_state(domain_state: dict) -> tuple[set[Atom], tuple[str, ...]]:
 
 def encode_act_triples(triples: Sequence[Sequence[str]], side: str) -> dict[str, set[Atom]]:
     """[intent, domain, slot] triples to atoms, grouped by domain."""
+    if side not in ("user", "system"):
+        raise ValueError(f"side must be user or system, got {side!r}")
     if not (isinstance(triples, (list, tuple))
             and all(isinstance(t, (list, tuple)) and len(t) == 3 for t in triples)):
         raise ValueError(f"{side} acts must be a list of [intent, domain, slot] triples")

@@ -204,55 +204,43 @@ def fit(
 # ---------------------------------------------------------------------------
 # Prediction and evaluation.
 
-def _derive(program: PolicyProgram, record: SampleRecord) -> tuple:
-    """A record's derived atom texts, acts and rejected atom texts."""
-    derived = crisp_infer(program, record.sample.background)
-    acts, rejected = decode_acts(derived, record.meta.get("slots"))
-    return [str(a) for a in sorted(derived, key=str)], acts, [str(a) for a in rejected]
-
-
-def _prediction(record: SampleRecord, derivation: tuple) -> dict:
-    """A fresh prediction dict: no list in it is shared with another."""
-    atoms, acts, rejected = derivation
-    return {
-        "meta": record.meta,
-        "atoms": list(atoms),
-        "acts": [[i, s] for i, s in acts],
-        "rejected": list(rejected),
-    }
-
-
 def predict_record(program: PolicyProgram, record: SampleRecord) -> dict:
     """Crisp-derive system acts for one sample; structural or non-slot
     constants never decode, they are reported in ``rejected``."""
-    return _prediction(record, _derive(program, record))
+    derived = crisp_infer(program, record.sample.background)
+    acts, rejected = decode_acts(derived, record.meta.get("slots"))
+    return {"meta": record.meta, "atoms": [str(a) for a in sorted(derived, key=str)],
+            "acts": [[i, s] for i, s in acts], "rejected": [str(a) for a in rejected]}
 
 
 def predict_records(program: PolicyProgram, records: Sequence[SampleRecord]) -> list[dict]:
-    """:func:`predict_record` of each record, deriving once per distinct
-    (background, slots) state: derivations depend on nothing else."""
-    memo: dict[tuple, tuple] = {}
+    """:func:`predict_record` of each record, called once per distinct
+    (background, slots) state: predictions depend on nothing else. Each
+    holds its record's meta and lists that no other prediction shares."""
+    memo: dict[tuple, dict] = {}
     out = []
     for r in records:
         slots = r.meta.get("slots")
         key = (r.sample.background, None if slots is None else tuple(slots))
-        derivation = memo.get(key)
-        if derivation is None:
-            derivation = memo[key] = _derive(program, r)
-        out.append(_prediction(r, derivation))
+        p = memo.get(key)
+        if p is None:
+            p = memo[key] = predict_record(program, r)
+        out.append({"meta": r.meta, "atoms": list(p["atoms"]),
+                    "acts": [[i, s] for i, s in p["acts"]], "rejected": list(p["rejected"])})
     return out
 
 
-def _eval_meta(meta: dict, where: str, dialog=None) -> tuple[tuple, str, list]:
+def _eval_meta(meta: dict, where: str) -> tuple[tuple, str, list]:
     """The (dialog, turn) key, domain and gold acts that eval reads from a
     record's or prediction's meta; a ``ValueError`` if eval cannot group,
     label or count by them."""
-    key = (meta.get("dialog", dialog), meta.get("turn", 0))
+    key = (meta.get("dialog"), meta.get("turn"))
     domain, gold = meta.get("domain", "unknown"), meta.get("gold_acts", [])
-    if not (all(not isinstance(x, (list, dict)) for x in key)
+    if not ("dialog" in meta and "turn" in meta
+            and all(not isinstance(x, (list, dict)) for x in key)
             and isinstance(domain, str) and is_act_pairs(gold)):
-        raise ValueError(f"{where}: meta 'dialog' and 'turn' must be JSON scalars, "
-                         "'domain' a string and 'gold_acts' a list of [intent, slot] pairs")
+        raise ValueError(f"{where}: meta 'dialog' and 'turn' must both be present and JSON "
+                         "scalars, 'domain' a string and 'gold_acts' a list of [intent, slot] pairs")
     return key, domain, gold
 
 
@@ -262,7 +250,7 @@ def evaluate_predictions(
     """Group per (dialog, turn), union acts across domain splits, score."""
     turns: dict[tuple, tuple[set, set, set]] = {}  # predicted acts, gold acts, domains
     for n, r in enumerate(gold_records, 1):
-        key, domain, gold = _eval_meta(r.meta, f"gold record {n}", id(r))
+        key, domain, gold = _eval_meta(r.meta, f"gold record {n}")
         _, golds, domains = turns.setdefault(key, (set(), set(), set()))
         golds.update((i, s) for i, s in gold)
         domains.add(domain)

@@ -87,6 +87,10 @@ class TestActTriples:
         with pytest.raises(ValueError):
             encode_act_triples([["teleport", "restaurant", "food"]], "system")
 
+    def test_unknown_side_raises(self):
+        with pytest.raises(ValueError, match="side must be user or system, got 'other'"):
+            encode_act_triples([["inform", "restaurant", "food"]], "other")
+
 
 class TestConvertTurn:
     def turn(self):

@@ -106,6 +106,17 @@ class TestPredictEvaluate:
         assert (report.action.tp, report.action.fp, report.action.fn) == (
             len(gold.meta["gold_acts"]), 1, 0)
 
+    @pytest.mark.parametrize("key", ["dialog", "turn"])
+    def test_meta_without_dialog_or_turn_is_rejected(self, key):
+        # A made-up key would score it silently as some other turn.
+        [gold] = convert_corpus([representative_dialog("restaurant")])[:1]
+        keyless = {k: v for k, v in gold.meta.items() if k != key}
+        want = "meta 'dialog' and 'turn' must both be present"
+        with pytest.raises(ValueError, match=f"^gold record 1: {want}"):
+            evaluate_predictions([], [SampleRecord(gold.sample, keyless)])
+        with pytest.raises(ValueError, match=f"^prediction 1: {want}"):
+            evaluate_predictions([{"meta": keyless, "acts": []}], [gold])
+
 
 ANNOTATED_PROGRAM = PolicyProgram(
     rules=tuple(
@@ -447,18 +458,36 @@ class TestMalformedLines:
                             capsys)
         assert "a prediction must be an object" in message
 
-    @pytest.mark.parametrize("side", ["pred", "gold"])
-    def test_eval_rejects_list_dialog(self, files, capsys, side):
+    @pytest.mark.parametrize("side, edit", [
+        ("pred", lambda m: {**m, "dialog": [1]}),
+        ("gold", lambda m: {**m, "dialog": [1]}),
+        ("pred", lambda m: {k: v for k, v in m.items() if k != "dialog"}),
+        ("pred", lambda m: {k: v for k, v in m.items() if k != "turn"}),
+        ("gold", lambda m: {k: v for k, v in m.items() if k != "dialog"}),
+        ("gold", lambda m: {k: v for k, v in m.items() if k != "turn"}),
+        ("samples", lambda m: {}),
+    ], ids=["pred", "gold", "pred-no-dialog", "pred-no-turn", "gold-no-dialog", "gold-no-turn",
+            "keyless-samples"])
+    def test_eval_rejects_list_dialog(self, files, capsys, side, edit):
+        # Eval pairs turns only by the (dialog, turn) the converters write;
+        # any key made up for a line without it would pair turns wrongly.
         tmp_path, samples = files
+        if side == "samples":  # every line keyless, transferred as it is
+            lines = [json.loads(line) for line in samples.read_text().splitlines()]
+            samples = tmp_path / "keyless.jsonl"
+            samples.write_text("".join(json.dumps({**r, "meta": edit(r["meta"])}) + "\n"
+                                       for r in lines))
         paths = {"pred": tmp_path / "preds.jsonl", "gold": samples}
         assert run_pipeline(["transfer", "--program", str(tmp_path / "program.txt"),
                              "--samples", str(samples), "--out", str(paths["pred"])]) == 0
-        record = json.loads(paths[side].read_text().splitlines()[1])
-        record["meta"]["dialog"] = [1]
-        paths[side] = self.with_line_2(paths[side], json.dumps(record))
+        if side != "samples":
+            record = json.loads(paths[side].read_text().splitlines()[1])
+            record["meta"] = edit(record["meta"])
+            paths[side] = self.with_line_2(paths[side], json.dumps(record))
         message = self.fail(["eval", "--pred", str(paths["pred"]), "--gold", str(paths["gold"]),
                              "--report", str(tmp_path / "r.json")], capsys,
-                            where={"pred": "prediction 2: ", "gold": "gold record 2: "}[side])
+                            where={"pred": "prediction 2: ", "gold": "gold record 2: ",
+                                   "samples": "gold record 1: "}[side])
         assert "meta 'dialog'" in message
 
     def convert_simdial_line_2(self, files, capsys, line):
@@ -518,8 +547,14 @@ class TestMalformedLines:
         ('{"domain": "movie", "turns": [{"state": {"user_slots": [], "sys_slots": []}, '
          '"user_acts": [["inform", null]], "system_acts": []}]}',
          "line 1: turn 0: user inform needs a slot"),
+        ('{"domain": "movie", "turns": [{"state": {"user_slots": [["rating", true]], '
+         '"sys_slots": []}, "user_acts": [], "system_acts": []}]}',
+         "line 1: turn 0: user_slots slot 'rating' is not a user slot of domain movie"),
+        ('{"domain": "movie", "turns": [{"state": {"user_slots": [], '
+         '"sys_slots": [["genre", true]]}, "user_acts": [], "system_acts": []}]}',
+         "line 1: turn 0: sys_slots slot 'genre' is not a system slot of domain movie"),
     ], ids=["domain", "state-slot", "kb-return-slot", "outstanding-slot", "act-slot",
-            "user-intent", "null-slot"])
+            "user-intent", "null-slot", "sys-slot-as-user", "user-slot-as-sys"])
     def test_convert_simdial_rejects_unknown_domain_or_slot(self, tmp_path, capsys, line, want):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(line + "\n")

@@ -12,17 +12,11 @@ import math
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import pipeline
-from .dialog import (dialog_from_dict, is_act_pairs, load_samples, read_json_lines,
+from .dialog import (DOMAINS, dialog_from_dict, is_act_pairs, load_samples, read_json_lines,
                      save_corpus, save_samples, write_json_lines)
-from .engine import (Hyperparams, TrainedModel, TrainingDiverged, ValuationInvariantError,
-                     task_from_dict)
 from .extract import extract_program, load_program, save_program
-from .gradcheck import run_gradcheck
 from .multiwoz import convert_multiwoz_records
-from .simulator import DOMAINS, generate_corpus, representative_dialog
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -31,7 +25,26 @@ EXIT_NUMERIC = 3
 log = logging.getLogger("slotlogic")
 
 
+def _numeric(cmd):
+    """``cmd`` as a command that runs numpy, which only such commands
+    import: numpy's warnings are silenced, since a numeric failure ends in
+    one JSON line, and the engine's numeric errors exit 3."""
+    def run(args) -> int:
+        import numpy as np
+        from .engine import TrainingDiverged, ValuationInvariantError
+        try:
+            with np.errstate(all="ignore"):
+                return cmd(args)
+        except TrainingDiverged as exc:
+            return _fail("divergence", exc, EXIT_NUMERIC)
+        except ValuationInvariantError as exc:
+            return _fail("valuation_invariant", exc, EXIT_NUMERIC)
+    return run
+
+
+@_numeric
 def _cmd_generate(args) -> int:
+    from .simulator import generate_corpus, representative_dialog
     if args.representative:
         dialogs = [representative_dialog(args.domain)]
     else:
@@ -61,7 +74,9 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
+@_numeric
 def _cmd_train(args) -> int:
+    from .engine import Hyperparams, task_from_dict
     samples = pipeline.training_samples(load_samples(args.samples))
     if args.task:
         with open(args.task) as f:
@@ -76,7 +91,9 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+@_numeric
 def _cmd_extract(args) -> int:
+    from .engine import TrainedModel
     trained = TrainedModel.load(args.model)
     program = extract_program(trained)
     save_program(program, args.out)
@@ -113,7 +130,9 @@ def _prediction(p):
     return p
 
 
+@_numeric
 def _cmd_gradcheck(args) -> int:
+    from .gradcheck import run_gradcheck
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ValueError(f"tolerance must be finite and non-negative, not {args.tolerance}")
     report = run_gradcheck(seed=args.seed, instances=args.instances)
@@ -215,13 +234,7 @@ def run_pipeline(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        # Numeric failures end in one JSON line; numpy warnings would add more.
-        with np.errstate(all="ignore"):
-            return args.func(args)
-    except TrainingDiverged as exc:
-        return _fail("divergence", exc, EXIT_NUMERIC)
-    except ValuationInvariantError as exc:
-        return _fail("valuation_invariant", exc, EXIT_NUMERIC)
+        return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         return _fail(type(exc).__name__, exc, EXIT_VALIDATION)
 

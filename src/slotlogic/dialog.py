@@ -14,8 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .engine import Sample
-from .logic import Atom, Predicate, atom, ground_atoms, parse_atom
+from .logic import Atom, Predicate, Sample, atom, ground_atoms, parse_atom
 
 TERM = "term"
 USR_HEAD = "usr_slot"
@@ -62,6 +61,33 @@ class DomainSpec:
 
     def constants(self) -> tuple[str, ...]:
         return self.slots + STRUCTURAL
+
+
+# The SimDial domains. Slot lists for the bus and weather domains are
+# stand-ins chosen to vary the slot counts; restaurant and movie follow
+# the usual metadata.
+DOMAINS = {
+    "restaurant": DomainSpec(
+        "restaurant",
+        user_slots=("food_pref", "loc"),
+        system_slots=("default", "open", "price", "parking"),
+    ),
+    "movie": DomainSpec(
+        "movie",
+        user_slots=("genre", "years", "country"),
+        system_slots=("default", "rating", "company", "director"),
+    ),
+    "bus": DomainSpec(
+        "bus",
+        user_slots=("from_stop", "to_stop", "time"),
+        system_slots=("default", "duration", "fare"),
+    ),
+    "weather": DomainSpec(
+        "weather",
+        user_slots=("city", "date"),
+        system_slots=("default", "temperature", "wind"),
+    ),
+}
 
 
 @dataclass

@@ -81,17 +81,17 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .logic import (
     MAX_CLAUSE_VARS,
-    Atom,
     Clause,
     GroundIndex,
     LanguageFrame,
     Predicate,
+    Sample,
     Term,
     build_ground_index,
     format_atom,
@@ -131,43 +131,6 @@ class ClauseBudgetError(ValueError):
             "lower the extra-variable count (v) or shrink the predicate pool"
         )
         self.count = count
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One training instance: facts, labeled target atoms, own constants."""
-
-    background: tuple[Atom, ...]
-    positive: tuple[Atom, ...]
-    negative: tuple[Atom, ...]
-    constants: tuple[str, ...]
-
-    @staticmethod
-    def make(
-        background: Iterable[Atom],
-        positive: Iterable[Atom],
-        negative: Iterable[Atom],
-        constants: Sequence[str],
-    ) -> "Sample":
-        pos_set, neg_set = set(positive), set(negative)
-        both = pos_set & neg_set
-        if both:
-            raise ValueError("atoms both positive and negative: "
-                             + ", ".join(sorted(map(format_atom, both))))
-        bg = tuple(sorted(set(background), key=format_atom))
-        pos = tuple(sorted(pos_set, key=format_atom))
-        neg = tuple(sorted(neg_set, key=format_atom))
-        consts = set(constants)
-        for a in bg + pos + neg:
-            for t in a.args:
-                if t.is_variable or t.label not in consts:
-                    if not a.is_ground:
-                        raise ValueError(f"non-ground atom {format_atom(a)} in sample")
-                    raise ValueError(
-                        f"{format_atom(a)} uses constant {t.label!r} "
-                        "outside the sample's constant list"
-                    )
-        return Sample(bg, pos, neg, tuple(constants))
 
 
 @dataclass(frozen=True)
@@ -1186,6 +1149,8 @@ class TrainedModel:
             if vec.shape != (len(clauses),):
                 raise ValueError(f"{key[0]} slot {key[1]}: {len(clauses)} clauses "
                                  f"but raw_weights of shape {vec.shape}")
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{key[0]} slot {key[1]}: raw_weights must be finite numbers")
             return key, clauses, vec
 
         slots = _read_field(d, "slots", lambda ss: [slot(s) for s in ss])

@@ -3,7 +3,7 @@
 The extracted program is what ships: a small set of clauses with their
 learned probabilities. Applying it to a new constant set needs no
 weights and no gradients, which is what makes cross-domain transfer a
-matter of re-grounding.
+matter of re-grounding; this module loads neither numpy nor the engine.
 """
 
 from __future__ import annotations
@@ -11,14 +11,14 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-import numpy as np
-
-from .engine import TrainedModel
 from .logic import (
     Atom, Clause, Predicate, Term, format_clause, parse_clause, parse_digits, parse_predicate,
 )
+
+if TYPE_CHECKING:
+    from .engine import TrainedModel
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def extract_program(trained: TrainedModel) -> PolicyProgram:
     for (_, clauses), probs in zip(compiler.pools, trained.probabilities()):
         if not clauses:
             continue
-        best = int(np.argmax(probs))
+        best = max(range(len(probs)), key=probs.__getitem__)
         rules.append((clauses[best], float(probs[best])))
     return PolicyProgram(
         rules=tuple(rules),

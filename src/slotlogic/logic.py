@@ -1,4 +1,4 @@
-"""First-order language core: terms, atoms, clauses, and grounding.
+"""First-order language core: terms, atoms, clauses, grounding and samples.
 
 Clauses are restricted to a fixed body width of two atoms (single-atom
 bodies are stored as a duplicated pair) and at most three distinct
@@ -12,7 +12,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 MAX_ARITY = 3
 MAX_CLAUSE_VARS = 3
@@ -365,6 +365,43 @@ class LanguageFrame:
         names = [str(p) for p in (*self.targets, *self.extensional)]
         if len(names) != len(set(names)):
             raise ValueError("duplicate predicate declaration")
+
+
+@dataclass(frozen=True)
+class Sample:
+    """One training instance: facts, labeled target atoms, own constants."""
+
+    background: tuple[Atom, ...]
+    positive: tuple[Atom, ...]
+    negative: tuple[Atom, ...]
+    constants: tuple[str, ...]
+
+    @staticmethod
+    def make(
+        background: Iterable[Atom],
+        positive: Iterable[Atom],
+        negative: Iterable[Atom],
+        constants: Sequence[str],
+    ) -> "Sample":
+        pos_set, neg_set = set(positive), set(negative)
+        both = pos_set & neg_set
+        if both:
+            raise ValueError("atoms both positive and negative: "
+                             + ", ".join(sorted(map(format_atom, both))))
+        bg = tuple(sorted(set(background), key=format_atom))
+        pos = tuple(sorted(pos_set, key=format_atom))
+        neg = tuple(sorted(neg_set, key=format_atom))
+        consts = set(constants)
+        for a in bg + pos + neg:
+            for t in a.args:
+                if t.is_variable or t.label not in consts:
+                    if not a.is_ground:
+                        raise ValueError(f"non-ground atom {format_atom(a)} in sample")
+                    raise ValueError(
+                        f"{format_atom(a)} uses constant {t.label!r} "
+                        "outside the sample's constant list"
+                    )
+        return Sample(bg, pos, neg, tuple(constants))
 
 
 @dataclass(frozen=True)

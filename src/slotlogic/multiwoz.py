@@ -17,8 +17,7 @@ from typing import Sequence
 
 from .dialog import (SYSTEM_PREDICATES, USER_INTENTS, SampleRecord, closed_world_negatives,
                      decode_acts, is_flag, system_act_atom)
-from .engine import Sample
-from .logic import Atom, Predicate, atom, is_constant_name
+from .logic import Atom, Predicate, Sample, atom, is_constant_name
 
 GENERAL_DOMAIN = "general"
 

@@ -4,15 +4,18 @@ The slot-filling setup wires the dialog adapter's predicate vocabulary
 to the engine: list-membership and all-known background clauses, one
 clause slot per learnable predicate, and two invented helper predicates
 through which the query rule can see "every user slot is filled".
+Training and generation import the engine and the simulator when
+called, so conversion, transfer and evaluation never load numpy.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .dialog import (
+    DOMAINS,
     SIMDIAL_TARGETS,
     Dialog,
     SampleRecord,
@@ -21,12 +24,13 @@ from .dialog import (
     is_act_pairs,
     system_intent,
 )
-from .engine import Hyperparams, ModelCompiler, Sample, TrainedModel, train
 from .extract import PolicyProgram, crisp_infer, extract_program
-from .logic import Clause, LanguageFrame, Predicate, atom, parse_clause
+from .logic import Clause, LanguageFrame, Predicate, Sample, atom, parse_clause
 from .metrics import MetricsReport, evaluate_turns
-from .simulator import DOMAINS, representative_dialog
 from .templates import ProgramTemplate, RuleTemplate
+
+if TYPE_CHECKING:
+    from .engine import Hyperparams, ModelCompiler, TrainedModel
 
 log = logging.getLogger(__name__)
 
@@ -95,6 +99,7 @@ RESTART_TARGET = 0.01
 
 
 def simdial_hyperparams(**overrides) -> Hyperparams:
+    from .engine import Hyperparams
     # Zero init keeps data-equivalent clauses exactly tied, so pool order
     # (canonical clause text) settles them reproducibly.
     base = dict(
@@ -109,6 +114,7 @@ def simdial_hyperparams(**overrides) -> Hyperparams:
 
 
 def simdial_task() -> tuple[ModelCompiler, Hyperparams]:
+    from .engine import ModelCompiler
     background, pool = simdial_background()
     return ModelCompiler(simdial_frame(), simdial_template(), background, pool), simdial_hyperparams()
 
@@ -190,6 +196,7 @@ def fit(
     """Train a task on samples with :func:`train_with_restarts`; keyword
     overrides replace the task's hyperparameters. The restart target is
     the task's ``stop_loss`` when set, else ``RESTART_TARGET``."""
+    from .engine import train
     c, hp = task
     hp = replace(hp, **overrides)
 
@@ -234,13 +241,13 @@ def _eval_meta(meta: dict, where: str) -> tuple[tuple, str, list]:
     """The (dialog, turn) key, domain and gold acts that eval reads from a
     record's or prediction's meta; a ``ValueError`` if eval cannot group,
     label or count by them."""
-    key = (meta.get("dialog"), meta.get("turn"))
+    dialog, turn = key = (meta.get("dialog"), meta.get("turn"))
     domain, gold = meta.get("domain", "unknown"), meta.get("gold_acts", [])
-    if not ("dialog" in meta and "turn" in meta
-            and all(not isinstance(x, (list, dict)) for x in key)
+    if not ((isinstance(dialog, str) or type(dialog) is int) and type(turn) is int
             and isinstance(domain, str) and is_act_pairs(gold)):
-        raise ValueError(f"{where}: meta 'dialog' and 'turn' must both be present and JSON "
-                         "scalars, 'domain' a string and 'gold_acts' a list of [intent, slot] pairs")
+        raise ValueError(f"{where}: meta 'dialog' and 'turn' must both be present, 'dialog' a "
+                         "string or an integer and 'turn' an integer, 'domain' a string and "
+                         "'gold_acts' a list of [intent, slot] pairs")
     return key, domain, gold
 
 
@@ -278,6 +285,7 @@ def evaluate_program_on_corpus(
 
 def list_all_problem() -> tuple[tuple[ModelCompiler, Hyperparams], Sample]:
     """The task and its one sample; :func:`fit` it with about 12 restarts."""
+    from .engine import Hyperparams, ModelCompiler
     allp = Predicate("all", 1)
     helper = Predicate("pred1", 2)
     frame = LanguageFrame(
@@ -320,6 +328,7 @@ class OneShotResult:
 
 
 def simdial_one_shot(domain: str = "restaurant", restarts: int = 3) -> OneShotResult:
+    from .simulator import representative_dialog
     records = convert_corpus([representative_dialog(domain)])
     trained = fit(simdial_task(), training_samples(records), restarts)
     return OneShotResult(trained, extract_program(trained), records)

@@ -6,9 +6,6 @@ query a requested goal once all user slots are filled. Correction turns
 are the deliberate exception: the user re-informs a slot after a result
 was delivered, the stale goal reverts to unknown, and the annotated
 action is the re-query even though no fresh request act accompanies it.
-
-Slot lists for the bus and weather domains are stand-ins chosen to vary
-the slot counts; restaurant and movie follow the usual metadata.
 """
 
 from __future__ import annotations
@@ -17,32 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dialog import BeliefState, Dialog, DialogAct, DomainSpec, Turn
+from .dialog import DOMAINS, BeliefState, Dialog, DialogAct, DomainSpec, Turn
 
 DEFAULT_GOAL = "default"
-
-DOMAINS = {
-    "restaurant": DomainSpec(
-        "restaurant",
-        user_slots=("food_pref", "loc"),
-        system_slots=("default", "open", "price", "parking"),
-    ),
-    "movie": DomainSpec(
-        "movie",
-        user_slots=("genre", "years", "country"),
-        system_slots=("default", "rating", "company", "director"),
-    ),
-    "bus": DomainSpec(
-        "bus",
-        user_slots=("from_stop", "to_stop", "time"),
-        system_slots=("default", "duration", "fare"),
-    ),
-    "weather": DomainSpec(
-        "weather",
-        user_slots=("city", "date"),
-        system_slots=("default", "temperature", "wind"),
-    ),
-}
 
 MAX_CORRECTIONS = 2
 

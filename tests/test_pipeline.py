@@ -117,6 +117,18 @@ class TestPredictEvaluate:
         with pytest.raises(ValueError, match=f"^prediction 1: {want}"):
             evaluate_predictions([{"meta": keyless, "acts": []}], [gold])
 
+    @pytest.mark.parametrize("key, value", [
+        *((k, v) for k in ("dialog", "turn") for v in (None, True, 1.0)), ("turn", "0")])
+    def test_meta_dialog_or_turn_of_another_type_is_rejected(self, key, value):
+        # Null keys would merge into one turn, and true would merge with 1.
+        [gold] = convert_corpus([representative_dialog("restaurant")])[:1]
+        meta = {**gold.meta, key: value}
+        want = "meta 'dialog' and 'turn' must both be present, 'dialog' a string or an integer"
+        with pytest.raises(ValueError, match=f"^gold record 1: {want}"):
+            evaluate_predictions([], [SampleRecord(gold.sample, meta)])
+        with pytest.raises(ValueError, match=f"^prediction 1: {want}"):
+            evaluate_predictions([{"meta": meta, "acts": []}], [gold])
+
 
 ANNOTATED_PROGRAM = PolicyProgram(
     rules=tuple(
@@ -325,8 +337,10 @@ class TestFullCli:
         self.run(["convert", "--format", "simdial", "--in", str(corpus),
                   "--out", str(samples)])
         # One real step per fit; the model keeps the hyperparameters it was given.
-        real = pipeline.train
-        monkeypatch.setattr(pipeline, "train", lambda frame, s, template, hp, *bg: replace(
+        from slotlogic import engine
+
+        real = engine.train
+        monkeypatch.setattr(engine, "train", lambda frame, s, template, hp, *bg: replace(
             real(frame, s, template, replace(hp, training_steps=1), *bg), hyperparams=hp))
         model = tmp_path / "m.json"
         for flags, want in (([], simdial_hyperparams()),
@@ -589,6 +603,10 @@ class TestMalformedLines:
         *((lambda m, k=k: {**m, "slots": [{**m["slots"][0], "slot": k}, *m["slots"][1:]]},
            f"model field 'slots': ValueError: 'slot' must be a JSON integer, not {k!r}")
           for k in (0.5, "0", False)),
+        *((lambda m, w=w: {**m, "slots": [{**m["slots"][0], "raw_weights": [
+            w, *m["slots"][0]["raw_weights"][1:]]}, *m["slots"][1:]]},
+           "model field 'slots': ValueError: all/1 slot 0: raw_weights must be finite numbers")
+          for w in (math.nan, math.inf, -math.inf)),
         *((lambda m, f=f, v=v: {**m, "hyperparams": {**m["hyperparams"], f: v}},
            f"model field 'hyperparams': ValueError: {f} must be {kind}, not {v!r}")
           for f, v, kind in (("training_steps", 1.5, "an integer"), ("seed", 1.5, "an integer"),
@@ -598,6 +616,7 @@ class TestMalformedLines:
     ], ids=["list", "int-frame", "null-slots", "unknown-hyperparam", "short-weights",
             "no-trace", "no-forward-steps", "fractional-arity", "swapped-clauses",
             "background-reads-target", "fractional-slot", "string-slot", "boolean-slot",
+            "nan-weight", "infinite-weight", "negative-infinite-weight",
             "fractional-steps", "fractional-seed", "boolean-steps", "boolean-rate", "string-scale"])
     def test_extract_rejects_malformed_model(self, tmp_path, capsys, edit, want):
         # A task file's fields are read as a model file's are: the cases

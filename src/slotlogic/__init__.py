@@ -14,7 +14,7 @@ _EXPORTS = {
         "dialog": "DOMAINS BeliefState Dialog DialogAct DomainSpec SampleRecord Turn "
                   "build_sample decode_acts encode_acts encode_state",
         "engine": "CompiledModel Hyperparams ModelCompiler TrainedModel TrainingDiverged "
-                  "finite_difference_grad infer loss loss_and_grad train",
+                  "finite_difference_grad infer loss loss_and_grad train train_task",
         "extract": "PolicyProgram crisp_infer extract_program load_program save_program",
         "logic": "Atom Clause GroundIndex LanguageFrame ParseError Predicate Sample Term "
                  "UnsafeClauseError atom build_ground_index format_atom format_clause "

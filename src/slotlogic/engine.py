@@ -171,6 +171,8 @@ class Hyperparams:
             raise ValueError("training_steps must be non-negative")
         if self.reg_kind not in ("none", "l1", "l2"):
             raise ValueError(f"unknown reg_kind {self.reg_kind!r}")
+        if self.reg_kind == "none" and self.reg_lambda != 0:
+            raise ValueError(f"reg_lambda must be 0 with reg_kind 'none', not {self.reg_lambda}")
         if self.amalgamation not in AMALGAMATIONS:
             raise ValueError(f"unknown amalgamation {self.amalgamation!r}")
         if self.accumulator_decay is not None and not 0.0 < self.accumulator_decay < 1.0:
@@ -945,7 +947,7 @@ def _prepare_batches(
 def _penalty(weights: Sequence[np.ndarray], hp: Hyperparams) -> tuple[float, list]:
     """The weight penalty and its gradient per pool (a scalar 0.0 per pool
     when there is no penalty)."""
-    if hp.reg_kind == "none" or hp.reg_lambda == 0.0:
+    if hp.reg_lambda == 0.0:
         return 0.0, [0.0] * len(weights)
     if hp.reg_kind == "l1":
         return (hp.reg_lambda * sum(float(np.abs(v).sum()) for v in weights),
@@ -1178,17 +1180,11 @@ class TrainedModel:
             return TrainedModel.from_dict(json.load(f))
 
 
-def train(
-    frame: LanguageFrame,
-    samples: Sequence[Sample],
-    template: ProgramTemplate,
-    hp: Hyperparams,
-    background: Sequence[Clause] = (),
-    background_pool: Sequence[Predicate] = (),
-) -> TrainedModel:
-    """Full-batch gradient descent with per-parameter accumulated-square
-    step scaling; deterministic given the seed."""
-    compiler = ModelCompiler(frame, template, background, background_pool)
+def train_task(task: tuple[ModelCompiler, Hyperparams], samples: Sequence[Sample]) -> TrainedModel:
+    """Full-batch gradient descent on a task's compiler with its
+    hyperparameters, per-parameter accumulated-square step scaling;
+    deterministic given the seed."""
+    compiler, hp = task
     weights = compiler.init_weights(hp.seed, hp.init_scale)
     acc = [np.zeros_like(v) for v in weights]
     trace: list[float] = []
@@ -1209,3 +1205,16 @@ def train(
             v -= hp.learning_rate * g / (np.sqrt(a) + 1e-8)
     trace.append(loss(compiler, weights, samples, hp, batches))
     return TrainedModel(compiler, weights, trace, hp)
+
+
+def train(
+    frame: LanguageFrame,
+    samples: Sequence[Sample],
+    template: ProgramTemplate,
+    hp: Hyperparams,
+    background: Sequence[Clause] = (),
+    background_pool: Sequence[Predicate] = (),
+) -> TrainedModel:
+    """:func:`train_task` on the task these parts build: the form the
+    benchmark (``perfbench/``) calls."""
+    return train_task((ModelCompiler(frame, template, background, background_pool), hp), samples)

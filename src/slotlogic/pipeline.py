@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .dialog import (
     DOMAINS,
@@ -170,42 +170,29 @@ def training_samples(records: Sequence[SampleRecord]):
 # ---------------------------------------------------------------------------
 # Training with deterministic restarts.
 
-def train_with_restarts(
-    run: Callable[[int], TrainedModel], seed: int, restarts: int, target_loss: float
-) -> TrainedModel:
-    """Run ``run(seed + 1009*k)`` for restart k until one run's final loss
-    is under ``target_loss``; keep the lowest-loss run (the first on ties),
-    so reruns match bit for bit."""
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, not {restarts}")
-    best: TrainedModel | None = None
-    for k in range(restarts):
-        model = run(seed + 1009 * k)
-        log.info("restart %d: final loss %.6f", k, model.final_loss)
-        if best is None or model.final_loss < best.final_loss:
-            best = model
-        if best.final_loss < target_loss:
-            break
-    assert best is not None
-    return best
-
-
 def fit(
     task: tuple[ModelCompiler, Hyperparams], samples, restarts: int = 1, **overrides
 ) -> TrainedModel:
-    """Train a task on samples with :func:`train_with_restarts`; keyword
-    overrides replace the task's hyperparameters. The restart target is
-    the task's ``stop_loss`` when set, else ``RESTART_TARGET``."""
-    from .engine import train
-    c, hp = task
+    """Train a task's own compiler on samples; keyword overrides replace
+    its hyperparameters. Restart k uses seed ``seed + 1009*k`` until one
+    run's final loss is under the task's ``stop_loss`` (``RESTART_TARGET``
+    when unset); the lowest-loss run is kept, the first on ties, so reruns
+    match bit for bit."""
+    from .engine import train_task
+    compiler, hp = task
     hp = replace(hp, **overrides)
-
-    def run(seed: int) -> TrainedModel:
-        return train(c.frame, samples, c.template, replace(hp, seed=seed),
-                     c.background, c.background_pool)
-
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, not {restarts}")
     target = RESTART_TARGET if hp.stop_loss is None else hp.stop_loss
-    return train_with_restarts(run, hp.seed, restarts, target)
+    best: TrainedModel | None = None
+    for k in range(restarts):
+        model = train_task((compiler, replace(hp, seed=hp.seed + 1009 * k)), samples)
+        log.info("restart %d: final loss %.6f", k, model.final_loss)
+        if best is None or model.final_loss < best.final_loss:
+            best = model
+        if best.final_loss < target:
+            break
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +224,22 @@ def predict_records(program: PolicyProgram, records: Sequence[SampleRecord]) -> 
     return out
 
 
-def _eval_meta(meta: dict, where: str) -> tuple[tuple, str, list]:
+def _eval_meta(meta: dict, where: str, gold: bool) -> tuple[tuple, str, list]:
     """The (dialog, turn) key, domain and gold acts that eval reads from a
-    record's or prediction's meta; a ``ValueError`` if eval cannot group,
-    label or count by them."""
+    gold record's meta, which must hold all four, or from a prediction's,
+    whose domain (``"unknown"`` when absent) only labels a turn that no
+    gold record has; a ``ValueError`` if eval cannot group, label or
+    count by them."""
     dialog, turn = key = (meta.get("dialog"), meta.get("turn"))
-    domain, gold = meta.get("domain", "unknown"), meta.get("gold_acts", [])
+    domain, acts = ((meta.get("domain"), meta.get("gold_acts")) if gold
+                    else (meta.get("domain", "unknown"), meta.get("gold_acts", [])))
     if not ((isinstance(dialog, str) or type(dialog) is int) and type(turn) is int
-            and isinstance(domain, str) and is_act_pairs(gold)):
+            and isinstance(domain, str) and is_act_pairs(acts)):
         raise ValueError(f"{where}: meta 'dialog' and 'turn' must both be present, 'dialog' a "
                          "string or an integer and 'turn' an integer, 'domain' a string and "
-                         "'gold_acts' a list of [intent, slot] pairs")
-    return key, domain, gold
+                         "'gold_acts' a list of [intent, slot] pairs"
+                         + ("; a gold record must hold both" if gold else ""))
+    return key, domain, acts
 
 
 def evaluate_predictions(
@@ -257,12 +248,12 @@ def evaluate_predictions(
     """Group per (dialog, turn), union acts across domain splits, score."""
     turns: dict[tuple, tuple[set, set, set]] = {}  # predicted acts, gold acts, domains
     for n, r in enumerate(gold_records, 1):
-        key, domain, gold = _eval_meta(r.meta, f"gold record {n}")
+        key, domain, gold = _eval_meta(r.meta, f"gold record {n}", True)
         _, golds, domains = turns.setdefault(key, (set(), set(), set()))
         golds.update((i, s) for i, s in gold)
         domains.add(domain)
     for n, p in enumerate(predictions, 1):
-        key, domain, _ = _eval_meta(p.get("meta", {}), f"prediction {n}")
+        key, domain, _ = _eval_meta(p.get("meta", {}), f"prediction {n}", False)
         preds, _, _ = turns.setdefault(key, (set(), set(), {domain}))
         preds.update((i, s) for i, s in p.get("acts", []))
     return evaluate_turns([(list(p), list(g)) for p, g, _ in turns.values()],

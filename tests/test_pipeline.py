@@ -6,19 +6,17 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slotlogic import (
     Hyperparams,
-    LanguageFrame,
-    ProgramTemplate,
-    RuleTemplate,
     Sample,
     atom,
+    engine,
     generate_corpus,
     pipeline,
     representative_dialog,
-    train,
 )
 from slotlogic.cli import run_pipeline
 from slotlogic.dialog import Dialog, SampleRecord, load_corpus, load_samples, save_samples
@@ -28,9 +26,8 @@ from slotlogic.pipeline import (
     predict_records,
     simdial_background,
     simdial_hyperparams,
-    train_with_restarts,
 )
-from slotlogic.extract import PolicyProgram, load_program, save_program
+from slotlogic.extract import PolicyProgram, crisp_infer, load_program, save_program
 from slotlogic.logic import parse_clause, Predicate
 from slotlogic.multiwoz import MULTIWOZ_TARGETS, convert_multiwoz_records
 from slotlogic.engine import TrainedModel, task_to_dict
@@ -116,6 +113,18 @@ class TestPredictEvaluate:
             evaluate_predictions([], [SampleRecord(gold.sample, keyless)])
         with pytest.raises(ValueError, match=f"^prediction 1: {want}"):
             evaluate_predictions([{"meta": keyless, "acts": []}], [gold])
+
+    @pytest.mark.parametrize("key", ["domain", "gold_acts"])
+    def test_gold_meta_without_domain_or_gold_acts_is_rejected(self, key):
+        # Defaults would score the turn under "unknown" with no gold acts.
+        [gold] = convert_corpus([representative_dialog("restaurant")])[:1]
+        meta = {k: v for k, v in gold.meta.items() if k != key}
+        with pytest.raises(ValueError, match="^gold record 1: .*; a gold record must hold both$"):
+            evaluate_predictions([], [SampleRecord(gold.sample, meta)])
+        # A prediction's domain only labels a turn no gold record has, and
+        # its gold acts are not scored, so it may lack either.
+        report = evaluate_predictions([{"meta": meta, "acts": gold.meta["gold_acts"]}], [gold])
+        assert report.n_turns == 1 and report.action.f1 == 1.0
 
     @pytest.mark.parametrize("key, value", [
         *((k, v) for k in ("dialog", "turn") for v in (None, True, 1.0)), ("turn", "0")])
@@ -206,6 +215,78 @@ class TestPredictRecordsMemo:
             with pytest.raises(ValueError, match=r"line 1: .*any 'slots' in it a list of "
                                                  "strings or null"):
                 load_samples(path)
+
+
+class TestRenamingConstants:
+    """Renaming the constants that no clause names commutes with
+    ``compile``, ``loss_and_grad`` and ``crisp_infer``: what zero-shot
+    transfer, and training each distinct renamed sample once, rest on. The
+    SimDial task's pools and background, and the golden program, name no
+    constant."""
+
+    RECORDS = convert_corpus([representative_dialog("restaurant")])
+    [CONSTANTS] = {r.sample.constants for r in RECORDS}
+    RENAMINGS = {
+        "order-preserving": {c: f"k{i}" for i, c in enumerate(sorted(CONSTANTS))},
+        "positional": {c: f"k{i}" for i, c in enumerate(CONSTANTS)},
+    }
+
+    @staticmethod
+    def rename(a, renaming):
+        return atom(a.predicate.name, *(renaming[t.label] for t in a.args))
+
+    def renamed(self, sample, renaming):
+        r = lambda a: self.rename(a, renaming)
+        return Sample.make(map(r, sample.background), map(r, sample.positive),
+                           map(r, sample.negative), [renaming[c] for c in sample.constants])
+
+    def test_no_clause_names_a_constant(self):
+        compiler, _ = pipeline.simdial_task()
+        clauses = [*compiler.background, *(c for _, cs in compiler.pools for c in cs),
+                   *(c for c, _ in GOLDEN_PROGRAM.rules), *GOLDEN_PROGRAM.background]
+        assert all(t.is_variable for c in clauses for a in (c.head, *c.body) for t in a.args)
+
+    @pytest.mark.parametrize("name", RENAMINGS)
+    def test_compile_gives_equal_tables(self, name):
+        compiler, _ = pipeline.simdial_task()
+        a = compiler.compile(self.CONSTANTS)
+        b = compiler.compile([self.RENAMINGS[name][c] for c in self.CONSTANTS])
+        assert a is not b
+        for field in ("b1", "b2", "key"):
+            assert np.array_equal(getattr(a.table, field), getattr(b.table, field))
+        assert np.array_equal(a.seg_out, b.seg_out)
+
+    @pytest.mark.parametrize("name", RENAMINGS)
+    def test_loss_and_grad_under_renaming(self, name):
+        from slotlogic.engine import loss_and_grad
+        compiler, hp = pipeline.simdial_task()
+        samples = pipeline.training_samples(self.RECORDS)
+        renamed = [self.renamed(s, self.RENAMINGS[name]) for s in samples]
+        for seed in range(3):
+            weights = compiler.init_weights(seed, 1.0)
+            value, grads = loss_and_grad(compiler, [w.copy() for w in weights], samples, hp)
+            value2, grads2 = loss_and_grad(compiler, [w.copy() for w in weights], renamed, hp)
+            assert [g.tobytes() for g in grads] == [g.tobytes() for g in grads2]
+            if name == "order-preserving":
+                assert value == value2
+            else:
+                # Sample.make sorts each sample's labels by text, and the loss
+                # sums them in that order, so a renaming that reorders the
+                # text reorders the sum (1.3e-16 relative on one of these
+                # draws). A positional merge of renamed samples needs this
+                # bound.
+                assert abs(value - value2) <= 1e-15 * abs(value)
+
+    @pytest.mark.parametrize("name", RENAMINGS)
+    def test_crisp_infer_commutes(self, name):
+        renaming = self.RENAMINGS[name]
+        n_derived = 0
+        for r in self.RECORDS:
+            derived = crisp_infer(GOLDEN_PROGRAM, r.sample.background)
+            renamed = crisp_infer(GOLDEN_PROGRAM, self.renamed(r.sample, renaming).background)
+            assert renamed == {self.rename(a, renaming) for a in derived}
+            n_derived += len(derived)
+        assert n_derived >= len(self.RECORDS)
 
 
 def test_overlap_error_is_the_same_under_any_hash_seed(tmp_path):
@@ -337,11 +418,9 @@ class TestFullCli:
         self.run(["convert", "--format", "simdial", "--in", str(corpus),
                   "--out", str(samples)])
         # One real step per fit; the model keeps the hyperparameters it was given.
-        from slotlogic import engine
-
-        real = engine.train
-        monkeypatch.setattr(engine, "train", lambda frame, s, template, hp, *bg: replace(
-            real(frame, s, template, replace(hp, training_steps=1), *bg), hyperparams=hp))
+        real = engine.train_task
+        monkeypatch.setattr(engine, "train_task", lambda task, s: replace(
+            real((task[0], replace(task[1], training_steps=1)), s), hyperparams=task[1]))
         model = tmp_path / "m.json"
         for flags, want in (([], simdial_hyperparams()),
                             (["--lr", "0.25"], simdial_hyperparams(learning_rate=0.25))):
@@ -479,9 +558,11 @@ class TestMalformedLines:
         ("pred", lambda m: {k: v for k, v in m.items() if k != "turn"}),
         ("gold", lambda m: {k: v for k, v in m.items() if k != "dialog"}),
         ("gold", lambda m: {k: v for k, v in m.items() if k != "turn"}),
+        ("gold", lambda m: {k: v for k, v in m.items() if k != "domain"}),
+        ("gold", lambda m: {k: v for k, v in m.items() if k != "gold_acts"}),
         ("samples", lambda m: {}),
     ], ids=["pred", "gold", "pred-no-dialog", "pred-no-turn", "gold-no-dialog", "gold-no-turn",
-            "keyless-samples"])
+            "gold-no-domain", "gold-no-gold-acts", "keyless-samples"])
     def test_eval_rejects_list_dialog(self, files, capsys, side, edit):
         # Eval pairs turns only by the (dialog, turn) the converters write;
         # any key made up for a line without it would pair turns wrongly.
@@ -645,6 +726,18 @@ class TestMalformedLines:
                             capsys, where="")
         assert f"template slot {slot} must be a frame target" in message
 
+    def test_train_rejects_task_penalty_weight_without_penalty(self, files, capsys):
+        tmp_path, samples = files
+        task = task_to_dict(*pipeline.simdial_task())
+        task["hyperparams"]["reg_kind"] = "none"  # reg_lambda stays 1e-05
+        path = tmp_path / "task.json"
+        path.write_text(json.dumps(task))
+        message = self.fail(["train", "--samples", str(samples), "--task", str(path),
+                             "--restarts", "1", "--out", str(tmp_path / "m.json")],
+                            capsys, where="")
+        assert message.startswith("model field 'hyperparams'")
+        assert "reg_lambda must be 0 with reg_kind 'none', not 1e-05" in message
+
     @pytest.mark.parametrize("line", [
         '[1, 2]', '{"turns": 5}', '{"turns": [1]}', '{"turns": [{"user_acts": [5]}]}',
         '{"turns": [{"state": {}, "db": {"restaurant": 5}, '
@@ -688,63 +781,76 @@ class TestMalformedLines:
 
 
 class TestRestartLoop:
-    """``train_with_restarts``, the loop behind ``fit``, on a one-clause
-    toy problem whose final loss depends on the seed."""
+    """``fit``'s restart loop, with the task loop replaced by a fake whose
+    final loss depends on the seed."""
 
-    P, Q, R = Predicate("p", 1), Predicate("q", 1), Predicate("r", 1)
-    FRAME = LanguageFrame(targets=(P,), extensional=(Q, R))
-    TEMPLATE = ProgramTemplate(slots=((P, (RuleTemplate(0, True),)),), forward_steps=2)
-    SAMPLE = Sample.make(
-        [atom("q", "a"), atom("r", "b")], [atom("p", "a")], [atom("p", "b")], ("a", "b")
-    )
+    LOSSES = {7: 0.5, 1016: 0.3, 2025: 0.1, 3034: 0.4, 4043: 0.2}
 
-    def run(self, restarts, target_loss):
+    @pytest.fixture
+    def runs(self, monkeypatch):
         runs = []
 
-        def fit(seed):
-            hp = Hyperparams(learning_rate=0.1, training_steps=3, seed=seed, init_scale=1.0)
-            runs.append(train(self.FRAME, [self.SAMPLE], self.TEMPLATE, hp))
+        def fake(task, samples):
+            compiler, hp = task
+            runs.append(TrainedModel(compiler, [], [self.LOSSES.get(hp.seed, 0.007)], hp))
             return runs[-1]
 
-        return train_with_restarts(fit, 7, restarts, target_loss), runs
+        monkeypatch.setattr(engine, "train_task", fake)
+        return runs
 
-    def test_all_restarts_without_target_keep_lowest(self):
-        best, runs = self.run(5, -math.inf)
+    def fit(self, restarts, stop_loss):
+        return pipeline.fit(pipeline.simdial_task(), [], restarts, seed=7, stop_loss=stop_loss)
+
+    def test_all_restarts_without_target_keep_lowest(self, runs):
+        best = self.fit(5, -1.0)
         assert [m.hyperparams.seed for m in runs] == [7, 1016, 2025, 3034, 4043]
         losses = [m.final_loss for m in runs]
         assert len(set(losses)) == 5
         assert best is runs[losses.index(min(losses))]
 
-    def test_stops_after_first_run_under_target(self):
-        _, runs = self.run(5, -math.inf)
-        losses = sorted(m.final_loss for m in runs)
-        first = [m.final_loss for m in runs].index(losses[0])
-        assert 0 < first < 4  # a stop that skips runs and is not the first run
-        best, runs = self.run(5, (losses[0] + losses[1]) / 2)
-        assert len(runs) == first + 1
+    def test_stops_after_first_run_under_target(self, runs):
+        best = self.fit(5, 0.15)
+        assert [m.hyperparams.seed for m in runs] == [7, 1016, 2025]
         assert best is runs[-1]
-        assert best.hyperparams.seed == 7 + 1009 * first
+        assert best.hyperparams.seed == 7 + 1009 * 2
 
-    def test_policy_restarts_use_the_loop(self, monkeypatch):
-        calls = []
-        real_loop = pipeline.train_with_restarts
+    @pytest.mark.parametrize("problem, n_runs", [
+        (lambda: pipeline.simdial_task(), 1),
+        (lambda: pipeline.list_all_problem()[0], 3),
+    ], ids=["simdial", "list-all"])
+    def test_target_is_stop_loss_else_restart_target(self, runs, problem, n_runs):
+        # Every run ends at 0.007: under RESTART_TARGET (0.01), the SimDial
+        # task's target, but over list-all's stop_loss of 5e-3.
+        best = pipeline.fit(problem(), [], 3)
+        assert [m.final_loss for m in runs] == [0.007] * n_runs
+        assert best is runs[0]  # the first run on ties
 
-        def recording_loop(fit, seed, restarts, target_loss):
-            calls.append((seed, restarts, target_loss))
-            return real_loop(fit, seed, restarts, target_loss)
+    def test_fit_trains_the_task_compiler(self, monkeypatch):
+        # Every restart trains the task's own compiler: none is built, and
+        # each run equals the frame-and-template form at its seed.
+        samples = pipeline.training_samples(convert_corpus([representative_dialog("restaurant")]))
+        task = pipeline.simdial_task()
+        compiler = task[0]
+        runs, built = [], []
+        real_train, real_init = engine.train_task, engine.ModelCompiler.__init__
 
-        monkeypatch.setattr(pipeline, "train_with_restarts", recording_loop)
-        records = convert_corpus([representative_dialog("restaurant")])
-        samples = pipeline.training_samples(records)
-        model = pipeline.fit(pipeline.simdial_task(), samples, 2,
-                             training_steps=2, seed=3, stop_loss=-1.0)
-        assert calls == [(3, 2, -1.0)]
-        assert model.hyperparams.seed in (3, 1012)
-        # Without a stop_loss the target is RESTART_TARGET; list-all sets 5e-3.
-        pipeline.fit(pipeline.simdial_task(), samples, training_steps=0)
-        task, sample = pipeline.list_all_problem()
-        pipeline.fit(task, [sample], training_steps=0)
-        assert calls[1:] == [(0, 1, pipeline.RESTART_TARGET), (0, 1, 5e-3)]
+        def record(task, samples):
+            runs.append(real_train(task, samples))
+            return runs[-1]
+
+        monkeypatch.setattr(engine, "train_task", record)
+        monkeypatch.setattr(engine.ModelCompiler, "__init__",
+                            lambda self, *a, **k: built.append(a) or real_init(self, *a, **k))
+        best = pipeline.fit(task, samples, 3, training_steps=5, seed=3)
+        assert built == [] and len(runs) == 3
+        assert [m.hyperparams.seed for m in runs] == [3, 1012, 2021]
+        assert all(m.compiler is compiler for m in runs) and best in runs
+        monkeypatch.undo()
+        for m in runs:
+            want = engine.train(compiler.frame, samples, compiler.template, m.hyperparams,
+                                compiler.background, compiler.background_pool)
+            assert m.loss_trace == want.loss_trace
+            assert [w.tobytes() for w in m.weights] == [w.tobytes() for w in want.weights]
 
 
 class TestMultiwozCli:
@@ -922,6 +1028,7 @@ class TestUntrainableHyperparams:
         (["--steps", "-3"], "training_steps must be non-negative"),
         (["--restarts", "-4"], "restarts must be at least 1"),
         (["--restarts", "0"], "restarts must be at least 1"),
+        (["--reg", "none", "--reg-lambda", "0.5"], "reg_lambda must be 0 with reg_kind 'none'"),
     ])
     def test_train_exits_2(self, samples, tmp_path, capsys, flags, want):
         out = tmp_path / "model.json"
@@ -943,10 +1050,19 @@ class TestUntrainableHyperparams:
     def test_zero_steps_accepted(self):
         assert Hyperparams(training_steps=0).training_steps == 0
 
+    def test_penalty_weight_needs_a_penalty(self):
+        # No penalty reads the weight, so a model file would record one it
+        # never trained with.
+        with pytest.raises(ValueError, match="reg_lambda must be 0 with reg_kind 'none', not 0.5"):
+            Hyperparams(reg_kind="none", reg_lambda=0.5)
+        for kind in ("none", "l1", "l2"):
+            assert Hyperparams(reg_kind=kind, reg_lambda=0.0).reg_lambda == 0.0
+
     @pytest.mark.parametrize("restarts", [0, -4])
-    def test_restart_loop_rejects_fewer_than_one(self, restarts):
-        def fit(seed):
+    def test_restart_loop_rejects_fewer_than_one(self, restarts, monkeypatch):
+        def train_task(task, samples):
             raise AssertionError("no run may start")
 
+        monkeypatch.setattr(engine, "train_task", train_task)
         with pytest.raises(ValueError, match="restarts must be at least 1"):
-            train_with_restarts(fit, 0, restarts, 0.0)
+            pipeline.fit(pipeline.simdial_task(), [], restarts)

@@ -124,7 +124,7 @@ def _cmd_eval(args) -> int:
 def _prediction(p):
     """A prediction line, checked for what eval reads."""
     if not (isinstance(p, dict) and isinstance(p.get("meta", {}), dict)
-            and is_act_pairs(p.get("acts", []))):
+            and is_act_pairs(p.get("acts"))):
         raise ValueError("a prediction must be an object with a 'meta' object and "
                          "an 'acts' list of [intent, slot] pairs")
     return p

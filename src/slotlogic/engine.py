@@ -37,21 +37,20 @@ its state, the (samples, heads) array, in front of the fixed values the
 *dependent* cells' rows read and the fixed cells' values, gathers two
 factors per cell from that in one ``take`` (a fixed cell's are its value
 and 1), multiplies them, takes the max over the rows of the few
-multi-row dependent cells, weighs every cell and sums the cells into the
-heads with one ``bincount`` (so each head of a sample sums its segments
-in the same order as over the whole table), and amalgamates and caps the
-head values. The gathered factors and values go into work arrays the
-chain owns, so no cell-sized array of a training call outlives its step.
-A chain keeps every step's head values and checks their range and
-monotonicity once, after its last step. The backward step takes a cell's
-value as its winning row's product, scatters every cell's segment-weight
-gradient into the segments with one ``bincount`` (each segment's samples
-in order), and scatters each factor's gradient into the heads with one
-more (and two per block of multi-row cells); a factor outside the heads
-scatters into a cell that is dropped. Step 0 scatters nothing into the
-heads: the start values are fixed. A step's trace keeps its input, its
-factors, the winners of multi-row cells, every cell's value and the head
-values.
+multi-row dependent cells, weighs every cell by its clause's probability
+and sums the cells into the heads with one ``bincount`` (so each head of
+a sample sums its segments in the same order as over the whole table),
+and amalgamates and caps the head values. The chain is the one record of
+a training call: each step writes everything it computes into arrays the
+chain owns, so no cell-sized array of a call outlives its step, and the
+backward step reads them there. A chain checks every step's head values
+for range and monotonicity once, after its last step. The backward step
+takes a cell's value as its winning row's product, scatters every cell's
+segment-weight gradient into the segments with one ``bincount`` (each
+segment's samples in order), and scatters each factor's gradient into
+the heads with one more (and two per block of multi-row cells); a factor
+outside the heads scatters into a cell that is dropped. Step 0 scatters
+nothing into the heads: the start values are fixed.
 
 Every chain, ``infer``'s and training's alike, is built by
 ``_chain_for`` from one boolean pass (``_reachable``): the chaining
@@ -154,6 +153,8 @@ class Hyperparams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, not {value}")
         for name in ("learning_rate", "reg_lambda", "init_scale", "stop_loss",
                      "accumulator_decay"):
             value = getattr(self, name)
@@ -167,8 +168,6 @@ class Hyperparams:
             raise ValueError("learning_rate must be positive")
         if self.reg_lambda < 0:
             raise ValueError("reg_lambda must be non-negative")
-        if self.training_steps < 0:
-            raise ValueError("training_steps must be non-negative")
         if self.reg_kind not in ("none", "l1", "l2"):
             raise ValueError(f"unknown reg_kind {self.reg_kind!r}")
         if self.reg_kind == "none" and self.reg_lambda != 0:
@@ -616,7 +615,8 @@ def _reachable(model: CompiledModel, a0: np.ndarray) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class _Chain:
-    """A batch's chaining laid out as (sample, segment) cells.
+    """A batch's chaining laid out as (sample, segment) cells, and the one
+    record of each step of its latest chaining.
 
     The step state is the values (S, H) of ``heads``, the only atoms a
     weight reaches; each step folds its derivations into it by
@@ -638,30 +638,37 @@ class _Chain:
     ``multi``, a table over ``z[t]`` whose ``key`` holds their positions
     among the cells.
 
-    ``z``, ``x`` and ``values`` are work arrays: each chaining writes its
-    steps' head values, factors and cell values into them, so no
-    cell-sized array of a call outlives its step, and a step's trace
-    holds until the next chaining.
+    The arrays from ``z`` on are each step's record, which every chaining
+    rewrites: its input head values (``states[0]`` is the fixed start), what
+    its cells read, their factors, each multi-row cell's
+    winning row, the cell values, outputs, merged derivations and cap mask.
     """
 
     model: CompiledModel
     amalgamation: str
     heads: np.ndarray  # model.heads
+    head_col: np.ndarray  # (atoms,) each atom's column in heads, H for the others
     fixed: np.ndarray  # (n, S, atoms) see _reachable
-    z: np.ndarray  # (steps, S * H + reads)
     rows: np.ndarray  # (2, cells)
-    x: np.ndarray  # (steps, 2, cells) each step's factors, rows read from z
-    values: np.ndarray  # (steps, cells) each step's cell values
     multi: _Table
-    segments: np.ndarray  # the table positions of the segments with a cell
     cells: np.ndarray  # (cells,) the flat (S, segments) cell
-    seg: np.ndarray  # (cells,) the cell's position in segments
+    clause: np.ndarray  # (cells,) the cell's clause
+    seg: np.ndarray  # (cells,) the cell's position among the kept segments
+    dense: np.ndarray  # each kept segment's dense (clause, head) key
     out_cells: np.ndarray  # (cells,) the flat (S, outputs) output
     # (2 * cells,) the flat cell of (2, S * H + 1) that a gradient reaches
     # from each of ``rows``: its entry of the heads, or S * H for the
     # others, in the first row for the first factor and in the second for
     # the second.
     to_heads: np.ndarray
+    z: np.ndarray  # (steps + 1, S * H + reads)
+    states: np.ndarray  # (steps + 1, S, H) a view of z's head values
+    x: np.ndarray  # (steps, 2, cells) the factors, rows read from z
+    winners: tuple[np.ndarray, ...]  # per block of multi, (steps, its cells)
+    values: np.ndarray  # (steps, cells)
+    out: np.ndarray  # (steps, S, outputs)
+    b: np.ndarray  # (steps, S, H), out itself when no predicate has two slots
+    over_one: np.ndarray  # (steps, S, H)
 
     @staticmethod
     def build(model: CompiledModel, fixed: np.ndarray, seg_values: np.ndarray,
@@ -719,27 +726,41 @@ class _Chain:
         reads = np.concatenate((fixed[:n].reshape(n, S * g)[:, read], fixed_values,
                                 np.ones((n, 1)), np.zeros((n, 1))), axis=1)
         segments, local = np.unique(seg, return_inverse=True)
+        # A step's input head values lead what its cells read; the last row
+        # holds the values after the last step.
+        z = np.concatenate((np.zeros((steps + 1, S * H)),
+                            reads[np.minimum(np.arange(steps + 1), n - 1)]), axis=1)
+        states = z[:, : S * H].reshape(steps + 1, S, H)
+        states[0] = fixed[0][:, heads]
+        out = np.empty((steps, S, model.single_cols.size + 2 * model.pair_cols.size))
         return _Chain(
             model=model,
             amalgamation=amalgamation,
             heads=heads,
+            head_col=head_col,
             fixed=fixed,
-            z=np.concatenate((np.zeros((steps, S * H)), reads[np.minimum(np.arange(steps), n - 1)]),
-                             axis=1),
             rows=rows,
-            x=np.empty((steps, *rows.shape)),
-            values=np.empty((steps, cells.size)),
             multi=_Table(no_rows, no_rows, blocks, multi_cells),
-            segments=segments,
             cells=cells,
+            clause=model.seg_weight[seg],
             seg=local,
+            dense=table.key[segments],
             out_cells=_out_cells(model, S)[cells],
             to_heads=(np.minimum(rows, S * H) + [[0], [S * H + 1]]).ravel(),
+            z=z,
+            states=states,
+            x=np.empty((steps, *rows.shape)),
+            winners=tuple(np.empty((steps, b1.shape[0]), dtype=np.int64) for b1, _ in blocks),
+            values=np.empty((steps, cells.size)),
+            out=out,
+            b=np.empty((steps, S, H)) if model.pair_cols.size else out,
+            over_one=np.empty((steps, S, H), dtype=bool),
         )
 
-    def weigh(self, seg_w: np.ndarray) -> np.ndarray:
-        """Each cell's weight, of the table segment weights ``seg_w``."""
-        return seg_w.take(self.segments).take(self.seg)
+    def weigh(self, probs: Sequence[np.ndarray]) -> np.ndarray:
+        """Each cell's weight: its clause's probability in ``probs``, one
+        array per slot."""
+        return np.concatenate([np.zeros(0), *probs]).take(self.clause)
 
     def valuation(self, t: int, a: np.ndarray) -> np.ndarray:
         """The whole valuation (S, atoms) before step ``t`` (after the last
@@ -749,85 +770,55 @@ class _Chain:
         return x
 
 
-@dataclass
-class _StepTrace:
-    a: np.ndarray  # the step's input head values
-    z: np.ndarray  # and what its cells read
-    x: np.ndarray  # (2, cells) the factors of each cell's value
-    winners: list[np.ndarray]  # per block of multi-row cells, each one's winning row
-    values: np.ndarray  # every cell's value
-    out: np.ndarray
-    b: np.ndarray
-    over_one: np.ndarray
-
-
-def _segment_weights(model: CompiledModel, probs: Sequence[np.ndarray]) -> np.ndarray:
-    """Each table segment's clause probability."""
-    return np.concatenate([np.zeros(0), *probs])[model.seg_weight]
-
-
-def _step(
-    chain: _Chain, w: np.ndarray, t: int, a: np.ndarray
-) -> tuple[np.ndarray, _StepTrace]:
-    """Step ``t`` from the head values ``a``, with the cell weights ``w``."""
-    model = chain.model
-    S = a.shape[0]
-    z = chain.z[t]
-    z[: a.size] = a.ravel()
+def _step(chain: _Chain, w: np.ndarray, t: int) -> None:
+    """Step ``t`` of ``chain`` with the cell weights ``w``: from the head
+    values ``chain.states[t]`` to ``chain.states[t + 1]``, writing the
+    step's record."""
+    n1, n2 = chain.model.single_cols.size, chain.model.pair_cols.size
+    a, z = chain.states[t], chain.z[t]
     x = z.take(chain.rows, out=chain.x[t], mode="clip")
     values = np.multiply(x[0], x[1], out=chain.values[t])
-    winners = []
     if chain.multi.blocks:
-        v, winners = chain.multi.values(z[None])[:2]
+        v, winners = chain.multi.values(z[None])
         values[chain.multi.key] = v.ravel()
-    n1, n2 = model.single_cols.size, model.pair_cols.size
-    n_out = n1 + 2 * n2
-    out = np.bincount(chain.out_cells, weights=values * w, minlength=S * n_out).reshape(S, n_out)
-    b = out
+        for won, step_won in zip(chain.winners, winners):
+            won[t] = step_won[0]
+    out, b = chain.out[t], chain.b[t]
+    out[...] = np.bincount(chain.out_cells, weights=values * w,
+                           minlength=out.size).reshape(out.shape)
     if n2:
         s0, s1 = out[:, n1 : n1 + n2], out[:, n1 + n2 :]
-        b = np.concatenate((out[:, :n1], s0 + s1 - s0 * s1), axis=1)
-    a_new, over_one = _amalgamate(chain.amalgamation, a, b)
-    return a_new, _StepTrace(a, z, x, winners, values, out, b, over_one)
+        b[:, :n1] = out[:, :n1]
+        b[:, n1:] = s0 + s1 - s0 * s1
+    chain.states[t + 1], chain.over_one[t] = _amalgamate(chain.amalgamation, a, b)
 
 
-def _chain(
-    chain: _Chain, w: np.ndarray, traces: list[_StepTrace] | None = None
-) -> np.ndarray:
-    """Chain every step from the start values with the cell weights ``w``;
-    returns the whole valuation after the last step and appends each
-    step's trace to ``traces`` if given. The head values of every step are
-    checked for range and monotonicity once, after the last step."""
+def _chain(chain: _Chain, w: np.ndarray) -> np.ndarray:
+    """Chain every step from the start values with the cell weights ``w``,
+    writing each step's record into ``chain``; returns the whole valuation
+    after the last step. The head values of every step are checked for
+    range and monotonicity once, after the last step."""
     global VALUATION_CHECKS
     steps = chain.model.forward_steps
-    states = np.empty((steps + 1, chain.fixed.shape[1], chain.heads.size))
-    states[0] = chain.fixed[0][:, chain.heads]
     for t in range(steps):
-        states[t + 1], trace = _step(chain, w, t, states[t])
-        if traces is not None:
-            traces.append(trace)
-    _check_range(states[1:], states[:-1])
+        _step(chain, w, t)
+    _check_range(chain.states[1:], chain.states[:-1])
     VALUATION_CHECKS += steps
-    return chain.valuation(steps, states[steps])
+    return chain.valuation(steps, chain.states[steps])
 
 
 def _backward_step(
-    chain: _Chain,
-    w: np.ndarray,
-    trace: _StepTrace,
-    da_new: np.ndarray,
-    dseg: np.ndarray,
-    heads: bool = True,
+    chain: _Chain, w: np.ndarray, t: int, da_new: np.ndarray, dseg: np.ndarray
 ) -> np.ndarray | None:
-    """Gradient w.r.t. a step's input head values (None unless ``heads``);
-    adds each of ``chain.segments``' d(loss)/d(segment weight) into
-    ``dseg``. ``w`` holds the cell weights."""
-    model = chain.model
-    a, b = trace.a, trace.b
+    """Gradient w.r.t. step ``t``'s input head values, from its record in
+    ``chain`` (None for step 0, whose input is the fixed start values);
+    adds each kept segment's d(loss)/d(segment weight) into ``dseg``.
+    ``w`` holds the cell weights."""
+    a, b = chain.states[t], chain.b[t]
     S = a.shape[0]
-    n1, n2 = model.single_cols.size, model.pair_cols.size
+    n1, n2 = chain.model.single_cols.size, chain.model.pair_cols.size
     H = n1 + n2
-    da_new = np.where(trace.over_one, 0.0, da_new)
+    da_new = np.where(chain.over_one[t], 0.0, da_new)
     if chain.amalgamation == "max":
         take_b = b > a
         db = np.where(take_b, da_new, 0.0)
@@ -837,45 +828,35 @@ def _backward_step(
         da = da_new * (1.0 - b)
     dout = db
     if n2:
-        dy, pair = db[:, n1:], trace.out[:, n1:]
+        dy, pair = db[:, n1:], chain.out[t][:, n1:]
         dout = np.concatenate((db[:, :n1], dy * (1.0 - pair[:, n2:]), dy * (1.0 - pair[:, :n2])),
                               axis=1)
     dv = dout.take(chain.out_cells)
     # A cell's value is its winning row's x1 * x2, so (x1 * x2) * dv comes
     # first, and clauses whose rows read the same values in either order
     # get bit-equal sums.
-    dseg += np.bincount(chain.seg, weights=trace.values * dv, minlength=dseg.size)
-    if not heads:
+    dseg += np.bincount(chain.seg, weights=chain.values[t] * dv, minlength=dseg.size)
+    if not t:
         return None
     dv *= w
     # Each factor's gradient is the other factor times dv; a factor
     # outside the heads scatters into a cell that is dropped.
     SH = S * H
-    d = np.bincount(chain.to_heads, weights=(trace.x[::-1] * dv).ravel(), minlength=2 * SH + 2)
+    d = np.bincount(chain.to_heads, weights=(chain.x[t][::-1] * dv).ravel(),
+                    minlength=2 * SH + 2)
     da += d[:SH].reshape(S, H)
     da += d[SH + 1 : 2 * SH + 1].reshape(S, H)
-    lo = 0
-    for (b1, b2), won in zip(chain.multi.blocks, trace.winners):
-        c1, c2 = b1.take(won).ravel(), b2.take(won).ravel()
+    z, lo = chain.z[t], 0
+    for (b1, b2), won in zip(chain.multi.blocks, chain.winners):
+        c1, c2 = b1.take(won[t]), b2.take(won[t])
         hi = lo + c1.size
         dvw = dv.take(chain.multi.key[lo:hi])
-        da += np.bincount(np.minimum(c1, SH), weights=trace.z.take(c2) * dvw,
+        da += np.bincount(np.minimum(c1, SH), weights=z.take(c2) * dvw,
                           minlength=SH + 1)[:SH].reshape(S, H)
-        da += np.bincount(np.minimum(c2, SH), weights=trace.z.take(c1) * dvw,
+        da += np.bincount(np.minimum(c2, SH), weights=z.take(c1) * dvw,
                           minlength=SH + 1)[:SH].reshape(S, H)
         lo = hi
     return da
-
-
-def _clause_grads(chain: _Chain, dseg: np.ndarray) -> np.ndarray:
-    """Sum the gradients of ``chain.segments`` per clause over the dense
-    (clause, head) layout, so clauses equal on the data get bit-equal
-    gradients."""
-    model = chain.model
-    dense = np.bincount(model.table.key[chain.segments], weights=dseg, minlength=model.n_dense)
-    if not model.clause_starts.size:
-        return np.zeros(0)
-    return np.add.reduceat(dense, model.clause_starts)
 
 
 def _chain_for(model: CompiledModel, a0: np.ndarray, amalgamation: str) -> _Chain:
@@ -895,7 +876,7 @@ def infer(
         raise ValueError("sample constants do not match this compiled model; "
                          "compile it with ModelCompiler.compile(sample.constants)")
     chain = _chain_for(model, _start_values(model, [sample]), hp.amalgamation)
-    return _chain(chain, chain.weigh(_segment_weights(model, probabilities(weights))))[0]
+    return _chain(chain, chain.weigh(probabilities(weights)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -906,6 +887,7 @@ class _Batch:
     chain: _Chain
     rows: np.ndarray  # per labeled atom: its sample,
     cells: np.ndarray  # its atom,
+    cols: np.ndarray  # its column in chain.heads (H if none),
     positive: np.ndarray  # whether it is positive,
     scale: np.ndarray  # and its loss weight
 
@@ -940,7 +922,7 @@ def _prepare_batches(
         ]
         rows, cells, positive, scale = map(np.asarray, zip(*labels))
         chain = _chain_for(model, _start_values(model, group), hp.amalgamation)
-        batches.append(_Batch(chain, rows, cells, positive, scale))
+        batches.append(_Batch(chain, rows, cells, chain.head_col[cells], positive, scale))
     return batches
 
 
@@ -971,9 +953,8 @@ def _loss_pass(
     total = 0.0
     for batch in _prepare_batches(compiler, samples, hp) if batches is None else batches:
         chain = batch.chain
-        w = chain.weigh(_segment_weights(chain.model, probs))
-        traces: list[_StepTrace] | None = [] if grad else None
-        a = _chain(chain, w, traces)
+        w = chain.weigh(probs)
+        a = _chain(chain, w)
         x = a[batch.rows, batch.cells]
         c = np.clip(x, LOG_EPS, 1.0 - LOG_EPS)
         total += float(-(batch.scale * np.where(batch.positive, np.log(c), np.log1p(-c))).sum())
@@ -982,20 +963,24 @@ def _loss_pass(
         # -s/x on a positive, s/(1-x) on a negative, 0 where the clip
         # binds (where it does not, c is x); (-s)/x has the bits of -(s/x).
         # Sample.make keeps a sample's labeled atoms distinct and its
-        # positives and negatives disjoint, so no cell is assigned twice.
-        dx = np.zeros_like(a)
-        dx[batch.rows, batch.cells] = np.where(
+        # positives and negatives disjoint, so no head is assigned twice;
+        # the last column takes the labels outside the heads and is dropped.
+        da = np.zeros((len(a), chain.heads.size + 1))
+        da[batch.rows, batch.cols] = np.where(
             (x > LOG_EPS) & (x < 1.0 - LOG_EPS),
             np.where(batch.positive, -batch.scale, batch.scale)
             / np.where(batch.positive, c, 1.0 - c),
             0.0,
         )
-        da = dx[:, chain.heads]
-        dseg = np.zeros(chain.segments.size)
-        # Step 0's input gradient is not needed: the start values are fixed.
-        for t in reversed(range(len(traces))):
-            da = _backward_step(chain, w, traces[t], da, dseg, heads=t > 0)
-        dclause += _clause_grads(chain, dseg)
+        da = da[:, :-1]
+        dseg = np.zeros(chain.dense.size)
+        for t in reversed(range(chain.model.forward_steps)):
+            da = _backward_step(chain, w, t, da, dseg)
+        # Summed per clause over the dense (clause, head) layout, so clauses
+        # equal on the data get bit-equal gradients.
+        if dclause.size:
+            dense = np.bincount(chain.dense, weights=dseg, minlength=chain.model.n_dense)
+            dclause += np.add.reduceat(dense, chain.model.clause_starts)
     penalty, dpenalty = _penalty(weights, hp)
     if not grad:
         return total + penalty, None

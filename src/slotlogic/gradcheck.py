@@ -100,6 +100,8 @@ def _random_instance(rng: np.random.Generator):
 def run_gradcheck(seed: int = 0, instances: int = 100, h: float = 1e-4) -> GradcheckReport:
     if instances < 1:
         raise ValueError(f"instances must be at least 1, not {instances}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_i = -1

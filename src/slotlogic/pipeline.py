@@ -255,7 +255,7 @@ def evaluate_predictions(
     for n, p in enumerate(predictions, 1):
         key, domain, _ = _eval_meta(p.get("meta", {}), f"prediction {n}", False)
         preds, _, _ = turns.setdefault(key, (set(), set(), {domain}))
-        preds.update((i, s) for i, s in p.get("acts", []))
+        preds.update((i, s) for i, s in p["acts"])
     return evaluate_turns([(list(p), list(g)) for p, g, _ in turns.values()],
                           ["+".join(sorted(d)) for _, _, d in turns.values()])
 

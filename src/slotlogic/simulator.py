@@ -29,6 +29,8 @@ class GeneratorConfig:
     correction_probability: float = 0.2
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
         if not 0.0 <= self.correction_probability <= 1.0:
             raise ValueError("correction_probability must be in [0, 1]")
         if self.max_goal_requests < 0:
@@ -195,12 +197,13 @@ def generate_corpus(
     if n < 1:
         raise ValueError("n must be >= 1")
     spec = DOMAINS[domain] if isinstance(domain, str) else domain
-    child_seeds = np.random.SeedSequence(seed).generate_state(n, np.uint64)
     base = GeneratorConfig(
         spec,
+        seed=seed,
         max_goal_requests=max_goal_requests,
         correction_probability=correction_probability,
     )
+    child_seeds = np.random.SeedSequence(seed).generate_state(n, np.uint64)
     return [
         generate_dialog(replace(base, seed=int(s))) for s in child_seeds
     ]

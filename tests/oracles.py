@@ -59,7 +59,6 @@ from slotlogic.engine import (
     _check_range,
     _out_cells,
     _penalty,
-    _segment_weights,
     _softmax_backward,
     _start_values,
     probabilities,
@@ -331,6 +330,11 @@ def _winning_cells(model: CompiledModel, winners, S: int):
     for (b1, b2), won in zip(table.blocks, winners):
         cells.append((np.take(b1, won) + offset, np.take(b2, won) + offset))
     return cells
+
+
+def _segment_weights(model: CompiledModel, probs: Sequence[np.ndarray]) -> np.ndarray:
+    """Each table segment's clause probability."""
+    return np.concatenate([np.zeros(0), *probs])[model.seg_weight]
 
 
 def _reference_step(model: CompiledModel, seg_w, a, b_static, amalgamation: str):

@@ -267,18 +267,17 @@ def test_criterion_7_crisp_agreement_exhaustive():
 
 
 def test_criterion_8_monotonicity_and_range(one_shot):
-    from slotlogic.engine import _prepare_batches, _segment_weights, _step
+    from slotlogic.engine import _prepare_batches, _step
 
     compiler = one_shot.trained.compiler
     sample = [r.sample for r in one_shot.records if r.meta["supervised"]][0]
     (batch,) = _prepare_batches(compiler, [sample], one_shot.trained.hyperparams)
     chain = batch.chain
-    w = chain.weigh(_segment_weights(chain.model, one_shot.trained.probabilities()))
+    w = chain.weigh(one_shot.trained.probabilities())
     prev = chain.fixed[0]
-    a = prev[:, chain.heads]
     for t in range(chain.model.forward_steps):
-        a, _ = _step(chain, w, t, a)
-        nxt = chain.valuation(t + 1, a)
+        _step(chain, w, t)
+        nxt = chain.valuation(t + 1, chain.states[t + 1])
         assert np.all(nxt >= prev - 1e-12)
         assert nxt.min() >= 0.0 and nxt.max() <= 1.0
         prev = nxt

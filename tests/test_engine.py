@@ -31,7 +31,6 @@ from slotlogic.engine import (
     _chain,
     _prepare_batches,
     _reachable,
-    _segment_weights,
     loss,
     loss_and_grad,
     probabilities,
@@ -825,9 +824,8 @@ class TestLivePrune:
     @staticmethod
     def valuations(chain, weights):
         """The whole valuation (S, atoms) before each step of ``chain``."""
-        traces = []
-        _chain(chain, chain.weigh(_segment_weights(chain.model, probabilities(weights))), traces)
-        return [chain.valuation(t, tr.a) for t, tr in enumerate(traces)]
+        _chain(chain, chain.weigh(probabilities(weights)))
+        return [chain.valuation(t, a) for t, a in enumerate(chain.states[:-1])]
 
     @staticmethod
     def dropped_and_check(compiler, weights, samples, hp) -> int:
@@ -1043,12 +1041,12 @@ class TestHeadKernel:
                 seen["a segment kept in some samples only"] += (kept.any(0) & ~kept.all(0)).any()
         assert all(seen.values()), seen
 
-    @pytest.mark.parametrize("amalgamation", AMALGAMATIONS)
-    def test_scattered_heads_and_a_labeled_target_without_slot(self, amalgamation):
-        # Heads are h (one slot), then t (two slots); u, a target with no
-        # slot, lies between them in the index and is labeled. t's second
-        # slot reads h through a free variable: multi-row segments that
-        # read a head.
+    @staticmethod
+    def scattered_heads_case():
+        """Heads are h (one slot), then t (two slots); u, a target with no
+        slot, lies between them in the index and is labeled. t's second
+        slot reads h through a free variable: multi-row segments that read
+        a head. Returns the compiler, the one sample and u."""
         t, u, h = Predicate("t", 1), Predicate("u", 1), Predicate("h", 1)
         e, f = Predicate("e", 1), Predicate("f", 2)
         frame = LanguageFrame(targets=(t, u), extensional=(e, f))
@@ -1068,7 +1066,12 @@ class TestHeadKernel:
             [atom("t", "b"), atom("u", "b"), atom("t", "c")], [atom("t", "a"), atom("u", "c")],
             constants,
         )
-        model = compiler.compile(constants)
+        return compiler, sample, u
+
+    @pytest.mark.parametrize("amalgamation", AMALGAMATIONS)
+    def test_scattered_heads_and_a_labeled_target_without_slot(self, amalgamation):
+        compiler, sample, u = self.scattered_heads_case()
+        model = compiler.compile(sample.constants)
         lo, hi = model.index.ranges[u]
         heads = set(model.heads.tolist())
         assert min(heads) < lo and hi <= max(heads) and not heads & set(range(lo, hi))
@@ -1086,6 +1089,54 @@ class TestHeadKernel:
             loss(compiler, weights, samples, hp)
         with pytest.raises(ValuationInvariantError):
             loss_and_grad(compiler, weights, samples, hp)
+
+
+class TestChainRecord:
+    """A chain's step record is rewritten by every call, never carried
+    over: batches already used at other weights give the loss and gradient
+    of fresh ones bit for bit, and ``infer`` repeats itself."""
+
+    @staticmethod
+    def case(name):
+        if name == "list-all":
+            from slotlogic.pipeline import list_all_problem
+            (compiler, _), sample = list_all_problem()
+        else:
+            compiler, sample, _ = TestHeadKernel.scattered_heads_case()
+        return compiler, sample
+
+    @pytest.mark.parametrize("name", ["list-all", "scattered-heads"])
+    @pytest.mark.parametrize("amalgamation", AMALGAMATIONS)
+    def test_reused_batches_equal_fresh_ones(self, name, amalgamation):
+        compiler, sample = self.case(name)
+        hp = Hyperparams(amalgamation=amalgamation)
+        rng = np.random.default_rng(2)
+        draws = [[rng.standard_normal(len(cs)) for _, cs in compiler.pools] for _ in range(4)]
+        used = _prepare_batches(compiler, [sample], hp)
+        (batch,) = used
+        assert batch.chain.multi.blocks and batch.chain.model.pair_cols.size
+        loss_and_grad(compiler, draws[-1], [sample], hp, used)
+        for weights in draws:
+            value, grads = loss_and_grad(compiler, weights, [sample], hp, used)
+            fresh_value, fresh_grads = loss_and_grad(
+                compiler, weights, [sample], hp, _prepare_batches(compiler, [sample], hp))
+            assert np.float64(value).tobytes() == np.float64(fresh_value).tobytes()
+            assert [g.tobytes() for g in grads] == [g.tobytes() for g in fresh_grads]
+            assert np.float64(loss(compiler, weights, [sample], hp, used)).tobytes() == \
+                np.float64(fresh_value).tobytes()
+
+    @pytest.mark.parametrize("name", ["list-all", "scattered-heads"])
+    @pytest.mark.parametrize("amalgamation", AMALGAMATIONS)
+    def test_infer_repeats(self, name, amalgamation):
+        compiler, sample = self.case(name)
+        hp = Hyperparams(amalgamation=amalgamation)
+        model = compiler.compile(sample.constants)
+        rng = np.random.default_rng(3)
+        weights, other = ([rng.standard_normal(len(cs)) for _, cs in compiler.pools]
+                          for _ in range(2))
+        first = infer(model, weights, sample, hp)
+        infer(model, other, sample, hp)
+        assert first.tobytes() == infer(model, weights, sample, hp).tobytes()
 
 
 class TestChainCheck:

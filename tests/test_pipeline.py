@@ -31,6 +31,8 @@ from slotlogic.extract import PolicyProgram, crisp_infer, load_program, save_pro
 from slotlogic.logic import parse_clause, Predicate
 from slotlogic.multiwoz import MULTIWOZ_TARGETS, convert_multiwoz_records
 from slotlogic.engine import TrainedModel, task_to_dict
+from slotlogic.gradcheck import run_gradcheck
+from slotlogic.simulator import DOMAINS, GeneratorConfig
 
 GOLDEN_PROGRAM = PolicyProgram(
     rules=tuple(
@@ -551,6 +553,20 @@ class TestMalformedLines:
                             capsys)
         assert "a prediction must be an object" in message
 
+    def test_eval_rejects_prediction_line_without_acts(self, files, capsys):
+        # transfer always writes acts; read as no acts, such a line scored
+        # action F1 0 and eval exited 0.
+        tmp_path, samples = files
+        preds = tmp_path / "preds.jsonl"
+        assert run_pipeline(["transfer", "--program", str(tmp_path / "program.txt"),
+                             "--samples", str(samples), "--out", str(preds)]) == 0
+        record = json.loads(preds.read_text().splitlines()[1])
+        del record["acts"]
+        message = self.fail(["eval", "--pred", str(self.with_line_2(preds, json.dumps(record))),
+                             "--gold", str(samples), "--report", str(tmp_path / "r.json")],
+                            capsys)
+        assert "an 'acts' list" in message
+
     @pytest.mark.parametrize("side, edit", [
         ("pred", lambda m: {**m, "dialog": [1]}),
         ("gold", lambda m: {**m, "dialog": [1]}),
@@ -1029,6 +1045,7 @@ class TestUntrainableHyperparams:
         (["--restarts", "-4"], "restarts must be at least 1"),
         (["--restarts", "0"], "restarts must be at least 1"),
         (["--reg", "none", "--reg-lambda", "0.5"], "reg_lambda must be 0 with reg_kind 'none'"),
+        (["--seed", "-3"], "seed must be non-negative"),
     ])
     def test_train_exits_2(self, samples, tmp_path, capsys, flags, want):
         out = tmp_path / "model.json"
@@ -1040,6 +1057,56 @@ class TestUntrainableHyperparams:
         error = json.loads(line)
         assert error["error"] == "ValueError" and want in error["message"]
         assert not out.exists()
+
+    @staticmethod
+    def fail(argv, capsys) -> str:
+        capsys.readouterr()
+        code = run_pipeline(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        [line] = err.splitlines()
+        return json.loads(line)["message"]
+
+    def test_negative_seed_in_a_task_file(self, samples, tmp_path, capsys):
+        # numpy's own refusal, "expected non-negative integer", named no field.
+        task = task_to_dict(*pipeline.simdial_task())
+        task["hyperparams"]["seed"] = -3
+        path = tmp_path / "task.json"
+        path.write_text(json.dumps(task))
+        message = self.fail(["train", "--task", str(path), "--samples", str(samples),
+                             "--out", str(tmp_path / "model.json")], capsys)
+        assert "'hyperparams'" in message and "seed must be non-negative, not -3" in message
+
+    def test_negative_seed_in_a_model_file(self, samples, tmp_path, capsys):
+        # train cannot write one; extract used to read it without a check.
+        model = tmp_path / "model.json"
+        assert run_pipeline(["train", "--samples", str(samples), "--steps", "1",
+                             "--restarts", "1", "--out", str(model)]) == 0
+        edited = json.loads(model.read_text())
+        edited["hyperparams"]["seed"] = -1
+        model.write_text(json.dumps(edited))
+        message = self.fail(["extract", "--model", str(model),
+                             "--out", str(tmp_path / "program.txt")], capsys)
+        assert "'hyperparams'" in message and "seed must be non-negative" in message
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--domain", "restaurant", "--n", "2", "--seed", "-1"],
+        ["gradcheck", "--instances", "1", "--seed", "-1"],
+    ], ids=["generate", "gradcheck"])
+    def test_negative_seed_flag(self, tmp_path, capsys, argv):
+        if argv[0] == "generate":
+            argv = [*argv, "--out", str(tmp_path / "corpus.jsonl")]
+        assert "seed must be non-negative, not -1" in self.fail(argv, capsys)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Hyperparams(seed=-1),
+        lambda: GeneratorConfig(DOMAINS["restaurant"], seed=-1),
+        lambda: generate_corpus("restaurant", 2, seed=-1),
+        lambda: run_gradcheck(seed=-1, instances=1),
+    ], ids=["hyperparams", "generator-config", "generate-corpus", "gradcheck"])
+    def test_negative_seed_named(self, make):
+        with pytest.raises(ValueError, match="seed must be non-negative, not -1"):
+            make()
 
     @pytest.mark.parametrize("field", ["learning_rate", "reg_lambda", "init_scale", "stop_loss"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

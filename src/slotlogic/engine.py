@@ -45,9 +45,9 @@ a training call: each step writes everything it computes into arrays the
 chain owns, so no cell-sized array of a call outlives its step, and the
 backward step reads them there. A chain checks every step's head values
 for range and monotonicity once, after its last step. The backward step
-takes a cell's value as its winning row's product, scatters every cell's
-segment-weight gradient into the segments with one ``bincount`` (each
-segment's samples in order), and scatters each factor's gradient into
+takes a cell's value as its winning row's product, adds every cell's
+clause-weight gradient into its clause with one ``bincount`` (each
+clause's cells in chain order), and scatters each factor's gradient into
 the heads with one more (and two per block of multi-row cells); a factor
 outside the heads scatters into a cell that is dropped. Step 0 scatters
 nothing into the heads: the start values are fixed.
@@ -69,9 +69,10 @@ Gradients are exact reverse-mode derivatives of that computation. Max
 picks its first argument on ties: the old valuation over the fresh
 derivation, and the lowest-numbered grounding row within a segment
 (rows keep their enumeration order, a background head's rows follow its
-clauses in order, and argmax returns the first maximum). Clause
-gradients are summed over a dense (clause, head atom) layout, so clauses
-that agree on the data stay exactly tied.
+clauses in order, and argmax returns the first maximum). A clause's
+gradient is the sum of its cells' terms, step by step from the last and
+each step's in chain order, so clauses that agree on the data sum equal
+sequences and stay exactly tied.
 """
 
 from __future__ import annotations
@@ -363,15 +364,14 @@ class CompiledModel:
     """Grounded clause tables for one constant list; immutable.
 
     ``table`` holds the grounding rows of the slot clauses. Segment ``i``
-    is the (clause, head atom) cell ``table.key[i]`` of a dense layout of
-    ``n_dense`` cells, in which ``clause_starts`` opens each clause's
-    range; it adds its value, times the probability of clause
-    ``seg_weight[i]``, into output ``seg_out[i]``. The outputs are the
-    head atoms ``single_cols``, then the head atoms ``pair_cols`` once per
-    slot of a two-slot predicate, merged by probabilistic sum. ``static``
-    holds every background row, one segment per head atom: background
-    reads only extensional atoms and background heads, so it is chained
-    once per batch.
+    is the (clause, head atom) pair ``divmod(table.key[i], len(index))``,
+    so segments run clause after clause; it adds its value, times the
+    probability of clause ``seg_weight[i]``, into output ``seg_out[i]``.
+    The outputs are the head atoms ``single_cols``, then the head atoms
+    ``pair_cols`` once per slot of a two-slot predicate, merged by
+    probabilistic sum. ``static`` holds every background row, one segment
+    per head atom: background reads only extensional atoms and background
+    heads, so it is chained once per batch.
     """
 
     index: GroundIndex
@@ -380,8 +380,6 @@ class CompiledModel:
     table: _Table
     seg_out: np.ndarray
     seg_weight: np.ndarray
-    n_dense: int
-    clause_starts: np.ndarray
     single_cols: np.ndarray
     pair_cols: np.ndarray
     static: _Table
@@ -488,35 +486,25 @@ class ModelCompiler:
             out_start[p, which] = n_out
             n_out += span(p).size
 
-        # A row's key is its (clause, head atom) cell in the dense layout,
-        # the row's head index shifted by its clause's key_shift;
-        # cell_out/cell_clause map a cell to its output and clause.
+        # A row's key is its (clause, head atom) pair, clause * len(index)
+        # + head, so segments run clause after clause; a clause's out_shift
+        # takes its head atoms to its pool's outputs.
         no_cells = np.zeros(0, dtype=np.int64)
-        key_shift, cell_out, cell_clause, clause_starts = [no_cells], [no_cells], [no_cells], [no_cells]
-        n_dense = n_clauses = 0
-        for j, ((pred, _), clauses) in enumerate(self.pools):
-            lo, hi = index.ranges[pred]
-            base = out_start[pred, slots_of[pred].index(j)]
-            starts = n_dense + (hi - lo) * np.arange(len(clauses), dtype=np.int64)
-            clause_starts.append(starts)
-            key_shift.append(starts - lo)
-            cell_out.append(np.tile(np.arange(base, base + hi - lo), len(clauses)))
-            cell_clause.append(np.repeat(n_clauses + np.arange(len(clauses)), hi - lo))
-            n_dense += (hi - lo) * len(clauses)
-            n_clauses += len(clauses)
+        out_shift = np.concatenate([no_cells, *(
+            np.full(len(clauses), out_start[pred, slots_of[pred].index(j)] - index.ranges[pred][0])
+            for j, ((pred, _), clauses) in enumerate(self.pools))])
         rows, counts = self._slot_shapes.ground(index)
-        keys = rows[:, 0] + np.repeat(np.concatenate(key_shift), counts)
-        table = _Table.build(keys, rows[:, 1], rows[:, 2])
+        table = _Table.build(np.repeat(np.arange(counts.size), counts) * len(index) + rows[:, 0],
+                             rows[:, 1], rows[:, 2])
+        clause, head = np.divmod(table.key, len(index))
         static = self._background_shapes.ground(index)[0]
         model = CompiledModel(
             index=index,
             slot_groups=tuple(_Slot(pred, tuple(cs)) for (pred, _), cs in self.pools),
             forward_steps=self.template.forward_steps,
             table=table,
-            seg_out=np.concatenate(cell_out)[table.key],
-            seg_weight=np.concatenate(cell_clause)[table.key],
-            n_dense=n_dense,
-            clause_starts=np.concatenate(clause_starts),
+            seg_out=out_shift[clause] + head,
+            seg_weight=clause,
             single_cols=np.concatenate([no_cells, *map(span, singles)]),
             pair_cols=np.concatenate([no_cells, *map(span, pairs)]),
             static=_Table.build(static[:, 0], static[:, 1], static[:, 2]),
@@ -529,10 +517,15 @@ class ModelCompiler:
 # Forward pass.
 
 def _start_values(model: CompiledModel, samples: Sequence[Sample]) -> np.ndarray:
-    """Start valuations (S, atoms): background atoms 1, everything else 0."""
+    """Start valuations (S, atoms): background atoms 1, everything else 0.
+    A background atom of a predicate the model does not declare raises
+    ``ValueError``."""
     a0 = np.zeros((len(samples), len(model.index)))
     for si, s in enumerate(samples):
         for a in s.background:
+            if a.predicate not in model.index.ranges:
+                raise ValueError(f"background atom {format_atom(a)}: {a.predicate} is "
+                                 "not a declared predicate of the model")
             a0[si, model.index.index_of(a)] = 1.0
     return a0
 
@@ -624,8 +617,8 @@ class _Chain:
     :func:`_reachable`). A cell is a table segment in one sample;
     cells run sample after sample, each sample's in table order, so a
     step's sum into a head of a sample adds its segments in the order of
-    the whole table, and the backward step's sum into a segment adds its
-    samples in order.
+    the whole table, and the backward step's sum into a clause adds its
+    cells in the order of the whole table's (sample, segment) cells.
 
     Step ``t``'s cells read ``z[t]``: the step's head values, flattened,
     then the fixed atom values the dependent cells' rows read, the value
@@ -653,8 +646,6 @@ class _Chain:
     multi: _Table
     cells: np.ndarray  # (cells,) the flat (S, segments) cell
     clause: np.ndarray  # (cells,) the cell's clause
-    seg: np.ndarray  # (cells,) the cell's position among the kept segments
-    dense: np.ndarray  # each kept segment's dense (clause, head) key
     out_cells: np.ndarray  # (cells,) the flat (S, outputs) output
     # (2 * cells,) the flat cell of (2, S * H + 1) that a gradient reaches
     # from each of ``rows``: its entry of the heads, or S * H for the
@@ -725,7 +716,6 @@ class _Chain:
         blocks = tuple((z(s, b1), z(s, b2)) for s, b1, b2 in dep_rows[1:] if s.size)
         reads = np.concatenate((fixed[:n].reshape(n, S * g)[:, read], fixed_values,
                                 np.ones((n, 1)), np.zeros((n, 1))), axis=1)
-        segments, local = np.unique(seg, return_inverse=True)
         # A step's input head values lead what its cells read; the last row
         # holds the values after the last step.
         z = np.concatenate((np.zeros((steps + 1, S * H)),
@@ -743,8 +733,6 @@ class _Chain:
             multi=_Table(no_rows, no_rows, blocks, multi_cells),
             cells=cells,
             clause=model.seg_weight[seg],
-            seg=local,
-            dense=table.key[segments],
             out_cells=_out_cells(model, S)[cells],
             to_heads=(np.minimum(rows, S * H) + [[0], [S * H + 1]]).ravel(),
             z=z,
@@ -808,12 +796,12 @@ def _chain(chain: _Chain, w: np.ndarray) -> np.ndarray:
 
 
 def _backward_step(
-    chain: _Chain, w: np.ndarray, t: int, da_new: np.ndarray, dseg: np.ndarray
+    chain: _Chain, w: np.ndarray, t: int, da_new: np.ndarray, dclause: np.ndarray
 ) -> np.ndarray | None:
     """Gradient w.r.t. step ``t``'s input head values, from its record in
     ``chain`` (None for step 0, whose input is the fixed start values);
-    adds each kept segment's d(loss)/d(segment weight) into ``dseg``.
-    ``w`` holds the cell weights."""
+    adds the step's d(loss)/d(clause probability) into ``dclause``, each
+    clause's cells in chain order. ``w`` holds the cell weights."""
     a, b = chain.states[t], chain.b[t]
     S = a.shape[0]
     n1, n2 = chain.model.single_cols.size, chain.model.pair_cols.size
@@ -835,7 +823,7 @@ def _backward_step(
     # A cell's value is its winning row's x1 * x2, so (x1 * x2) * dv comes
     # first, and clauses whose rows read the same values in either order
     # get bit-equal sums.
-    dseg += np.bincount(chain.seg, weights=chain.values[t] * dv, minlength=dseg.size)
+    dclause += np.bincount(chain.clause, weights=chain.values[t] * dv, minlength=dclause.size)
     if not t:
         return None
     dv *= w
@@ -973,14 +961,8 @@ def _loss_pass(
             0.0,
         )
         da = da[:, :-1]
-        dseg = np.zeros(chain.dense.size)
         for t in reversed(range(chain.model.forward_steps)):
-            da = _backward_step(chain, w, t, da, dseg)
-        # Summed per clause over the dense (clause, head) layout, so clauses
-        # equal on the data get bit-equal gradients.
-        if dclause.size:
-            dense = np.bincount(chain.dense, weights=dseg, minlength=chain.model.n_dense)
-            dclause += np.add.reduceat(dense, chain.model.clause_starts)
+            da = _backward_step(chain, w, t, da, dclause)
     penalty, dpenalty = _penalty(weights, hp)
     if not grad:
         return total + penalty, None
@@ -1048,7 +1030,13 @@ def _read_field(d: dict, name: str, parse: Callable, *default):
 
 
 def task_to_dict(compiler: ModelCompiler, hp: Hyperparams) -> dict:
-    """The fields that :func:`task_from_dict` reads."""
+    """The fields that :func:`task_from_dict` reads. A compiler whose pools
+    are not those its template, frame and background pool generate raises
+    ``ValueError``: no task file describes it."""
+    if compiler.pools != slot_clause_pools(compiler.template, compiler.frame,
+                                           compiler.background_pool):
+        raise ValueError("the compiler's clause pools are not those its template, frame "
+                         "and background pool generate, so no task file describes it")
     return {
         "frame": {
             "targets": [[p.name, p.arity] for p in compiler.frame.targets],
@@ -1155,8 +1143,9 @@ class TrainedModel:
         )
 
     def save(self, path) -> None:
+        d = self.to_dict()
         with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1, sort_keys=True)
+            json.dump(d, f, indent=1, sort_keys=True)
             f.write("\n")
 
     @staticmethod

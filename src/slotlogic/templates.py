@@ -41,10 +41,13 @@ class ProgramTemplate:
     def __post_init__(self):
         if self.forward_steps < 1:
             raise ValueError("forward_steps must be >= 1")
+        slot_preds = set()
         for pred, slot_list in self.slots:
+            if pred in slot_preds:
+                raise ValueError(f"{pred} is listed twice; list its slots in one entry")
+            slot_preds.add(pred)
             if not 1 <= len(slot_list) <= 2:
                 raise ValueError(f"{pred} must have 1 or 2 slots")
-        slot_preds = {pred for pred, _ in self.slots}
         for aux in self.auxiliary:
             if aux not in slot_preds:
                 raise ValueError(f"auxiliary {aux} has no slot")

@@ -358,9 +358,10 @@ def _reference_step(model: CompiledModel, seg_w, a, b_static, amalgamation: str)
     return a_new, (a, winners, out, b, over_one)
 
 
-def _reference_backward_step(model: CompiledModel, seg_w, trace, da_new, dseg, amalgamation: str):
+def _reference_backward_step(model: CompiledModel, seg_w, trace, da_new, dclause, amalgamation: str):
     """Gradient w.r.t. the step's input valuations, every cell scattered;
-    adds each segment's d(loss)/d(segment weight) into ``dseg``."""
+    adds the step's d(loss)/d(clause probability) into ``dclause``, each
+    clause's (sample, segment) cells sample after sample."""
     a, winners, out, b, over_one = trace
     S, g = a.shape
     da_new = np.where(over_one, 0.0, da_new)
@@ -380,19 +381,22 @@ def _reference_backward_step(model: CompiledModel, seg_w, trace, da_new, dseg, a
         dout[:, n1 : n1 + n2] = dy * (1.0 - out[:, n1 + n2 :])
         dout[:, n1 + n2 :] = dy * (1.0 - out[:, n1 : n1 + n2])
     dV = np.take(dout, model.seg_out, axis=1)
+    terms = np.empty_like(dV)
     da = da.ravel()
     lo = 0
     for w1, w2 in _winning_cells(model, winners, S):
         hi = lo + w1.shape[1]
         x1, x2 = np.take(a, w1), np.take(a, w2)
         dv = dV[:, lo:hi]
-        dseg[lo:hi] += np.einsum("sn,sn,sn->n", x1, x2, dv)
+        terms[:, lo:hi] = x1 * x2 * dv
         dv *= seg_w[lo:hi]
         x1 *= dv
         x2 *= dv
         da += np.bincount(w1.ravel(), weights=x2.ravel(), minlength=S * g)
         da += np.bincount(w2.ravel(), weights=x1.ravel(), minlength=S * g)
         lo = hi
+    dclause += np.bincount(np.tile(model.seg_weight, S), weights=terms.ravel(),
+                           minlength=dclause.size)
     return da.reshape(S, g)
 
 
@@ -452,12 +456,8 @@ def _reference_run(compiler, weights, samples, hp, grad: bool):
             np.where(positive, -scale, scale) / np.clip(np.where(positive, x, 1.0 - x), LOG_EPS, None),
             0.0,
         )
-        dseg = np.zeros(model.seg_out.size)
         for trace in reversed(traces):
-            da = _reference_backward_step(model, seg_w, trace, da, dseg, hp.amalgamation)
-        dense = np.bincount(model.table.key, weights=dseg, minlength=model.n_dense)
-        if model.clause_starts.size:
-            dclause += np.add.reduceat(dense, model.clause_starts)
+            da = _reference_backward_step(model, seg_w, trace, da, dclause, hp.amalgamation)
     dprobs = np.split(dclause, np.cumsum([p.size for p in probs])[:-1])
     penalty, dpenalty = _penalty(weights, hp)
     grads = [_softmax_backward(p, dp) + r for p, dp, r in zip(probs, dprobs, dpenalty)]

@@ -249,7 +249,7 @@ class TestInitValuation:
         comp = toy_compiler()
         model = comp.compile(("a",))
         s = Sample.make([atom("zz", "a")], [atom("p", "a")], [], ("a",))
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^background atom zz\(a\): zz/1 is not a declared"):
             infer(model, comp.init_weights(), s, Hyperparams())
 
 
@@ -578,6 +578,38 @@ class TestTrain:
         for a, b in zip(loaded.weights, m.weights):
             assert np.array_equal(a, b)
         loaded.compiler  # loading checked the pools against regeneration
+
+    def test_hand_picked_pools_are_not_written_as_a_task(self, tmp_path):
+        # Written, such a model would not load ("the clause lists differ"),
+        # and its task would read back with the template's full pools.
+        (compiler, hp), sample = pipeline.list_all_problem()
+        picked = ModelCompiler(compiler.frame, compiler.template, compiler.background,
+                               compiler.background_pool,
+                               pools=[(key, cs[:3]) for key, cs in compiler.pools])
+        with pytest.raises(ValueError, match="pools are not those its template"):
+            engine_mod.task_to_dict(picked, hp)
+        model = pipeline.fit((picked, hp), [sample], training_steps=1)
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="pools are not those its template"):
+            model.save(path)
+        assert not path.exists()
+        same = ModelCompiler(compiler.frame, compiler.template, compiler.background,
+                             compiler.background_pool, pools=compiler.pools)
+        assert engine_mod.task_to_dict(same, hp) == engine_mod.task_to_dict(compiler, hp)
+
+    def test_data_equivalent_clauses_stay_exactly_tied(self):
+        # Clauses that agree on every (sample, head) cell get bit-equal
+        # gradients, so from the zero init they stay tied and pool order
+        # settles them; here the two top clauses of three slots.
+        records = pipeline.convert_corpus([representative_dialog("restaurant")])
+        model = pipeline.fit(pipeline.simdial_task(), pipeline.training_samples(records),
+                             training_steps=40)
+        tied = {}
+        for ((pred, _), _), w in zip(model.compiler.pools, model.weights):
+            top = np.sort(w)[::-1]
+            tied[str(pred)] = top[0] == top[1] > top[2]
+        assert tied == {"sys_request/1": False, "sys_inform/1": True, "sys_query/1": True,
+                        "pred2/0": False, "pred3/1": True}
 
     def test_model_file_with_frame_constants_loads(self):
         s = Sample.make([atom("q", "a")], [atom("p", "a")], [], ("a",))
@@ -927,7 +959,7 @@ class TestFixpoint:
             early |= n < steps
             full_values = np.stack([model.table.values(full[t] > 0)[0] for t in range(steps)])
             ref = engine_mod._Chain.build(model, full, full_values, live, hp.amalgamation)
-            for name in ("cells", "seg", "out_cells", "rows"):
+            for name in ("cells", "clause", "out_cells", "rows"):
                 assert np.array_equal(getattr(chain, name), getattr(ref, name))
             heads = chain.fixed.shape[1] * chain.heads.size
             assert np.array_equal(chain.z[:, heads:], ref.z[:, heads:])

@@ -742,6 +742,36 @@ class TestMalformedLines:
                             capsys, where="")
         assert f"template slot {slot} must be a frame target" in message
 
+    def test_train_rejects_task_listing_a_predicate_twice(self, files, capsys):
+        tmp_path, samples = files
+        task = task_to_dict(*pipeline.simdial_task())
+        task["template"]["slots"].append(["sys_request/1", [{"v": 0, "i": False}]])
+        path, out = tmp_path / "task.json", tmp_path / "m.json"
+        path.write_text(json.dumps(task))
+        message = self.fail(["train", "--samples", str(samples), "--task", str(path),
+                             "--steps", "1", "--restarts", "1", "--out", str(out)],
+                            capsys, where="")
+        assert message.startswith("model field 'template'")
+        assert "sys_request/1 is listed twice" in message
+        assert not out.exists()
+
+    def test_train_names_an_undeclared_background_predicate(self, files, capsys):
+        # A SimDial no_match flag converts to the atom no_match(), which the
+        # SimDial task does not declare.
+        tmp_path, _ = files
+        corpus = tmp_path / "train.jsonl"
+        dialog = json.loads(corpus.read_text())
+        for turn in dialog["turns"]:
+            turn["state"]["no_match"] = True
+        corpus.write_text(json.dumps(dialog) + "\n")
+        samples = tmp_path / "no_match.jsonl"
+        assert run_pipeline(["convert", "--format", "simdial", "--in", str(corpus),
+                             "--out", str(samples)]) == 0
+        message = self.fail(["train", "--samples", str(samples), "--steps", "1",
+                             "--restarts", "1", "--out", str(tmp_path / "m.json")],
+                            capsys, where="")
+        assert "background atom no_match(): no_match/0 is not a declared predicate" in message
+
     def test_train_rejects_task_penalty_weight_without_penalty(self, files, capsys):
         tmp_path, samples = files
         task = task_to_dict(*pipeline.simdial_task())

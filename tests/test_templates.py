@@ -177,6 +177,15 @@ class TestProgramTemplate:
                 slots=((P, (RuleTemplate(0, False),) * 3),)
             )
 
+    def test_predicate_listed_twice_rejected(self):
+        # Such a template would train a two-slot predicate under two
+        # "slot": 0 entries, or, listed three times, fail on a KeyError.
+        d = template_to_dict(ProgramTemplate(slots=((P, (RuleTemplate(0, True),)),)))
+        for copies in (2, 3):
+            d["slots"] = d["slots"][:1] * copies
+            with pytest.raises(ValueError, match="^p/1 is listed twice"):
+                template_from_dict(d)
+
     def test_json_roundtrip(self):
         pt = ProgramTemplate(
             slots=(

@@ -186,22 +186,21 @@ class Hyperparams:
         return Hyperparams(**d)
 
 
-def _softmax(w: np.ndarray) -> np.ndarray:
-    if w.size == 0:
-        return w.copy()
-    z = np.exp(w - np.max(w))
-    return z / z.sum()
+def probabilities(w: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Each clause's probability: the softmax of the raw weights ``w`` over
+    its pool, ``pool`` the pool numbers (``ModelCompiler.pool``)."""
+    # fmax passes over a NaN weight, which still makes its pool NaN below.
+    top = np.full(pool[-1] + 1 if pool.size else 0, -np.inf)
+    np.fmax.at(top, pool, w)
+    z = np.exp(w - top[pool])
+    return z / np.bincount(pool, weights=z)[pool]
 
 
-def probabilities(weights: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Each slot's clause probabilities: the softmax of its raw weights."""
-    return [_softmax(np.asarray(v, dtype=np.float64)) for v in weights]
-
-
-def _softmax_backward(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
-    if p.size == 0:
-        return p.copy()
-    return p * (dp - float(np.dot(p, dp)))
+def _softmax_backward(p: np.ndarray, dp: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """The gradient w.r.t. the raw weights, from the gradient ``dp`` w.r.t.
+    the probabilities ``p`` (:func:`probabilities` over ``pool``)."""
+    pdp = p * dp
+    return pdp - p * np.bincount(pool, weights=pdp)[pool]
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +370,12 @@ class CompiledModel:
     ``pair_cols`` once per slot of a two-slot predicate, merged by
     probabilistic sum. ``static`` holds every background row, one segment
     per head atom: background reads only extensional atoms and background
-    heads, so it is chained once per batch.
+    heads, so it is chained once per batch. ``pool`` is ``ModelCompiler.pool``.
     """
 
     index: GroundIndex
     slot_groups: tuple[_Slot, ...]
+    pool: np.ndarray
     forward_steps: int
     table: _Table
     seg_out: np.ndarray
@@ -420,9 +420,15 @@ class ModelCompiler:
             self.pools = slot_clause_pools(template, frame, background_pool)
         else:
             self.pools = [(key, list(cs)) for key, cs in pools]
-        total = sum(len(cs) for _, cs in self.pools)
-        if total > CLAUSE_BUDGET:
-            raise ClauseBudgetError(total, CLAUSE_BUDGET)
+        self._slots_of: dict[Predicate, list[int]] = {}  # each predicate's pools
+        for j, ((p, k), _) in enumerate(self.pools):
+            self._slots_of.setdefault(p, []).append(j)
+            if len(self._slots_of[p]) > 2 or (p, k) in [key for key, _ in self.pools[:j]]:
+                raise ValueError(f"pools give {p} slot {k} twice or a third slot")
+        #: each clause's pool number; clauses run pool after pool
+        self.pool = np.repeat(np.arange(len(self.pools)), [len(cs) for _, cs in self.pools])
+        if self.pool.size > CLAUSE_BUDGET:
+            raise ClauseBudgetError(self.pool.size, CLAUSE_BUDGET)
 
         learnable = set(template.learnable())
         bg_heads: list[Predicate] = []
@@ -457,10 +463,13 @@ class ModelCompiler:
         self._background_shapes = _ClauseShapes.of(self.background, self.predicates)
         self._cache: dict[tuple[str, ...], CompiledModel] = {}
 
-    def init_weights(self, seed: int = 0, scale: float = 0.1) -> list[np.ndarray]:
-        """One raw weight vector per pool, in pool order."""
-        rng = np.random.default_rng(seed)
-        return [rng.standard_normal(len(cs)) * scale for _, cs in self.pools]
+    def init_weights(self, seed: int = 0, scale: float = 0.1) -> np.ndarray:
+        """Raw weights, one per clause: ``scale`` times standard normal draws."""
+        return np.random.default_rng(seed).standard_normal(self.pool.size) * scale
+
+    def per_pool(self, v: np.ndarray) -> list[np.ndarray]:
+        """A per-clause vector ``v`` cut into one slice per pool."""
+        return np.split(v, np.cumsum([len(cs) for _, cs in self.pools])[:-1])
 
     def compile(self, constants: Sequence[str]) -> CompiledModel:
         key = tuple(constants)
@@ -473,11 +482,8 @@ class ModelCompiler:
 
         # Outputs: the head atoms of one-slot predicates, then those of
         # two-slot predicates once per slot.
-        slots_of: dict[Predicate, list[int]] = {}
-        for j, ((pred, _), _) in enumerate(self.pools):
-            slots_of.setdefault(pred, []).append(j)
-        singles = [p for p, js in slots_of.items() if len(js) == 1]
-        pairs = [p for p, js in slots_of.items() if len(js) == 2]
+        singles = [p for p, js in self._slots_of.items() if len(js) == 1]
+        pairs = [p for p, js in self._slots_of.items() if len(js) == 2]
         out_start: dict[tuple[Predicate, int], int] = {}
         n_out = 0
         for p, which in [(p, 0) for p in singles] + [
@@ -487,12 +493,11 @@ class ModelCompiler:
             n_out += span(p).size
 
         # A row's key is its (clause, head atom) pair, clause * len(index)
-        # + head, so segments run clause after clause; a clause's out_shift
-        # takes its head atoms to its pool's outputs.
+        # + head, so segments run clause after clause; a pool's out_shift
+        # takes its clauses' head atoms to its outputs.
         no_cells = np.zeros(0, dtype=np.int64)
-        out_shift = np.concatenate([no_cells, *(
-            np.full(len(clauses), out_start[pred, slots_of[pred].index(j)] - index.ranges[pred][0])
-            for j, ((pred, _), clauses) in enumerate(self.pools))])
+        out_shift = np.array([out_start[p, self._slots_of[p].index(j)] - index.ranges[p][0]
+                              for j, ((p, _), _) in enumerate(self.pools)], dtype=np.int64)
         rows, counts = self._slot_shapes.ground(index)
         table = _Table.build(np.repeat(np.arange(counts.size), counts) * len(index) + rows[:, 0],
                              rows[:, 1], rows[:, 2])
@@ -501,9 +506,10 @@ class ModelCompiler:
         model = CompiledModel(
             index=index,
             slot_groups=tuple(_Slot(pred, tuple(cs)) for (pred, _), cs in self.pools),
+            pool=self.pool,
             forward_steps=self.template.forward_steps,
             table=table,
-            seg_out=out_shift[clause] + head,
+            seg_out=out_shift[self.pool[clause]] + head,
             seg_weight=clause,
             single_cols=np.concatenate([no_cells, *map(span, singles)]),
             pair_cols=np.concatenate([no_cells, *map(span, pairs)]),
@@ -745,10 +751,9 @@ class _Chain:
             over_one=np.empty((steps, S, H), dtype=bool),
         )
 
-    def weigh(self, probs: Sequence[np.ndarray]) -> np.ndarray:
-        """Each cell's weight: its clause's probability in ``probs``, one
-        array per slot."""
-        return np.concatenate([np.zeros(0), *probs]).take(self.clause)
+    def weigh(self, probs: np.ndarray) -> np.ndarray:
+        """Each cell's weight: its clause's probability in ``probs``."""
+        return probs.take(self.clause)
 
     def valuation(self, t: int, a: np.ndarray) -> np.ndarray:
         """The whole valuation (S, atoms) before step ``t`` (after the last
@@ -853,9 +858,7 @@ def _chain_for(model: CompiledModel, a0: np.ndarray, amalgamation: str) -> _Chai
     return _Chain.build(model, *_reachable(model, a0), amalgamation)
 
 
-def infer(
-    model: CompiledModel, weights: Sequence[np.ndarray], sample: Sample, hp: Hyperparams
-) -> np.ndarray:
+def infer(model: CompiledModel, weights: np.ndarray, sample: Sample, hp: Hyperparams) -> np.ndarray:
     """The valuation over ``model.index`` after ``forward_steps`` chained
     deduction steps from the background (entry 0 stays 0), under the
     hyperparameters ``hp`` the weights were trained with (for a trained
@@ -864,7 +867,7 @@ def infer(
         raise ValueError("sample constants do not match this compiled model; "
                          "compile it with ModelCompiler.compile(sample.constants)")
     chain = _chain_for(model, _start_values(model, [sample]), hp.amalgamation)
-    return _chain(chain, chain.weigh(probabilities(weights)))[0]
+    return _chain(chain, chain.weigh(probabilities(weights, model.pool)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -914,30 +917,27 @@ def _prepare_batches(
     return batches
 
 
-def _penalty(weights: Sequence[np.ndarray], hp: Hyperparams) -> tuple[float, list]:
-    """The weight penalty and its gradient per pool (a scalar 0.0 per pool
-    when there is no penalty)."""
+def _penalty(w: np.ndarray, hp: Hyperparams) -> tuple[float, np.ndarray | float]:
+    """The weight penalty and its gradient (0.0 when there is none)."""
     if hp.reg_lambda == 0.0:
-        return 0.0, [0.0] * len(weights)
+        return 0.0, 0.0
     if hp.reg_kind == "l1":
-        return (hp.reg_lambda * sum(float(np.abs(v).sum()) for v in weights),
-                [hp.reg_lambda * np.sign(v) for v in weights])
-    return (hp.reg_lambda * sum(float((v * v).sum()) for v in weights),
-            [2.0 * hp.reg_lambda * v for v in weights])
+        return hp.reg_lambda * float(np.abs(w).sum()), hp.reg_lambda * np.sign(w)
+    return hp.reg_lambda * float((w * w).sum()), 2.0 * hp.reg_lambda * w
 
 
 def _loss_pass(
     compiler: ModelCompiler,
-    weights: Sequence[np.ndarray],
+    weights: np.ndarray,
     samples: Sequence[Sample],
     hp: Hyperparams,
     batches: Sequence[_Batch] | None,
     grad: bool,
-) -> tuple[float, list[np.ndarray] | None]:
+) -> tuple[float, np.ndarray | None]:
     """:func:`loss` over ``batches`` (prepared from ``samples`` when None)
     and, if ``grad``, its reverse-mode gradient w.r.t. the raw weights."""
-    probs = probabilities(weights)
-    dclause = np.zeros(sum(p.size for p in probs))
+    probs = probabilities(weights, compiler.pool)
+    dclause = np.zeros(probs.size)
     total = 0.0
     for batch in _prepare_batches(compiler, samples, hp) if batches is None else batches:
         chain = batch.chain
@@ -966,15 +966,12 @@ def _loss_pass(
     penalty, dpenalty = _penalty(weights, hp)
     if not grad:
         return total + penalty, None
-    dprobs = np.split(dclause, np.cumsum([p.size for p in probs])[:-1])
-    return total + penalty, [
-        _softmax_backward(p, dp) + r for p, dp, r in zip(probs, dprobs, dpenalty)
-    ]
+    return total + penalty, _softmax_backward(probs, dclause, compiler.pool) + dpenalty
 
 
 def loss(
     compiler: ModelCompiler,
-    weights: Sequence[np.ndarray],
+    weights: np.ndarray,
     samples: Sequence[Sample],
     hp: Hyperparams,
     batches: Sequence[_Batch] | None = None,
@@ -985,36 +982,34 @@ def loss(
 
 def loss_and_grad(
     compiler: ModelCompiler,
-    weights: Sequence[np.ndarray],
+    weights: np.ndarray,
     samples: Sequence[Sample],
     hp: Hyperparams,
     batches: Sequence[_Batch] | None = None,
-) -> tuple[float, list[np.ndarray]]:
+) -> tuple[float, np.ndarray]:
     """:func:`loss` and its exact reverse-mode gradient w.r.t. raw weights."""
     return _loss_pass(compiler, weights, samples, hp, batches, grad=True)
 
 
 def finite_difference_grad(
     compiler: ModelCompiler,
-    weights: Sequence[np.ndarray],
+    weights: np.ndarray,
     samples: Sequence[Sample],
     hp: Hyperparams,
     h: float = 1e-4,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Central finite differences of :func:`loss`; the gradient oracle."""
-    weights = [np.array(v, dtype=np.float64) for v in weights]
-    grads = [np.zeros_like(v) for v in weights]
+    w = np.array(weights, dtype=np.float64)
+    grad = np.zeros_like(w)
     batches = _prepare_batches(compiler, samples, hp)
-    for v, g in zip(weights, grads):
-        for i in range(v.size):
-            x = v[i]
-            v[i] = x + h
-            up = loss(compiler, weights, samples, hp, batches)
-            v[i] = x - h
-            down = loss(compiler, weights, samples, hp, batches)
-            v[i] = x
-            g[i] = (up - down) / (2.0 * h)
-    return grads
+    for i, x in enumerate(w.tolist()):
+        w[i] = x + h
+        up = loss(compiler, w, samples, hp, batches)
+        w[i] = x - h
+        down = loss(compiler, w, samples, hp, batches)
+        w[i] = x
+        grad[i] = (up - down) / (2.0 * h)
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -1025,8 +1020,14 @@ def _read_field(d: dict, name: str, parse: Callable, *default):
         raise ValueError(f"model lacks field {name!r}")
     try:
         return parse(d.get(name, *default))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"model field {name!r}: {type(exc).__name__}: {exc}") from exc
+
+
+def _numbers(xs, what: str) -> list[float]:
+    if isinstance(xs, list) and all(type(x) in (int, float) for x in xs):  # not bool
+        return [float(x) for x in xs]
+    raise ValueError(f"{what} must be a list of JSON numbers")
 
 
 def task_to_dict(compiler: ModelCompiler, hp: Hyperparams) -> dict:
@@ -1077,10 +1078,10 @@ def task_from_dict(d: dict) -> tuple[ModelCompiler, Hyperparams]:
 
 @dataclass
 class TrainedModel:
-    """A compiler and one raw weight vector per pool of it, in pool order."""
+    """A compiler and its raw weights, one per clause (``compiler.pool``)."""
 
     compiler: ModelCompiler
-    weights: list[np.ndarray]
+    weights: np.ndarray
     loss_trace: list[float]
     hyperparams: Hyperparams
 
@@ -1088,8 +1089,8 @@ class TrainedModel:
     def final_loss(self) -> float:
         return self.loss_trace[-1] if self.loss_trace else math.inf
 
-    def probabilities(self) -> list[np.ndarray]:
-        return probabilities(self.weights)
+    def probabilities(self) -> np.ndarray:
+        return probabilities(self.weights, self.compiler.pool)
 
     def to_dict(self) -> dict:
         c = self.compiler
@@ -1104,7 +1105,7 @@ class TrainedModel:
                     "probabilities": [float(p) for p in probs],
                 }
                 for ((pred, k), clauses), vec, probs
-                in zip(c.pools, self.weights, self.probabilities())
+                in zip(c.pools, c.per_pool(self.weights), c.per_pool(self.probabilities()))
             ],
             "loss_trace": [float(x) for x in self.loss_trace],
         }
@@ -1115,21 +1116,21 @@ class TrainedModel:
         and loss trace; the slot clause lists must equal the task's pools."""
         compiler, hp = task_from_dict(d)
 
-        def slot(s: dict) -> tuple[tuple[Predicate, int], tuple[Clause, ...], np.ndarray]:
+        def slot(s: dict) -> tuple[tuple[Predicate, int], tuple[Clause, ...], list[float]]:
             if type(s["slot"]) is not int:
                 raise ValueError(f"'slot' must be a JSON integer, not {s['slot']!r}")
             key = (Predicate(*s["predicate"]), s["slot"])
             clauses = tuple(parse_clause(t) for t in s["clauses"])
-            vec = np.asarray(s["raw_weights"], dtype=np.float64)
-            if vec.shape != (len(clauses),):
+            vec = _numbers(s["raw_weights"], f"{key[0]} slot {key[1]}: raw_weights")
+            if len(vec) != len(clauses):
                 raise ValueError(f"{key[0]} slot {key[1]}: {len(clauses)} clauses "
-                                 f"but raw_weights of shape {vec.shape}")
-            if not np.isfinite(vec).all():
+                                 f"but {len(vec)} raw_weights")
+            if not all(map(math.isfinite, vec)):
                 raise ValueError(f"{key[0]} slot {key[1]}: raw_weights must be finite numbers")
             return key, clauses, vec
 
         slots = _read_field(d, "slots", lambda ss: [slot(s) for s in ss])
-        loss_trace = _read_field(d, "loss_trace", lambda xs: [float(x) for x in xs])
+        loss_trace = _read_field(d, "loss_trace", lambda xs: _numbers(xs, "loss_trace"))
         if [(key, clauses) for key, clauses, _ in slots] != [
             (key, tuple(cs)) for key, cs in compiler.pools
         ]:
@@ -1137,7 +1138,7 @@ class TrainedModel:
                              "its template, frame and background pool generate")
         return TrainedModel(
             compiler=compiler,
-            weights=[vec for _, _, vec in slots],
+            weights=np.array([w for _, _, vec in slots for w in vec], dtype=np.float64),
             loss_trace=loss_trace,
             hyperparams=hp,
         )
@@ -1160,7 +1161,7 @@ def train_task(task: tuple[ModelCompiler, Hyperparams], samples: Sequence[Sample
     deterministic given the seed."""
     compiler, hp = task
     weights = compiler.init_weights(hp.seed, hp.init_scale)
-    acc = [np.zeros_like(v) for v in weights]
+    acc = np.zeros_like(weights)
     trace: list[float] = []
     batches = _prepare_batches(compiler, samples, hp)
     for step_i in range(hp.training_steps):
@@ -1170,13 +1171,12 @@ def train_task(task: tuple[ModelCompiler, Hyperparams], samples: Sequence[Sample
         trace.append(value)
         if hp.stop_loss is not None and value < hp.stop_loss:
             break
-        for v, g, a in zip(weights, grads, acc):
-            if hp.accumulator_decay is None:
-                a += g * g
-            else:
-                a *= hp.accumulator_decay
-                a += (1.0 - hp.accumulator_decay) * g * g
-            v -= hp.learning_rate * g / (np.sqrt(a) + 1e-8)
+        if hp.accumulator_decay is None:
+            acc += grads * grads
+        else:
+            acc *= hp.accumulator_decay
+            acc += (1.0 - hp.accumulator_decay) * grads * grads
+        weights -= hp.learning_rate * grads / (np.sqrt(acc) + 1e-8)
     trace.append(loss(compiler, weights, samples, hp, batches))
     return TrainedModel(compiler, weights, trace, hp)
 

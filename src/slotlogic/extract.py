@@ -41,7 +41,7 @@ def extract_program(trained: TrainedModel) -> PolicyProgram:
     """Per slot, the argmax clause; ties go to the first clause in pool order."""
     compiler = trained.compiler
     rules: list[tuple[Clause, float]] = []
-    for (_, clauses), probs in zip(compiler.pools, trained.probabilities()):
+    for (_, clauses), probs in zip(compiler.pools, compiler.per_pool(trained.probabilities())):
         if not clauses:
             continue
         best = max(range(len(probs)), key=probs.__getitem__)

@@ -78,12 +78,14 @@ def read_domain_state(domain_state: dict) -> tuple[set[Atom], tuple[str, ...]]:
 
 
 def encode_act_triples(triples: Sequence[Sequence[str]], side: str) -> dict[str, set[Atom]]:
-    """[intent, domain, slot] triples to atoms, grouped by domain."""
+    """[intent, domain, slot] string triples (a null slot for none) to atoms, by domain."""
     if side not in ("user", "system"):
         raise ValueError(f"side must be user or system, got {side!r}")
-    if not (isinstance(triples, (list, tuple))
-            and all(isinstance(t, (list, tuple)) and len(t) == 3 for t in triples)):
-        raise ValueError(f"{side} acts must be a list of [intent, domain, slot] triples")
+    kinds = ((str, str, str), (str, str, type(None)))
+    if not (isinstance(triples, (list, tuple)) and all(
+            isinstance(t, (list, tuple)) and tuple(map(type, t)) in kinds for t in triples)):
+        raise ValueError(f"{side} acts must be a list of [intent, domain, slot] triples of "
+                         "strings, the slot a string or null")
     out: dict[str, set[Atom]] = {}
     for triple in triples:
         intent, domain, slot_raw = (str(x).strip().lower() for x in triple)

@@ -332,9 +332,9 @@ def _winning_cells(model: CompiledModel, winners, S: int):
     return cells
 
 
-def _segment_weights(model: CompiledModel, probs: Sequence[np.ndarray]) -> np.ndarray:
+def _segment_weights(model: CompiledModel, probs: np.ndarray) -> np.ndarray:
     """Each table segment's clause probability."""
-    return np.concatenate([np.zeros(0), *probs])[model.seg_weight]
+    return probs[model.seg_weight]
 
 
 def _reference_step(model: CompiledModel, seg_w, a, b_static, amalgamation: str):
@@ -437,8 +437,8 @@ def _reference_chain(model: CompiledModel, seg_w, a, static_b, amalgamation: str
 
 
 def _reference_run(compiler, weights, samples, hp, grad: bool):
-    probs = probabilities(weights)
-    dclause = np.zeros(sum(p.size for p in probs))
+    probs = probabilities(weights, compiler.pool)
+    dclause = np.zeros(probs.size)
     total = 0.0
     batches = _reference_batches(compiler, samples, hp.amalgamation)
     for model, a, static_b, (rows, cols, positive, scale) in batches:
@@ -458,14 +458,12 @@ def _reference_run(compiler, weights, samples, hp, grad: bool):
         )
         for trace in reversed(traces):
             da = _reference_backward_step(model, seg_w, trace, da, dclause, hp.amalgamation)
-    dprobs = np.split(dclause, np.cumsum([p.size for p in probs])[:-1])
     penalty, dpenalty = _penalty(weights, hp)
-    grads = [_softmax_backward(p, dp) + r for p, dp, r in zip(probs, dprobs, dpenalty)]
-    return total + penalty, grads
+    return total + penalty, _softmax_backward(probs, dclause, compiler.pool) + dpenalty
 
 
 def reference_loss(
-    compiler: ModelCompiler, weights: Sequence[np.ndarray], samples: Sequence[Sample],
+    compiler: ModelCompiler, weights: np.ndarray, samples: Sequence[Sample],
     hp: Hyperparams,
 ) -> float:
     """The engine's loss, chained over whole valuations of the full table."""
@@ -473,22 +471,22 @@ def reference_loss(
 
 
 def reference_loss_and_grad(
-    compiler: ModelCompiler, weights: Sequence[np.ndarray], samples: Sequence[Sample],
+    compiler: ModelCompiler, weights: np.ndarray, samples: Sequence[Sample],
     hp: Hyperparams,
-) -> tuple[float, list[np.ndarray]]:
+) -> tuple[float, np.ndarray]:
     """The engine's loss and gradient, chained and back-propagated over
     whole valuations of the full table."""
     return _reference_run(compiler, weights, samples, hp, grad=True)
 
 
 def reference_valuations(
-    compiler: ModelCompiler, weights: Sequence[np.ndarray], samples: Sequence[Sample],
+    compiler: ModelCompiler, weights: np.ndarray, samples: Sequence[Sample],
     amalgamation: str,
 ) -> list[list[np.ndarray]]:
     """Per constant list, in order of first occurrence, the whole
     valuations (S, atoms) of its samples before each step, chained over
     the whole table under ``amalgamation``."""
-    probs = probabilities(weights)
+    probs = probabilities(weights, compiler.pool)
     return [
         [trace[0] for trace in _reference_chain(
             model, _segment_weights(model, probs), a, sb, amalgamation)[1]]
@@ -556,13 +554,13 @@ def start_valuation(model: CompiledModel, sample: Sample) -> np.ndarray:
 
 
 def chain_step(
-    model: CompiledModel, weights: Sequence[np.ndarray], values: np.ndarray, amalgamation: str
+    model: CompiledModel, weights: np.ndarray, values: np.ndarray, amalgamation: str
 ) -> np.ndarray:
     """One reference deduction step from the valuation ``values`` under
     ``amalgamation``, the background clauses' step derived from ``values``
     itself."""
     a = values[None, :]
-    seg_w = _segment_weights(model, probabilities(weights))
+    seg_w = _segment_weights(model, probabilities(weights, model.pool))
     return _reference_step(model, seg_w, a, model.static.values(a)[0], amalgamation)[0][0]
 
 

@@ -153,7 +153,8 @@ def test_criterion_3_zero_shot_transfer(one_shot):
 def test_criterion_4_learned_rule_identity(one_shot):
     by_pred = {}
     for ((pred, slot), clauses), probs in zip(
-        one_shot.trained.compiler.pools, one_shot.trained.probabilities()
+        one_shot.trained.compiler.pools,
+        one_shot.trained.compiler.per_pool(one_shot.trained.probabilities()),
     ):
         by_pred[(pred.name, slot)] = clauses[int(np.argmax(probs))]
     assert by_pred[("sys_request", 0)] == parse_clause(
@@ -242,7 +243,7 @@ def test_criterion_7_crisp_agreement_exhaustive():
             slots = ((p1, tuple(RuleTemplate(0, True) for _ in clauses)),)
             pt = ProgramTemplate(slots=slots, forward_steps=3 * n_const + 2)
             compiler = ModelCompiler(frame, pt, pools=pools)
-            weights = [np.zeros(1) for _ in pools]
+            weights = np.zeros(len(pools))
             for _ in range(2):
                 mask = rng.random(len(ext_atoms)) < 0.4
                 background = [a for a, m in zip(ext_atoms, mask) if m]

@@ -69,7 +69,7 @@ def one_hot(compiler, clause_text):
         if target in clauses:
             v[clauses.index(target)] = 60.0
         vectors.append(v)
-    return vectors
+    return np.concatenate([np.zeros(0), *vectors])
 
 
 def random_multi_sample_instance(rng):
@@ -139,7 +139,7 @@ def random_background_instance(rng):
         positive = [a for a, f in zip(labeled, flags) if f == 1] or [labeled[0]]
         negative = [a for a, f in zip(labeled, flags) if f == 2 and a not in positive]
         samples.append(Sample.make(facts, positive, negative, constants))
-    weights = [rng.standard_normal(len(cs)) for _, cs in compiler.pools]
+    weights = rng.standard_normal(compiler.pool.size)
     return compiler, weights, samples
 
 
@@ -205,6 +205,18 @@ class TestCompile:
         monkeypatch.setattr(engine, "CLAUSE_BUDGET", 1)
         with pytest.raises(engine.ClauseBudgetError):
             ModelCompiler(TOY_FRAME, TOY_TEMPLATE)
+
+    @pytest.mark.parametrize("keys", [(0, 0), (0, 0, 0), (0, 1, 2)],
+                             ids=["repeated", "thrice", "three-slots"])
+    def test_pool_keys_are_one_or_two_distinct_slots(self, keys):
+        # A repeated key would train as one more slot, and a third pool
+        # would fail in compile; the compiler names the predicate.
+        (compiler, _), _ = pipeline.list_all_problem()
+        (allp, _), clauses = compiler.pools[0]
+        pools = [((allp, k), clauses[:3]) for k in keys] + compiler.pools[1:]
+        with pytest.raises(ValueError, match=f"pools give {allp} "):
+            ModelCompiler(compiler.frame, compiler.template, compiler.background,
+                          compiler.background_pool, pools=pools)
 
     def test_learnable_background_head_rejected(self):
         with pytest.raises(ValueError):
@@ -306,7 +318,7 @@ class TestInfer:
         pt = ProgramTemplate(slots=((P, (RuleTemplate(0, False),)),), forward_steps=1)
         comp = ModelCompiler(frame, pt)
         s = Sample.make([atom("q", "a")], [atom("p", "a")], [], ("a",))
-        w = [np.full(len(cs), -50.0) for _, cs in comp.pools]
+        w = np.full(comp.pool.size, -50.0)
         model = comp.compile(s.constants)
         assert infer(model, w, s, Hyperparams())[model.index.index_of(atom("q", "a"))] == 1.0
 
@@ -338,7 +350,7 @@ class TestInfer:
         pools = [((member, 0), clauses)]
         pt = ProgramTemplate(slots=((member, (RuleTemplate(1, True),)),), forward_steps=4)
         comp = ModelCompiler(frame, pt, pools=pools)
-        w = [np.array([60.0, 60.0])]
+        w = np.array([60.0, 60.0])
         # a slot mixes clauses by softmax, so a crisp two-clause program
         # needs them as background instead
         comp2 = ModelCompiler(
@@ -350,7 +362,7 @@ class TestInfer:
         oracle = boolean_rounds(clauses, set(background), consts, rounds=4)
         model = comp.compile(consts)
         # mixture weights mean fuzzy values sit below 1; compare support at T=4
-        v = infer(model, [np.array([0.0, 0.0])], s, Hyperparams())
+        v = infer(model, np.array([0.0, 0.0]), s, Hyperparams())
         fuzzy_support = {
             model.index.atoms[i]
             for i in range(1, len(model.index))
@@ -383,9 +395,8 @@ class TestLoss:
         lam = 0.01
         l1 = loss(comp, w, [s], Hyperparams(reg_kind="l1", reg_lambda=lam))
         l2 = loss(comp, w, [s], Hyperparams(reg_kind="l2", reg_lambda=lam))
-        flat = np.concatenate(w)
-        assert l1 - base == pytest.approx(lam * np.abs(flat).sum())
-        assert l2 - base == pytest.approx(lam * (flat**2).sum())
+        assert l1 - base == pytest.approx(lam * np.abs(w).sum())
+        assert l2 - base == pytest.approx(lam * (w**2).sum())
 
     def test_unlabeled_sample_rejected(self):
         comp = toy_compiler()
@@ -448,7 +459,7 @@ class TestGrad:
         w = one_hot(comp, "p(V0) <- q(V0)")
         s = Sample.make([atom("q", "a")], [atom("p", "a")], [atom("p", "b")], ("a", "b"))
         _, g = loss_and_grad(comp, w, [s], Hyperparams())
-        assert np.linalg.norm(np.concatenate(g)) < 1e-3
+        assert np.linalg.norm(g) < 1e-3
 
 
 class TestSampleCheck:
@@ -512,7 +523,7 @@ class TestCrispAgreementProperty:
                     continue
                 pt = ProgramTemplate(slots=slots, forward_steps=len(consts) * 3 + 2)
                 comp = ModelCompiler(frame, pt, pools=pools)
-                weights = [np.zeros(1) for _ in pools]
+                weights = np.zeros(len(pools))
                 for trial in range(3):
                     mask = rng.random(len(ext_atoms)) < 0.4
                     background = [a for a, m in zip(ext_atoms, mask) if m]
@@ -539,7 +550,7 @@ class TestTrain:
         hp = Hyperparams(learning_rate=0.5, training_steps=500, seed=0, init_scale=0.1)
         m = train(comp_frame, [s], TOY_TEMPLATE, hp)
         assert m.final_loss < 0.01
-        probs = m.probabilities()[0]
+        probs = m.compiler.per_pool(m.probabilities())[0]
         best = m.compiler.pools[0][1][int(np.argmax(probs))]
         assert best == parse_clause("p(V0) <- q(V0)")
 
@@ -549,8 +560,7 @@ class TestTrain:
         m1 = train(TOY_FRAME, [s], TOY_TEMPLATE, hp)
         m2 = train(TOY_FRAME, [s], TOY_TEMPLATE, hp)
         assert m1.loss_trace == m2.loss_trace
-        for a, b in zip(m1.weights, m2.weights):
-            assert np.array_equal(a, b)
+        assert np.array_equal(m1.weights, m2.weights)
 
     def test_divergence_reported(self):
         s = Sample.make([atom("q", "a")], [atom("p", "a")], [], ("a",))
@@ -575,8 +585,7 @@ class TestTrain:
         loaded = TrainedModel.load(path)
         assert loaded.compiler.pools == m.compiler.pools
         assert loaded.loss_trace == m.loss_trace
-        for a, b in zip(loaded.weights, m.weights):
-            assert np.array_equal(a, b)
+        assert np.array_equal(loaded.weights, m.weights)
         loaded.compiler  # loading checked the pools against regeneration
 
     def test_hand_picked_pools_are_not_written_as_a_task(self, tmp_path):
@@ -605,7 +614,7 @@ class TestTrain:
         model = pipeline.fit(pipeline.simdial_task(), pipeline.training_samples(records),
                              training_steps=40)
         tied = {}
-        for ((pred, _), _), w in zip(model.compiler.pools, model.weights):
+        for ((pred, _), _), w in zip(model.compiler.pools, model.compiler.per_pool(model.weights)):
             top = np.sort(w)[::-1]
             tied[str(pred)] = top[0] == top[1] > top[2]
         assert tied == {"sys_request/1": False, "sys_inform/1": True, "sys_query/1": True,
@@ -654,7 +663,7 @@ class TestBackgroundClauses:
         ]
         atoms_bg += [atom("true", x) for x in "acdefg"]
         s = Sample.make(atoms_bg, [atom("goal", "a")], [], consts)
-        w = [np.zeros(0)]
+        w = np.zeros(0)
         model = comp.compile(consts)
         v = infer(model, w, s, Hyperparams())
         for x in "abcdefgh":
@@ -680,9 +689,34 @@ def test_softmax_normalization_invariant():
     comp = toy_compiler()
     rng = np.random.default_rng(0)
     for _ in range(50):
-        w = [rng.standard_normal(len(cs)) * rng.uniform(0, 30) for _, cs in comp.pools]
-        for p in probabilities(w):
+        w = rng.standard_normal(comp.pool.size) * rng.uniform(0, 30)
+        for p in comp.per_pool(probabilities(w, comp.pool)):
             assert abs(p.sum() - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("sizes", [(0, 3, 5), (4, 0, 2), (6, 1, 0)],
+                         ids=["empty-first", "empty-middle", "empty-last"])
+def test_segmented_softmax_equals_a_per_pool_softmax(sizes):
+    pool = np.repeat(np.arange(len(sizes)), sizes)
+    ends = np.cumsum(sizes)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        w = rng.standard_normal(pool.size) * rng.uniform(0, 30)
+        dp = rng.standard_normal(pool.size)
+        p = probabilities(w, pool)
+        dw = engine_mod._softmax_backward(p, dp, pool)
+        for lo, hi in zip(ends - sizes, ends):
+            if lo == hi:
+                continue
+            z = np.exp(w[lo:hi] - w[lo:hi].max())
+            ref = z / z.sum()
+            assert abs(p[lo:hi].sum() - 1.0) <= 1e-15
+            assert np.abs(p[lo:hi] - ref).max() <= 1e-15
+            ref_dw = ref * (dp[lo:hi] - np.dot(ref, dp[lo:hi]))
+            assert np.abs(dw[lo:hi] - ref_dw).max() <= 1e-14
+    tied = probabilities(np.full(pool.size, 0.7), pool)
+    for lo, hi in zip(ends - sizes, ends):
+        assert len(set(tied[lo:hi].tolist())) <= 1
 
 
 def test_sentinel_stays_zero_through_steps():
@@ -760,11 +794,11 @@ class TestTieRules:
         aux = tuple(pred for (pred, _), _ in pools if pred != self.T)
         pt = ProgramTemplate(slots=slots, auxiliary=aux, forward_steps=steps)
         comp = ModelCompiler(frame, pt, pools=pools)
-        w = [np.zeros(len(cs)) for _, cs in pools]
+        w = np.zeros(comp.pool.size)
         s = Sample.make(background, [atom("t")], [], self.CONSTS)
         value, g = loss_and_grad(comp, w, [s], Hyperparams())
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
-        return {pred: v for ((pred, _), _), v in zip(pools, g)}
+        return {pred: v for ((pred, _), _), v in zip(pools, comp.per_pool(g))}
 
     def target_pool(self):
         return ((self.T, 0), [parse_clause("t() <- h(V0), s(V0)")])
@@ -856,7 +890,7 @@ class TestLivePrune:
     @staticmethod
     def valuations(chain, weights):
         """The whole valuation (S, atoms) before each step of ``chain``."""
-        _chain(chain, chain.weigh(probabilities(weights)))
+        _chain(chain, chain.weigh(probabilities(weights, chain.model.pool)))
         return [chain.valuation(t, a) for t, a in enumerate(chain.states[:-1])]
 
     @staticmethod
@@ -871,8 +905,7 @@ class TestLivePrune:
         value, grads = loss_and_grad(compiler, weights, samples, hp, pruned)
         ref_value, ref_grads = reference_loss_and_grad(compiler, weights, samples, hp)
         assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
-        assert len(grads) == len(ref_grads)
-        assert all(g.tobytes() == rg.tobytes() for g, rg in zip(grads, ref_grads))
+        assert grads.tobytes() == ref_grads.tobytes()
         refs = reference_valuations(compiler, weights, samples, hp.amalgamation)
         assert len(refs) == len(pruned)
         n_dropped = 0
@@ -1016,9 +1049,7 @@ class TestHeadKernel:
         value, grads = loss_and_grad(compiler, weights, samples, hp)
         ref_value, ref_grads = reference_loss_and_grad(compiler, weights, samples, hp)
         assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
-        assert len(grads) == len(ref_grads)
-        for g, rg in zip(grads, ref_grads):
-            assert g.tobytes() == rg.tobytes()
+        assert grads.tobytes() == ref_grads.tobytes()
         ref_loss = reference_loss(compiler, weights, samples, hp)
         assert np.float64(loss(compiler, weights, samples, hp)).tobytes() == \
             np.float64(ref_loss).tobytes()
@@ -1110,13 +1141,13 @@ class TestHeadKernel:
         rng = np.random.default_rng(1)
         hp = Hyperparams(amalgamation=amalgamation)
         for _ in range(5):
-            weights = [rng.standard_normal(len(cs)) for _, cs in compiler.pools]
+            weights = rng.standard_normal(compiler.pool.size)
             self.assert_equals_reference(compiler, weights, [sample], hp)
         assert self.reads_a_head_in_a_multi_row_segment(compiler, [sample], hp)
 
     def test_nan_weights_raise(self):
         compiler, weights, samples, hp = TestLivePrune.simdial_case()
-        weights[0][0] = np.nan
+        weights[0] = np.nan
         with pytest.raises(ValuationInvariantError):
             loss(compiler, weights, samples, hp)
         with pytest.raises(ValuationInvariantError):
@@ -1143,7 +1174,7 @@ class TestChainRecord:
         compiler, sample = self.case(name)
         hp = Hyperparams(amalgamation=amalgamation)
         rng = np.random.default_rng(2)
-        draws = [[rng.standard_normal(len(cs)) for _, cs in compiler.pools] for _ in range(4)]
+        draws = [rng.standard_normal(compiler.pool.size) for _ in range(4)]
         used = _prepare_batches(compiler, [sample], hp)
         (batch,) = used
         assert batch.chain.multi.blocks and batch.chain.model.pair_cols.size
@@ -1153,7 +1184,7 @@ class TestChainRecord:
             fresh_value, fresh_grads = loss_and_grad(
                 compiler, weights, [sample], hp, _prepare_batches(compiler, [sample], hp))
             assert np.float64(value).tobytes() == np.float64(fresh_value).tobytes()
-            assert [g.tobytes() for g in grads] == [g.tobytes() for g in fresh_grads]
+            assert grads.tobytes() == fresh_grads.tobytes()
             assert np.float64(loss(compiler, weights, [sample], hp, used)).tobytes() == \
                 np.float64(fresh_value).tobytes()
 
@@ -1164,8 +1195,7 @@ class TestChainRecord:
         hp = Hyperparams(amalgamation=amalgamation)
         model = compiler.compile(sample.constants)
         rng = np.random.default_rng(3)
-        weights, other = ([rng.standard_normal(len(cs)) for _, cs in compiler.pools]
-                          for _ in range(2))
+        weights, other = (rng.standard_normal(compiler.pool.size) for _ in range(2))
         first = infer(model, weights, sample, hp)
         infer(model, other, sample, hp)
         assert first.tobytes() == infer(model, weights, sample, hp).tobytes()

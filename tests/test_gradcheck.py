@@ -14,10 +14,12 @@ from slotlogic import (
     RuleTemplate,
     Sample,
     Term,
+    atom,
     finite_difference_grad,
     generate_clauses,
     parse_clause,
 )
+from slotlogic import gradcheck
 from slotlogic.cli import run_pipeline
 from slotlogic.engine import loss, loss_and_grad
 from slotlogic.gradcheck import REL_FLOOR, _random_instance, run_gradcheck
@@ -59,15 +61,14 @@ def test_finite_differences_equal_those_of_unprepared_losses():
     for _ in range(20):
         compiler, weights, samples, hp = _random_instance(rng)
         fd = finite_difference_grad(compiler, weights, samples, hp, h=h)
-        for k, v in enumerate(weights):
-            expected = np.zeros(v.size)
-            for i in range(v.size):
-                w = [np.array(x, dtype=np.float64) for x in weights]
-                w[k][i] = v[i] + h
-                up = loss(compiler, w, samples, hp)
-                w[k][i] = v[i] - h
-                expected[i] = (up - loss(compiler, w, samples, hp)) / (2.0 * h)
-            assert fd[k].tobytes() == expected.tobytes()
+        expected = np.zeros(weights.size)
+        for i in range(weights.size):
+            w = np.array(weights, dtype=np.float64)
+            w[i] = weights[i] + h
+            up = loss(compiler, w, samples, hp)
+            w[i] = weights[i] - h
+            expected[i] = (up - loss(compiler, w, samples, hp)) / (2.0 * h)
+        assert fd.tobytes() == expected.tobytes()
 
 
 E, F = Predicate("e", 2), Predicate("f", 1)
@@ -108,7 +109,7 @@ def _background_instance(rng, amalgamation):
     positive = [a for a, f in zip(labeled, flags) if f == 1] or [labeled[0]]
     negative = [a for a, f in zip(labeled, flags) if f == 2 and a not in positive]
     sample = Sample.make(background, positive, negative, constants)
-    weights = [rng.standard_normal(len(cs)) for _, cs in pools]
+    weights = rng.standard_normal(compiler.pool.size)
     return compiler, weights, [sample], Hyperparams(amalgamation=amalgamation)
 
 
@@ -118,9 +119,28 @@ def test_background_clauses_match_finite_differences(amalgamation):
     worst = 0.0
     for _ in range(20):
         compiler, weights, samples, hp = _background_instance(rng, amalgamation)
-        _, analytic = loss_and_grad(compiler, weights, samples, hp)
-        numeric = finite_difference_grad(compiler, weights, samples, hp)
-        for g, fd in zip(analytic, numeric):
-            denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), REL_FLOOR)
-            worst = max(worst, float(np.max(np.abs(g - fd) / denom)))
+        _, g = loss_and_grad(compiler, weights, samples, hp)
+        fd = finite_difference_grad(compiler, weights, samples, hp)
+        denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), REL_FLOOR)
+        worst = max(worst, float(np.max(np.abs(g - fd) / denom)))
     assert worst <= 1e-4, f"max rel error {worst}"
+
+
+def test_an_empty_pool_leaves_the_other_pools_compared(monkeypatch):
+    # The instance's first slot has no clauses; an error in a clause of
+    # the slot after it must still reach the report.
+    frame = LanguageFrame(targets=(T,), extensional=(E, F))
+    clauses = generate_clauses(T, RuleTemplate(0, True), [E, F], [T])[:3]
+    template = ProgramTemplate(slots=((T, (RuleTemplate(0, True),) * 2),), forward_steps=2)
+    compiler = ModelCompiler(frame, template, pools=[((T, 0), []), ((T, 1), clauses)])
+    sample = Sample.make([atom("e", "c0", "c1"), atom("f", "c0")], [atom("t", "c0")],
+                         [atom("t", "c1")], ("c0", "c1"))
+    weights = np.random.default_rng(0).standard_normal(3)
+    monkeypatch.setattr(gradcheck, "_random_instance",
+                        lambda rng: (compiler, weights, [sample], Hyperparams()))
+    report = run_gradcheck(instances=1)
+    assert report.parameters == 3 and report.max_rel_error <= 1e-4
+    exact = gradcheck.finite_difference_grad
+    monkeypatch.setattr(gradcheck, "finite_difference_grad",
+                        lambda *args, **kw: exact(*args, **kw) + np.array([0.0, 0.0, 1.0]))
+    assert run_gradcheck(instances=1).max_rel_error > 0.1

@@ -87,6 +87,17 @@ class TestActTriples:
         with pytest.raises(ValueError):
             encode_act_triples([["teleport", "restaurant", "food"]], "system")
 
+    @pytest.mark.parametrize("triple", [["inform", None, "area"], ["inform", 7, "area"],
+                                        [None, "restaurant", "area"], ["inform", "restaurant", 7]],
+                             ids=["null-domain", "number-domain", "null-intent", "number-slot"])
+    def test_intent_and_domain_must_be_strings(self, triple):
+        with pytest.raises(ValueError, match="triples of strings, the slot a string or null"):
+            encode_act_triples([triple], "user")
+
+    def test_null_slot_is_no_slot(self):
+        got = encode_act_triples([["nooffer", "restaurant", None]], "system")
+        assert got == {"restaurant": {atom("nooffer")}}
+
     def test_unknown_side_raises(self):
         with pytest.raises(ValueError, match="side must be user or system, got 'other'"):
             encode_act_triples([["inform", "restaurant", "food"]], "other")
@@ -208,6 +219,13 @@ class TestConvertDialog:
         with pytest.raises(ValueError) as exc:
             convert_multiwoz_records(record)
         assert "turn 0" in str(exc.value)
+
+    def test_null_act_domain_carries_turn(self):
+        record = {"turns": [{"state": {}, "user_acts": [], "system_acts": []},
+                            {"state": {}, "user_acts": [["inform", None, "area"]],
+                             "system_acts": []}]}
+        with pytest.raises(ValueError, match="^turn 1: user acts must be"):
+            convert_multiwoz_records(record)
 
     def test_records_meta(self):
         record = {

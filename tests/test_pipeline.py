@@ -266,9 +266,9 @@ class TestRenamingConstants:
         renamed = [self.renamed(s, self.RENAMINGS[name]) for s in samples]
         for seed in range(3):
             weights = compiler.init_weights(seed, 1.0)
-            value, grads = loss_and_grad(compiler, [w.copy() for w in weights], samples, hp)
-            value2, grads2 = loss_and_grad(compiler, [w.copy() for w in weights], renamed, hp)
-            assert [g.tobytes() for g in grads] == [g.tobytes() for g in grads2]
+            value, grads = loss_and_grad(compiler, weights.copy(), samples, hp)
+            value2, grads2 = loss_and_grad(compiler, weights.copy(), renamed, hp)
+            assert grads.tobytes() == grads2.tobytes()
             if name == "order-preserving":
                 assert value == value2
             else:
@@ -730,6 +730,27 @@ class TestMalformedLines:
         for argv in commands:
             assert want in self.fail(argv, capsys, where="")
 
+    @pytest.mark.parametrize("field, value, want", [
+        *(("raw_weights", v, "'slots': ValueError: all/1 slot 0: raw_weights must be a list of "
+           "JSON numbers") for v in ("0.5", True)),
+        *(("loss_trace", v, "'loss_trace': ValueError: loss_trace must be a list of JSON numbers")
+          for v in ("0.5", False)),
+        ("raw_weights", 10**400, "'slots': OverflowError: int too large to convert to float"),
+    ], ids=["string-weight", "boolean-weight", "string-loss", "boolean-loss", "huge-weight"])
+    def test_extract_rejects_numbers_that_are_no_json_numbers(self, tmp_path, capsys,
+                                                               field, value, want):
+        task, sample = pipeline.list_all_problem()
+        model = pipeline.fit(task, [sample], training_steps=1).to_dict()
+        if field == "raw_weights":
+            model["slots"][0]["raw_weights"][0] = value
+        else:
+            model["loss_trace"][0] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        message = self.fail(["extract", "--model", str(path), "--out", str(tmp_path / "p.txt")],
+                            capsys, where="")
+        assert message == f"model field {want}"
+
     @pytest.mark.parametrize("slot", ["foo/1", "known/1"], ids=["undeclared", "extensional"])
     def test_train_rejects_template_slot_outside_targets(self, files, capsys, slot):
         tmp_path, samples = files
@@ -896,7 +917,7 @@ class TestRestartLoop:
             want = engine.train(compiler.frame, samples, compiler.template, m.hyperparams,
                                 compiler.background, compiler.background_pool)
             assert m.loss_trace == want.loss_trace
-            assert [w.tobytes() for w in m.weights] == [w.tobytes() for w in want.weights]
+            assert m.weights.tobytes() == want.weights.tobytes()
 
 
 class TestMultiwozCli:

@@ -237,6 +237,8 @@ def run_pipeline(argv=None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         return _fail(type(exc).__name__, exc, EXIT_VALIDATION)
+    except MemoryError as exc:  # numpy raises a subclass
+        return _fail("MemoryError", exc, EXIT_VALIDATION)
 
 
 def _fail(error: str, message, code: int) -> int:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .logic import Atom, Predicate, Sample, atom, ground_atoms, parse_atom
+from .logic import Atom, Predicate, Sample, atom, parse_atom
 
 TERM = "term"
 USR_HEAD = "usr_slot"
@@ -250,7 +250,9 @@ def decode_acts(
 
 @functools.lru_cache(maxsize=1024)
 def _target_grounding(constants: tuple[str, ...], targets: tuple[Predicate, ...]) -> frozenset[Atom]:
-    return frozenset(ground_atoms(targets, constants))
+    # Through atom's cache, so lists that share a slot share its atoms.
+    return frozenset(atom(p.name, *args)
+                     for p in targets for args in itertools.product(constants, repeat=p.arity))
 
 
 def closed_world_negatives(

@@ -16,10 +16,10 @@ Compilation builds one grounding table per constant list. Rows come
 from index arithmetic, a clause shape at a time; each compiler works out
 its clauses' shapes once (``_ClauseShapes``).
 Each row belongs to a segment, the rows one max runs over: a (clause,
-head atom) cell of a slot. Segments are bucketed by row count into dense
-(segments, rows) blocks, so a forward step is a gather-multiply per
-block, a max and argmax along its rows, and one weighted ``bincount``
-into the head atoms.
+head atom) cell of a slot. A table holds its rows segment after segment
+and each segment's first row (``_Table``), so a forward step is one
+gather-multiply over the rows, one ``maximum.reduceat`` over the
+segments, and one weighted ``bincount`` into the head atoms.
 
 Only the slot heads (``CompiledModel.heads``) depend on the weights.
 Background is fixed knowledge: a background clause reads only
@@ -48,7 +48,7 @@ for range and monotonicity once, after its last step. The backward step
 takes a cell's value as its winning row's product, adds every cell's
 clause-weight gradient into its clause with one ``bincount`` (each
 clause's cells in chain order), and scatters each factor's gradient into
-the heads with one more (and two per block of multi-row cells); a factor
+the heads with one more (and two more for the multi-row cells); a factor
 outside the heads scatters into a cell that is dropped. Step 0 scatters
 nothing into the heads: the start values are fixed.
 
@@ -69,10 +69,10 @@ Gradients are exact reverse-mode derivatives of that computation. Max
 picks its first argument on ties: the old valuation over the fresh
 derivation, and the lowest-numbered grounding row within a segment
 (rows keep their enumeration order, a background head's rows follow its
-clauses in order, and argmax returns the first maximum). A clause's
-gradient is the sum of its cells' terms, step by step from the last and
-each step's in chain order, so clauses that agree on the data sum equal
-sequences and stay exactly tied.
+clauses in order, and ``_Table.winners`` returns the first row that
+reaches the max). A clause's gradient is the sum of its cells' terms,
+step by step from the last and each step's in chain order, so clauses
+that agree on the data sum equal sequences and stay exactly tied.
 """
 
 from __future__ import annotations
@@ -312,50 +312,43 @@ class _Slot:
 
 @dataclass(frozen=True)
 class _Table:
-    """Grounding rows grouped into max-segments and bucketed by row count.
+    """Grounding rows grouped into max-segments.
 
     A segment's value is the max over its rows of ``a[b1] * a[b2]``, where
-    ``b1``/``b2`` are a row's body atom indices. One-row segments come
-    first, as flat (segments,) arrays ``b1`` and ``b2``; then one block per
-    larger row count L, as a pair of (segments, L) arrays. ``key`` names
-    every segment in that order.
+    ``b1``/``b2`` are a row's body atom indices. Rows run segment after
+    segment, in order of the segments' ``key``; segment ``i``'s rows run
+    from ``starts[i]`` to the next segment's start.
     """
 
     b1: np.ndarray
     b2: np.ndarray
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    starts: np.ndarray
     key: np.ndarray
 
     @staticmethod
     def build(key: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> "_Table":
         """One segment per distinct key; rows keep their order within it."""
         order = np.argsort(key, kind="stable")
-        key, b1, b2 = key[order], b1[order], b2[order]
+        key = key[order]
         first = np.ones(key.size, dtype=bool)
         first[1:] = key[1:] != key[:-1]
         starts = np.flatnonzero(first)
-        sizes = np.diff(np.append(starts, key.size))
-        row_size = np.repeat(sizes, sizes)
-        one = row_size == 1
-        blocks, keys = [], [key[starts[sizes == 1]]]
-        for size in np.unique(sizes[sizes > 1]):
-            rows = row_size == size
-            blocks.append((b1[rows].reshape(-1, size), b2[rows].reshape(-1, size)))
-            keys.append(key[starts[sizes == size]])
-        return _Table(b1[one], b2[one], tuple(blocks), np.concatenate(keys))
+        return _Table(b1[order], b2[order], starts, key[starts])
 
-    def values(self, a: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Segment values (S, segments) of the valuations ``a``; and per
-        block, the flat row (into its arrays) attaining each segment's max,
-        the first one on ties."""
-        parts = [a.take(self.b1, axis=1) * a.take(self.b2, axis=1)]
-        winners = []
-        for b1, b2 in self.blocks:
-            prod = a.take(b1, axis=1)
-            prod *= a.take(b2, axis=1)
-            winners.append(prod.argmax(axis=2) + np.arange(0, b1.size, b1.shape[1]))
-            parts.append(prod.max(axis=2))
-        return np.concatenate(parts, axis=1) if winners else parts[0], winners
+    def values(self, a: np.ndarray) -> np.ndarray:
+        """Segment values (..., segments) of the valuations ``a`` (..., atoms)."""
+        return np.maximum.reduceat(a.take(self.b1, axis=-1) * a.take(self.b2, axis=-1),
+                                   self.starts, axis=-1)
+
+    def winners(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`values`, and each segment's first row attaining its max
+        (in a NaN segment, its first NaN row)."""
+        prod = a.take(self.b1, axis=-1) * a.take(self.b2, axis=-1)
+        top = np.maximum.reduceat(prod, self.starts, axis=-1)
+        won = prod == top.repeat(np.diff(self.starts, append=prod.shape[-1]), axis=-1)
+        won |= np.isnan(prod)
+        rows = np.where(won, np.arange(prod.shape[-1]), prod.shape[-1])
+        return top, np.minimum.reduceat(rows, self.starts, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -364,7 +357,8 @@ class CompiledModel:
 
     ``table`` holds the grounding rows of the slot clauses. Segment ``i``
     is the (clause, head atom) pair ``divmod(table.key[i], len(index))``,
-    so segments run clause after clause; it adds its value, times the
+    so segments run clause after clause, each clause's in head order,
+    whatever their row counts; it adds its value, times the
     probability of clause ``seg_weight[i]``, into output ``seg_out[i]``.
     The outputs are the head atoms ``single_cols``, then the head atoms
     ``pair_cols`` once per slot of a two-slot predicate, merged by
@@ -593,14 +587,14 @@ def _reachable(model: CompiledModel, a0: np.ndarray) -> tuple[np.ndarray, np.nda
     flat_out = _out_cells(model, S)
     fixed, seg_values, reach = [a0], [], a0 > 0
     for _ in range(model.forward_steps):
-        live = model.table.values(reach)[0]
+        live = model.table.values(reach)
         if len(seg_values) < len(fixed):
             seg_values.append(live)
         hit = np.zeros(S * (n1 + 2 * n2), dtype=bool)
         hit[flat_out[live.ravel()]] = True
         hit = hit.reshape(S, -1)
         b = reach.copy()
-        b[:, cols] |= model.static.values(reach)[0]
+        b[:, cols] |= model.static.values(reach)
         b[:, model.single_cols] |= hit[:, :n1]
         b[:, model.pair_cols] |= hit[:, n1 : n1 + n2] | hit[:, n1 + n2 :]
         if not np.array_equal(b[:, cols], reach[:, cols]):
@@ -634,7 +628,8 @@ class _Chain:
     entries of ``z[t]`` that ``rows`` names: a one-row dependent cell's
     body values, a fixed cell's value and 1, or, for a multi-row
     dependent cell, 0 and 0; the max over the rows of those is taken by
-    ``multi``, a table over ``z[t]`` whose ``key`` holds their positions
+    ``multi``, one table over ``z[t]`` of every multi-row dependent cell's
+    rows, whatever their count, whose ``key`` holds the cells' positions
     among the cells.
 
     The arrays from ``z`` on are each step's record, which every chaining
@@ -661,7 +656,7 @@ class _Chain:
     z: np.ndarray  # (steps + 1, S * H + reads)
     states: np.ndarray  # (steps + 1, S, H) a view of z's head values
     x: np.ndarray  # (steps, 2, cells) the factors, rows read from z
-    winners: tuple[np.ndarray, ...]  # per block of multi, (steps, its cells)
+    winners: np.ndarray  # (steps, multi cells) each one's winning row of multi
     values: np.ndarray  # (steps, cells)
     out: np.ndarray  # (steps, S, outputs)
     b: np.ndarray  # (steps, S, H), out itself when no predicate has two slots
@@ -683,27 +678,25 @@ class _Chain:
         head_col = np.full(g, H)
         head_col[heads] = np.arange(H)
         is_head = head_col < H
-        dep_blocks = [(is_head[b1] | is_head[b2]).any(axis=1) for b1, b2 in table.blocks]
-        dep = np.concatenate([is_head[table.b1] | is_head[table.b2], *dep_blocks])
+        dep = np.logical_or.reduceat(is_head[table.b1] | is_head[table.b2], table.starts)
+        sizes = np.diff(table.starts, append=table.b1.size)
         cells = np.flatnonzero(live)
         sample, seg = np.divmod(cells, dep.size)
         fixed_cells = np.flatnonzero(~dep[seg])
         fixed_values = seg_values[:, sample[fixed_cells], seg[fixed_cells]]
 
-        # The dependent cells by row count: one-row segments come first in
-        # the table, then each block.
-        sizes = [table.b1.size, *(b1.shape[0] for b1, _ in table.blocks)]
-        starts = np.cumsum([0, *sizes])
-        block = np.repeat(np.arange(len(sizes)), sizes)[seg]
-        dep_cells = [np.flatnonzero(dep[seg] & (block == k)) for k in range(len(sizes))]
-        one = dep_cells[0]
-        r = seg[one]
-        dep_rows = [(sample[one], table.b1[r], table.b2[r])]
-        for (b1, b2), at, lo in zip(table.blocks, dep_cells[1:], starts[1:]):
-            r = seg[at] - lo
-            dep_rows.append((sample[at][:, None], b1[r], b2[r]))
-        outside = [(s * g + b)[~is_head[b]] for s, b1, b2 in dep_rows for b in (b1, b2)]
-        read = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *outside]))
+        # The dependent cells' rows: a one-row cell's, and every multi-row
+        # cell's rows, cell after cell, in ``multi``.
+        one = np.flatnonzero(dep[seg] & (sizes[seg] == 1))
+        r = table.starts[seg[one]]
+        s, b1, b2 = sample[one], table.b1[r], table.b2[r]
+        multi_cells = np.flatnonzero(dep[seg] & (sizes[seg] > 1))
+        m_sizes = sizes[seg[multi_cells]]
+        m_starts = np.cumsum(m_sizes) - m_sizes
+        r = np.repeat(table.starts[seg[multi_cells]] - m_starts, m_sizes) + np.arange(m_sizes.sum())
+        ms, m1, m2 = np.repeat(sample[multi_cells], m_sizes), table.b1[r], table.b2[r]
+        read = np.unique(np.concatenate([(x * g + b)[~is_head[b]]
+                                         for x, b in ((s, b1), (s, b2), (ms, m1), (ms, m2))]))
 
         def z(s, b):
             return np.where(is_head[b], s * H + head_col[b],
@@ -714,12 +707,9 @@ class _Chain:
         one_at = S * H + read.size + fixed_cells.size
         rows[0, fixed_cells] = S * H + read.size + np.arange(fixed_cells.size)
         rows[1, fixed_cells] = one_at
-        no_rows = np.zeros(0, dtype=np.int64)
-        multi_cells = np.concatenate([no_rows, *dep_cells[1:]])
         rows[:, multi_cells] = one_at + 1
-        s, b1, b2 = dep_rows[0]
         rows[:, one] = z(s, b1), z(s, b2)
-        blocks = tuple((z(s, b1), z(s, b2)) for s, b1, b2 in dep_rows[1:] if s.size)
+        multi = _Table(z(ms, m1), z(ms, m2), m_starts, multi_cells)
         reads = np.concatenate((fixed[:n].reshape(n, S * g)[:, read], fixed_values,
                                 np.ones((n, 1)), np.zeros((n, 1))), axis=1)
         # A step's input head values lead what its cells read; the last row
@@ -736,7 +726,7 @@ class _Chain:
             head_col=head_col,
             fixed=fixed,
             rows=rows,
-            multi=_Table(no_rows, no_rows, blocks, multi_cells),
+            multi=multi,
             cells=cells,
             clause=model.seg_weight[seg],
             out_cells=_out_cells(model, S)[cells],
@@ -744,7 +734,7 @@ class _Chain:
             z=z,
             states=states,
             x=np.empty((steps, *rows.shape)),
-            winners=tuple(np.empty((steps, b1.shape[0]), dtype=np.int64) for b1, _ in blocks),
+            winners=np.empty((steps, multi_cells.size), dtype=np.int64),
             values=np.empty((steps, cells.size)),
             out=out,
             b=np.empty((steps, S, H)) if model.pair_cols.size else out,
@@ -771,11 +761,8 @@ def _step(chain: _Chain, w: np.ndarray, t: int) -> None:
     a, z = chain.states[t], chain.z[t]
     x = z.take(chain.rows, out=chain.x[t], mode="clip")
     values = np.multiply(x[0], x[1], out=chain.values[t])
-    if chain.multi.blocks:
-        v, winners = chain.multi.values(z[None])
-        values[chain.multi.key] = v.ravel()
-        for won, step_won in zip(chain.winners, winners):
-            won[t] = step_won[0]
+    if chain.multi.key.size:
+        values[chain.multi.key], chain.winners[t] = chain.multi.winners(z)
     out, b = chain.out[t], chain.b[t]
     out[...] = np.bincount(chain.out_cells, weights=values * w,
                            minlength=out.size).reshape(out.shape)
@@ -839,16 +826,14 @@ def _backward_step(
                     minlength=2 * SH + 2)
     da += d[:SH].reshape(S, H)
     da += d[SH + 1 : 2 * SH + 1].reshape(S, H)
-    z, lo = chain.z[t], 0
-    for (b1, b2), won in zip(chain.multi.blocks, chain.winners):
-        c1, c2 = b1.take(won[t]), b2.take(won[t])
-        hi = lo + c1.size
-        dvw = dv.take(chain.multi.key[lo:hi])
+    if chain.multi.key.size:
+        z, multi, won = chain.z[t], chain.multi, chain.winners[t]
+        c1, c2 = multi.b1.take(won), multi.b2.take(won)
+        dvw = dv.take(multi.key)
         da += np.bincount(np.minimum(c1, SH), weights=z.take(c2) * dvw,
                           minlength=SH + 1)[:SH].reshape(S, H)
         da += np.bincount(np.minimum(c2, SH), weights=z.take(c1) * dvw,
                           minlength=SH + 1)[:SH].reshape(S, H)
-        lo = hi
     return da
 
 

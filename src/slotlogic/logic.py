@@ -260,9 +260,9 @@ def format_clause(c: Clause) -> str:
 
 
 class _Scanner:
-    def __init__(self, text: str):
+    def __init__(self, text: str, pos: int = 0):
         self.text = text
-        self.pos = 0
+        self.pos = pos
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -331,18 +331,18 @@ def parse_clause(text: str) -> Clause:
     """Parse ``head <- body1[, body2]`` into a canonical :class:`Clause`."""
     if "<-" not in text:
         raise ParseError("missing '<-' separator", len(text))
-    head_text, _, body_text = text.partition("<-")
+    head_text = text.partition("<-")[0]
     sc = _Scanner(head_text)
     head = _parse_atom(sc)
     if not sc.at_end():
         raise ParseError("trailing input after head", sc.pos)
-    sc = _Scanner(body_text)
+    sc = _Scanner(text, len(head_text) + 2)
     body = [_parse_atom(sc)]
     while sc.peek() == ",":
         sc.expect(",")
         body.append(_parse_atom(sc))
     if not sc.at_end():
-        raise ParseError("trailing input", len(head_text) + 2 + sc.pos)
+        raise ParseError("trailing input", sc.pos)
     if len(body) > BODY_WIDTH:
         raise ValueError(f"body has {len(body)} atoms (max {BODY_WIDTH})")
     return Clause.make(head, body)

@@ -322,14 +322,17 @@ def ground_clause(clause: Clause, index: GroundIndex) -> np.ndarray:
 
 
 def _winning_cells(model: CompiledModel, winners, S: int):
-    """Per bucket of the table, the flat valuation cells (S, segments) of
-    the two body atoms of each segment's winning row."""
+    """The table's one-row segments, then the others, each group with the
+    flat valuation cells (S, segments) of the two body atoms of each
+    segment's winning row ``winners`` (S, segments)."""
     offset = len(model.index) * np.arange(S, dtype=np.int64)[:, None]
     table = model.table
-    cells = [(table.b1 + offset, table.b2 + offset)]
-    for (b1, b2), won in zip(table.blocks, winners):
-        cells.append((np.take(b1, won) + offset, np.take(b2, won) + offset))
-    return cells
+    one = np.diff(table.starts, append=table.b1.size) == 1
+    groups = []
+    for segs in np.flatnonzero(one), np.flatnonzero(~one):
+        won = winners[:, segs]
+        groups.append((segs, table.b1.take(won) + offset, table.b2.take(won) + offset))
+    return groups
 
 
 def _segment_weights(model: CompiledModel, probs: np.ndarray) -> np.ndarray:
@@ -341,7 +344,7 @@ def _reference_step(model: CompiledModel, seg_w, a, b_static, amalgamation: str)
     """One step over whole valuations (S, atoms) under ``amalgamation``;
     returns the new valuations and what the backward step needs."""
     S, g = a.shape
-    V, winners = model.table.values(a)
+    V, winners = model.table.winners(a)
     n1, n2 = model.single_cols.size, model.pair_cols.size
     n_out = n1 + 2 * n2
     V *= seg_w
@@ -383,18 +386,15 @@ def _reference_backward_step(model: CompiledModel, seg_w, trace, da_new, dclause
     dV = np.take(dout, model.seg_out, axis=1)
     terms = np.empty_like(dV)
     da = da.ravel()
-    lo = 0
-    for w1, w2 in _winning_cells(model, winners, S):
-        hi = lo + w1.shape[1]
+    for segs, w1, w2 in _winning_cells(model, winners, S):
         x1, x2 = np.take(a, w1), np.take(a, w2)
-        dv = dV[:, lo:hi]
-        terms[:, lo:hi] = x1 * x2 * dv
-        dv *= seg_w[lo:hi]
+        dv = dV[:, segs]
+        terms[:, segs] = x1 * x2 * dv
+        dv *= seg_w[segs]
         x1 *= dv
         x2 *= dv
         da += np.bincount(w1.ravel(), weights=x2.ravel(), minlength=S * g)
         da += np.bincount(w2.ravel(), weights=x1.ravel(), minlength=S * g)
-        lo = hi
     dclause += np.bincount(np.tile(model.seg_weight, S), weights=terms.ravel(),
                            minlength=dclause.size)
     return da.reshape(S, g)
@@ -413,7 +413,7 @@ def _reference_batches(compiler: ModelCompiler, samples: Sequence[Sample], amalg
         a, cols = a0.copy(), model.static.key
         static_b = np.zeros((model.forward_steps, len(group), cols.size))
         for t in range(model.forward_steps):
-            static_b[t] = model.static.values(a)[0]
+            static_b[t] = model.static.values(a)
             a[:, cols] = _amalgamate(amalgamation, a[:, cols], static_b[t])[0]
         labels = [
             (si, model.index.index_of(x), positive,
@@ -507,7 +507,7 @@ def reference_fixed_valuations(
     cols = model.static.key
     for _ in range(model.forward_steps):
         old = out[-1][:, cols]
-        new = _amalgamate(amalgamation, old, model.static.values(out[-1])[0])[0]
+        new = _amalgamate(amalgamation, old, model.static.values(out[-1]))[0]
         if np.array_equal(new, old):
             break
         out.append(out[-1].copy())
@@ -530,7 +530,7 @@ def reference_live_segments(model: CompiledModel, fixed: np.ndarray) -> np.ndarr
     known = fixed > 0
     last = known[min(steps - 1, len(known) - 1)]
     reach = known[0]
-    live = model.table.values(reach)[0]
+    live = model.table.values(reach)
     for t in range(steps - 1):
         hit = np.zeros(S * (n1 + 2 * n2), dtype=bool)
         hit[flat_out[live.ravel()]] = True
@@ -541,7 +541,7 @@ def reference_live_segments(model: CompiledModel, fixed: np.ndarray) -> np.ndarr
         if np.array_equal(b, reach) and not (last & ~b).any():
             break
         reach = b
-        live = model.table.values(reach)[0]
+        live = model.table.values(reach)
     return live
 
 
@@ -561,7 +561,7 @@ def chain_step(
     itself."""
     a = values[None, :]
     seg_w = _segment_weights(model, probabilities(weights, model.pool))
-    return _reference_step(model, seg_w, a, model.static.values(a)[0], amalgamation)[0][0]
+    return _reference_step(model, seg_w, a, model.static.values(a), amalgamation)[0][0]
 
 
 def agreement(trained: TrainedModel, program: PolicyProgram, samples: list[Sample]) -> float:

@@ -396,3 +396,10 @@ def test_closed_world_negatives_brute_force(constants, targets, picks):
 
 def test_grounding_cache_is_bounded():
     assert dialog._target_grounding.cache_info().maxsize is not None
+
+
+def test_constant_lists_sharing_a_slot_share_its_groundings():
+    first = {a.text: a for a in closed_world_negatives((), ("food", "area"))}
+    second = {a.text: a for a in closed_world_negatives((), ("price", "food"))}
+    assert first["sys_request(food)"] is second["sys_request(food)"]
+    assert first["sys_inform(food)"] is second["sys_inform(food)"]

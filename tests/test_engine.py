@@ -919,7 +919,7 @@ class TestLivePrune:
             assert len(xs) == len(ref_xs) == model.forward_steps
             for x, ref_x in zip(xs, ref_xs):
                 assert x.tobytes() == ref_x.tobytes()
-                assert not model.table.values(ref_x)[0][dropped].any()
+                assert not model.table.values(ref_x)[dropped].any()
             n_dropped += int(dropped.sum())
         return n_dropped
 
@@ -968,7 +968,7 @@ class TestFixpoint:
         for t in range(steps):
             out[t + 1] = out[t]
             out[t + 1][:, cols] = engine_mod._amalgamate(
-                amalgamation, out[t][:, cols], model.static.values(out[t])[0])[0]
+                amalgamation, out[t][:, cols], model.static.values(out[t]))[0]
         return out
 
     def assert_equals_full_length(self, compiler, samples, hp) -> bool:
@@ -990,7 +990,7 @@ class TestFixpoint:
                 assert np.array_equal(live, reference_live_segments(model, full))
             assert set(np.unique(fixed)) <= {0.0, 1.0}
             early |= n < steps
-            full_values = np.stack([model.table.values(full[t] > 0)[0] for t in range(steps)])
+            full_values = np.stack([model.table.values(full[t] > 0) for t in range(steps)])
             ref = engine_mod._Chain.build(model, full, full_values, live, hp.amalgamation)
             for name in ("cells", "clause", "out_cells", "rows"):
                 assert np.array_equal(getattr(chain, name), getattr(ref, name))
@@ -1056,7 +1056,7 @@ class TestHeadKernel:
 
     @staticmethod
     def reads_a_head_in_a_multi_row_segment(compiler, samples, hp) -> bool:
-        return any(b.chain.multi.blocks for b in _prepare_batches(compiler, samples, hp))
+        return any(b.chain.multi.key.size for b in _prepare_batches(compiler, samples, hp))
 
     @pytest.mark.parametrize("seed, scale", [(0, 0.0), (0, 1.0), (1, 3.0)])
     def test_restaurant_batch(self, seed, scale):
@@ -1145,6 +1145,36 @@ class TestHeadKernel:
             self.assert_equals_reference(compiler, weights, [sample], hp)
         assert self.reads_a_head_in_a_multi_row_segment(compiler, [sample], hp)
 
+    @pytest.mark.parametrize("amalgamation", AMALGAMATIONS)
+    def test_multi_row_cells_of_two_row_counts(self, amalgamation):
+        # s/0 reads h through two free variables (9 rows a cell), t/1
+        # through one (3 rows), and both cell kinds share the one multi table.
+        t, s, h = Predicate("t", 1), Predicate("s", 0), Predicate("h", 1)
+        e, f = Predicate("e", 1), Predicate("f", 2)
+        frame = LanguageFrame(targets=(t, s), extensional=(e, f))
+        template = ProgramTemplate(
+            slots=((t, (RuleTemplate(1, True),)), (s, (RuleTemplate(2, True),)),
+                   (h, (RuleTemplate(1, True),))),
+            auxiliary=(h,), forward_steps=3)
+        pools = [
+            ((t, 0), [parse_clause("t(X) <- e(X)"), parse_clause("t(X) <- h(Y), f(X, Y)")]),
+            ((s, 0), [parse_clause("s() <- h(X), f(X, Y)"), parse_clause("s() <- h(X), e(X)")]),
+            ((h, 0), [parse_clause("h(X) <- e(X)"), parse_clause("h(X) <- f(X, Y), e(Y)")]),
+        ]
+        compiler = ModelCompiler(frame, template, pools=pools)
+        sample = Sample.make(
+            [atom("e", "a"), atom("f", "b", "a"), atom("f", "c", "c"), atom("f", "a", "b")],
+            [atom("t", "b"), atom("s")], [atom("t", "a")], ("a", "b", "c"),
+        )
+        hp = Hyperparams(amalgamation=amalgamation)
+        (batch,) = _prepare_batches(compiler, [sample], hp)
+        multi = batch.chain.multi
+        assert set(np.diff(multi.starts, append=multi.b1.size).tolist()) == {3, 9}
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            self.assert_equals_reference(compiler, rng.standard_normal(compiler.pool.size),
+                                         [sample], hp)
+
     def test_nan_weights_raise(self):
         compiler, weights, samples, hp = TestLivePrune.simdial_case()
         weights[0] = np.nan
@@ -1152,6 +1182,52 @@ class TestHeadKernel:
             loss(compiler, weights, samples, hp)
         with pytest.raises(ValuationInvariantError):
             loss_and_grad(compiler, weights, samples, hp)
+
+
+class TestTable:
+    """A table is its rows in segment key order plus each segment's first
+    row; a segment's value is its max, and its winner the first row that
+    reaches it (the first NaN in a NaN segment)."""
+
+    # Rows (key, b1, b2) in shuffled key order. Key 3's two rows tie, key 5's
+    # three are 0 in the first valuation, key 7 has one row and key 9 reads
+    # the NaN atom 4 from its second row on.
+    ROWS = [(5, 1, 2), (9, 1, 1), (3, 1, 3), (7, 2, 2), (5, 2, 3), (9, 4, 1), (3, 3, 1),
+            (5, 0, 1), (9, 1, 4)]
+    A = np.array([[0.0, 0.5, 0.0, 0.4, np.nan], [0.0, 1.0, 0.25, 0.5, np.nan]])
+
+    @staticmethod
+    def table(rows):
+        return engine_mod._Table.build(*np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+
+    def test_rows_run_in_key_order(self):
+        table = self.table(self.ROWS)
+        assert table.key.tolist() == [3, 5, 7, 9]
+        assert table.starts.tolist() == [0, 2, 5, 6]
+        assert table.b1.tolist() == [1, 3, 1, 2, 0, 2, 1, 4, 1]
+        assert table.b2.tolist() == [3, 1, 2, 3, 1, 2, 1, 1, 4]
+
+    def test_values_and_winners_equal_a_per_segment_loop(self):
+        table = self.table(self.ROWS)
+        ends = [*table.starts[1:], table.b1.size]
+        want, want_won = [], []
+        for lo, hi in zip(table.starts, ends):
+            prod = self.A[:, table.b1[lo:hi]] * self.A[:, table.b2[lo:hi]]
+            want.append(prod.max(axis=1))
+            want_won.append(prod.argmax(axis=1) + lo)
+        values, won = table.winners(self.A)
+        np.testing.assert_array_equal(table.values(self.A), np.stack(want, axis=1))
+        assert values.tobytes() == table.values(self.A).tobytes()
+        assert won.tolist() == np.stack(want_won, axis=1).tolist()
+        # First row on the tie, the zero segment's first row, the first NaN.
+        assert won.tolist() == [[0, 2, 5, 7], [0, 2, 5, 7]]
+        assert values[0, 1] == 0.0 and np.isnan(values[:, 3]).all()
+
+    def test_empty_table(self):
+        table = self.table([])
+        assert table.key.size == table.starts.size == 0
+        assert table.values(self.A).shape == (2, 0)
+        assert [x.shape for x in table.winners(self.A)] == [(2, 0), (2, 0)]
 
 
 class TestChainRecord:
@@ -1177,7 +1253,7 @@ class TestChainRecord:
         draws = [rng.standard_normal(compiler.pool.size) for _ in range(4)]
         used = _prepare_batches(compiler, [sample], hp)
         (batch,) = used
-        assert batch.chain.multi.blocks and batch.chain.model.pair_cols.size
+        assert batch.chain.multi.key.size and batch.chain.model.pair_cols.size
         loss_and_grad(compiler, draws[-1], [sample], hp, used)
         for weights in draws:
             value, grads = loss_and_grad(compiler, weights, [sample], hp, used)

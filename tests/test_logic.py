@@ -92,6 +92,17 @@ class TestParseClause:
         with pytest.raises(ValueError):
             parse_clause("p(V0) <- q(V0), q(V0), q(V0)")
 
+    @pytest.mark.parametrize("text, offset", [
+        ("p(X) <- q(", 10),
+        ("p(X) <- q(X),", 13),
+        ("p(X) <- (X)", 8),
+        ("p(X) <- q(X) r", 13),
+    ])
+    def test_body_error_offset_is_in_the_whole_text(self, text, offset):
+        with pytest.raises(ParseError) as exc:
+            parse_clause(text)
+        assert exc.value.offset == offset
+
     def test_canonical_idempotent(self):
         texts = [
             "all(V0) <- true(V0), pred1(V0, V1)",

@@ -776,6 +776,21 @@ class TestMalformedLines:
         assert "sys_request/1 is listed twice" in message
         assert not out.exists()
 
+    def test_train_exits_2_when_the_task_does_not_fit_in_memory(self, files, capsys):
+        tmp_path, samples = files
+        task = task_to_dict(*pipeline.simdial_task())
+        task["template"]["forward_steps"] = 10**12
+        path, out = tmp_path / "task.json", tmp_path / "m.json"
+        path.write_text(json.dumps(task))
+        capsys.readouterr()
+        code = run_pipeline(["train", "--samples", str(samples), "--task", str(path),
+                             "--steps", "1", "--restarts", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "MemoryError"
+        assert not out.exists()
+
     def test_train_names_an_undeclared_background_predicate(self, files, capsys):
         # A SimDial no_match flag converts to the atom no_match(), which the
         # SimDial task does not declare.
